@@ -14,7 +14,7 @@ import json
 import os
 import random
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from . import builders
 from .algebra import multiplication_table
@@ -78,11 +78,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ring", default="Q", help="Q, Z, Fp:<p> or Zmod:<m>")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=10)
-    parser.add_argument("--max-rank", type=int, default=3, dest="max_rank")
+    parser.add_argument("--samples", type=_int_at_least(1), default=10)
+    parser.add_argument("--max-rank", type=_int_at_least(0), default=3, dest="max_rank")
     parser.add_argument("--out", choices=("text", "json"), default="text", help="report format")
 
 

@@ -21,6 +21,7 @@ from .rings import (
     Matrix,
     Ring,
     Scalar,
+    canonical_rows,
     kernel_basis,
     matrix_inverse,
     vec,
@@ -200,15 +201,17 @@ def hom_space_basis(m1: GModule, m2: GModule) -> list[Matrix]:
         return []
     grid = [[ring.zero] * cols for _ in range(unknowns)]
     for gi, a in enumerate(arrows):
-        left, right = m1.action[a], m2.action[a]
+        left, right = m1.action[a].entries, m2.action[a].entries
         for i in range(r1):
             for j in range(r2):
                 col = (gi * r1 + i) * r2 + j
-                for k in range(r1):
-                    grid[k * r2 + j][col] = ring.add(grid[k * r2 + j][col], left.entries[i][k])
+                for k, x in enumerate(left[i]):
+                    if x:
+                        grid[k * r2 + j][col] += x
                 for l in range(r2):
-                    grid[i * r2 + l][col] = ring.sub(grid[i * r2 + l][col], right.entries[l][j])
-    constraint = Matrix(ring, unknowns, cols, tuple(tuple(r) for r in grid))
+                    if right[l][j]:
+                        grid[i * r2 + l][col] -= right[l][j]
+    constraint = Matrix(ring, unknowns, cols, canonical_rows(ring, grid))
     basis = kernel_basis(constraint)
     out = []
     for row in basis.entries:

@@ -14,7 +14,17 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from .groupoid import ArrowId, FiniteGroupoid, ObjectId
-from .rings import Matrix, Ring, Scalar, block_diagonal, kernel_basis, matrix_inverse, vec, vec_mat
+from .rings import (
+    Matrix,
+    Ring,
+    Scalar,
+    block_diagonal,
+    canonical_rows,
+    kernel_basis,
+    matrix_inverse,
+    vec,
+    vec_mat,
+)
 from .validation import Failure, ValidationReport
 
 
@@ -198,23 +208,21 @@ def sheaf_hom_basis(e: GSheaf, f: GSheaf) -> list[dict[ObjectId, Matrix]]:
     grid = [[ring.zero] * cols for _ in range(total)]
     for gi, a in enumerate(arrows):
         x, y = g.dst[a], g.src[a]  # transport B: stalk(x) -> stalk(y)
-        be, bf = e.transport[a], f.transport[a]
-        sx, sy = e.stalk_rank[x], e.stalk_rank[y]
+        be, bf = e.transport[a].entries, f.transport[a].entries
+        sx = e.stalk_rank[x]
         tx, ty = f.stalk_rank[x], f.stalk_rank[y]
         for i in range(sx):
             for j in range(ty):
                 col = col_offsets[gi] + i * ty + j
                 # (B_e @ phi_y)[i, j]: coefficients of phi_y
-                for k in range(sy):
-                    grid[offsets[y] + k * ty + j][col] = ring.add(
-                        grid[offsets[y] + k * ty + j][col], be.entries[i][k]
-                    )
+                for k, v in enumerate(be[i]):
+                    if v:
+                        grid[offsets[y] + k * ty + j][col] += v
                 # -(phi_x @ B_f)[i, j]: coefficients of phi_x
                 for l in range(tx):
-                    grid[offsets[x] + i * tx + l][col] = ring.sub(
-                        grid[offsets[x] + i * tx + l][col], bf.entries[l][j]
-                    )
-    constraint = Matrix(ring, total, cols, tuple(tuple(r) for r in grid))
+                    if bf[l][j]:
+                        grid[offsets[x] + i * tx + l][col] -= bf[l][j]
+    constraint = Matrix(ring, total, cols, canonical_rows(ring, grid))
     basis = kernel_basis(constraint)
     out = []
     for row in basis.entries:

@@ -7,6 +7,16 @@ kit (echelon forms, kernels, row-space bases, solving, inversion).  Z is
 handled fraction-free through Hermite row reduction, so integer inputs never
 leave the integers.  Composite moduli offer arithmetic and equality only.
 
+``Ring.coerce`` is the input boundary: ``vec``, ``Matrix.from_rows``,
+``Ring.scalar_from_json`` and the scalar of ``vec_scale``/``Matrix.scaled``
+turn outside values into canonical elements (``Fraction`` over Q, ``int``
+over Z, ``int`` in ``[0, m)`` over Z/m), and every ``Matrix`` holds only
+canonical elements.  Past that boundary the kernels (products, sums,
+echelon forms, ``express_in_basis``) run native arithmetic picked once per
+call from the ring's modulus: ``int`` operations with one ``% m`` per
+result entry over Z/m, plain ``int`` over Z, and ``Fraction`` operators
+over Q.  Elimination visits only the nonzero entries of each pivot row.
+
 Conventions used throughout the library: vectors are rows, linear maps act
 on the right (``v @ A``), and matrix products compose left to right, so
 ``A @ B`` means "apply A, then B".  All values are immutable and every
@@ -16,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from operator import mul
 from typing import Any, Iterable, Sequence
 
 Scalar = Any  # int for Z and Z/m, Fraction for Q
@@ -25,6 +37,7 @@ class UnsupportedRingError(ValueError):
     """Raised when an operation needs a field or Z but got a composite modulus."""
 
 
+@lru_cache(maxsize=256)
 def _is_prime(m: int) -> bool:
     if m < 2:
         return False
@@ -87,11 +100,11 @@ class Ring:
             return value % self.modulus  # type: ignore[operator]
         return value
 
-    @property
+    @cached_property
     def zero(self) -> Scalar:
         return self.coerce(0)
 
-    @property
+    @cached_property
     def one(self) -> Scalar:
         return self.coerce(1)
 
@@ -119,7 +132,7 @@ class Ring:
         raise UnsupportedRingError(f"{self.name} is not a field")
 
     def is_zero(self, a: Scalar) -> bool:
-        return a == self.zero
+        return not a
 
     # -- text and JSON forms ----------------------------------------------
 
@@ -197,36 +210,72 @@ def unit_vec(ring: Ring, n: int, i: int) -> tuple[Scalar, ...]:
 def vec_add(ring: Ring, u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple[Scalar, ...]:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} + {len(v)}")
-    return tuple(ring.add(a, b) for a, b in zip(u, v))
+    p = ring.modulus
+    if p is None:
+        return tuple(a + b for a, b in zip(u, v))
+    return tuple((a + b) % p for a, b in zip(u, v))
 
 
 def vec_sub(ring: Ring, u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple[Scalar, ...]:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} - {len(v)}")
-    return tuple(ring.sub(a, b) for a, b in zip(u, v))
+    p = ring.modulus
+    if p is None:
+        return tuple(a - b for a, b in zip(u, v))
+    return tuple((a - b) % p for a, b in zip(u, v))
 
 
 def vec_scale(ring: Ring, c: Any, u: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    c = ring.coerce(c)
-    return tuple(ring.mul(c, a) for a in u)
+    return _scale(ring, ring.coerce(c), u)
+
+
+def _scale(ring: Ring, c: Scalar, u: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    p = ring.modulus
+    if p is None:
+        return tuple(c * a for a in u)
+    return tuple(c * a % p for a in u)
 
 
 def vec_is_zero(ring: Ring, u: Sequence[Scalar]) -> bool:
-    return all(ring.is_zero(a) for a in u)
+    return not any(u)
+
+
+def canonical_rows(ring: Ring, rows: Iterable[Iterable[Scalar]]) -> tuple[tuple[Scalar, ...], ...]:
+    """Rows of sums and differences of elements, reduced to canonical elements."""
+    p = ring.modulus
+    if p is None:
+        return tuple(tuple(r) for r in rows)
+    return tuple(tuple(x % p for x in r) for r in rows)
 
 
 def vec_mat(v: Sequence[Scalar], a: "Matrix") -> tuple[Scalar, ...]:
     """Row vector times matrix: the action of the linear map ``a`` on ``v``."""
     if len(v) != a.rows:
         raise ValueError(f"dimension mismatch: vector of length {len(v)} @ {a.rows}x{a.cols}")
-    ring = a.ring
-    out = []
-    for j in range(a.cols):
-        acc = ring.zero
-        for i, vi in enumerate(v):
-            acc = ring.add(acc, ring.mul(vi, a.entries[i][j]))
-        out.append(acc)
-    return tuple(out)
+    return _products(a.ring, (v,), a)[0]
+
+
+def _products(
+    ring: Ring, rows: Sequence[Sequence[Scalar]], b: "Matrix"
+) -> tuple[tuple[Scalar, ...], ...]:
+    """The rows of ``rows @ b``: one dot product and one reduction per entry.
+
+    Over Q, products with a zero factor are skipped: a ``Fraction`` product
+    costs far more than the test.
+    """
+    zero = ring.zero
+    if b.rows == 0:
+        return tuple((zero,) * b.cols for _ in rows)
+    cols = tuple(zip(*b.entries))
+    if ring.kind == "Q":
+        return tuple(
+            tuple(sum([x * y for x, y in zip(r, c) if x and y]) or zero for c in cols)
+            for r in rows
+        )
+    p = ring.modulus
+    if p is None:
+        return tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in rows)
+    return tuple(tuple(sum(map(mul, r, c)) % p for c in cols) for r in rows)
 
 
 # -- matrices --------------------------------------------------------------
@@ -254,7 +303,7 @@ class Matrix:
 
     @staticmethod
     def identity(ring: Ring, n: int) -> "Matrix":
-        return Matrix.from_rows(ring, [unit_vec(ring, n, i) for i in range(n)], cols=n)
+        return Matrix(ring, n, n, tuple(unit_vec(ring, n, i) for i in range(n)))
 
     @staticmethod
     def zeros(ring: Ring, rows: int, cols: int) -> "Matrix":
@@ -280,17 +329,7 @@ class Matrix:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        ring = self.ring
-        data = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = ring.zero
-                for k in range(self.cols):
-                    acc = ring.add(acc, ring.mul(self.entries[i][k], other.entries[k][j]))
-                row.append(acc)
-            data.append(tuple(row))
-        return Matrix(ring, self.rows, other.cols, tuple(data))
+        return Matrix(self.ring, self.rows, other.cols, _products(self.ring, self.entries, other))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
@@ -314,8 +353,9 @@ class Matrix:
         return self.scaled(-1)
 
     def scaled(self, c: Any) -> "Matrix":
+        c = self.ring.coerce(c)
         return Matrix(
-            self.ring, self.rows, self.cols, tuple(vec_scale(self.ring, c, r) for r in self.entries)
+            self.ring, self.rows, self.cols, tuple(_scale(self.ring, c, r) for r in self.entries)
         )
 
     def _check_same_shape(self, other: "Matrix") -> None:
@@ -387,31 +427,46 @@ def row_echelon(a: Matrix) -> Echelon:
 
 
 def _rref(a: Matrix) -> Echelon:
+    # Gauss-Jordan on [a | identity], so the transform rides along in each
+    # row.  The pivot row of column c is zero left of c, so a row operation
+    # only touches the pivot row's nonzero entries at or right of c.
     ring = a.ring
-    m = [list(r) for r in a.entries]
-    t = [list(unit_vec(ring, a.rows, i)) for i in range(a.rows)]
+    p = ring.modulus  # None over Q
+    n, width = a.cols, a.cols + a.rows
+    m = [list(r) + list(unit_vec(ring, a.rows, i)) for i, r in enumerate(a.entries)]
     pivots: list[int] = []
     pr = 0
-    for c in range(a.cols):
-        pivot_row = next((i for i in range(pr, a.rows) if not ring.is_zero(m[i][c])), None)
+    for c in range(n):
+        pivot_row = next((i for i in range(pr, a.rows) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[pr], m[pivot_row] = m[pivot_row], m[pr]
-        t[pr], t[pivot_row] = t[pivot_row], t[pr]
-        scale = ring.inv(m[pr][c])
-        m[pr] = [ring.mul(scale, x) for x in m[pr]]
-        t[pr] = [ring.mul(scale, x) for x in t[pr]]
-        for i in range(a.rows):
-            if i != pr and not ring.is_zero(m[i][c]):
-                factor = m[i][c]
-                m[i] = [ring.sub(x, ring.mul(factor, y)) for x, y in zip(m[i], m[pr])]
-                t[i] = [ring.sub(x, ring.mul(factor, y)) for x, y in zip(t[i], t[pr])]
+        row = m[pr]
+        support = [j for j in range(c, width) if row[j]]
+        if p is None:
+            scale = 1 / row[c]
+            for j in support:
+                row[j] = scale * row[j]
+        else:
+            scale = pow(row[c], -1, p)
+            for j in support:
+                row[j] = scale * row[j] % p
+        for i, other in enumerate(m):
+            factor = other[c]
+            if i == pr or not factor:
+                continue
+            if p is None:
+                for j in support:
+                    other[j] = other[j] - factor * row[j]
+            else:
+                for j in support:
+                    other[j] = (other[j] - factor * row[j]) % p
         pivots.append(c)
         pr += 1
         if pr == a.rows:
             break
-    reduced = Matrix(ring, a.rows, a.cols, tuple(tuple(r) for r in m))
-    transform = Matrix(ring, a.rows, a.rows, tuple(tuple(r) for r in t))
+    reduced = Matrix(ring, a.rows, a.cols, tuple(tuple(r[:n]) for r in m))
+    transform = Matrix(ring, a.rows, a.rows, tuple(tuple(r[n:]) for r in m))
     return Echelon(reduced, transform, tuple(pivots))
 
 
@@ -491,24 +546,24 @@ def express_in_basis(basis: Matrix, target: Sequence[Scalar]) -> tuple[Scalar, .
     ring = basis.ring
     if len(target) != basis.cols:
         raise ValueError(f"dimension mismatch: target length {len(target)} vs {basis.cols} cols")
-    residue = list(vec(ring, target))
+    field, p = ring.is_field, ring.modulus
+    residue = vec(ring, target)
     coeffs = []
     for row in basis.entries:
-        lead = next((j for j, x in enumerate(row) if not ring.is_zero(x)), None)
-        if lead is None:
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None or not residue[lead]:
             coeffs.append(ring.zero)
             continue
-        if ring.is_zero(residue[lead]):
-            coeffs.append(ring.zero)
-            continue
-        if ring.is_field:
-            c = ring.mul(residue[lead], ring.inv(row[lead]))
+        if field:
+            c = residue[lead] * ring.inv(row[lead])
+            if p is not None:
+                c %= p
         else:
             if residue[lead] % row[lead] != 0:
                 return None
             c = residue[lead] // row[lead]
         coeffs.append(c)
-        residue = [ring.sub(x, ring.mul(c, y)) for x, y in zip(residue, row)]
+        residue = vec_sub(ring, residue, _scale(ring, c, row))
     if not vec_is_zero(ring, residue):
         return None
     return tuple(coeffs)

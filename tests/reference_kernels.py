@@ -1,0 +1,214 @@
+"""The generic-ring kernels, kept as the oracle for the per-kind fast paths.
+
+Every scalar operation here goes through ``Ring.add``/``Ring.sub``/
+``Ring.mul``/``Ring.inv`` and so through ``Ring.coerce``.  This is the
+linear algebra ``ample.rings`` ran before its inner loops became native
+``int``/``Fraction`` arithmetic; ``tests/test_kernel_oracle.py`` checks the
+fast paths against it.  ``kernel_basis``, ``solve_row_system`` and
+``matrix_inverse`` are the library's compositions rebuilt on these kernels;
+``hom_constraint`` and ``sheaf_hom_constraint`` are the generic constraint
+grid fills of the two hom-space solvers.
+"""
+from __future__ import annotations
+
+from typing import Any, Sequence
+
+from ample import rings
+from ample.rings import Echelon, Matrix, Ring, Scalar, unit_vec, vec
+
+
+def matmul(self: Matrix, other: Matrix) -> Matrix:
+    if self.ring != other.ring:
+        raise ValueError(f"ring mismatch: {self.ring.name} vs {other.ring.name}")
+    if self.cols != other.rows:
+        raise ValueError(
+            f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
+        )
+    ring = self.ring
+    data = []
+    for i in range(self.rows):
+        row = []
+        for j in range(other.cols):
+            acc = ring.zero
+            for k in range(self.cols):
+                acc = ring.add(acc, ring.mul(self.entries[i][k], other.entries[k][j]))
+            row.append(acc)
+        data.append(tuple(row))
+    return Matrix(ring, self.rows, other.cols, tuple(data))
+
+
+def vec_mat(v: Sequence[Scalar], a: Matrix) -> tuple[Scalar, ...]:
+    """Row vector times matrix: the action of the linear map ``a`` on ``v``."""
+    if len(v) != a.rows:
+        raise ValueError(f"dimension mismatch: vector of length {len(v)} @ {a.rows}x{a.cols}")
+    ring = a.ring
+    out = []
+    for j in range(a.cols):
+        acc = ring.zero
+        for i, vi in enumerate(v):
+            acc = ring.add(acc, ring.mul(vi, a.entries[i][j]))
+        out.append(acc)
+    return tuple(out)
+
+
+def vec_add(ring: Ring, u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    return tuple(ring.add(a, b) for a, b in zip(u, v))
+
+
+def vec_sub(ring: Ring, u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    return tuple(ring.sub(a, b) for a, b in zip(u, v))
+
+
+def vec_scale(ring: Ring, c: Any, u: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    c = ring.coerce(c)
+    return tuple(ring.mul(c, a) for a in u)
+
+
+def rref(a: Matrix) -> Echelon:
+    ring = a.ring
+    m = [list(r) for r in a.entries]
+    t = [list(unit_vec(ring, a.rows, i)) for i in range(a.rows)]
+    pivots: list[int] = []
+    pr = 0
+    for c in range(a.cols):
+        pivot_row = next((i for i in range(pr, a.rows) if not ring.is_zero(m[i][c])), None)
+        if pivot_row is None:
+            continue
+        m[pr], m[pivot_row] = m[pivot_row], m[pr]
+        t[pr], t[pivot_row] = t[pivot_row], t[pr]
+        scale = ring.inv(m[pr][c])
+        m[pr] = [ring.mul(scale, x) for x in m[pr]]
+        t[pr] = [ring.mul(scale, x) for x in t[pr]]
+        for i in range(a.rows):
+            if i != pr and not ring.is_zero(m[i][c]):
+                factor = m[i][c]
+                m[i] = [ring.sub(x, ring.mul(factor, y)) for x, y in zip(m[i], m[pr])]
+                t[i] = [ring.sub(x, ring.mul(factor, y)) for x, y in zip(t[i], t[pr])]
+        pivots.append(c)
+        pr += 1
+        if pr == a.rows:
+            break
+    reduced = Matrix(ring, a.rows, a.cols, tuple(tuple(r) for r in m))
+    transform = Matrix(ring, a.rows, a.rows, tuple(tuple(r) for r in t))
+    return Echelon(reduced, transform, tuple(pivots))
+
+
+def row_echelon(a: Matrix) -> Echelon:
+    if a.ring.is_field:
+        return rref(a)
+    return rings.row_echelon(a)  # Hermite form over Z has no separate fast path
+
+
+def express_in_basis(basis: Matrix, target: Sequence[Scalar]) -> tuple[Scalar, ...] | None:
+    ring = basis.ring
+    if len(target) != basis.cols:
+        raise ValueError(f"dimension mismatch: target length {len(target)} vs {basis.cols} cols")
+    residue = list(vec(ring, target))
+    coeffs = []
+    for row in basis.entries:
+        lead = next((j for j, x in enumerate(row) if not ring.is_zero(x)), None)
+        if lead is None:
+            coeffs.append(ring.zero)
+            continue
+        if ring.is_zero(residue[lead]):
+            coeffs.append(ring.zero)
+            continue
+        if ring.is_field:
+            c = ring.mul(residue[lead], ring.inv(row[lead]))
+        else:
+            if residue[lead] % row[lead] != 0:
+                return None
+            c = residue[lead] // row[lead]
+        coeffs.append(c)
+        residue = [ring.sub(x, ring.mul(c, y)) for x, y in zip(residue, row)]
+    if not all(ring.is_zero(x) for x in residue):
+        return None
+    return tuple(coeffs)
+
+
+def image_basis(a: Matrix) -> Matrix:
+    ech = row_echelon(a)
+    keep = ech.reduced.entries[: len(ech.pivots)]
+    return Matrix(a.ring, len(keep), a.cols, keep)
+
+
+def kernel_basis(a: Matrix) -> Matrix:
+    ech = row_echelon(a)
+    null_rows = ech.transform.entries[len(ech.pivots):]
+    raw = Matrix(a.ring, len(null_rows), a.rows, null_rows)
+    if raw.rows == 0 or raw.cols == 0:
+        return raw
+    return image_basis(raw)
+
+
+def solve_row_system(a: Matrix, b: Sequence[Scalar]) -> tuple[Scalar, ...] | None:
+    ech = row_echelon(a)
+    lead = Matrix(a.ring, len(ech.pivots), a.cols, ech.reduced.entries[: len(ech.pivots)])
+    coeffs = express_in_basis(lead, b)
+    if coeffs is None:
+        return None
+    padded = list(coeffs) + [a.ring.zero] * (a.rows - len(coeffs))
+    return vec_mat(padded, ech.transform)
+
+
+def matrix_inverse(a: Matrix) -> Matrix | None:
+    if a.rows != a.cols:
+        return None
+    ech = row_echelon(a)
+    if len(ech.pivots) == a.rows and ech.reduced == Matrix.identity(a.ring, a.rows):
+        return ech.transform
+    return None
+
+
+def hom_constraint(m1: Any, m2: Any) -> Matrix:
+    """The constraint matrix ``gmodule.hom_space_basis`` eliminates."""
+    ring = m1.ring
+    r1, r2 = m1.rank, m2.rank
+    unknowns = r1 * r2
+    arrows = m1.groupoid.arrows
+    cols = len(arrows) * r1 * r2
+    grid = [[ring.zero] * cols for _ in range(unknowns)]
+    for gi, a in enumerate(arrows):
+        left, right = m1.action[a], m2.action[a]
+        for i in range(r1):
+            for j in range(r2):
+                col = (gi * r1 + i) * r2 + j
+                for k in range(r1):
+                    grid[k * r2 + j][col] = ring.add(grid[k * r2 + j][col], left.entries[i][k])
+                for l in range(r2):
+                    grid[i * r2 + l][col] = ring.sub(grid[i * r2 + l][col], right.entries[l][j])
+    return Matrix(ring, unknowns, cols, tuple(tuple(r) for r in grid))
+
+
+def sheaf_hom_constraint(e: Any, f: Any) -> Matrix:
+    """The constraint matrix ``gsheaf.sheaf_hom_basis`` eliminates."""
+    g, ring = e.groupoid, e.ring
+    offsets = {}
+    total = 0
+    for x in g.objects:
+        offsets[x] = total
+        total += e.stalk_rank[x] * f.stalk_rank[x]
+    arrows = g.arrows
+    col_offsets = []
+    cols = 0
+    for a in arrows:
+        col_offsets.append(cols)
+        cols += e.stalk_rank[g.dst[a]] * f.stalk_rank[g.src[a]]
+    grid = [[ring.zero] * cols for _ in range(total)]
+    for gi, a in enumerate(arrows):
+        x, y = g.dst[a], g.src[a]
+        be, bf = e.transport[a], f.transport[a]
+        sx, sy = e.stalk_rank[x], e.stalk_rank[y]
+        tx, ty = f.stalk_rank[x], f.stalk_rank[y]
+        for i in range(sx):
+            for j in range(ty):
+                col = col_offsets[gi] + i * ty + j
+                for k in range(sy):
+                    grid[offsets[y] + k * ty + j][col] = ring.add(
+                        grid[offsets[y] + k * ty + j][col], be.entries[i][k]
+                    )
+                for l in range(tx):
+                    grid[offsets[x] + i * tx + l][col] = ring.sub(
+                        grid[offsets[x] + i * tx + l][col], bf.entries[l][j]
+                    )
+    return Matrix(ring, total, cols, tuple(tuple(r) for r in grid))

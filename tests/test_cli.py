@@ -222,6 +222,33 @@ def test_wrong_document_kind_is_usage_error(corpus):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--samples", "-3"], "argument --samples: must be at least 1, got -3"),
+        (["--samples", "0"], "argument --samples: must be at least 1, got 0"),
+        (["--max-rank", "-1"], "argument --max-rank: must be at least 0, got -1"),
+    ],
+)
+@pytest.mark.parametrize(
+    "command", ["equivalence --groupoid p2.json", "morita --span span-p2-point.json"]
+)
+def test_out_of_range_counts_are_usage_errors(corpus, command, flags, message):
+    name, flag, path = command.split()
+    code, text = run_command([name, flag, str(corpus / path), "--ring", "Fp:5"] + flags)
+    assert code == 2
+    assert text == f"usage error: {message}"
+
+
+def test_smallest_counts_are_accepted(corpus):
+    code, text = run_command(
+        ["equivalence", "--groupoid", str(corpus / "p2.json"), "--ring", "Fp:5",
+         "--samples", "1", "--max-rank", "0"]
+    )
+    assert code == 0
+    assert text.endswith("RESULT: PASS (1 eta + 1 epsilon + 1 naturality)")
+
+
 def test_composite_modulus_rejected_for_equivalence(corpus):
     code, text = run_command(
         ["equivalence", "--groupoid", str(corpus / "p2.json"), "--ring", "Zmod:6"]

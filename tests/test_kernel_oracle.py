@@ -1,0 +1,202 @@
+"""The per-kind native kernels of ``ample.rings`` against the generic-ring oracle.
+
+``reference_kernels`` routes every scalar operation through ``Ring.coerce``;
+the library's kernels use native ``int``/``Fraction`` arithmetic.  Results
+must agree entry for entry, and entries must stay canonical: ``Fraction``
+over Q, ``int`` over Z, ``int`` in ``[0, m)`` over Z/m.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_kernels as ref
+from ample import gmodule, gsheaf
+from ample.builders import random_module, random_sheaf
+from ample.rings import (
+    INTEGERS,
+    RATIONALS,
+    Matrix,
+    express_in_basis,
+    image_basis,
+    kernel_basis,
+    matrix_inverse,
+    modular,
+    row_echelon,
+    solve_row_system,
+    vec,
+    vec_add,
+    vec_mat,
+    vec_scale,
+    vec_sub,
+)
+
+ELIMINATION_RINGS = (RATIONALS, INTEGERS, modular(2), modular(5), modular(1000003))
+ALL_RINGS = ELIMINATION_RINGS + (modular(6),)
+DIMS = st.integers(0, 5)
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def scalars(ring):
+    small = st.integers(-7, 7)
+    if ring.kind == "Q":
+        return st.one_of(
+            st.just(0), small, st.fractions(min_value=-7, max_value=7, max_denominator=6)
+        )
+    if ring.modulus is not None and ring.modulus > 100:
+        return st.one_of(st.just(0), small, st.integers(-(10**7), 10**7))
+    return st.one_of(st.just(0), small)
+
+
+@st.composite
+def matrices(draw, ring, rows, cols):
+    """A random matrix; about a third are products through a thin inner
+    dimension, so rank deficiency is common over every ring."""
+    if rows and cols and draw(st.integers(0, 2)) == 0:
+        inner = draw(st.integers(0, min(rows, cols)))
+        left = draw(matrices(ring, rows, inner))
+        right = draw(matrices(ring, inner, cols))
+        return ref.matmul(left, right)
+    data = [[draw(scalars(ring)) for _ in range(cols)] for _ in range(rows)]
+    return Matrix.from_rows(ring, data, cols=cols)
+
+
+def assert_canonical(ring, values):
+    for x in values:
+        if ring.kind == "Q":
+            assert type(x) is Fraction, (ring.name, x)
+        else:
+            assert type(x) is int, (ring.name, x)
+            if ring.modulus is not None:
+                assert 0 <= x < ring.modulus, (ring.name, x)
+
+
+def assert_same_matrix(ring, got, want):
+    assert got == want
+    for row in got.entries:
+        assert_canonical(ring, row)
+
+
+@SETTINGS
+@given(ring=st.sampled_from(ALL_RINGS), data=st.data())
+def test_matmul_matches_reference(ring, data):
+    r, k, c = data.draw(DIMS), data.draw(DIMS), data.draw(DIMS)
+    a = data.draw(matrices(ring, r, k))
+    b = data.draw(matrices(ring, k, c))
+    assert_same_matrix(ring, a @ b, ref.matmul(a, b))
+
+
+@SETTINGS
+@given(ring=st.sampled_from(ALL_RINGS), data=st.data())
+def test_vector_ops_match_reference(ring, data):
+    r, c = data.draw(DIMS), data.draw(DIMS)
+    a = data.draw(matrices(ring, r, c))
+    b = data.draw(matrices(ring, r, c))
+    u = vec(ring, data.draw(st.lists(scalars(ring), min_size=r, max_size=r)))
+    scalar = data.draw(scalars(ring))
+    got = vec_mat(u, a)
+    assert got == ref.vec_mat(u, a)
+    assert_canonical(ring, got)
+    for row_a, row_b in zip(a.entries, b.entries):
+        for got, want in (
+            (vec_add(ring, row_a, row_b), ref.vec_add(ring, row_a, row_b)),
+            (vec_sub(ring, row_a, row_b), ref.vec_sub(ring, row_a, row_b)),
+            (vec_scale(ring, scalar, row_a), ref.vec_scale(ring, scalar, row_a)),
+        ):
+            assert got == want
+            assert_canonical(ring, got)
+    pairs = tuple(zip(a.entries, b.entries))
+    for got, want in (
+        (a + b, tuple(ref.vec_add(ring, x, y) for x, y in pairs)),
+        (a - b, tuple(ref.vec_sub(ring, x, y) for x, y in pairs)),
+        (a.scaled(scalar), tuple(ref.vec_scale(ring, scalar, x) for x in a.entries)),
+        (-a, tuple(ref.vec_scale(ring, -1, x) for x in a.entries)),
+    ):
+        assert_same_matrix(ring, got, Matrix(ring, r, c, want))
+
+
+@SETTINGS
+@given(ring=st.sampled_from(ELIMINATION_RINGS), data=st.data())
+def test_row_echelon_matches_reference(ring, data):
+    a = data.draw(matrices(ring, data.draw(DIMS), data.draw(DIMS)))
+    got, want = row_echelon(a), ref.row_echelon(a)
+    assert got.pivots == want.pivots
+    assert_same_matrix(ring, got.reduced, want.reduced)
+    assert_same_matrix(ring, got.transform, want.transform)
+    assert_same_matrix(ring, got.transform @ a, got.reduced)
+
+
+@SETTINGS
+@given(ring=st.sampled_from(ELIMINATION_RINGS), data=st.data())
+def test_kernel_and_solve_match_reference(ring, data):
+    r, c = data.draw(DIMS), data.draw(DIMS)
+    a = data.draw(matrices(ring, r, c))
+    assert_same_matrix(ring, kernel_basis(a), ref.kernel_basis(a))
+    assert_same_matrix(ring, image_basis(a), ref.image_basis(a))
+    inside = vec_mat(vec(ring, data.draw(st.lists(scalars(ring), min_size=r, max_size=r))), a)
+    anywhere = vec(ring, data.draw(st.lists(scalars(ring), min_size=c, max_size=c)))
+    for target in (inside, anywhere):
+        got = solve_row_system(a, target)
+        assert got == ref.solve_row_system(a, target)
+        if got is not None:
+            assert_canonical(ring, got)
+            assert vec_mat(got, a) == target
+    # an echelon basis whose leading entries need not be 1
+    echelon = image_basis(a)
+    rescaled = tuple(
+        vec_scale(ring, data.draw(scalars(ring).filter(bool)), row) for row in echelon.entries
+    )
+    for basis in (echelon, Matrix(ring, echelon.rows, c, rescaled)):
+        for target in (inside, anywhere):
+            got = express_in_basis(basis, target)
+            assert got == ref.express_in_basis(basis, target)
+            if got is not None:
+                assert_canonical(ring, got)
+
+
+@SETTINGS
+@given(ring=st.sampled_from(ELIMINATION_RINGS), data=st.data())
+def test_matrix_inverse_matches_reference(ring, data):
+    n = data.draw(DIMS)
+    a = data.draw(matrices(ring, n, n))
+    got, want = matrix_inverse(a), ref.matrix_inverse(a)
+    if want is None:
+        assert got is None
+    else:
+        assert_same_matrix(ring, got, want)
+        assert (a @ got).is_identity
+
+
+@pytest.mark.parametrize(
+    "ring", (RATIONALS, INTEGERS, modular(2), modular(5)), ids=lambda r: r.name
+)
+@pytest.mark.parametrize("groupoid", ("p2", "z2", "z2_action", "edge_groupoid"))
+@pytest.mark.parametrize("seeds", ((1, 2), (3, 4), (5, 6)))
+def test_hom_space_constraints_match_reference(ring, groupoid, seeds, request, monkeypatch):
+    """The native grid fills build the same canonical constraint matrices."""
+    g = request.getfixturevalue(groupoid)
+    seen = []
+
+    def capture(constraint):
+        seen.append(constraint)
+        return kernel_basis(constraint)
+
+    monkeypatch.setattr(gmodule, "kernel_basis", capture)
+    monkeypatch.setattr(gsheaf, "kernel_basis", capture)
+    m1, m2 = (random_module(g, ring, 2, s) for s in seeds)
+    e, f = (random_sheaf(g, ring, 2, s) for s in seeds)
+    for solve, build, args in (
+        (gmodule.hom_space_basis, ref.hom_constraint, (m1, m2)),
+        (gsheaf.sheaf_hom_basis, ref.sheaf_hom_constraint, (e, f)),
+    ):
+        seen.clear()
+        solve(*args)
+        want = build(*args)
+        if want.rows == 0:
+            assert seen == []
+        else:
+            (got,) = seen
+            assert_same_matrix(ring, got, want)
