@@ -19,7 +19,7 @@ from .equivalence import gamma_c
 from .gmodule import GModule
 from .groupoid import ArrowId, FiniteGroupoid, ObjectId
 from .gsheaf import GSheaf
-from .rings import Matrix, Ring, Scalar, matrix_inverse
+from .rings import Matrix, Ring, Scalar, matrix_inverse, vec_add, vec_scale
 
 
 def pair_groupoid(n: int) -> FiniteGroupoid:
@@ -311,17 +311,17 @@ def random_invertible(ring: Ring, n: int, rng: random.Random) -> Matrix:
         i = rng.randrange(n)
         j = rng.randrange(n)
         if kind == 0 and i != j:  # shear: row_i += c * row_j
-            c = ring.coerce(rng.choice([-2, -1, 1, 2]))
-            m[i] = [ring.add(a, ring.mul(c, b)) for a, b in zip(m[i], m[j])]
+            c = rng.choice([-2, -1, 1, 2])
+            m[i] = vec_add(ring, m[i], vec_scale(ring, c, m[j]))
         elif kind == 1 and i != j:  # swap
             m[i], m[j] = m[j], m[i]
         else:  # scale by a unit
             if ring.is_field:
                 choices = [2, -1] if ring.kind == "Q" else list(range(1, ring.modulus))
-                c = ring.coerce(rng.choice(choices))
+                c = rng.choice(choices)
             else:
-                c = ring.coerce(rng.choice([1, -1]))
-            m[i] = [ring.mul(c, a) for a in m[i]]
+                c = rng.choice([1, -1])
+            m[i] = vec_scale(ring, c, m[i])
     out = Matrix(ring, n, n, tuple(tuple(r) for r in m))
     assert matrix_inverse(out) is not None
     return out

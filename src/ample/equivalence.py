@@ -35,6 +35,7 @@ from .rings import (
     vec_add,
     vec_is_zero,
     vec_mat,
+    vec_scale,
     zero_vec,
 )
 
@@ -99,7 +100,7 @@ def section_action(s: Section, f: AlgebraElement) -> Section:
         for a, c in f.coeffs.items():
             if g.src[a] == x:
                 moved = vec_mat(s.values[g.dst[a]], e.transport[a])
-                acc = vec_add(ring, acc, tuple(ring.mul(c, t) for t in moved))
+                acc = vec_add(ring, acc, vec_scale(ring, c, moved))
         values[x] = acc
     return Section(e, values)
 

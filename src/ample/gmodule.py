@@ -8,20 +8,30 @@ idempotents summing to the identity, which is exactly unitarity over a
 compact unit space, and every arrow restricts to an isomorphism between
 the images of its endpoint idempotents (witnessed by the inverse arrow).
 
-Homomorphisms are matrices intertwining the two actions.
+Homomorphisms are matrices intertwining the two actions.  Over a
+connected groupoid a module is fixed by its stalk at one base object x and
+the action of the isotropy group K_x there, so Hom(M1, M2) is computed as
+Hom_{K_x}(M1·e_x, M2·e_x) on each component's base stalks and extended
+along one tree arrow per object (``hom_space_basis``).  A module that
+fails the identities this needs, or a groupoid that fails
+``validate_groupoid``, takes one dense system over every arrow instead,
+which gives the same basis.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from functools import cached_property
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .algebra import AlgebraElement
-from .groupoid import ArrowId, FiniteGroupoid
+from .groupoid import ArrowId, FiniteGroupoid, ObjectId
 from .rings import (
     Matrix,
     Ring,
     Scalar,
     canonical_rows,
+    express_in_basis,
+    image_basis,
     kernel_basis,
     matrix_inverse,
     vec,
@@ -48,6 +58,12 @@ class GModule:
 
     def unit_action(self, x: Any) -> Matrix:
         return self.action[self.groupoid.unit[x]]
+
+    @cached_property
+    def isotropy_frame(self) -> "IsotropyFrame | None":
+        """The module on its base stalks, or None when the isotropy
+        reduction does not apply (see ``_isotropy_frame``)."""
+        return _isotropy_frame(self)
 
 
 @dataclass(frozen=True)
@@ -184,24 +200,100 @@ def regular_module(g: FiniteGroupoid, ring: Ring) -> GModule:
 # -- homomorphism spaces ----------------------------------------------------
 
 
-def hom_space_basis(m1: GModule, m2: GModule) -> list[Matrix]:
-    """A basis of the intertwiner space Hom(m1, m2), found by exact elimination.
+class IsotropyFrame(NamedTuple):
+    """A module read off its base stalks, for ``hom_space_basis``.
 
-    Unknown matrices are flattened row-major; one linear constraint block per
-    arrow encodes A1[g] H = H A2[g].
+    For each base object x of the groupoid's ``isotropy_plan`` the unit
+    idempotent factors as E_x = Q·P with P·Q = I, the rows of P being a basis
+    (echelon over a field, Hermite over Z) of the base stalk.  ``dims[x]`` is
+    the rank of that stalk and ``loops[x]`` holds R[k] = P·A[k]·Q for the
+    non-unit isotropy arrows k at x, in declaration order.  For every object
+    y with tree arrow t_y, ``lift[y]`` is A[t_y]·Q and ``drop[y]`` is
+    P·A[t_y⁻¹].
     """
-    if m1.groupoid != m2.groupoid or m1.ring != m2.ring:
-        raise ValueError("hom space needs a common groupoid and ring")
-    ring = m1.ring
-    r1, r2 = m1.rank, m2.rank
+
+    dims: Mapping[ObjectId, int]
+    loops: Mapping[ObjectId, tuple[Matrix, ...]]
+    lift: Mapping[ObjectId, Matrix]
+    drop: Mapping[ObjectId, Matrix]
+
+
+def _isotropy_frame(m: GModule) -> IsotropyFrame | None:
+    """The frame of ``m`` on its base stalks, or None when the reduction's
+    identities fail.
+
+    Over a groupoid that passes ``validate_groupoid``, the identities are:
+    the unit actions E_y sum to the identity; the base stalk ranks, counted
+    once per object of their component, sum to the rank; the isotropy arrows
+    at each base multiply (A[k]·A[l] = A[kl]); and every arrow a: y -> z
+    factors as A[a] = A[t_z]·A[loop a]·A[t_y⁻¹].  Together they imply every
+    law ``validate_module`` checks.  Factoring the units gives
+    E_y = A[t_y]·A[t_y⁻¹] with A[t_y] = A[t_y]·E_x, so rank E_y <= rank E_x;
+    as the E_y sum to the identity, the rank count forces equality and a
+    direct sum of their images, so the E_y are orthogonal idempotents and
+    A[t_y⁻¹]·A[t_y] = E_x.  The tree arrows are then isomorphisms between
+    the stalks, and support, products and inverses follow from the group
+    law at the base.  Each identity is needed: the tests hold a module that
+    fails only that one.
+    """
+    g, ring, action = m.groupoid, m.ring, m.action
+    plan = g.isotropy_plan
+    if plan is None:
+        return None
+    units = {x: m.unit_action(x) for x in g.objects}
+    total = Matrix.zeros(ring, m.rank, m.rank)
+    for e in units.values():
+        total = total + e
+    if total != Matrix.identity(ring, m.rank):
+        return None
+    for comp in plan.components:
+        loops = g.hom_set(comp[0], comp[0])
+        for k in loops:
+            if any(action[k] @ action[l] != action[g.compose[(k, l)]] for l in loops):
+                return None
+    heads: dict[tuple[ArrowId, ArrowId], Matrix] = {}  # A[t_z]·A[k], shared by all sources
+    for a in g.arrows:
+        key = (plan.tree[g.dst[a]], plan.loop[a])
+        if key not in heads:
+            heads[key] = action[key[0]] @ action[key[1]]
+        if heads[key] @ action[g.inverse[plan.tree[g.src[a]]]] != action[a]:
+            return None
+
+    dims: dict[ObjectId, int] = {}
+    loop_reps: dict[ObjectId, tuple[Matrix, ...]] = {}
+    lift: dict[ObjectId, Matrix] = {}
+    drop: dict[ObjectId, Matrix] = {}
+    for comp in plan.components:
+        base = comp[0]
+        p = image_basis(units[base])
+        # each row of E_x lies in the row space (lattice) that p spans
+        coords = tuple(express_in_basis(p, row) for row in units[base].entries)
+        q = Matrix(ring, m.rank, p.rows, coords)  # type: ignore[arg-type]
+        dims[base] = p.rows
+        loop_reps[base] = tuple(
+            p @ action[k] @ q for k in g.hom_set(base, base) if k != g.unit[base]
+        )
+        for y in comp:
+            lift[y] = action[plan.tree[y]] @ q
+            drop[y] = p @ action[g.inverse[plan.tree[y]]]
+    if sum(len(comp) * dims[comp[0]] for comp in plan.components) != m.rank:
+        return None
+    return IsotropyFrame(dims, loop_reps, lift, drop)
+
+
+def commutant_constraints(
+    ring: Ring, r1: int, r2: int, pairs: Sequence[tuple[Matrix, Matrix]]
+) -> Matrix:
+    """The linear system of L·X = X·R over the pairs (L, R), for an r1×r2 X.
+
+    One row per unknown entry of X, row-major; each pair adds a block of
+    r1·r2 columns, one per entry of L·X - X·R.
+    """
     unknowns = r1 * r2
-    arrows = m1.groupoid.arrows
-    cols = len(arrows) * r1 * r2
-    if unknowns == 0:
-        return []
+    cols = len(pairs) * unknowns
     grid = [[ring.zero] * cols for _ in range(unknowns)]
-    for gi, a in enumerate(arrows):
-        left, right = m1.action[a].entries, m2.action[a].entries
+    for gi, (left_matrix, right_matrix) in enumerate(pairs):
+        left, right = left_matrix.entries, right_matrix.entries
         for i in range(r1):
             for j in range(r2):
                 col = (gi * r1 + i) * r2 + j
@@ -211,19 +303,94 @@ def hom_space_basis(m1: GModule, m2: GModule) -> list[Matrix]:
                 for l in range(r2):
                     if right[l][j]:
                         grid[i * r2 + l][col] -= right[l][j]
-    constraint = Matrix(ring, unknowns, cols, canonical_rows(ring, grid))
-    basis = kernel_basis(constraint)
+    return Matrix(ring, unknowns, cols, canonical_rows(ring, grid))
+
+
+def _commutant(
+    ring: Ring, r1: int, r2: int, pairs: Sequence[tuple[Matrix, Matrix]]
+) -> tuple[tuple[Scalar, ...], ...]:
+    """Echelon basis of {X : L·X = X·R for every pair}, X flattened row-major."""
+    if not pairs:  # no constraint: every X, in the basis kernel_basis would give
+        return Matrix.identity(ring, r1 * r2).entries
+    return kernel_basis(commutant_constraints(ring, r1, r2, pairs)).entries
+
+
+def _unflatten(ring: Ring, rows: int, cols: int, flat: Sequence[Scalar]) -> Matrix:
+    entries = tuple(tuple(flat[i * cols: (i + 1) * cols]) for i in range(rows))
+    return Matrix(ring, rows, cols, entries)
+
+
+def _base_commutants(
+    m1: GModule, m2: GModule
+) -> list[tuple[tuple[ObjectId, ...], int, int, tuple[tuple[Scalar, ...], ...]]] | None:
+    """Per component: its objects, the two base stalk ranks and a basis of
+    the intertwiners of the base isotropy actions; None when either module
+    declines the reduction."""
+    f1, f2 = m1.isotropy_frame, m2.isotropy_frame
+    if f1 is None or f2 is None:
+        return None
     out = []
-    for row in basis.entries:
-        entries = tuple(tuple(row[i * r2 + j] for j in range(r2)) for i in range(r1))
-        out.append(Matrix(ring, r1, r2, entries))
+    for comp in m1.groupoid.isotropy_plan.components:
+        base = comp[0]
+        d1, d2 = f1.dims[base], f2.dims[base]
+        pairs = tuple(zip(f1.loops[base], f2.loops[base]))
+        out.append((comp, d1, d2, _commutant(m1.ring, d1, d2, pairs)))
     return out
 
 
+def _check_common(m1: GModule, m2: GModule) -> None:
+    if m1.groupoid != m2.groupoid or m1.ring != m2.ring:
+        raise ValueError("hom space needs a common groupoid and ring")
+
+
+def hom_space_basis(m1: GModule, m2: GModule) -> list[Matrix]:
+    """A basis of the intertwiner space Hom(m1, m2), found by exact elimination.
+
+    The basis is the canonical one of the space: the reduced echelon form of
+    the flattened (row-major) intertwiners over a field, their Hermite form
+    over Z.  It is computed on the base stalks: with E_x = Q·P, an
+    intertwiner H restricts to X = P1·H·Q2, which commutes with the isotropy
+    actions R1[k]·X = X·R2[k] at the base, and every such X extends to the
+    intertwiner H = Σ_y A1[t_y]·Q1·X·P2·A2[t_y⁻¹] (see ``IsotropyFrame``).
+    Only the non-unit isotropy arrows give equations, so for a pair
+    groupoid nothing is eliminated but the spanning intertwiners.
+
+    When the groupoid fails ``validate_groupoid`` or either module fails
+    the identities of ``isotropy_frame``, one dense system with one block
+    of equations A1[g]·H = H·A2[g] per arrow gives the same basis.
+    """
+    _check_common(m1, m2)
+    ring, r1, r2 = m1.ring, m1.rank, m2.rank
+    if r1 * r2 == 0:
+        return []
+    commutants = _base_commutants(m1, m2)
+    if commutants is None:
+        pairs = [(m1.action[a], m2.action[a]) for a in m1.groupoid.arrows]
+        rows = _commutant(ring, r1, r2, pairs)
+    else:
+        f1, f2 = m1.isotropy_frame, m2.isotropy_frame
+        spanning = []
+        for comp, d1, d2, basis in commutants:
+            for flat in basis:
+                x = _unflatten(ring, d1, d2, flat)
+                h = Matrix.zeros(ring, r1, r2)
+                for y in comp:
+                    h = h + f1.lift[y] @ x @ f2.drop[y]
+                spanning.append(tuple(v for row in h.entries for v in row))
+        rows = image_basis(Matrix(ring, len(spanning), r1 * r2, tuple(spanning))).entries
+    return [_unflatten(ring, r1, r2, row) for row in rows]
+
+
 def hom_space_dim(m1: GModule, m2: GModule) -> int:
+    """The dimension (rank over Z) of Hom(m1, m2); on the reduced path it is
+    read off the base commutants without building any intertwiner."""
     if m1.rank == 0 or m2.rank == 0:
         return 0
-    return len(hom_space_basis(m1, m2))
+    _check_common(m1, m2)
+    commutants = _base_commutants(m1, m2)
+    if commutants is None:
+        return len(hom_space_basis(m1, m2))
+    return sum(len(basis) for _, _, _, basis in commutants)
 
 
 def random_hom(m1: GModule, m2: GModule, rng: Any) -> GModuleHom:

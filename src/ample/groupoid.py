@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .validation import Failure, ValidationReport
 
@@ -32,6 +32,21 @@ BISECTION_ENUM_GUARD = 16  # full subset scan, 2**16 candidates at most
 
 class SizeGuardError(ValueError):
     """Raised when an exhaustive enumeration would exceed its size guard."""
+
+
+class IsotropyPlan(NamedTuple):
+    """A valid groupoid seen from one base object per connected component.
+
+    ``components`` lists the connected components, each with its base object
+    first.  ``tree[y]`` is the first arrow (declaration order) from the base
+    of y's component to y, and the unit arrow at a base itself.  For an arrow
+    a: y -> z, ``loop[a]`` is tree[z]⁻¹ · a · tree[y], an arrow of the base's
+    isotropy group, so that a = tree[z] · loop[a] · tree[y]⁻¹.
+    """
+
+    components: tuple[tuple[ObjectId, ...], ...]
+    tree: Mapping[ObjectId, ArrowId]
+    loop: Mapping[ArrowId, ArrowId]
 
 
 @dataclass(frozen=True)
@@ -96,15 +111,33 @@ class FiniteGroupoid:
                 if self.composable(g, h):
                     yield g, h
 
+    @cached_property
+    def _hom_index(self) -> dict[tuple[ObjectId, ObjectId], tuple[ArrowId, ...]]:
+        index: dict[tuple[ObjectId, ObjectId], list[ArrowId]] = {}
+        for g in self.arrows:
+            index.setdefault((self.src[g], self.dst[g]), []).append(g)
+        return {key: tuple(found) for key, found in index.items()}
+
+    @cached_property
+    def _src_index(self) -> dict[ObjectId, tuple[ArrowId, ...]]:
+        index: dict[ObjectId, list[ArrowId]] = {}
+        for g in self.arrows:
+            index.setdefault(self.src[g], []).append(g)
+        return {x: tuple(found) for x, found in index.items()}
+
+    @cached_property
+    def _unit_arrow_set(self) -> frozenset[ArrowId]:
+        return frozenset(self.unit.values())
+
     def hom_set(self, x: ObjectId, y: ObjectId) -> tuple[ArrowId, ...]:
         """Arrows from x to y."""
-        return tuple(g for g in self.arrows if self.src[g] == x and self.dst[g] == y)
+        return self._hom_index.get((x, y), ())
 
     def arrows_with_src(self, x: ObjectId) -> tuple[ArrowId, ...]:
-        return tuple(g for g in self.arrows if self.src[g] == x)
+        return self._src_index.get(x, ())
 
     def is_unit_arrow(self, g: ArrowId) -> bool:
-        return any(self.unit[x] == g for x in self.objects)
+        return g in self._unit_arrow_set
 
     def unit_arrows(self) -> tuple[ArrowId, ...]:
         return tuple(self.unit[x] for x in self.objects)
@@ -128,6 +161,25 @@ class FiniteGroupoid:
             groups.setdefault(find(x), []).append(x)
         ordered = sorted(groups.values(), key=lambda grp: self.object_index[grp[0]])
         return tuple(tuple(grp) for grp in ordered)
+
+    @cached_property
+    def isotropy_plan(self) -> IsotropyPlan | None:
+        """Base objects, tree arrows and isotropy factors of every arrow, or
+        None when the groupoid fails ``validate_groupoid``."""
+        if not validate_groupoid(self).ok:
+            return None
+        components = self.connected_components()
+        tree: dict[ObjectId, ArrowId] = {}
+        for comp in components:
+            base = comp[0]
+            tree[base] = self.unit[base]
+            for y in comp[1:]:
+                tree[y] = self.hom_set(base, y)[0]
+        loop = {
+            a: self.compose[(self.inverse[tree[self.dst[a]]], self.compose[(a, tree[self.src[a]])])]
+            for a in self.arrows
+        }
+        return IsotropyPlan(components, tree, loop)
 
 
 def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:

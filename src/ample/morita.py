@@ -89,7 +89,7 @@ def is_essential_equivalence(f: GroupoidFunctor) -> ValidationReport:
     image_objects = {f.obj_map[x] for x in s.objects}
 
     for y in t.objects:
-        reachable = any(t.dst[a] in image_objects for a in t.arrows if t.src[a] == y)
+        reachable = any(t.dst[a] in image_objects for a in t.arrows_with_src(y))
         if not reachable:
             failures.append(Failure("essential surjectivity", f"object {y!r} is unreachable"))
 

@@ -7,14 +7,31 @@ linear algebra ``ample.rings`` ran before its inner loops became native
 fast paths against it.  ``kernel_basis``, ``solve_row_system`` and
 ``matrix_inverse`` are the library's compositions rebuilt on these kernels;
 ``hom_constraint`` and ``sheaf_hom_constraint`` are the generic constraint
-grid fills of the two hom-space solvers.
+grid fills of the two hom-space solvers.  ``random_invertible`` and
+``section_action`` are the builder and the section action as they were
+before their row operations became native vector operations.
 """
 from __future__ import annotations
 
+import random
 from typing import Any, Sequence
 
 from ample import rings
-from ample.rings import Echelon, Matrix, Ring, Scalar, unit_vec, vec
+from ample.algebra import AlgebraElement
+from ample.equivalence import Section
+from ample.groupoid import ObjectId
+from ample.rings import (
+    Echelon,
+    Matrix,
+    Ring,
+    Scalar,
+    matrix_inverse,
+    unit_vec,
+    vec,
+    vec_add,
+    vec_mat,
+    zero_vec,
+)
 
 
 def matmul(self: Matrix, other: Matrix) -> Matrix:
@@ -161,7 +178,7 @@ def matrix_inverse(a: Matrix) -> Matrix | None:
 
 
 def hom_constraint(m1: Any, m2: Any) -> Matrix:
-    """The constraint matrix ``gmodule.hom_space_basis`` eliminates."""
+    """The constraint matrix of ``gmodule.hom_space_basis``'s dense path."""
     ring = m1.ring
     r1, r2 = m1.rank, m2.rank
     unknowns = r1 * r2
@@ -212,3 +229,49 @@ def sheaf_hom_constraint(e: Any, f: Any) -> Matrix:
                         grid[offsets[x] + i * tx + l][col], bf.entries[l][j]
                     )
     return Matrix(ring, total, cols, tuple(tuple(r) for r in grid))
+
+
+def random_invertible(ring: Ring, n: int, rng: random.Random) -> Matrix:
+    """A random invertible matrix as a product of elementary operations, so
+    it stays invertible over Z (unimodular) as well as over fields."""
+    m = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+    if n == 0:
+        return Matrix(ring, 0, 0, ())
+    for _ in range(2 * n * n + 2):
+        kind = rng.randrange(3)
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if kind == 0 and i != j:  # shear: row_i += c * row_j
+            c = ring.coerce(rng.choice([-2, -1, 1, 2]))
+            m[i] = [ring.add(a, ring.mul(c, b)) for a, b in zip(m[i], m[j])]
+        elif kind == 1 and i != j:  # swap
+            m[i], m[j] = m[j], m[i]
+        else:  # scale by a unit
+            if ring.is_field:
+                choices = [2, -1] if ring.kind == "Q" else list(range(1, ring.modulus))
+                c = ring.coerce(rng.choice(choices))
+            else:
+                c = ring.coerce(rng.choice([1, -1]))
+            m[i] = [ring.mul(c, a) for a in m[i]]
+    out = Matrix(ring, n, n, tuple(tuple(r) for r in m))
+    assert matrix_inverse(out) is not None
+    return out
+
+
+def section_action(s: Section, f: AlgebraElement) -> Section:
+    """The action of an algebra element on a section, computed stalkwise:
+    the new value at x sums f(a) times the transported value s(dst a) a over
+    the arrows a with source x."""
+    e = s.sheaf
+    if f.groupoid != e.groupoid or f.ring != e.ring:
+        raise ValueError("algebra element and section are not compatible")
+    g, ring = e.groupoid, e.ring
+    values: dict[ObjectId, tuple[Scalar, ...]] = {}
+    for x in g.objects:
+        acc = zero_vec(ring, e.stalk_rank[x])
+        for a, c in f.coeffs.items():
+            if g.src[a] == x:
+                moved = vec_mat(s.values[g.dst[a]], e.transport[a])
+                acc = vec_add(ring, acc, tuple(ring.mul(c, t) for t in moved))
+        values[x] = acc
+    return Section(e, values)

@@ -4,7 +4,7 @@ from itertools import chain, combinations
 
 import pytest
 
-from ample.builders import pair_groupoid
+from ample.builders import GraphSpec, acyclic_graph_groupoid, pair_groupoid
 from ample.groupoid import (
     Bisection,
     FiniteGroupoid,
@@ -86,6 +86,53 @@ def test_referential_errors_raise_at_construction(p2):
         )
     with pytest.raises(ValueError):
         FiniteGroupoid(("1", "1"), (), {}, {}, {"1": "x"}, {}, {})
+
+
+# -- indexed lookups and the isotropy plan ----------------------------------------
+
+
+def index_examples(small_groupoids, point, p3):
+    diamond = GraphSpec(("a", "b", "c", "d"), (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")))
+    return (*small_groupoids, point, p3, pair_groupoid(5), acyclic_graph_groupoid(diamond))
+
+
+def test_indexed_lookups_match_linear_scans(small_groupoids, point, p3):
+    for g in index_examples(small_groupoids, point, p3):
+        for x in g.objects:
+            assert g.arrows_with_src(x) == tuple(a for a in g.arrows if g.src[a] == x)
+            for y in g.objects:
+                scan = tuple(a for a in g.arrows if g.src[a] == x and g.dst[a] == y)
+                assert g.hom_set(x, y) == scan
+        for a in g.arrows:
+            assert g.is_unit_arrow(a) == any(g.unit[x] == a for x in g.objects)
+        assert g.hom_set("no such object", g.objects[0]) == ()
+        assert g.arrows_with_src("no such object") == ()
+
+
+def test_isotropy_plan_factors_every_arrow(small_groupoids, point, p3):
+    for g in index_examples(small_groupoids, point, p3):
+        plan = g.isotropy_plan
+        assert plan.components == g.connected_components()
+        for comp in plan.components:
+            base = comp[0]
+            assert plan.tree[base] == g.unit[base]
+            for y in comp:
+                assert plan.tree[y] == g.hom_set(base, y)[0]
+        for a in g.arrows:
+            y, z = g.src[a], g.dst[a]
+            base = g.src[plan.tree[y]]
+            assert plan.loop[a] in g.hom_set(base, base)
+            rebuilt = g.mul(plan.tree[z], g.mul(plan.loop[a], g.inverse[plan.tree[y]]))
+            assert rebuilt == a
+
+
+def test_invalid_groupoid_has_no_isotropy_plan(p2):
+    tampered = dict(p2.inverse)
+    tampered["(1,2)"] = "(1,2)"
+    broken = FiniteGroupoid(
+        p2.objects, p2.arrows, p2.src, p2.dst, p2.unit, p2.compose, tampered
+    )
+    assert broken.isotropy_plan is None
 
 
 # -- bisections --------------------------------------------------------------------

@@ -7,6 +7,7 @@ over Q, ``int`` over Z, ``int`` in ``[0, m)`` over Z/m.
 """
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,14 @@ from hypothesis import strategies as st
 
 import reference_kernels as ref
 from ample import gmodule, gsheaf
-from ample.builders import random_module, random_sheaf
+from ample.builders import (
+    random_algebra_element,
+    random_invertible,
+    random_module,
+    random_sheaf,
+    random_vector,
+)
+from ample.equivalence import section_action, vector_to_section
 from ample.rings import (
     INTEGERS,
     RATIONALS,
@@ -170,33 +178,65 @@ def test_matrix_inverse_matches_reference(ring, data):
         assert (a @ got).is_identity
 
 
+ROW_OP_RINGS = (RATIONALS, INTEGERS, modular(2), modular(5))
+
+
+@pytest.mark.parametrize("ring", ROW_OP_RINGS, ids=lambda r: r.name)
+def test_random_invertible_matches_reference(ring):
+    """Same draws, same matrix: the native row operations change no value."""
+    for n in range(6):
+        for seed in range(8):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            assert_same_matrix(
+                ring, random_invertible(ring, n, rng), ref.random_invertible(ring, n, ref_rng)
+            )
+            assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("ring", ROW_OP_RINGS, ids=lambda r: r.name)
+@pytest.mark.parametrize("groupoid", ("p2", "z2", "z2_action", "edge_groupoid"))
+def test_section_action_matches_reference(ring, groupoid, request):
+    g = request.getfixturevalue(groupoid)
+    rng = random.Random(17)
+    for seed in range(6):
+        e = random_sheaf(g, ring, 2, seed)
+        s = vector_to_section(e, random_vector(ring, e.total_rank, rng))
+        f = random_algebra_element(g, ring, rng)
+        got = section_action(s, f)
+        assert got == ref.section_action(s, f)
+        for value in got.values.values():
+            assert_canonical(ring, value)
+
+
 @pytest.mark.parametrize(
     "ring", (RATIONALS, INTEGERS, modular(2), modular(5)), ids=lambda r: r.name
 )
 @pytest.mark.parametrize("groupoid", ("p2", "z2", "z2_action", "edge_groupoid"))
 @pytest.mark.parametrize("seeds", ((1, 2), (3, 4), (5, 6)))
 def test_hom_space_constraints_match_reference(ring, groupoid, seeds, request, monkeypatch):
-    """The native grid fills build the same canonical constraint matrices."""
+    """The native grid fills build the same canonical constraint matrices.
+
+    ``hom_space_basis`` mostly solves on base stalks, so the module grid is
+    built by calling the shared helper directly on every arrow's pair of
+    actions, the system its dense path solves."""
     g = request.getfixturevalue(groupoid)
+    m1, m2 = (random_module(g, ring, 2, s) for s in seeds)
+    pairs = [(m1.action[a], m2.action[a]) for a in g.arrows]
+    got = gmodule.commutant_constraints(ring, m1.rank, m2.rank, pairs)
+    assert_same_matrix(ring, got, ref.hom_constraint(m1, m2))
+
     seen = []
 
     def capture(constraint):
         seen.append(constraint)
         return kernel_basis(constraint)
 
-    monkeypatch.setattr(gmodule, "kernel_basis", capture)
     monkeypatch.setattr(gsheaf, "kernel_basis", capture)
-    m1, m2 = (random_module(g, ring, 2, s) for s in seeds)
     e, f = (random_sheaf(g, ring, 2, s) for s in seeds)
-    for solve, build, args in (
-        (gmodule.hom_space_basis, ref.hom_constraint, (m1, m2)),
-        (gsheaf.sheaf_hom_basis, ref.sheaf_hom_constraint, (e, f)),
-    ):
-        seen.clear()
-        solve(*args)
-        want = build(*args)
-        if want.rows == 0:
-            assert seen == []
-        else:
-            (got,) = seen
-            assert_same_matrix(ring, got, want)
+    gsheaf.sheaf_hom_basis(e, f)
+    want = ref.sheaf_hom_constraint(e, f)
+    if want.rows == 0:
+        assert seen == []
+    else:
+        (got,) = seen
+        assert_same_matrix(ring, got, want)

@@ -382,6 +382,26 @@ def test_verify_p2_point_span(p2_point_span):
         assert a == b
 
 
+def test_verify_pair6_point_span_stays_polynomial():
+    # Seed 3 draws left modules of ranks 6, 12 and 12 on pair(6).  The dense
+    # hom system of two rank-12 modules is 144 x 5184; on the base stalks of
+    # the isotropy reduction it is 2 x 2 with nothing to solve.
+    point, pair = trivial_groupoid(), pair_groupoid(6)
+    (p_obj,), (p_arrow,) = point.objects, point.arrows
+    x = pair.objects[0]
+    incl = GroupoidFunctor(point, pair, {p_obj: x}, {p_arrow: pair.unit[x]})
+    report = verify_morita(MoritaSpan(point, incl, identity_functor(point)), F5, samples=3, seed=3)
+    assert report.ok
+    left = [s for s in report.samples if s.direction == "left->right"]
+    assert [s.source_rank for s in left] == [6, 12, 12]
+    # over the point, Hom between ranks r and s has dimension r * s
+    ranks = [s.transported_rank for s in left]
+    assert ranks == [1, 2, 2]
+    assert report.hom_dims == tuple(
+        (i, j, ranks[i] * ranks[j], ranks[i] * ranks[j]) for i in range(3) for j in range(3)
+    )
+
+
 def test_verify_rejects_broken_span(broken_span):
     report = verify_morita(broken_span, Q, samples=2, seed=7)
     assert report.rejected
