@@ -33,7 +33,7 @@ from .equivalence import NaturalIsoCertificate, check_naturality, epsilon, eta
 from .gmodule import random_hom, validate_module
 from .groupoid import FiniteGroupoid, enumerate_bisections, validate_groupoid
 from .gsheaf import validate_sheaf
-from .morita import is_essential_equivalence, validate_functor, validate_span, verify_morita
+from .morita import validate_functor, validate_span, verify_morita
 from .rings import Ring, ring_from_name
 from .validation import ValidationReport
 
@@ -330,33 +330,26 @@ def _cmd_morita(args: argparse.Namespace, ring: Ring) -> tuple[int, str]:
         raise UsageError(f"{args.span} is a {doc.kind} document; expected span")
     span = doc.value
     report = verify_morita(span, ring, args.samples, args.seed)
-
-    left_report = is_essential_equivalence(span.left)
-    right_report = is_essential_equivalence(span.right)
+    legs = {"left": report.left_leg, "right": report.right_leg}
     lines = [
         "morita report",
         f"span: {args.span}",
         f"ring: {ring.name}  seed: {args.seed}  samples: {args.samples}",
-        "legs: left {}, right {}".format(
-            "PASS" if left_report.ok else f"FAIL ({left_report.first()})",
-            "PASS" if right_report.ok else f"FAIL ({right_report.first()})",
+        "legs: " + ", ".join(
+            f"{name} " + ("PASS" if leg.ok else f"FAIL ({leg.first()})") for name, leg in legs.items()
         ),
     ]
+    payload: dict[str, Any] = {
+        "command": "morita", "span": args.span, "ring": ring.name,
+        "seed": args.seed, "samples": args.samples,
+    }
     if report.rejected:
-        lines.append("RESULT: REJECTED (span legs are not essential equivalences)")
-        text = "\n".join(lines)
         if args.out == "json":
-            payload = {
-                "command": "morita", "span": args.span, "ring": ring.name,
-                "seed": args.seed, "samples": args.samples,
-                "legs": {
-                    "left": "pass" if left_report.ok else str(left_report.first()),
-                    "right": "pass" if right_report.ok else str(right_report.first()),
-                },
-                "result": "rejected",
-            }
+            payload["legs"] = {name: "pass" if leg.ok else str(leg.first()) for name, leg in legs.items()}
+            payload["result"] = "rejected"
             return 1, dump_payload(payload).rstrip("\n")
-        return 1, text
+        lines.append("RESULT: REJECTED (span legs are not essential equivalences)")
+        return 1, "\n".join(lines)
 
     lines.append("rank table:")
     lines.append("sample\tdirection\trank\ttransported\tround_trip")
@@ -373,12 +366,7 @@ def _cmd_morita(args: argparse.Namespace, ring: Ring) -> tuple[int, str]:
         )
     lines.append(f"RESULT: {'PASS' if report.ok else 'FAIL'}")
     if args.out == "json":
-        payload = {
-            "command": "morita",
-            "span": args.span,
-            "ring": ring.name,
-            "seed": args.seed,
-            "samples": args.samples,
+        payload.update({
             "rank_table": [
                 {
                     "sample": s.index,
@@ -391,7 +379,7 @@ def _cmd_morita(args: argparse.Namespace, ring: Ring) -> tuple[int, str]:
             ],
             "hom_dims": [list(t) for t in report.hom_dims],
             "result": "pass" if report.ok else "fail",
-        }
+        })
         return (0 if report.ok else 1), dump_payload(payload).rstrip("\n")
     return (0 if report.ok else 1), "\n".join(lines)
 

@@ -22,14 +22,16 @@ from typing import Mapping, Sequence, Union
 from .algebra import AlgebraElement, char_fn
 from .gmodule import GModule, GModuleHom, act
 from .groupoid import ArrowId, Bisection, ObjectId
-from .gsheaf import GSheaf, GSheafMor
+from .gsheaf import GSheaf, GSheafMor, validate_sheaf_morphism
 from .rings import (
     Matrix,
     Scalar,
+    block_diagonal,
     express_in_basis,
     image_basis,
     kernel_basis,
     matrix_inverse,
+    stack_rows,
     unit_vec,
     vec,
     vec_add,
@@ -127,15 +129,8 @@ def gamma_c_mor(phi: GSheafMor, source: GModule | None = None, target: GModule |
     e, f = phi.source, phi.target
     source = source if source is not None else gamma_c(e)
     target = target if target is not None else gamma_c(f)
-    ring = e.ring
-    src_off, tgt_off = block_offsets(e), block_offsets(f)
-    rows = [[ring.zero] * target.rank for _ in range(source.rank)]
-    for x in e.groupoid.objects:
-        comp = phi.maps[x]
-        for i in range(comp.rows):
-            for j in range(comp.cols):
-                rows[src_off[x] + i][tgt_off[x] + j] = comp.entries[i][j]
-    return GModuleHom(source, target, Matrix(ring, source.rank, target.rank, tuple(tuple(r) for r in rows)))
+    matrix = block_diagonal(e.ring, [phi.maps[x] for x in e.groupoid.objects])
+    return GModuleHom(source, target, matrix)
 
 
 # -- germs -------------------------------------------------------------------
@@ -338,12 +333,8 @@ def eta(m: GModule) -> NaturalIsoResult:
     if kernel_basis(h).rows != 0:
         return NaturalIsoFailure("eta", "injective", "nontrivial kernel")
 
-    ring = m.ring
-    preimage_rows: list[tuple[Scalar, ...]] = []
-    for x in m.groupoid.objects:
-        preimage_rows.extend(sh.stalk_basis[x].entries)
-    preimages = Matrix(ring, gamma.rank, m.rank, tuple(preimage_rows))
-    if (preimages @ h) != Matrix.identity(ring, gamma.rank):
+    preimages = stack_rows(m.ring, [sh.stalk_basis[x] for x in m.groupoid.objects], m.rank)
+    if (preimages @ h) != Matrix.identity(m.ring, gamma.rank):
         return NaturalIsoFailure("eta", "surjective", "partition preimages do not hit the basis")
 
     return NaturalIsoCertificate(
@@ -385,13 +376,10 @@ def epsilon(e: GSheaf) -> NaturalIsoResult:
         if comp.rows != comp.cols or matrix_inverse(comp) is None:
             return NaturalIsoFailure("epsilon", "stalkwise-bijective", f"component at {x!r}")
 
-    for a in g.arrows:
-        left = sh.sheaf.transport[a] @ components[g.src[a]]
-        right = components[g.dst[a]] @ e.transport[a]
-        if left != right:
-            return NaturalIsoFailure("epsilon", "equivariant", f"square fails at arrow {a!r}")
-
     morphism = GSheafMor(sh.sheaf, e, components)
+    report = validate_sheaf_morphism(morphism)
+    if not report.ok:
+        return NaturalIsoFailure("epsilon", "equivariant", report.failures[0].witness)
     return NaturalIsoCertificate(
         direction="epsilon",
         checks=("stalk-support", "stalkwise-bijective", "equivariant"),

@@ -29,11 +29,12 @@ from .rings import (
     Matrix,
     Ring,
     Scalar,
-    canonical_rows,
     express_in_basis,
     image_basis,
+    intertwiner_constraints,
     kernel_basis,
     matrix_inverse,
+    split_blocks,
     vec,
     vec_mat,
 )
@@ -281,43 +282,14 @@ def _isotropy_frame(m: GModule) -> IsotropyFrame | None:
     return IsotropyFrame(dims, loop_reps, lift, drop)
 
 
-def commutant_constraints(
-    ring: Ring, r1: int, r2: int, pairs: Sequence[tuple[Matrix, Matrix]]
-) -> Matrix:
-    """The linear system of L·X = X·R over the pairs (L, R), for an r1×r2 X.
-
-    One row per unknown entry of X, row-major; each pair adds a block of
-    r1·r2 columns, one per entry of L·X - X·R.
-    """
-    unknowns = r1 * r2
-    cols = len(pairs) * unknowns
-    grid = [[ring.zero] * cols for _ in range(unknowns)]
-    for gi, (left_matrix, right_matrix) in enumerate(pairs):
-        left, right = left_matrix.entries, right_matrix.entries
-        for i in range(r1):
-            for j in range(r2):
-                col = (gi * r1 + i) * r2 + j
-                for k, x in enumerate(left[i]):
-                    if x:
-                        grid[k * r2 + j][col] += x
-                for l in range(r2):
-                    if right[l][j]:
-                        grid[i * r2 + l][col] -= right[l][j]
-    return Matrix(ring, unknowns, cols, canonical_rows(ring, grid))
-
-
 def _commutant(
     ring: Ring, r1: int, r2: int, pairs: Sequence[tuple[Matrix, Matrix]]
 ) -> tuple[tuple[Scalar, ...], ...]:
     """Echelon basis of {X : L·X = X·R for every pair}, X flattened row-major."""
     if not pairs:  # no constraint: every X, in the basis kernel_basis would give
         return Matrix.identity(ring, r1 * r2).entries
-    return kernel_basis(commutant_constraints(ring, r1, r2, pairs)).entries
-
-
-def _unflatten(ring: Ring, rows: int, cols: int, flat: Sequence[Scalar]) -> Matrix:
-    entries = tuple(tuple(flat[i * cols: (i + 1) * cols]) for i in range(rows))
-    return Matrix(ring, rows, cols, entries)
+    equations = [(left, 0, 0, right) for left, right in pairs]
+    return kernel_basis(intertwiner_constraints(ring, [(r1, r2)], equations)).entries
 
 
 def _base_commutants(
@@ -372,13 +344,13 @@ def hom_space_basis(m1: GModule, m2: GModule) -> list[Matrix]:
         spanning = []
         for comp, d1, d2, basis in commutants:
             for flat in basis:
-                x = _unflatten(ring, d1, d2, flat)
+                x = split_blocks(ring, [(d1, d2)], flat)[0]
                 h = Matrix.zeros(ring, r1, r2)
                 for y in comp:
                     h = h + f1.lift[y] @ x @ f2.drop[y]
                 spanning.append(tuple(v for row in h.entries for v in row))
         rows = image_basis(Matrix(ring, len(spanning), r1 * r2, tuple(spanning))).entries
-    return [_unflatten(ring, r1, r2, row) for row in rows]
+    return [split_blocks(ring, [(r1, r2)], row)[0] for row in rows]
 
 
 def hom_space_dim(m1: GModule, m2: GModule) -> int:
@@ -404,6 +376,8 @@ def random_hom(m1: GModule, m2: GModule, rng: Any) -> GModuleHom:
 
 
 def _small_scalar(ring: Ring, rng: Any) -> Scalar:
+    """The seeded coefficient source of ``random_hom`` and
+    ``gsheaf.random_sheaf_hom``: uniform over Z/m, in -3..3 over Q and Z."""
     if ring.kind == "mod":
         return ring.coerce(rng.randrange(ring.modulus))
     return ring.coerce(rng.randint(-3, 3))

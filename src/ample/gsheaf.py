@@ -6,22 +6,27 @@ object and, for each arrow g, a map from the stalk at the target of g to
 the stalk at its source (the right action of g on germs).  Transports
 compose contravariantly, (e g) h = e (gh), and units act as identities.
 
-Morphisms are per-object matrices equivariant for the transports.
+Morphisms are per-object matrices equivariant for the transports.  The
+morphism space is solved as one linear system with one block of unknowns
+per object and one block of equations per arrow, built by
+``rings.intertwiner_constraints``, the builder module homs use as well.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+from .gmodule import _small_scalar
 from .groupoid import ArrowId, FiniteGroupoid, ObjectId
 from .rings import (
     Matrix,
     Ring,
     Scalar,
     block_diagonal,
-    canonical_rows,
+    intertwiner_constraints,
     kernel_basis,
     matrix_inverse,
+    split_blocks,
     vec,
     vec_mat,
 )
@@ -188,63 +193,29 @@ def direct_sum_sheaf(e: GSheaf, f: GSheaf) -> GSheaf:
 
 
 def sheaf_hom_basis(e: GSheaf, f: GSheaf) -> list[dict[ObjectId, Matrix]]:
-    """A basis of the space of sheaf morphisms e -> f, by exact elimination."""
+    """A basis of the space of sheaf morphisms e -> f, by exact elimination.
+
+    The unknowns are the components φ_x, one block per object in
+    declaration order; each arrow a adds B_e[a]·φ_src(a) = φ_dst(a)·B_f[a].
+    This is the system ``rings.intertwiner_constraints`` builds for module
+    homs too, and the basis is its canonical kernel basis.
+    """
     if e.groupoid != f.groupoid or e.ring != f.ring:
         raise ValueError("hom space needs a common groupoid and ring")
     g, ring = e.groupoid, e.ring
-    offsets: dict[ObjectId, int] = {}
-    total = 0
-    for x in g.objects:
-        offsets[x] = total
-        total += e.stalk_rank[x] * f.stalk_rank[x]
-    if total == 0:
+    blocks = [(e.stalk_rank[x], f.stalk_rank[x]) for x in g.objects]
+    if not any(rows * cols for rows, cols in blocks):
         return []
-    arrows = g.arrows
-    col_offsets = []
-    cols = 0
-    for a in arrows:
-        col_offsets.append(cols)
-        cols += e.stalk_rank[g.dst[a]] * f.stalk_rank[g.src[a]]
-    grid = [[ring.zero] * cols for _ in range(total)]
-    for gi, a in enumerate(arrows):
-        x, y = g.dst[a], g.src[a]  # transport B: stalk(x) -> stalk(y)
-        be, bf = e.transport[a].entries, f.transport[a].entries
-        sx = e.stalk_rank[x]
-        tx, ty = f.stalk_rank[x], f.stalk_rank[y]
-        for i in range(sx):
-            for j in range(ty):
-                col = col_offsets[gi] + i * ty + j
-                # (B_e @ phi_y)[i, j]: coefficients of phi_y
-                for k, v in enumerate(be[i]):
-                    if v:
-                        grid[offsets[y] + k * ty + j][col] += v
-                # -(phi_x @ B_f)[i, j]: coefficients of phi_x
-                for l in range(tx):
-                    if bf[l][j]:
-                        grid[offsets[x] + i * tx + l][col] -= bf[l][j]
-    constraint = Matrix(ring, total, cols, canonical_rows(ring, grid))
-    basis = kernel_basis(constraint)
-    out = []
-    for row in basis.entries:
-        comp: dict[ObjectId, Matrix] = {}
-        for x in g.objects:
-            sx, tx = e.stalk_rank[x], f.stalk_rank[x]
-            base = offsets[x]
-            entries = tuple(
-                tuple(row[base + i * tx + j] for j in range(tx)) for i in range(sx)
-            )
-            comp[x] = Matrix(ring, sx, tx, entries)
-        out.append(comp)
-    return out
+    at = g.object_index
+    equations = [(e.transport[a], at[g.src[a]], at[g.dst[a]], f.transport[a]) for a in g.arrows]
+    basis = kernel_basis(intertwiner_constraints(ring, blocks, equations))
+    return [dict(zip(g.objects, split_blocks(ring, blocks, row))) for row in basis.entries]
 
 
 def random_sheaf_hom(e: GSheaf, f: GSheaf, rng: Any) -> GSheafMor:
     basis = sheaf_hom_basis(e, f)
     maps = {x: Matrix.zeros(e.ring, e.stalk_rank[x], f.stalk_rank[x]) for x in e.groupoid.objects}
     for comp in basis:
-        if e.ring.kind == "mod":
-            c = rng.randrange(e.ring.modulus)
-        else:
-            c = rng.randint(-3, 3)
+        c = _small_scalar(e.ring, rng)
         maps = {x: maps[x] + comp[x].scaled(c) for x in e.groupoid.objects}
     return GSheafMor(e, f, maps)

@@ -25,16 +25,16 @@ from .equivalence import (
     gamma_c_mor,
     sheafify,
 )
-from .gmodule import GModule, GModuleHom, hom_space_dim, validate_hom
+from .gmodule import GModule, GModuleHom, hom_space_dim, is_isomorphism
 from .groupoid import ArrowId, FiniteGroupoid, ObjectId
 from .gsheaf import (
     GSheaf,
     GSheafMor,
     compose_sheaf_mors,
     invert_sheaf_mor,
-    validate_sheaf_morphism,
+    is_sheaf_isomorphism,
 )
-from .rings import Matrix, Ring, matrix_inverse
+from .rings import Matrix, Ring
 from .validation import Failure, ValidationReport
 
 
@@ -230,7 +230,7 @@ def pullback_quasi_inverse(f: GroupoidFunctor, e: GSheaf) -> QuasiInverse:
         w = _unique_preimage(f, sigma[f.obj_map[x]], x, alpha[f.obj_map[x]])
         unit_maps[x] = e.transport[w]
     unit = GSheafMor(e, pullback_sheaf(f, pushed), unit_maps)
-    if not validate_sheaf_morphism(unit).ok or invert_sheaf_mor(unit) is None:
+    if not is_sheaf_isomorphism(unit):
         raise AssertionError("quasi-inverse unit failed to be an isomorphism")
     return QuasiInverse(f, pushed, unit)
 
@@ -250,7 +250,7 @@ def counit_iso(f: GroupoidFunctor, e: GSheaf, pushed_pullback: GSheaf) -> GSheaf
     _, alpha = anchors(f)
     maps = {y: e.transport[e.groupoid.inverse[alpha[y]]] for y in f.target.objects}
     iso = GSheafMor(pushed_pullback, e, maps)
-    if not validate_sheaf_morphism(iso).ok or invert_sheaf_mor(iso) is None:
+    if not is_sheaf_isomorphism(iso):
         raise AssertionError("counit failed to be an isomorphism")
     return iso
 
@@ -319,7 +319,7 @@ def round_trip(span: MoritaSpan, m: GModule) -> RoundTripCertificate:
 
     iso_matrix = eta_matrix(sh_m) @ gamma_c_mor(sheaf_iso, gamma_c(e), returned).matrix
     iso = GModuleHom(m, returned, iso_matrix)
-    if not validate_hom(iso).ok or matrix_inverse(iso.matrix) is None:
+    if not is_isomorphism(iso):
         raise AssertionError("round-trip intertwiner failed to be an isomorphism")
     return RoundTripCertificate(m, n, returned, iso)
 
@@ -338,10 +338,14 @@ class MoritaSample:
 
 @dataclass(frozen=True)
 class MoritaReport:
-    span_report: ValidationReport
+    left_leg: ValidationReport  # is_essential_equivalence of each leg
+    right_leg: ValidationReport
     samples: tuple[MoritaSample, ...]
     hom_dims: tuple[tuple[int, int, int, int], ...]  # (i, j, dim source, dim transported)
-    rejected: bool
+
+    @property
+    def rejected(self) -> bool:
+        return not (self.left_leg.ok and self.right_leg.ok)
 
     @property
     def ok(self) -> bool:
@@ -358,9 +362,10 @@ def verify_morita(span: MoritaSpan, ring: Ring, samples: int, seed: int) -> Mori
     before any transport is attempted."""
     from .builders import random_module  # deferred: builders depends on this module's siblings
 
-    span_report = validate_span(span)
-    if not span_report.ok:
-        return MoritaReport(span_report, (), (), rejected=True)
+    left_leg = is_essential_equivalence(span.left)
+    right_leg = is_essential_equivalence(span.right)
+    if not (left_leg.ok and right_leg.ok):
+        return MoritaReport(left_leg, right_leg, (), ())
 
     rng = random.Random(seed)
     left_g = span.left.target
@@ -389,4 +394,4 @@ def verify_morita(span: MoritaSpan, ring: Ring, samples: int, seed: int) -> Mori
                 (m1, n1), (m2, n2) = transported_pairs[i], transported_pairs[j]
                 hom_dims.append((i, j, hom_space_dim(m1, m2), hom_space_dim(n1, n2)))
 
-    return MoritaReport(span_report, tuple(results), tuple(hom_dims), rejected=False)
+    return MoritaReport(left_leg, right_leg, tuple(results), tuple(hom_dims))

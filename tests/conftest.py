@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from ample.builders import (
+    GraphSpec,
     acyclic_graph_groupoid,
     action_groupoid,
     cyclic_group,
@@ -58,6 +59,13 @@ def z2_action():
 @pytest.fixture(scope="session")
 def edge_groupoid():
     return acyclic_graph_groupoid(single_edge_graph())
+
+
+@pytest.fixture(scope="session")
+def two_component_groupoid():
+    """The graph u -> w plus an isolated vertex v: components {v} and
+    {w, u-e0-w}, so stalk and module ranks differ between components."""
+    return acyclic_graph_groupoid(GraphSpec(("u", "v", "w"), (("u", "w"),)))
 
 
 @pytest.fixture(scope="session")

@@ -7,9 +7,14 @@ linear algebra ``ample.rings`` ran before its inner loops became native
 fast paths against it.  ``kernel_basis``, ``solve_row_system`` and
 ``matrix_inverse`` are the library's compositions rebuilt on these kernels;
 ``hom_constraint`` and ``sheaf_hom_constraint`` are the generic constraint
-grid fills of the two hom-space solvers.  ``random_invertible`` and
-``section_action`` are the builder and the section action as they were
-before their row operations became native vector operations.
+grid fills of the two hom-space solvers as they were before both moved onto
+``rings.intertwiner_constraints``; ``intertwiner_constraints`` builds that
+system a second way, by evaluating L·X_u - X_v·R on each unit unknown.
+``sheaf_hom_basis`` and ``random_sheaf_hom`` are the sheaf morphism basis
+and its random draw as they were before (the draw with its own inline
+coefficient source).  ``random_invertible`` and ``section_action`` are the
+builder and the section action as they were before their row operations
+became native vector operations.
 """
 from __future__ import annotations
 
@@ -20,6 +25,7 @@ from ample import rings
 from ample.algebra import AlgebraElement
 from ample.equivalence import Section
 from ample.groupoid import ObjectId
+from ample.gsheaf import GSheafMor
 from ample.rings import (
     Echelon,
     Matrix,
@@ -229,6 +235,61 @@ def sheaf_hom_constraint(e: Any, f: Any) -> Matrix:
                         grid[offsets[x] + i * tx + l][col], bf.entries[l][j]
                     )
     return Matrix(ring, total, cols, tuple(tuple(r) for r in grid))
+
+
+def intertwiner_constraints(
+    ring: Ring, blocks: Sequence[tuple[int, int]], equations: Sequence[tuple[Matrix, int, int, Matrix]]
+) -> Matrix:
+    """Row k: the entries of L·X_u - X_v·R over the equations, in order,
+    for the unknown vector that is 1 at entry k and 0 elsewhere."""
+    total = sum(r * c for r, c in blocks)
+    rows = []
+    for k in range(total):
+        flat, xs, start = unit_vec(ring, total, k), [], 0
+        for r, c in blocks:
+            entries = tuple(tuple(flat[start + i * c: start + (i + 1) * c]) for i in range(r))
+            xs.append(Matrix(ring, r, c, entries))
+            start += r * c
+        row: list[Scalar] = []
+        for left, u, v, right in equations:
+            lx, xr = matmul(left, xs[u]), matmul(xs[v], right)
+            for lx_row, xr_row in zip(lx.entries, xr.entries):
+                row.extend(ring.sub(p, q) for p, q in zip(lx_row, xr_row))
+        rows.append(tuple(row))
+    width = sum(left.rows * right.cols for left, _, _, right in equations)
+    return Matrix(ring, total, width, tuple(rows))
+
+
+def sheaf_hom_basis(e: Any, f: Any) -> list[dict[ObjectId, Matrix]]:
+    """``gsheaf.sheaf_hom_basis`` as it was: the kernel basis of
+    ``sheaf_hom_constraint``, cut into one block per object."""
+    constraint = sheaf_hom_constraint(e, f)
+    if constraint.rows == 0:
+        return []
+    out = []
+    for row in kernel_basis(constraint).entries:
+        comp: dict[ObjectId, Matrix] = {}
+        base = 0
+        for x in e.groupoid.objects:
+            sx, tx = e.stalk_rank[x], f.stalk_rank[x]
+            entries = tuple(tuple(row[base + i * tx + j] for j in range(tx)) for i in range(sx))
+            comp[x] = Matrix(e.ring, sx, tx, entries)
+            base += sx * tx
+        out.append(comp)
+    return out
+
+
+def random_sheaf_hom(e: Any, f: Any, rng: random.Random) -> GSheafMor:
+    """``gsheaf.random_sheaf_hom`` with its inline coefficient draw."""
+    basis = sheaf_hom_basis(e, f)
+    maps = {x: Matrix.zeros(e.ring, e.stalk_rank[x], f.stalk_rank[x]) for x in e.groupoid.objects}
+    for comp in basis:
+        if e.ring.kind == "mod":
+            c = rng.randrange(e.ring.modulus)
+        else:
+            c = rng.randint(-3, 3)
+        maps = {x: maps[x] + comp[x].scaled(c) for x in e.groupoid.objects}
+    return GSheafMor(e, f, maps)
 
 
 def random_invertible(ring: Ring, n: int, rng: random.Random) -> Matrix:

@@ -119,14 +119,19 @@ def assert_agrees(m1: GModule, m2: GModule) -> None:
     assert hom_space_dim(m1, m2) == len(want)
 
 
-GROUPOIDS = ("point", "p2", "p3", "pair5", "z2", "z3", "z2_action", "edge_groupoid", "s3", "s3_points")
+GROUPOIDS = (
+    "point", "p2", "p3", "pair5", "z2", "z3", "z2_action", "edge_groupoid", "s3", "s3_points",
+    "two_component_groupoid",
+)
 
 
 @pytest.fixture(scope="module")
 def groupoids(request):
     named = {
         name: request.getfixturevalue(name)
-        for name in ("point", "p2", "p3", "z2", "z3", "z2_action", "edge_groupoid")
+        for name in (
+            "point", "p2", "p3", "z2", "z3", "z2_action", "edge_groupoid", "two_component_groupoid"
+        )
     }
     named.update(pair5=pair_groupoid(5), s3=s3_group(), s3_points=s3_on_points())
     return named

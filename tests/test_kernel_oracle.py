@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
-from ample import gmodule, gsheaf
+from ample import gsheaf
 from ample.builders import (
     random_algebra_element,
     random_invertible,
@@ -30,11 +30,13 @@ from ample.rings import (
     Matrix,
     express_in_basis,
     image_basis,
+    intertwiner_constraints,
     kernel_basis,
     matrix_inverse,
     modular,
     row_echelon,
     solve_row_system,
+    split_blocks,
     vec,
     vec_add,
     vec_mat,
@@ -208,10 +210,14 @@ def test_section_action_matches_reference(ring, groupoid, request):
             assert_canonical(ring, value)
 
 
+# two_component_groupoid draws different stalk ranks on its two components
+SHEAF_GROUPOIDS = ("p2", "z2", "z2_action", "edge_groupoid", "two_component_groupoid")
+
+
 @pytest.mark.parametrize(
     "ring", (RATIONALS, INTEGERS, modular(2), modular(5)), ids=lambda r: r.name
 )
-@pytest.mark.parametrize("groupoid", ("p2", "z2", "z2_action", "edge_groupoid"))
+@pytest.mark.parametrize("groupoid", SHEAF_GROUPOIDS)
 @pytest.mark.parametrize("seeds", ((1, 2), (3, 4), (5, 6)))
 def test_hom_space_constraints_match_reference(ring, groupoid, seeds, request, monkeypatch):
     """The native grid fills build the same canonical constraint matrices.
@@ -222,7 +228,7 @@ def test_hom_space_constraints_match_reference(ring, groupoid, seeds, request, m
     g = request.getfixturevalue(groupoid)
     m1, m2 = (random_module(g, ring, 2, s) for s in seeds)
     pairs = [(m1.action[a], m2.action[a]) for a in g.arrows]
-    got = gmodule.commutant_constraints(ring, m1.rank, m2.rank, pairs)
+    got = intertwiner_constraints(ring, [(m1.rank, m2.rank)], [(l, 0, 0, r) for l, r in pairs])
     assert_same_matrix(ring, got, ref.hom_constraint(m1, m2))
 
     seen = []
@@ -240,3 +246,51 @@ def test_hom_space_constraints_match_reference(ring, groupoid, seeds, request, m
     else:
         (got,) = seen
         assert_same_matrix(ring, got, want)
+
+
+@SETTINGS
+@given(ring=st.sampled_from(ELIMINATION_RINGS), data=st.data())
+def test_intertwiner_constraints_match_evaluation(ring, data):
+    """Unknown blocks of unequal shapes, equations joining different blocks:
+    the grid is the one read off by evaluating every equation on each unit
+    unknown, and ``split_blocks`` cuts an unknown vector back into blocks."""
+    small = st.integers(0, 3)
+    blocks = data.draw(st.lists(st.tuples(small, small), min_size=1, max_size=3))
+    equations = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        u, v = (data.draw(st.integers(0, len(blocks) - 1)) for _ in range(2))
+        left = data.draw(matrices(ring, blocks[v][0], blocks[u][0]))
+        right = data.draw(matrices(ring, blocks[v][1], blocks[u][1]))
+        equations.append((left, u, v, right))
+    got = intertwiner_constraints(ring, blocks, equations)
+    assert_same_matrix(ring, got, ref.intertwiner_constraints(ring, blocks, equations))
+
+    flat = vec(ring, range(got.rows))
+    parts = split_blocks(ring, blocks, flat)
+    assert [(x.rows, x.cols) for x in parts] == blocks
+    assert tuple(v for x in parts for row in x.entries for v in row) == flat
+
+
+def test_intertwiner_constraints_reject_an_equation_that_misfits_its_blocks():
+    one = Matrix.identity(RATIONALS, 1)
+    with pytest.raises(ValueError, match="does not fit"):
+        intertwiner_constraints(RATIONALS, [(1, 1), (2, 2)], [(one, 0, 1, one)])
+
+
+@pytest.mark.parametrize("ring", ROW_OP_RINGS, ids=lambda r: r.name)
+@pytest.mark.parametrize("groupoid", SHEAF_GROUPOIDS)
+def test_sheaf_hom_basis_and_draw_match_reference(ring, groupoid, request):
+    """Same basis as the old per-object grid, and the same random morphism
+    and RNG state as the old inline coefficient draw."""
+    g = request.getfixturevalue(groupoid)
+    for seeds in ((1, 2), (3, 4), (5, 6), (7, 7)):
+        e, f = (random_sheaf(g, ring, 2, s) for s in seeds)
+        basis = gsheaf.sheaf_hom_basis(e, f)
+        assert basis == ref.sheaf_hom_basis(e, f)
+        for comp in basis:
+            for m in comp.values():
+                for row in m.entries:
+                    assert_canonical(ring, row)
+        rng, ref_rng = random.Random(seeds[0]), random.Random(seeds[0])
+        assert gsheaf.random_sheaf_hom(e, f, rng) == ref.random_sheaf_hom(e, f, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
