@@ -30,7 +30,6 @@ from .builders import (
 from .equivalence import (
     Germ,
     NaturalIsoCertificate,
-    NaturalIsoFailure,
     Section,
     Sheafification,
     check_naturality,

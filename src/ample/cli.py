@@ -29,7 +29,7 @@ from .documents import (
     module_payload,
     sheaf_payload,
 )
-from .equivalence import NaturalIsoCertificate, check_naturality, epsilon, eta
+from .equivalence import check_naturality, epsilon, eta
 from .gmodule import random_hom, validate_module
 from .groupoid import FiniteGroupoid, enumerate_bisections, validate_groupoid
 from .gsheaf import validate_sheaf
@@ -263,16 +263,14 @@ def _cmd_equivalence(args: argparse.Namespace, ring: Ring) -> tuple[int, str]:
         module = builders.random_module(groupoid, ring, args.max_rank, seed)
         result = eta(module)
         if result.ok:
-            cert = result
-            assert isinstance(cert, NaturalIsoCertificate)
             stalks = ",".join(
-                str(cert.sheafification.sheaf.stalk_rank[x]) for x in groupoid.objects
+                str(result.sheafification.sheaf.stalk_rank[x]) for x in groupoid.objects
             )
             lines.append(f"eta[{i:02d}] seed={seed} rank={module.rank} stalks={stalks} : PASS")
             records["eta"].append({"index": i, "seed": seed, "rank": module.rank, "result": "pass"})
         else:
             ok = False
-            lines.append(f"eta[{i:02d}] seed={seed} rank={module.rank} : FAIL ({result.check}: {result.witness})")
+            lines.append(f"eta[{i:02d}] seed={seed} rank={module.rank} : FAIL ({result})")
             records["eta"].append({"index": i, "seed": seed, "rank": module.rank, "result": "fail"})
 
     for i in range(args.samples):
@@ -285,7 +283,7 @@ def _cmd_equivalence(args: argparse.Namespace, ring: Ring) -> tuple[int, str]:
             records["epsilon"].append({"index": i, "seed": seed, "result": "pass"})
         else:
             ok = False
-            lines.append(f"epsilon[{i:02d}] seed={seed} stalks={stalks} : FAIL ({result.check}: {result.witness})")
+            lines.append(f"epsilon[{i:02d}] seed={seed} stalks={stalks} : FAIL ({result})")
             records["epsilon"].append({"index": i, "seed": seed, "result": "fail"})
 
     for i in range(args.samples):
@@ -295,7 +293,7 @@ def _cmd_equivalence(args: argparse.Namespace, ring: Ring) -> tuple[int, str]:
         m2 = builders.random_module(groupoid, ring, max(1, args.max_rank - 1), seed_b)
         hom = random_hom(m1, m2, rng)
         report = check_naturality(hom)
-        verdict = "PASS" if report.ok else f"FAIL ({report.witness})"
+        verdict = "PASS" if report.ok else f"FAIL ({report.first().witness})"
         ok = ok and report.ok
         lines.append(f"naturality[{i:02d}] ranks {m1.rank}->{m2.rank} : {verdict}")
         records["naturality"].append(

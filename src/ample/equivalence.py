@@ -12,12 +12,14 @@ characteristic functions.
 Both composites are certified isomorphisms: eta sends a module element to
 its family of germ coordinates, epsilon evaluates the germ of a section at
 its base point.  Certificates are emitted only when every check passes;
-otherwise a failure report with a witness comes back.
+otherwise the failure value is a ``validation.Failure`` whose law names the
+failed check, with a witness.  The naturality checks return a
+``ValidationReport``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .algebra import AlgebraElement, char_fn
 from .gmodule import GModule, GModuleHom, act
@@ -40,6 +42,7 @@ from .rings import (
     vec_scale,
     zero_vec,
 )
+from .validation import Failure, ValidationReport
 
 
 # -- sections of a sheaf and the section module -----------------------------
@@ -270,40 +273,23 @@ def sh_mor(
 class NaturalIsoCertificate:
     """Witness that one unit of the equivalence is an isomorphism.
 
+    Fields: ``direction`` ("eta" or "epsilon"); ``checks``, the checks that
+    passed, in order; ``sheafification``, the germ sheaf the unit goes
+    through (of the module for eta, of the section module for epsilon).
     direction "eta": ``matrix`` is the isomorphism from the module to the
-    section module of its germ sheaf.  direction "epsilon": ``components``
-    are the stalkwise isomorphisms from the germ sheaf of the section module
-    onto the original sheaf, also packaged as ``morphism``.
+    section module of its germ sheaf.  direction "epsilon": ``morphism`` is
+    the stalkwise isomorphism from that germ sheaf onto the original sheaf.
     """
 
     direction: str
     checks: tuple[str, ...]
+    sheafification: Sheafification
     matrix: Matrix | None = None
-    components: Mapping[ObjectId, Matrix] | None = None
-    module: GModule | None = None
-    image_module: GModule | None = None
-    sheaf: GSheaf | None = None
-    image_sheaf: GSheaf | None = None
     morphism: GSheafMor | None = None
-    sheafification: Sheafification | None = None
 
     @property
     def ok(self) -> bool:
         return True
-
-
-@dataclass(frozen=True)
-class NaturalIsoFailure:
-    direction: str
-    check: str
-    witness: str
-
-    @property
-    def ok(self) -> bool:
-        return False
-
-
-NaturalIsoResult = Union[NaturalIsoCertificate, NaturalIsoFailure]
 
 
 def eta_matrix(sh: Sheafification) -> Matrix:
@@ -313,7 +299,7 @@ def eta_matrix(sh: Sheafification) -> Matrix:
     return Matrix(m.ring, m.rank, sh.sheaf.total_rank, tuple(rows))
 
 
-def eta(m: GModule) -> NaturalIsoResult:
+def eta(m: GModule) -> NaturalIsoCertificate | Failure:
     """Certify the unit: module -> sections of its germ sheaf.
 
     Checks, in order: the map intertwines the actions on the arrow spanning
@@ -328,26 +314,24 @@ def eta(m: GModule) -> NaturalIsoResult:
 
     for a in m.groupoid.arrows:
         if m.action[a] @ h != h @ gamma.action[a]:
-            return NaturalIsoFailure("eta", "module-hom", f"intertwining fails at arrow {a!r}")
+            return Failure("module-hom", f"intertwining fails at arrow {a!r}")
 
     if kernel_basis(h).rows != 0:
-        return NaturalIsoFailure("eta", "injective", "nontrivial kernel")
+        return Failure("injective", "nontrivial kernel")
 
     preimages = stack_rows(m.ring, [sh.stalk_basis[x] for x in m.groupoid.objects], m.rank)
     if (preimages @ h) != Matrix.identity(m.ring, gamma.rank):
-        return NaturalIsoFailure("eta", "surjective", "partition preimages do not hit the basis")
+        return Failure("surjective", "partition preimages do not hit the basis")
 
     return NaturalIsoCertificate(
         direction="eta",
         checks=("module-hom", "injective", "surjective"),
-        matrix=h,
-        module=m,
-        image_module=gamma,
         sheafification=sh,
+        matrix=h,
     )
 
 
-def epsilon(e: GSheaf) -> NaturalIsoResult:
+def epsilon(e: GSheaf) -> NaturalIsoCertificate | Failure:
     """Certify the counit: germ sheaf of the section module -> the sheaf.
 
     The stalkwise map evaluates the germ of a section at its base point; in
@@ -366,44 +350,32 @@ def epsilon(e: GSheaf) -> NaturalIsoResult:
         for i in range(basis.rows):
             row = basis.row(i)
             if any(not ring.is_zero(v) for j, v in enumerate(row) if not lo <= j < hi):
-                return NaturalIsoFailure(
-                    "epsilon", "stalk-support", f"germ basis at {x!r} leaks outside its block"
-                )
+                return Failure("stalk-support", f"germ basis at {x!r} leaks outside its block")
         components[x] = basis.column_slice(lo, hi)
 
     for x in g.objects:
         comp = components[x]
         if comp.rows != comp.cols or matrix_inverse(comp) is None:
-            return NaturalIsoFailure("epsilon", "stalkwise-bijective", f"component at {x!r}")
+            return Failure("stalkwise-bijective", f"component at {x!r}")
 
     morphism = GSheafMor(sh.sheaf, e, components)
     report = validate_sheaf_morphism(morphism)
     if not report.ok:
-        return NaturalIsoFailure("epsilon", "equivariant", report.failures[0].witness)
+        return Failure("equivariant", report.failures[0].witness)
     return NaturalIsoCertificate(
         direction="epsilon",
         checks=("stalk-support", "stalkwise-bijective", "equivariant"),
-        components=components,
-        sheaf=e,
-        image_sheaf=sh.sheaf,
-        morphism=morphism,
         sheafification=sh,
+        morphism=morphism,
     )
 
 
 # -- naturality ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NaturalityReport:
-    kind: str  # "module" or "sheaf"
-    ok: bool
-    witness: str = ""
-
-
-def check_naturality(morphism: GModuleHom | GSheafMor) -> NaturalityReport:
-    """Check the naturality square of eta (module homs) or epsilon (sheaf
-    morphisms) by exact matrix equality."""
+def check_naturality(morphism: GModuleHom | GSheafMor) -> ValidationReport:
+    """Check the naturality square of eta (module homs, law "eta square") or
+    epsilon (sheaf morphisms, law "epsilon square") by exact matrix equality."""
     if isinstance(morphism, GModuleHom):
         return _check_eta_square(morphism)
     if isinstance(morphism, GSheafMor):
@@ -411,7 +383,11 @@ def check_naturality(morphism: GModuleHom | GSheafMor) -> NaturalityReport:
     raise TypeError(f"expected a module hom or sheaf morphism, got {type(morphism).__name__}")
 
 
-def _check_eta_square(f: GModuleHom) -> NaturalityReport:
+def _naturality(*failures: Failure) -> ValidationReport:
+    return ValidationReport("naturality", failures)
+
+
+def _check_eta_square(f: GModuleHom) -> ValidationReport:
     sh_src = sheafify(f.source)
     sh_tgt = sheafify(f.target)
     h_src = eta_matrix(sh_src)
@@ -419,21 +395,20 @@ def _check_eta_square(f: GModuleHom) -> NaturalityReport:
     phi = sh_mor(f, sh_src, sh_tgt)
     gamma_phi = gamma_c_mor(phi)
     if f.matrix @ h_tgt != h_src @ gamma_phi.matrix:
-        return NaturalityReport("module", False, "eta square does not commute")
-    return NaturalityReport("module", True)
+        return _naturality(Failure("eta square", "eta square does not commute"))
+    return _naturality()
 
 
-def _check_epsilon_square(phi: GSheafMor) -> NaturalityReport:
+def _check_epsilon_square(phi: GSheafMor) -> ValidationReport:
     eps_src = epsilon(phi.source)
     eps_tgt = epsilon(phi.target)
     if not (eps_src.ok and eps_tgt.ok):
-        return NaturalityReport("sheaf", False, "epsilon certificate unavailable")
-    assert isinstance(eps_src, NaturalIsoCertificate) and isinstance(eps_tgt, NaturalIsoCertificate)
+        return _naturality(Failure("epsilon square", "epsilon certificate unavailable"))
     gamma_phi = gamma_c_mor(phi)
     psi = sh_mor(gamma_phi, eps_src.sheafification, eps_tgt.sheafification)
     for x in phi.source.groupoid.objects:
-        left = psi.maps[x] @ eps_tgt.components[x]
-        right = eps_src.components[x] @ phi.maps[x]
+        left = psi.maps[x] @ eps_tgt.morphism.maps[x]
+        right = eps_src.morphism.maps[x] @ phi.maps[x]
         if left != right:
-            return NaturalityReport("sheaf", False, f"epsilon square fails at object {x!r}")
-    return NaturalityReport("sheaf", True)
+            return _naturality(Failure("epsilon square", f"epsilon square fails at object {x!r}"))
+    return _naturality()

@@ -356,9 +356,9 @@ def hom_space_basis(m1: GModule, m2: GModule) -> list[Matrix]:
 def hom_space_dim(m1: GModule, m2: GModule) -> int:
     """The dimension (rank over Z) of Hom(m1, m2); on the reduced path it is
     read off the base commutants without building any intertwiner."""
+    _check_common(m1, m2)
     if m1.rank == 0 or m2.rank == 0:
         return 0
-    _check_common(m1, m2)
     commutants = _base_commutants(m1, m2)
     if commutants is None:
         return len(hom_space_basis(m1, m2))

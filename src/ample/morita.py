@@ -15,16 +15,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
-from .equivalence import (
-    NaturalIsoCertificate,
-    epsilon,
-    eta_matrix,
-    gamma_c,
-    gamma_c_mor,
-    sheafify,
-)
+from .equivalence import epsilon, eta_matrix, gamma_c, gamma_c_mor, sheafify
 from .gmodule import GModule, GModuleHom, hom_space_dim, is_isomorphism
 from .groupoid import ArrowId, FiniteGroupoid, ObjectId
 from .gsheaf import (
@@ -56,6 +50,25 @@ class GroupoidFunctor:
         for a, b in self.arr_map.items():
             if b not in self.target.arrow_index:
                 raise ValueError(f"arrow map sends {a!r} to unknown {b!r}")
+
+    @cached_property
+    def equivalence_report(self) -> ValidationReport:
+        """``is_essential_equivalence`` of this functor, run once."""
+        return is_essential_equivalence(self)
+
+    @cached_property
+    def inverse_data(self) -> tuple[dict[ObjectId, ObjectId], dict[ObjectId, ArrowId], dict[tuple, ArrowId]]:
+        """What a quasi-inverse along this functor reads: the ``anchors``
+        sigma and alpha, and the preimage index (x, y, b) -> the unique source
+        arrow x -> y mapping to b.  Raises ``ValueError`` unless the functor
+        is an essential equivalence, which makes that arrow unique."""
+        report = self.equivalence_report
+        if not report.ok:
+            raise ValueError(f"not an essential equivalence: {report.first()}")
+        sigma, alpha = anchors(self)
+        s = self.source
+        preimage = {(s.src[a], s.dst[a], self.arr_map[a]): a for a in s.arrows}
+        return sigma, alpha, preimage
 
 
 def identity_functor(g: FiniteGroupoid) -> GroupoidFunctor:
@@ -130,7 +143,7 @@ class MoritaSpan:
 def validate_span(span: MoritaSpan) -> ValidationReport:
     failures: list[Failure] = []
     for name, leg in (("left", span.left), ("right", span.right)):
-        report = is_essential_equivalence(leg)
+        report = leg.equivalence_report
         failures.extend(Failure(f"{name} leg {f.law}", f.witness) for f in report.failures)
     return ValidationReport("span", tuple(failures))
 
@@ -180,14 +193,6 @@ def anchors(f: GroupoidFunctor) -> tuple[dict[ObjectId, ObjectId], dict[ObjectId
     return sigma, alpha
 
 
-def _unique_preimage(f: GroupoidFunctor, x: ObjectId, y: ObjectId, b: ArrowId) -> ArrowId:
-    """The unique source arrow in hom(x, y) mapping to b (full faithfulness)."""
-    matches = [a for a in f.source.hom_set(x, y) if f.arr_map[a] == b]
-    if len(matches) != 1:
-        raise ValueError(f"functor is not fully faithful over arrow {b!r}")
-    return matches[0]
-
-
 @dataclass(frozen=True)
 class QuasiInverse:
     """A sheaf pushed forward along an essential equivalence.
@@ -210,25 +215,21 @@ def pullback_quasi_inverse(f: GroupoidFunctor, e: GSheaf) -> QuasiInverse:
     """
     if e.groupoid != f.source:
         raise ValueError("sheaf must live over the functor's source")
-    report = is_essential_equivalence(f)
-    if not report.ok:
-        raise ValueError(f"not an essential equivalence: {report.first()}")
     s, t = f.source, f.target
-    sigma, alpha = anchors(f)
+    sigma, alpha, preimage = f.inverse_data
 
     stalk_rank = {y: e.stalk_rank[sigma[y]] for y in t.objects}
     transport: dict[ArrowId, Matrix] = {}
     for h in t.arrows:
         y_from, y_to = t.src[h], t.dst[h]  # h runs y_from -> y_to
         conj = t.compose[(t.inverse[alpha[y_to]], t.compose[(h, alpha[y_from])])]
-        w = _unique_preimage(f, sigma[y_from], sigma[y_to], conj)
-        transport[h] = e.transport[w]
+        transport[h] = e.transport[preimage[sigma[y_from], sigma[y_to], conj]]
     pushed = GSheaf(t, e.ring, stalk_rank, transport)
 
     unit_maps: dict[ObjectId, Matrix] = {}
     for x in s.objects:
-        w = _unique_preimage(f, sigma[f.obj_map[x]], x, alpha[f.obj_map[x]])
-        unit_maps[x] = e.transport[w]
+        y = f.obj_map[x]
+        unit_maps[x] = e.transport[preimage[sigma[y], x, alpha[y]]]
     unit = GSheafMor(e, pullback_sheaf(f, pushed), unit_maps)
     if not is_sheaf_isomorphism(unit):
         raise AssertionError("quasi-inverse unit failed to be an isomorphism")
@@ -237,7 +238,7 @@ def pullback_quasi_inverse(f: GroupoidFunctor, e: GSheaf) -> QuasiInverse:
 
 def qi_mor(f: GroupoidFunctor, phi: GSheafMor, source: GSheaf, target: GSheaf) -> GSheafMor:
     """The quasi-inverse construction on morphisms: components at anchors."""
-    sigma, _ = anchors(f)
+    sigma, _, _ = f.inverse_data
     return GSheafMor(source, target, {y: phi.maps[sigma[y]] for y in f.target.objects})
 
 
@@ -247,7 +248,7 @@ def counit_iso(f: GroupoidFunctor, e: GSheaf, pushed_pullback: GSheaf) -> GSheaf
     Componentwise it transports along the inverse anchor arrow; the input
     ``pushed_pullback`` must be pullback_quasi_inverse(f, pullback_sheaf(f, e)).sheaf.
     """
-    _, alpha = anchors(f)
+    _, alpha, _ = f.inverse_data
     maps = {y: e.transport[e.groupoid.inverse[alpha[y]]] for y in f.target.objects}
     iso = GSheafMor(pushed_pullback, e, maps)
     if not is_sheaf_isomorphism(iso):
@@ -297,9 +298,7 @@ def round_trip(span: MoritaSpan, m: GModule) -> RoundTripCertificate:
     eps = epsilon(push_right.sheaf)
     if not eps.ok:
         raise AssertionError("epsilon certificate unavailable during round trip")
-    assert isinstance(eps, NaturalIsoCertificate)
-    sh_n_sheaf = eps.image_sheaf                      # germ sheaf of n
-    assert sh_n_sheaf is not None and eps.morphism is not None
+    sh_n_sheaf = eps.sheafification.sheaf             # germ sheaf of n
 
     back_apex = pullback_sheaf(right, sh_n_sheaf)     # over the apex again
     push_left = pullback_quasi_inverse(left, back_apex)
@@ -362,8 +361,8 @@ def verify_morita(span: MoritaSpan, ring: Ring, samples: int, seed: int) -> Mori
     before any transport is attempted."""
     from .builders import random_module  # deferred: builders depends on this module's siblings
 
-    left_leg = is_essential_equivalence(span.left)
-    right_leg = is_essential_equivalence(span.right)
+    left_leg = span.left.equivalence_report
+    right_leg = span.right.equivalence_report
     if not (left_leg.ok and right_leg.ok):
         return MoritaReport(left_leg, right_leg, (), ())
 

@@ -1,8 +1,9 @@
-"""Uniform pass/fail reports for the axiom validators.
+"""Uniform pass/fail results for the axiom validators and the certificates.
 
 Validators never raise on a violated law; they return a report naming the
 first (and any further) broken laws together with concrete witnesses, so a
-caller can print them or assert on them.
+caller can print them or assert on them.  A certificate that cannot be
+issued comes back as a single ``Failure``; both shapes answer ``ok``.
 """
 from __future__ import annotations
 
@@ -13,6 +14,10 @@ from dataclasses import dataclass, field
 class Failure:
     law: str
     witness: str
+
+    @property
+    def ok(self) -> bool:
+        return False
 
     def __str__(self) -> str:
         return f"{self.law}: {self.witness}"

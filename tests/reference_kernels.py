@@ -14,7 +14,11 @@ system a second way, by evaluating L·X_u - X_v·R on each unit unknown.
 and its random draw as they were before (the draw with its own inline
 coefficient source).  ``random_invertible`` and ``section_action`` are the
 builder and the section action as they were before their row operations
-became native vector operations.
+became native vector operations.  ``pullback_quasi_inverse``, ``qi_mor`` and
+``counit_iso`` are the quasi-inverse constructions as they were before they
+read the anchors and the preimage index cached on the functor: each call
+re-validates the leg, recomputes the anchors and scans ``hom_set`` once per
+arrow (``unique_preimage``).
 """
 from __future__ import annotations
 
@@ -24,8 +28,15 @@ from typing import Any, Sequence
 from ample import rings
 from ample.algebra import AlgebraElement
 from ample.equivalence import Section
-from ample.groupoid import ObjectId
-from ample.gsheaf import GSheafMor
+from ample.groupoid import ArrowId, ObjectId
+from ample.gsheaf import GSheaf, GSheafMor, is_sheaf_isomorphism
+from ample.morita import (
+    GroupoidFunctor,
+    QuasiInverse,
+    anchors,
+    is_essential_equivalence,
+    pullback_sheaf,
+)
 from ample.rings import (
     Echelon,
     Matrix,
@@ -336,3 +347,53 @@ def section_action(s: Section, f: AlgebraElement) -> Section:
                 acc = vec_add(ring, acc, tuple(ring.mul(c, t) for t in moved))
         values[x] = acc
     return Section(e, values)
+
+
+def unique_preimage(f: GroupoidFunctor, x: ObjectId, y: ObjectId, b: ArrowId) -> ArrowId:
+    """The unique source arrow in hom(x, y) mapping to b (full faithfulness)."""
+    matches = [a for a in f.source.hom_set(x, y) if f.arr_map[a] == b]
+    if len(matches) != 1:
+        raise ValueError(f"functor is not fully faithful over arrow {b!r}")
+    return matches[0]
+
+
+def pullback_quasi_inverse(f: GroupoidFunctor, e: GSheaf) -> QuasiInverse:
+    if e.groupoid != f.source:
+        raise ValueError("sheaf must live over the functor's source")
+    report = is_essential_equivalence(f)
+    if not report.ok:
+        raise ValueError(f"not an essential equivalence: {report.first()}")
+    s, t = f.source, f.target
+    sigma, alpha = anchors(f)
+
+    stalk_rank = {y: e.stalk_rank[sigma[y]] for y in t.objects}
+    transport: dict[ArrowId, Matrix] = {}
+    for h in t.arrows:
+        y_from, y_to = t.src[h], t.dst[h]  # h runs y_from -> y_to
+        conj = t.compose[(t.inverse[alpha[y_to]], t.compose[(h, alpha[y_from])])]
+        w = unique_preimage(f, sigma[y_from], sigma[y_to], conj)
+        transport[h] = e.transport[w]
+    pushed = GSheaf(t, e.ring, stalk_rank, transport)
+
+    unit_maps: dict[ObjectId, Matrix] = {}
+    for x in s.objects:
+        w = unique_preimage(f, sigma[f.obj_map[x]], x, alpha[f.obj_map[x]])
+        unit_maps[x] = e.transport[w]
+    unit = GSheafMor(e, pullback_sheaf(f, pushed), unit_maps)
+    if not is_sheaf_isomorphism(unit):
+        raise AssertionError("quasi-inverse unit failed to be an isomorphism")
+    return QuasiInverse(f, pushed, unit)
+
+
+def qi_mor(f: GroupoidFunctor, phi: GSheafMor, source: GSheaf, target: GSheaf) -> GSheafMor:
+    sigma, _ = anchors(f)
+    return GSheafMor(source, target, {y: phi.maps[sigma[y]] for y in f.target.objects})
+
+
+def counit_iso(f: GroupoidFunctor, e: GSheaf, pushed_pullback: GSheaf) -> GSheafMor:
+    _, alpha = anchors(f)
+    maps = {y: e.transport[e.groupoid.inverse[alpha[y]]] for y in f.target.objects}
+    iso = GSheafMor(pushed_pullback, e, maps)
+    if not is_sheaf_isomorphism(iso):
+        raise AssertionError("counit failed to be an isomorphism")
+    return iso

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
+from ample import equivalence
 from ample.cli import run_command
 from ample.documents import (
     ParseError,
@@ -14,6 +16,7 @@ from ample.documents import (
     parse_document,
 )
 from ample.groupoid import validate_groupoid
+from ample.rings import Matrix
 
 from conftest import Q
 
@@ -306,6 +309,22 @@ def test_equivalence_json_output(corpus):
     payload = json.loads(text)
     assert payload["result"] == "pass"
     assert len(payload["certificates"]["eta"]) == 2
+
+
+def test_equivalence_reports_a_failed_eta(corpus, monkeypatch):
+    # a kernel with one row makes every eta certificate fail its injectivity check
+    monkeypatch.setattr(equivalence, "kernel_basis", lambda h: Matrix.identity(h.ring, 1))
+    code, text = run_command(
+        ["equivalence", "--groupoid", str(corpus / "p2.json"), "--ring", "F5",
+         "--seed", "7", "--samples", "2"]
+    )
+    assert code == 1
+    lines = text.splitlines()
+    failed = [line for line in lines if line.startswith("eta[")]
+    assert len(failed) == 2
+    for i, line in enumerate(failed):
+        assert re.fullmatch(rf"eta\[{i:02d}\] seed=\d+ rank=\d+ : FAIL \(injective: nontrivial kernel\)", line)
+    assert lines[-1] == "RESULT: FAIL (2 eta + 2 epsilon + 2 naturality)"
 
 
 def test_morita_report_and_rank_table(corpus):

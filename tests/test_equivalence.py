@@ -5,13 +5,16 @@ from itertools import product
 
 import pytest
 
+from ample import equivalence
 from ample.algebra import char_fn
 from ample.builders import random_module, random_sheaf
 from ample.equivalence import (
     Section,
+    Sheafification,
     check_naturality,
     epsilon,
     eta,
+    eta_matrix,
     gamma_c,
     gamma_c_mor,
     germ_at,
@@ -24,6 +27,7 @@ from ample.equivalence import (
 )
 from ample.gmodule import (
     GModule,
+    GModuleHom,
     act,
     identity_hom,
     random_hom,
@@ -39,6 +43,7 @@ from ample.groupoid import (
     source_objects,
 )
 from ample.gsheaf import (
+    GSheaf,
     constant_sheaf,
     identity_sheaf_mor,
     random_sheaf_hom,
@@ -404,7 +409,7 @@ def test_eta_failure_on_incomplete_units(point):
     broken = GModule(point, Q, 2, {"(1,1)": Matrix.from_rows(Q, [[1, 0], [0, 0]])})
     result = eta(broken)
     assert not result.ok
-    assert result.check == "injective"
+    assert result.law == "injective"
 
 
 def test_sheafify_rejects_lattice_breaking_action(p2):
@@ -423,15 +428,15 @@ def test_sheafify_rejects_lattice_breaking_action(p2):
 def test_epsilon_on_constant_sheaf_over_point(point):
     cert = epsilon(constant_sheaf(point, Q, 1))
     assert cert.ok
-    assert cert.components["1"] == Matrix.identity(Q, 1)
+    assert cert.morphism.maps["1"] == Matrix.identity(Q, 1)
 
 
 def test_epsilon_on_constant_sheaf_over_p2(p2):
     cert = epsilon(constant_sheaf(p2, Q, 1))
     assert cert.ok
     for x in p2.objects:
-        assert cert.components[x].rows == 1 and cert.components[x].cols == 1
-        assert matrix_inverse(cert.components[x]) is not None
+        assert cert.morphism.maps[x].rows == 1 and cert.morphism.maps[x].cols == 1
+        assert matrix_inverse(cert.morphism.maps[x]) is not None
     assert validate_sheaf_morphism(cert.morphism).ok
 
 
@@ -441,7 +446,7 @@ def test_epsilon_on_random_sheaves(p2):
         cert = epsilon(e)
         assert cert.ok
         for x in p2.objects:
-            assert cert.components[x].rows == e.stalk_rank[x]
+            assert cert.morphism.maps[x].rows == e.stalk_rank[x]
 
 
 def test_epsilon_over_every_ring(small_groupoids):
@@ -487,6 +492,121 @@ def test_naturality_on_random_sheaf_morphisms(p2):
 def test_naturality_rejects_wrong_input(p2):
     with pytest.raises(TypeError):
         check_naturality("nope")
+
+
+# -- every certificate check can fail ---------------------------------------------------
+
+
+def with_entry(a, i, j, value):
+    rows = [list(r) for r in a.entries]
+    rows[i][j] = value
+    return Matrix.from_rows(a.ring, rows, cols=a.cols)
+
+
+def test_eta_fails_only_module_hom(p2):
+    # the section module of the constant sheaf plus one entry on a non-unit
+    # arrow that the germ sheaf cannot see: eta is still the identity matrix
+    # (injective, and the preimages hit the basis), but it stops intertwining
+    m = gamma_c(constant_sheaf(p2, Q, 1))
+    a = next(a for a in p2.arrows if not p2.is_unit_arrow(a))
+    i = p2.objects.index(p2.src[a])
+    broken = GModule(p2, Q, m.rank, {**m.action, a: with_entry(m.action[a], i, i, 1)})
+    assert eta_matrix(sheafify(broken)) == Matrix.identity(Q, 2)
+    result = eta(broken)
+    assert not result.ok
+    assert result.law == "module-hom"
+    assert result.witness == f"intertwining fails at arrow {a!r}"
+
+
+def test_eta_fails_only_surjective(point):
+    # unit action 2: eta is [[2]], which intertwines and has no kernel, but
+    # it sends the stalk basis row to twice the basis section
+    result = eta(GModule(point, Q, 1, {"(1,1)": Matrix.from_rows(Q, [[2]])}))
+    assert not result.ok
+    assert result.law == "surjective"
+    assert str(result) == "surjective: partition preimages do not hit the basis"
+
+
+def test_epsilon_fails_only_stalk_support(p2, monkeypatch):
+    # gamma_c puts each unit transport in its own block, so no sheaf makes a
+    # germ basis leak; a patched sheafify adds an entry in the next block
+    real = equivalence.sheafify
+    x = p2.objects[0]
+
+    def leaky(m):
+        sh = real(m)
+        leaked = with_entry(sh.stalk_basis[x], 0, 1, 1)
+        return Sheafification(sh.module, sh.sheaf, {**sh.stalk_basis, x: leaked})
+
+    monkeypatch.setattr(equivalence, "sheafify", leaky)
+    result = epsilon(constant_sheaf(p2, Q, 1))
+    assert not result.ok
+    assert result.law == "stalk-support"
+    assert result.witness == f"germ basis at {x!r} leaks outside its block"
+
+
+def test_epsilon_fails_only_stalkwise_bijective(point):
+    # over Z the stalk basis of a unit transport 2 is its Hermite form [[2]]:
+    # supported on its block and equivariant, but not invertible over Z
+    e = GSheaf(point, Z, {"1": 1}, {"(1,1)": Matrix.from_rows(Z, [[2]])})
+    result = epsilon(e)
+    assert not result.ok
+    assert result.law == "stalkwise-bijective"
+    assert result.witness == "component at '1'"
+
+
+def test_epsilon_fails_only_equivariant(p2, monkeypatch):
+    # stalk support makes the counit equivariant by construction; a patched
+    # sheafify doubles one germ transport and leaves the stalk bases alone
+    real = equivalence.sheafify
+    a = next(a for a in p2.arrows if not p2.is_unit_arrow(a))
+
+    def twisted(m):
+        sh = real(m)
+        e = sh.sheaf
+        doubled = GSheaf(e.groupoid, e.ring, e.stalk_rank, {**e.transport, a: e.transport[a].scaled(2)})
+        return Sheafification(sh.module, doubled, sh.stalk_basis)
+
+    monkeypatch.setattr(equivalence, "sheafify", twisted)
+    result = epsilon(constant_sheaf(p2, Q, 1))
+    assert not result.ok
+    assert result.law == "equivariant"
+    assert result.witness == f"square fails at arrow {a!r}"
+
+
+def test_naturality_fails_the_eta_square(p2):
+    # unit idempotents that miss the third basis vector; the hom sends it into
+    # the first stalk, which no germ of it can follow
+    ones = {p2.unit[x]: with_entry(Matrix.zeros(Q, 3, 3), i, i, 1) for i, x in enumerate(p2.objects)}
+    action = {a: ones.get(a, Matrix.zeros(Q, 3, 3)) for a in p2.arrows}
+    m = GModule(p2, Q, 3, action)
+    report = check_naturality(GModuleHom(m, m, with_entry(Matrix.zeros(Q, 3, 3), 2, 0, 1)))
+    assert not report.ok
+    assert report.subject == "naturality"
+    assert str(report.first()) == "eta square: eta square does not commute"
+
+
+def test_naturality_fails_the_epsilon_square(p2, monkeypatch):
+    # both counits exist and the square commutes for every sheaf morphism, so
+    # a patched sections functor doubles the morphism on one side of it
+    phi = identity_sheaf_mor(constant_sheaf(p2, Q, 1))
+    real = equivalence.gamma_c_mor
+
+    def doubled(p):
+        h = real(p)
+        return GModuleHom(h.source, h.target, h.matrix.scaled(2))
+
+    monkeypatch.setattr(equivalence, "gamma_c_mor", doubled)
+    report = check_naturality(phi)
+    assert not report.ok
+    assert str(report.first()) == f"epsilon square: epsilon square fails at object {p2.objects[0]!r}"
+
+
+def test_naturality_fails_without_an_epsilon_certificate(point):
+    e = GSheaf(point, Z, {"1": 1}, {"(1,1)": Matrix.from_rows(Z, [[2]])})
+    report = check_naturality(identity_sheaf_mor(e))
+    assert not report.ok
+    assert str(report.first()) == "epsilon square: epsilon certificate unavailable"
 
 
 # -- round trips and basis independence ----------------------------------------------

@@ -181,6 +181,19 @@ def test_hom_space_members_intertwine(small_groupoids):
         assert validate_hom(random_hom(m1, m2, rng)).ok
 
 
+@pytest.mark.parametrize("hom_space", [hom_space_basis, hom_space_dim])
+def test_hom_space_of_rank_zero_module_checks_compatibility_first(hom_space, p2, point):
+    # a rank-0 module has a trivial hom space only against modules it is
+    # comparable with: another groupoid or ring is a ValueError, in either order
+    empty = GModule(p2, Q, 0, {a: Matrix.zeros(Q, 0, 0) for a in p2.arrows})
+    one = GModule(point, Q, 1, {a: Matrix.identity(Q, 1) for a in point.arrows})
+    one_f5 = GModule(p2, F5, 1, {a: Matrix.identity(F5, 1) for a in p2.arrows})
+    for m1, m2 in ((empty, one), (one, empty), (empty, one_f5)):
+        with pytest.raises(ValueError):
+            hom_space(m1, m2)
+    assert hom_space(empty, regular_module(p2, Q)) in ([], 0)
+
+
 # -- generators ----------------------------------------------------------------------
 
 

@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+import reference_kernels as ref
+from ample import morita
 from ample.builders import (
     action_groupoid,
     cyclic_group,
+    group_groupoid,
     pair_groupoid,
     random_module,
     random_sheaf,
@@ -19,6 +22,7 @@ from ample.gsheaf import (
     compose_sheaf_mors,
     constant_sheaf,
     invert_sheaf_mor,
+    random_sheaf_hom,
     validate_sheaf,
     validate_sheaf_morphism,
 )
@@ -414,3 +418,70 @@ def test_verify_span_validation_details(p2_point_span, broken_span):
     bad = validate_span(broken_span)
     assert not bad.ok
     assert any("left leg" in f.law for f in bad.failures)
+
+
+# -- the cached quasi-inverse data against the per-call scan --------------------------------
+
+
+@pytest.fixture(scope="module")
+def standing_legs(small_groupoids, two_component_groupoid, point_groupoid, p2_point_span, action_point_span):
+    """The legs of the standing spans, both legs of pair(n) <-> point for
+    n <= 5, the inversion automorphism of Z/3 (hom-sets of size 3), and the
+    identity of a groupoid with two components (two anchor objects)."""
+    legs = [identity_functor(g) for g in (*small_groupoids, two_component_groupoid)]
+    legs += [p2_point_span.left, p2_point_span.right, action_point_span.left]
+    (p_obj,), (p_arrow,) = point_groupoid.objects, point_groupoid.arrows
+    for n in range(2, 6):
+        pair = pair_groupoid(n)
+        x = pair.objects[0]
+        legs.append(GroupoidFunctor(point_groupoid, pair, {p_obj: x}, {p_arrow: pair.unit[x]}))
+        legs.append(
+            GroupoidFunctor(
+                pair, point_groupoid, {y: p_obj for y in pair.objects}, {a: p_arrow for a in pair.arrows}
+            )
+        )
+    z3 = group_groupoid(*cyclic_group(3))
+    legs.append(GroupoidFunctor(z3, z3, {x: x for x in z3.objects}, dict(z3.inverse)))
+    return legs
+
+
+@pytest.mark.parametrize("ring", [Q, F5], ids=["Q", "Fp:5"])
+def test_quasi_inverse_matches_the_scanning_reference(standing_legs, ring):
+    rng = random.Random(43)
+    for f in standing_legs:
+        assert is_essential_equivalence(f).ok
+        for _ in range(2):
+            e1, e2 = (random_sheaf(f.source, ring, 2, seed=rng.randrange(2**32)) for _ in range(2))
+            qi1, qi2 = pullback_quasi_inverse(f, e1), pullback_quasi_inverse(f, e2)
+            assert qi1 == ref.pullback_quasi_inverse(f, e1)
+            assert qi2 == ref.pullback_quasi_inverse(f, e2)
+            phi = random_sheaf_hom(e1, e2, rng)
+            assert qi_mor(f, phi, qi1.sheaf, qi2.sheaf) == ref.qi_mor(f, phi, qi1.sheaf, qi2.sheaf)
+            e = random_sheaf(f.target, ring, 2, seed=rng.randrange(2**32))
+            pushed = pullback_quasi_inverse(f, pullback_sheaf(f, e)).sheaf
+            assert counit_iso(f, e, pushed) == ref.counit_iso(f, e, pushed)
+
+
+def test_quasi_inverse_and_reference_reject_the_same_leg(broken_span, point_groupoid):
+    e = constant_sheaf(broken_span.apex, Q, 1)
+    for build in (pullback_quasi_inverse, ref.pullback_quasi_inverse):
+        with pytest.raises(ValueError, match="not an essential equivalence: full faithfulness"):
+            build(broken_span.left, e)
+
+
+def test_verify_morita_checks_and_anchors_each_leg_once(monkeypatch):
+    calls = {"is_essential_equivalence": 0, "anchors": 0}
+    for name in calls:
+        real = getattr(morita, name)
+
+        def counted(f, name=name, real=real):
+            calls[name] += 1
+            return real(f)
+
+        monkeypatch.setattr(morita, name, counted)
+    point, pair = trivial_groupoid(), pair_groupoid(3)
+    x = pair.objects[0]
+    incl = GroupoidFunctor(point, pair, {point.objects[0]: x}, {point.arrows[0]: pair.unit[x]})
+    report = verify_morita(MoritaSpan(point, incl, identity_functor(point)), F5, samples=3, seed=1)
+    assert report.ok and len(report.samples) == 6
+    assert calls == {"is_essential_equivalence": 2, "anchors": 2}
