@@ -14,8 +14,11 @@ over Z, ``int`` in ``[0, m)`` over Z/m), and every ``Matrix`` holds only
 canonical elements.  Past that boundary the kernels (products, sums,
 echelon forms, ``express_in_basis``) run native arithmetic picked once per
 call from the ring's modulus: ``int`` operations with one ``% m`` per
-result entry over Z/m, plain ``int`` over Z, and ``Fraction`` operators
-over Q.  Elimination visits only the nonzero entries of each pivot row.
+result entry over Z/m and plain ``int`` over Z.  Over Q they run on
+integers too: each vector is held as integer numerators over one common
+denominator (``_common_denominator``), dot products are integer sums, and
+one ``Fraction`` is built per nonzero result entry.  Elimination visits
+only the nonzero entries of each pivot row.
 
 Conventions used throughout the library: vectors are rows, linear maps act
 on the right (``v @ A``), and matrix products compose left to right, so
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from math import gcd, lcm
 from operator import mul
 from typing import Any, Iterable, Sequence
 
@@ -148,9 +152,9 @@ class Ring:
 
     def scalar_from_json(self, value: Any) -> Scalar:
         if self.kind == "Q" and isinstance(value, str):
-            num, _, den = value.partition("/")
+            num, slash, den = value.partition("/")
             try:
-                return Fraction(int(num), int(den) if den else 1)
+                return Fraction(int(num), int(den) if slash else 1)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"bad rational literal {value!r}") from exc
         return self.coerce(value)
@@ -298,23 +302,42 @@ def vec_mat(v: Sequence[Scalar], a: "Matrix") -> tuple[Scalar, ...]:
     return _products(a.ring, (v,), a)[0]
 
 
+def _common_denominator(v: Sequence[Scalar]) -> tuple[list[int], int]:
+    """Rationals (or ints) as integer numerators over their positive lcm denominator."""
+    dens = [x.denominator for x in v]
+    d = lcm(*dens)
+    if d == 1:
+        return [x.numerator for x in v], 1
+    return [x.numerator * (d // e) for x, e in zip(v, dens)], d
+
+
+def _from_common(nums: Sequence[int], d: int, zero: Scalar) -> tuple[Scalar, ...]:
+    """The canonical ``Fraction`` entries of numerators ``nums`` over ``d``."""
+    return tuple(Fraction(x, d) if x else zero for x in nums)
+
+
 def _products(
     ring: Ring, rows: Sequence[Sequence[Scalar]], b: "Matrix"
 ) -> tuple[tuple[Scalar, ...], ...]:
     """The rows of ``rows @ b``: one dot product and one reduction per entry.
 
-    Over Q, products with a zero factor are skipped: a ``Fraction`` product
-    costs far more than the test.
+    Over Q, each row of ``rows`` and each column of ``b`` is scaled to
+    integers by the lcm of its denominators, so a dot product is an integer
+    sum and each nonzero entry is one ``Fraction`` over the two lcms.
     """
     zero = ring.zero
     if b.rows == 0:
         return tuple((zero,) * b.cols for _ in rows)
     cols = tuple(zip(*b.entries))
     if ring.kind == "Q":
-        return tuple(
-            tuple(sum([x * y for x, y in zip(r, c) if x and y]) or zero for c in cols)
-            for r in rows
-        )
+        right = [_common_denominator(c) for c in cols]
+        out = []
+        for r in rows:
+            nums, d = _common_denominator(r)
+            out.append(tuple(
+                Fraction(t, d * e) if (t := sum(map(mul, nums, c))) else zero for c, e in right
+            ))
+        return tuple(out)
     p = ring.modulus
     if p is None:
         return tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in rows)
@@ -460,6 +483,8 @@ class Echelon:
 
 def row_echelon(a: Matrix) -> Echelon:
     ring = a.ring
+    if ring.kind == "Q":
+        return _q_rref(a)
     if ring.is_field:
         return _rref(a)
     if ring.kind == "Z":
@@ -470,11 +495,11 @@ def row_echelon(a: Matrix) -> Echelon:
 
 
 def _rref(a: Matrix) -> Echelon:
-    # Gauss-Jordan on [a | identity], so the transform rides along in each
-    # row.  The pivot row of column c is zero left of c, so a row operation
-    # only touches the pivot row's nonzero entries at or right of c.
+    # Gauss-Jordan over F_p on [a | identity], so the transform rides along
+    # in each row.  The pivot row of column c is zero left of c, so a row
+    # operation only touches the pivot row's nonzero entries at or right of c.
     ring = a.ring
-    p = ring.modulus  # None over Q
+    p = ring.modulus
     n, width = a.cols, a.cols + a.rows
     m = [list(r) + list(unit_vec(ring, a.rows, i)) for i, r in enumerate(a.entries)]
     pivots: list[int] = []
@@ -486,30 +511,82 @@ def _rref(a: Matrix) -> Echelon:
         m[pr], m[pivot_row] = m[pivot_row], m[pr]
         row = m[pr]
         support = [j for j in range(c, width) if row[j]]
-        if p is None:
-            scale = 1 / row[c]
-            for j in support:
-                row[j] = scale * row[j]
-        else:
-            scale = pow(row[c], -1, p)
-            for j in support:
-                row[j] = scale * row[j] % p
+        scale = pow(row[c], -1, p)
+        for j in support:
+            row[j] = scale * row[j] % p
         for i, other in enumerate(m):
             factor = other[c]
             if i == pr or not factor:
                 continue
-            if p is None:
-                for j in support:
-                    other[j] = other[j] - factor * row[j]
-            else:
-                for j in support:
-                    other[j] = (other[j] - factor * row[j]) % p
+            for j in support:
+                other[j] = (other[j] - factor * row[j]) % p
         pivots.append(c)
         pr += 1
         if pr == a.rows:
             break
     reduced = Matrix(ring, a.rows, a.cols, tuple(tuple(r[:n]) for r in m))
     transform = Matrix(ring, a.rows, a.rows, tuple(tuple(r[n:]) for r in m))
+    return Echelon(reduced, transform, tuple(pivots))
+
+
+def _q_rref(a: Matrix) -> Echelon:
+    # The Gauss-Jordan loop of ``_rref`` over Q, with row i of
+    # [a | identity] held as integer numerators nums[i] over one positive
+    # denominator dens[i], both divided by their gcd after every update.
+    # Pivot choice and operation order are those of a ``Fraction`` loop, so
+    # every intermediate row has the same rational values.
+    ring, zero = a.ring, a.ring.zero
+    n, width = a.cols, a.cols + a.rows
+    nums: list[list[int]] = []
+    dens: list[int] = []
+    for i, r in enumerate(a.entries):
+        row, d = _common_denominator(r)
+        row.extend([0] * a.rows)
+        row[n + i] = d
+        nums.append(row)
+        dens.append(d)
+    pivots: list[int] = []
+    pr = 0
+    for c in range(n):
+        pivot_row = next((i for i in range(pr, a.rows) if nums[i][c]), None)
+        if pivot_row is None:
+            continue
+        nums[pr], nums[pivot_row] = nums[pivot_row], nums[pr]
+        dens[pr], dens[pivot_row] = dens[pivot_row], dens[pr]
+        row = nums[pr]
+        support = [j for j in range(c, width) if row[j]]
+        # row / row[c] is row over the denominator row[c]: divide out the
+        # gcd, signed so that the denominator is positive.
+        g = gcd(*[row[j] for j in support])
+        if row[c] < 0:
+            g = -g
+        if g != 1:
+            for j in support:
+                row[j] //= g
+        lead = dens[pr] = row[c]
+        for i, other in enumerate(nums):
+            factor = other[c]
+            if i == pr or not factor:
+                continue
+            # other - factor/dens[i] * row/lead, over dens[i] * lead
+            if lead != 1:
+                other = nums[i] = [x * lead for x in other]
+                dens[i] *= lead
+            for j in support:
+                other[j] -= factor * row[j]
+            e = dens[i]
+            if e != 1:
+                g = gcd(e, *other)
+                if g != 1:
+                    nums[i] = [x // g for x in other]
+                    dens[i] = e // g
+        pivots.append(c)
+        pr += 1
+        if pr == a.rows:
+            break
+    rows = tuple(zip(nums, dens))
+    reduced = Matrix(ring, a.rows, a.cols, tuple(_from_common(r[:n], d, zero) for r, d in rows))
+    transform = Matrix(ring, a.rows, a.rows, tuple(_from_common(r[n:], d, zero) for r, d in rows))
     return Echelon(reduced, transform, tuple(pivots))
 
 
@@ -589,8 +666,10 @@ def express_in_basis(basis: Matrix, target: Sequence[Scalar]) -> tuple[Scalar, .
     ring = basis.ring
     if len(target) != basis.cols:
         raise ValueError(f"dimension mismatch: target length {len(target)} vs {basis.cols} cols")
+    if ring.kind == "Q":
+        return _q_express_in_basis(basis, target)
     field, p = ring.is_field, ring.modulus
-    residue = vec(ring, target)
+    residue = tuple(target) if p is None else tuple(x % p for x in target)
     coeffs = []
     for row in basis.entries:
         lead = next((j for j, x in enumerate(row) if x), None)
@@ -598,9 +677,7 @@ def express_in_basis(basis: Matrix, target: Sequence[Scalar]) -> tuple[Scalar, .
             coeffs.append(ring.zero)
             continue
         if field:
-            c = residue[lead] * ring.inv(row[lead])
-            if p is not None:
-                c %= p
+            c = residue[lead] * ring.inv(row[lead]) % p
         else:
             if residue[lead] % row[lead] != 0:
                 return None
@@ -608,6 +685,39 @@ def express_in_basis(basis: Matrix, target: Sequence[Scalar]) -> tuple[Scalar, .
         coeffs.append(c)
         residue = vec_sub(ring, residue, _scale(ring, c, row))
     if not vec_is_zero(ring, residue):
+        return None
+    return tuple(coeffs)
+
+
+def _q_express_in_basis(basis: Matrix, target: Sequence[Scalar]) -> tuple[Scalar, ...] | None:
+    # The residue is held as integer numerators over one positive
+    # denominator, divided by their gcd after each step.
+    zero = basis.ring.zero
+    residue, e = _common_denominator(target)
+    coeffs = []
+    for row in basis.entries:
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None or not residue[lead]:
+            coeffs.append(zero)
+            continue
+        nums, d = _common_denominator(row)
+        r, s = residue[lead], nums[lead]
+        coeffs.append(Fraction(r * d, e * s))
+        # residue - (r/e)/(s/d) * nums/d, over the denominator e*|s|
+        if s < 0:
+            r, s = -r, -s
+        if s != 1:
+            residue = [x * s for x in residue]
+            e *= s
+        for j in range(lead, len(nums)):
+            if nums[j]:
+                residue[j] -= r * nums[j]
+        if e != 1:
+            g = gcd(e, *residue)
+            if g != 1:
+                residue = [x // g for x in residue]
+                e //= g
+    if any(residue):
         return None
     return tuple(coeffs)
 

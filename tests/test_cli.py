@@ -135,6 +135,19 @@ def test_module_document_round_trips_fractions(p2):
     assert parse(text).value == module
 
 
+def test_module_document_with_an_empty_denominator_is_rejected(p2):
+    from ample.builders import random_module
+    from ample.documents import module_payload
+
+    payload = module_payload(random_module(p2, Q, 2, seed=36))
+    arrow = next(iter(payload["action"]))
+    payload["action"][arrow][0][0] = "3/"
+    with pytest.raises(ParseError) as err:
+        parse_document(dump_payload(payload))
+    assert err.value.message == "bad rational literal '3/'"
+    assert err.value.path == f"action.{arrow}[0][0]"
+
+
 def test_sheaf_document_round_trips(p2):
     from ample.builders import random_sheaf
     from ample.documents import parse_document as parse, sheaf_payload

@@ -4,8 +4,10 @@ The digests pin the text and JSON reports of every command over the
 ``ample examples`` corpus: ``equivalence`` and ``morita`` (recorded from the
 generic-ring kernels, every scalar operation through ``Ring.coerce``), and
 ``validate`` on every corpus document, ``table`` and ``bisections`` on a
-groupoid and a graph, and ``morita`` on the broken span (recorded before the
-sheaf hom spaces moved onto the shared constraint builder).  Commands run
+groupoid and a graph, ``morita`` on the broken span (recorded before the
+sheaf hom spaces moved onto the shared constraint builder), and ``morita``
+over Q (recorded from the ``Fraction``-operator kernels, before the Q
+kernels moved to common-denominator integers).  Commands run
 from a directory holding the corpus as ``corpus/``, because reports quote
 the document path they were given.
 """
@@ -53,6 +55,14 @@ GOLDEN = {
         "440bdeb6609fea447cfa3e584c5fd3b0f7c18d1e2315bb4d22b3bf09f1815998",
     "morita --span corpus/span-z2action-point.json --ring Fp:5 --out json":
         "b5be9ff62f39c658da1944cd1bf24feb824b27c6571fabaa75e80fcfb652561b",
+    "morita --span corpus/span-p2-point.json --ring Q --out text":
+        "bdb378d20b3876b2fe4809ae65b3c433245a683d02694ebd5f38c49b6820b50e",
+    "morita --span corpus/span-p2-point.json --ring Q --out json":
+        "7d82c86c6e510d43d260511c2f78dd5a443eb4b6e48be3cd036e7d7b64ab99e0",
+    "morita --span corpus/span-z2action-point.json --ring Q --out text":
+        "b05135956fbb8adc6b213f37c70d3e62097b14c1d0c8ef891bd1d0918d00f194",
+    "morita --span corpus/span-z2action-point.json --ring Q --out json":
+        "d058594d183d67dc94d857017d5870c6431e07806c89494a29d0f80ce8f39d57",
     "validate corpus/point.json --out text":
         "cd6ef433e35ab58fcd00bbc165399c280b346d06e26f872e55b7e3376a31b419",
     "validate corpus/point.json --out json":

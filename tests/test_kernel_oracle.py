@@ -180,6 +180,104 @@ def test_matrix_inverse_matches_reference(ring, data):
         assert (a @ got).is_identity
 
 
+# -- Q with hard denominators --------------------------------------------------
+#
+# The Q kernels scale rows and columns to integers over common denominators
+# and divide by gcds as they go.  Large coprime denominators make those lcms
+# and gcds do real work; zero rows and columns and thin products exercise the
+# zero and rank-deficient paths.
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+HARD_PRIMES = (2, 3, 7, 97, 7919) + tuple(n for n in range(999_000, 10**6) if _is_prime(n))
+HARD_SCALARS = st.one_of(
+    st.just(0),
+    st.integers(-(10**9), 10**9),
+    st.builds(Fraction, st.integers(-(10**9), 10**9), st.sampled_from(HARD_PRIMES)),
+)
+
+
+@st.composite
+def hard_q_matrices(draw, rows, cols):
+    """A Q matrix over large coprime denominators: about a third are products
+    through a thin inner dimension, and some rows and columns are zeroed."""
+    if rows and cols and draw(st.integers(0, 2)) == 0:
+        inner = draw(st.integers(0, min(rows, cols) - 1))
+        left = draw(hard_q_matrices(rows, inner))
+        right = draw(hard_q_matrices(inner, cols))
+        return ref.matmul(left, right)
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2))
+    data = [
+        [0 if i in zero_rows or j in zero_cols else draw(HARD_SCALARS) for j in range(cols)]
+        for i in range(rows)
+    ]
+    return Matrix.from_rows(RATIONALS, data, cols=cols)
+
+
+def hard_q_vectors(n):
+    return st.lists(HARD_SCALARS, min_size=n, max_size=n).map(lambda v: vec(RATIONALS, v))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_q_products_match_reference_on_hard_denominators(data):
+    r, k, c = data.draw(DIMS), data.draw(DIMS), data.draw(DIMS)
+    a = data.draw(hard_q_matrices(r, k))
+    b = data.draw(hard_q_matrices(k, c))
+    assert_same_matrix(RATIONALS, a @ b, ref.matmul(a, b))
+    u = data.draw(hard_q_vectors(k))
+    got = vec_mat(u, b)
+    assert got == ref.vec_mat(u, b)
+    assert_canonical(RATIONALS, got)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_q_elimination_matches_reference_on_hard_denominators(data):
+    r, c = data.draw(DIMS), data.draw(DIMS)
+    a = data.draw(hard_q_matrices(r, c))
+    got, want = row_echelon(a), ref.row_echelon(a)
+    assert got.pivots == want.pivots
+    assert_same_matrix(RATIONALS, got.reduced, want.reduced)
+    assert_same_matrix(RATIONALS, got.transform, want.transform)
+    assert_same_matrix(RATIONALS, kernel_basis(a), ref.kernel_basis(a))
+    inside = vec_mat(data.draw(hard_q_vectors(r)), a)
+    anywhere = data.draw(hard_q_vectors(c))
+    for target in (inside, anywhere):
+        got = solve_row_system(a, target)
+        assert got == ref.solve_row_system(a, target)
+        if got is not None:
+            assert_canonical(RATIONALS, got)
+            assert vec_mat(got, a) == target
+    echelon = image_basis(a)
+    rescaled = tuple(
+        vec_scale(RATIONALS, data.draw(HARD_SCALARS.filter(bool)), row) for row in echelon.entries
+    )
+    for basis in (echelon, Matrix(RATIONALS, echelon.rows, c, rescaled)):
+        for target in (inside, anywhere):
+            got = express_in_basis(basis, target)
+            assert got == ref.express_in_basis(basis, target)
+            if got is not None:
+                assert_canonical(RATIONALS, got)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_q_inverse_matches_reference_on_hard_denominators(data):
+    n = data.draw(DIMS)
+    a = data.draw(hard_q_matrices(n, n))
+    got, want = matrix_inverse(a), ref.matrix_inverse(a)
+    if want is None:
+        assert got is None
+    else:
+        assert_same_matrix(RATIONALS, got, want)
+        assert (a @ got).is_identity
+
+
 ROW_OP_RINGS = (RATIONALS, INTEGERS, modular(2), modular(5))
 
 

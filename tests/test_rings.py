@@ -97,6 +97,11 @@ def test_scalar_json_round_trip():
         Q.scalar_from_json("1/0")
 
 
+def test_rational_literal_with_an_empty_denominator_is_rejected():
+    with pytest.raises(ValueError, match="bad rational literal '3/'"):
+        Q.scalar_from_json("3/")
+
+
 # -- matrix product -----------------------------------------------------------
 
 
