@@ -250,15 +250,12 @@ def multiplication_table(g: FiniteGroupoid, ring: Ring, guard: int = TABLE_GUARD
     """Structure constants chi_[a] * chi_[b] over all arrow singletons."""
     if len(g.arrows) > guard:
         raise SizeGuardError(f"structure table is guarded at {guard} arrows, got {len(g.arrows)}")
+    singleton = {a: char_fn(g, Bisection.of(g, [a]), ring) for a in g.arrows}
     cells: dict[tuple[ArrowId, ArrowId], ArrowId | None] = {}
     for a in g.arrows:
         for b in g.arrows:
             if g.composable(a, b):
-                product = convolve(
-                    char_fn(g, Bisection.of(g, [a]), ring),
-                    char_fn(g, Bisection.of(g, [b]), ring),
-                )
-                (cell,) = product.support
+                (cell,) = convolve(singleton[a], singleton[b]).support
                 cells[(a, b)] = cell
             else:
                 cells[(a, b)] = None

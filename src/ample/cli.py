@@ -10,6 +10,7 @@ input file failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -31,7 +32,7 @@ from .documents import (
 )
 from .equivalence import check_naturality, epsilon, eta
 from .gmodule import random_hom, validate_module
-from .groupoid import FiniteGroupoid, enumerate_bisections, validate_groupoid
+from .groupoid import FiniteGroupoid, SizeGuardError, enumerate_bisections, validate_groupoid
 from .gsheaf import validate_sheaf
 from .morita import validate_functor, validate_span, verify_morita
 from .rings import Ring, ring_from_name
@@ -47,7 +48,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="ample", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -124,6 +127,9 @@ def run_command(argv: list[str]) -> tuple[int, str]:
         return handler(args, ring)
     except ParseError as exc:
         return 1, exc.describe()
+    except SizeGuardError as exc:  # only table and bisections enumerate exhaustively
+        hint = "exhaustive commands are for small groupoids; use a smaller one"
+        return 1, ParseError(str(exc), hint=hint, source=args.file).describe()
     except UsageError as exc:
         return 2, f"usage error: {exc}"
 

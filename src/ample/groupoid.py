@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .validation import Failure, ValidationReport
@@ -27,7 +26,7 @@ from .validation import Failure, ValidationReport
 ObjectId = Hashable
 ArrowId = Hashable
 
-BISECTION_ENUM_GUARD = 16  # full subset scan, 2**16 candidates at most
+BISECTION_ENUM_GUARD = 16  # arrows; bench/workloads.py mirrors this value
 
 
 class SizeGuardError(ValueError):
@@ -106,10 +105,10 @@ class FiniteGroupoid:
             raise ValueError(f"arrows {g!r} and {h!r} are not composable") from None
 
     def composable_pairs(self) -> Iterator[tuple[ArrowId, ArrowId]]:
+        """Every (g, h) with src[g] == dst[h], g then h in declaration order."""
         for g in self.arrows:
-            for h in self.arrows:
-                if self.composable(g, h):
-                    yield g, h
+            for h in self._dst_index.get(self.src[g], ()):
+                yield g, h
 
     @cached_property
     def _hom_index(self) -> dict[tuple[ObjectId, ObjectId], tuple[ArrowId, ...]]:
@@ -123,6 +122,13 @@ class FiniteGroupoid:
         index: dict[ObjectId, list[ArrowId]] = {}
         for g in self.arrows:
             index.setdefault(self.src[g], []).append(g)
+        return {x: tuple(found) for x, found in index.items()}
+
+    @cached_property
+    def _dst_index(self) -> dict[ObjectId, tuple[ArrowId, ...]]:
+        index: dict[ObjectId, list[ArrowId]] = {}
+        for g in self.arrows:
+            index.setdefault(self.dst[g], []).append(g)
         return {x: tuple(found) for x, found in index.items()}
 
     @cached_property
@@ -183,7 +189,14 @@ class FiniteGroupoid:
 
 
 def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
-    """Check the groupoid axioms, reporting violations with witnesses."""
+    """Check the groupoid axioms, reporting violations with witnesses.
+
+    The composition checks read the arrows ending at an object from an
+    index, so the work is proportional to the arrows, the composition
+    entries and the composable triples (a, b, c), not to all A² pairs and
+    A³ triples.  Failures come out law by law, each law in declaration order
+    of its arrows (the endpoint law in the order of the composition table).
+    """
     failures: list[Failure] = []
 
     for x in g.objects:
@@ -191,8 +204,16 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
         if g.src[e] != x or g.dst[e] != x:
             failures.append(Failure("unit endpoints", f"u({x!r}) = {e!r} is not an endo-arrow at {x!r}"))
 
+    # Composition entries on non-composable pairs, grouped by first arrow.
+    stray: dict[ArrowId, list[ArrowId]] = {}
+    for a, b in g.compose:
+        if not g.composable(a, b):
+            stray.setdefault(a, []).append(b)
     for a in g.arrows:
-        for b in g.arrows:
+        partners = g._dst_index.get(g.src[a], ())
+        if a in stray:
+            partners = sorted((*partners, *stray[a]), key=g.arrow_index.__getitem__)
+        for b in partners:
             defined = (a, b) in g.compose
             if g.composable(a, b) and not defined:
                 failures.append(Failure("composition totality", f"({a!r},{b!r}) composable but undefined"))
@@ -218,19 +239,14 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
         if g.compose.get((b, a)) != g.unit[g.src[a]] or g.compose.get((a, b)) != g.unit[g.dst[a]]:
             failures.append(Failure("inverse law", f"g={a!r}: g⁻¹g or gg⁻¹ is not the unit"))
 
+    compose = g.compose
     for a, b in g.composable_pairs():
-        ab = g.compose.get((a, b))
+        ab = compose.get((a, b))
         if ab is None:
             continue
-        for c in g.arrows:
-            if not g.composable(b, c):
-                continue
-            bc = g.compose.get((b, c))
-            if bc is None:
-                continue
-            left = g.compose.get((ab, c))
-            right = g.compose.get((a, bc))
-            if left != right:
+        for c in g._dst_index.get(g.src[b], ()):
+            bc = compose.get((b, c))
+            if bc is not None and compose.get((ab, c)) != compose.get((a, bc)):
                 failures.append(Failure("associativity", f"(({a!r}{b!r}){c!r}) != ({a!r}({b!r}{c!r}))"))
 
     return ValidationReport("groupoid", tuple(failures))
@@ -281,7 +297,7 @@ class Bisection:
         for a in chosen:
             if a not in g.arrow_index:
                 raise ValueError(f"unknown arrow id {a!r}")
-        ordered = tuple(a for a in g.arrows if a in chosen)
+        ordered = tuple(sorted(chosen, key=g.arrow_index.__getitem__))
         if not _injective_endpoints(g, ordered):
             raise ValueError(f"arrow set {sorted(map(repr, chosen))} is not a bisection")
         return Bisection(ordered)
@@ -341,16 +357,28 @@ def target_objects(g: FiniteGroupoid, u: Bisection) -> tuple[ObjectId, ...]:
 
 
 def enumerate_bisections(g: FiniteGroupoid) -> list[Bisection]:
-    """All compact open bisections, ordered by (size, arrow indices)."""
+    """All compact open bisections, ordered by (size, arrow indices).
+
+    A depth-first search grows each bisection only by later arrows whose
+    source and target are both still free, so it visits the bisections and
+    no other arrow subset.  The result lists them size by size, each size in
+    lexicographic order of arrow indices.
+    """
     n = len(g.arrows)
     if n > BISECTION_ENUM_GUARD:
         raise SizeGuardError(
             f"bisection enumeration is guarded at {BISECTION_ENUM_GUARD} arrows, got {n}"
         )
-    found: list[Bisection] = []
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            arrows = tuple(g.arrows[i] for i in combo)
-            if _injective_endpoints(g, arrows):
-                found.append(Bisection(arrows))
-    return found
+    ends = [(g.src[a], g.dst[a]) for a in g.arrows]
+    found: list[tuple[int, ...]] = []
+
+    def extend(chosen: tuple[int, ...], srcs: frozenset, dsts: frozenset) -> None:
+        found.append(chosen)
+        for i in range(chosen[-1] + 1 if chosen else 0, n):
+            x, y = ends[i]
+            if x not in srcs and y not in dsts:
+                extend(chosen + (i,), srcs | {x}, dsts | {y})
+
+    extend((), frozenset(), frozenset())
+    found.sort(key=lambda combo: (len(combo), combo))
+    return [Bisection(tuple(g.arrows[i] for i in combo)) for combo in found]

@@ -18,17 +18,29 @@ became native vector operations.  ``pullback_quasi_inverse``, ``qi_mor`` and
 ``counit_iso`` are the quasi-inverse constructions as they were before they
 read the anchors and the preimage index cached on the functor: each call
 re-validates the leg, recomputes the anchors and scans ``hom_set`` once per
-arrow (``unique_preimage``).
+arrow (``unique_preimage``).  ``composable_pairs``, ``validate_groupoid``
+and ``enumerate_bisections`` are the groupoid scans as they were before they
+read the endpoint indices: an all-pairs scan for composability and the
+axioms, and a test of every arrow subset for bisections.
 """
 from __future__ import annotations
 
 import random
-from typing import Any, Sequence
+from itertools import combinations
+from typing import Any, Iterator, Sequence
 
 from ample import rings
 from ample.algebra import AlgebraElement
 from ample.equivalence import Section
-from ample.groupoid import ArrowId, ObjectId
+from ample.groupoid import (
+    BISECTION_ENUM_GUARD,
+    ArrowId,
+    Bisection,
+    FiniteGroupoid,
+    ObjectId,
+    SizeGuardError,
+    _injective_endpoints,
+)
 from ample.gsheaf import GSheaf, GSheafMor, is_sheaf_isomorphism
 from ample.morita import (
     GroupoidFunctor,
@@ -49,6 +61,7 @@ from ample.rings import (
     vec_mat,
     zero_vec,
 )
+from ample.validation import Failure, ValidationReport
 
 
 def matmul(self: Matrix, other: Matrix) -> Matrix:
@@ -397,3 +410,80 @@ def counit_iso(f: GroupoidFunctor, e: GSheaf, pushed_pullback: GSheaf) -> GSheaf
     if not is_sheaf_isomorphism(iso):
         raise AssertionError("counit failed to be an isomorphism")
     return iso
+
+
+def composable_pairs(g: FiniteGroupoid) -> Iterator[tuple[ArrowId, ArrowId]]:
+    for a in g.arrows:
+        for b in g.arrows:
+            if g.composable(a, b):
+                yield a, b
+
+
+def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
+    """Check the groupoid axioms, reporting violations with witnesses."""
+    failures: list[Failure] = []
+
+    for x in g.objects:
+        e = g.unit[x]
+        if g.src[e] != x or g.dst[e] != x:
+            failures.append(Failure("unit endpoints", f"u({x!r}) = {e!r} is not an endo-arrow at {x!r}"))
+
+    for a in g.arrows:
+        for b in g.arrows:
+            defined = (a, b) in g.compose
+            if g.composable(a, b) and not defined:
+                failures.append(Failure("composition totality", f"({a!r},{b!r}) composable but undefined"))
+            if defined and not g.composable(a, b):
+                failures.append(Failure("composition domain", f"({a!r},{b!r}) defined but not composable"))
+
+    for (a, b), ab in g.compose.items():
+        if g.composable(a, b):
+            if g.src[ab] != g.src[b] or g.dst[ab] != g.dst[a]:
+                failures.append(Failure("composition endpoints", f"{a!r}*{b!r} = {ab!r} has wrong endpoints"))
+
+    for a in g.arrows:
+        ua = g.unit[g.dst[a]]
+        au = g.unit[g.src[a]]
+        if g.compose.get((ua, a)) != a or g.compose.get((a, au)) != a:
+            failures.append(Failure("unit law", f"units do not act as identities on {a!r}"))
+
+    for a in g.arrows:
+        b = g.inverse[a]
+        if g.src[b] != g.dst[a] or g.dst[b] != g.src[a]:
+            failures.append(Failure("inverse law", f"g={a!r}: inverse has wrong endpoints"))
+            continue
+        if g.compose.get((b, a)) != g.unit[g.src[a]] or g.compose.get((a, b)) != g.unit[g.dst[a]]:
+            failures.append(Failure("inverse law", f"g={a!r}: g⁻¹g or gg⁻¹ is not the unit"))
+
+    for a, b in composable_pairs(g):
+        ab = g.compose.get((a, b))
+        if ab is None:
+            continue
+        for c in g.arrows:
+            if not g.composable(b, c):
+                continue
+            bc = g.compose.get((b, c))
+            if bc is None:
+                continue
+            left = g.compose.get((ab, c))
+            right = g.compose.get((a, bc))
+            if left != right:
+                failures.append(Failure("associativity", f"(({a!r}{b!r}){c!r}) != ({a!r}({b!r}{c!r}))"))
+
+    return ValidationReport("groupoid", tuple(failures))
+
+
+def enumerate_bisections(g: FiniteGroupoid) -> list[Bisection]:
+    """All compact open bisections, ordered by (size, arrow indices)."""
+    n = len(g.arrows)
+    if n > BISECTION_ENUM_GUARD:
+        raise SizeGuardError(
+            f"bisection enumeration is guarded at {BISECTION_ENUM_GUARD} arrows, got {n}"
+        )
+    found: list[Bisection] = []
+    for size in range(n + 1):
+        for combo in combinations(range(n), size):
+            arrows = tuple(g.arrows[i] for i in combo)
+            if _injective_endpoints(g, arrows):
+                found.append(Bisection(arrows))
+    return found

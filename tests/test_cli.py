@@ -3,11 +3,15 @@ from __future__ import annotations
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import ample
 from ample import equivalence
-from ample.cli import run_command
+from ample.builders import pair_groupoid
+from ample.cli import _build_parser, run_command
 from ample.documents import (
     ParseError,
     dump_payload,
@@ -219,6 +223,23 @@ def test_validate_parse_error_exit_code(tmp_path):
     assert "hint" in text
 
 
+@pytest.mark.parametrize(
+    "command, n, message",
+    [
+        ("bisections", 5, "bisection enumeration is guarded at 16 arrows, got 25"),
+        ("table", 10, "structure table is guarded at 64 arrows, got 100"),
+    ],
+)
+def test_size_guards_fail_with_a_message_naming_the_file(tmp_path, command, n, message):
+    target = tmp_path / f"pair{n}.json"
+    target.write_text(dump_payload(groupoid_payload(pair_groupoid(n))))
+    for out in ("text", "json"):
+        code, text = run_command([command, str(target), "--out", out])
+        assert code == 1
+        assert text.startswith(f"{target}: {message} (hint: ")
+        assert "\n" not in text
+
+
 # -- usage errors ------------------------------------------------------------------------
 
 
@@ -373,6 +394,33 @@ def test_reports_are_bit_identical_across_runs(corpus):
         first = run_command(argv)
         second = run_command(argv)
         assert first == second
+
+
+def test_cached_parser_keeps_no_state_between_commands(corpus):
+    # Usage errors, JSON runs and default runs interleaved in one process must
+    # each print what a fresh process prints for the same command.
+    p2, z3 = str(corpus / "p2.json"), str(corpus / "z3.json")
+    argvs = [
+        ["table", p2, "--ring", "Fp:5", "--out", "json"],
+        ["bisections", z3, "--samples", "0"],
+        ["bisections", z3],
+        ["table", p2, "--ring", "R"],
+        ["validate", str(corpus / "module-p2-regular.json"), "--out", "json"],
+        ["frobnicate"],
+        ["table", p2],
+        ["equivalence", "--groupoid", p2, "--ring", "F2", "--samples", "1", "--out", "json"],
+        ["equivalence", "--groupoid", p2, "--ring", "F2", "--samples", "1"],
+    ]
+    assert _build_parser() is _build_parser()
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(ample.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    for argv in argvs:
+        code, text = run_command(argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "ample.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert (code, text + "\n") == (fresh.returncode, fresh.stdout), argv
 
 
 def test_examples_emission_is_deterministic(tmp_path):
