@@ -197,7 +197,10 @@ def _parse_groupoid(payload: Mapping[str, Any], base_dir: str | None) -> FiniteG
     for i, triple in enumerate(compose_raw):
         if not isinstance(triple, list) or len(triple) != 3:
             raise _fail("compose entry must be a [g, h, gh] triple", f"compose[{i}]", "three arrow ids")
-        g, h, gh = (_as_id(t, f"compose[{i}]") for t in triple)
+        g, h, gh = triple
+        if not (isinstance(g, str) and isinstance(h, str) and isinstance(gh, str)):
+            path = f"compose[{i}]"  # built only when an id needs converting or rejecting
+            g, h, gh = (_as_id(t, path) for t in triple)
         for t in (g, h, gh):
             if t not in arrow_set:
                 raise _fail(

@@ -8,14 +8,14 @@ idempotents summing to the identity, which is exactly unitarity over a
 compact unit space, and every arrow restricts to an isomorphism between
 the images of its endpoint idempotents (witnessed by the inverse arrow).
 
-Homomorphisms are matrices intertwining the two actions.  Over a
-connected groupoid a module is fixed by its stalk at one base object x and
-the action of the isotropy group K_x there, so Hom(M1, M2) is computed as
-Hom_{K_x}(M1·e_x, M2·e_x) on each component's base stalks and extended
-along one tree arrow per object (``hom_space_basis``).  A module that
-fails the identities this needs, or a groupoid that fails
-``validate_groupoid``, takes one dense system over every arrow instead,
-which gives the same basis.
+A module is a functor out of the groupoid, so it is fixed by its values on
+generators: the isotropy group K_x at one base object x per connected
+component and one tree arrow per object.  ``validate_module`` checks the
+laws there only, and homomorphisms, the matrices intertwining two actions,
+are computed as Hom_{K_x}(M1·e_x, M2·e_x) on each component's base stalks
+and extended along the tree arrows (``hom_space_basis``).  A module that
+fails validation has no hom space: the hom functions raise ValueError
+naming the failed law.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from .algebra import AlgebraElement
-from .groupoid import ArrowId, FiniteGroupoid, ObjectId
+from .groupoid import ArrowId, FiniteGroupoid, ObjectId, validate_groupoid
 from .rings import (
     Matrix,
     Ring,
@@ -61,9 +61,12 @@ class GModule:
         return self.action[self.groupoid.unit[x]]
 
     @cached_property
-    def isotropy_frame(self) -> "IsotropyFrame | None":
-        """The module on its base stalks, or None when the isotropy
-        reduction does not apply (see ``_isotropy_frame``)."""
+    def isotropy_frame(self) -> "IsotropyFrame":
+        """The module on its base stalks; raises ValueError naming the first
+        law ``validate_module`` finds broken."""
+        failure = validate_module(self).first()
+        if failure is not None:
+            raise ValueError(f"module fails {failure}")
         return _isotropy_frame(self)
 
 
@@ -105,44 +108,75 @@ def act(m: GModule, v: Sequence[Scalar], f: AlgebraElement) -> tuple[Scalar, ...
 
 
 def validate_module(m: GModule) -> ValidationReport:
-    """Check unit, support, multiplicativity and invertibility laws."""
+    """Check the unit laws and the action on generators.
+
+    The unit actions must sum to the identity and satisfy E_x·E_y = 0 for
+    x declared before y, and the action must pass ``_generator_failures``.
+    Together these imply orthogonality both ways, support, multiplicativity
+    on every composable pair and invertibility (see ``_isotropy_frame``).
+    No check eliminates, so any ring with exact arithmetic works.
+    """
     failures: list[Failure] = []
     g, ring = m.groupoid, m.ring
-    ident = Matrix.identity(ring, m.rank)
-
     units = {x: m.unit_action(x) for x in g.objects}
     total = Matrix.zeros(ring, m.rank, m.rank)
-    for x in g.objects:
-        e = units[x]
-        if e @ e != e:
-            failures.append(Failure("unit idempotent", f"action of u({x!r}) is not idempotent"))
+    for e in units.values():
         total = total + e
-    if total != ident:
+    if total != Matrix.identity(ring, m.rank):
         failures.append(Failure("unit completeness", "unit actions do not sum to the identity"))
     for i, x in enumerate(g.objects):
         for y in g.objects[i + 1:]:
-            zero = Matrix.zeros(ring, m.rank, m.rank)
-            if units[x] @ units[y] != zero or units[y] @ units[x] != zero:
+            if not (units[x] @ units[y]).is_zero:
                 failures.append(Failure("unit orthogonality", f"u({x!r}) and u({y!r}) are not orthogonal"))
-
-    for a in g.arrows:
-        framed = units[g.dst[a]] @ m.action[a] @ units[g.src[a]]
-        if framed != m.action[a]:
-            failures.append(Failure("support", f"action of {a!r} is not framed by its endpoint units"))
-
-    for a, b in g.composable_pairs():
-        ab = g.compose.get((a, b))
-        if ab is None:
-            continue  # a groupoid defect, reported by validate_groupoid
-        if m.action[a] @ m.action[b] != m.action[ab]:
-            failures.append(Failure("multiplicativity", f"A[{a!r}] A[{b!r}] != A[{(ab)!r}]"))
-
-    for a in g.arrows:
-        back = m.action[a] @ m.action[g.inverse[a]]
-        if back != units[g.dst[a]]:
-            failures.append(Failure("invertibility", f"{a!r} is not inverted by {g.inverse[a]!r}"))
-
+    failures.extend(_generator_failures(g, m.action, "A"))
     return ValidationReport("module", tuple(failures))
+
+
+def _generator_failures(
+    g: FiniteGroupoid, family: Mapping[ArrowId, Matrix], name: str
+) -> list[Failure]:
+    """The functor laws of one matrix per arrow (a module's A, a sheaf's B)
+    on the generators of ``g.isotropy_plan``, law by law in declaration order:
+
+    - isotropy group law: X[k]·X[l] = X[kl] for k, l at each base object x;
+    - factorisation: X[a] = X[t_z]·X[loop a]·X[t_y⁻¹] for every a: y -> z;
+    - tree inverse: X[t_y⁻¹]·X[t_y] = X[u_x] for every object y but a base.
+
+    Witnesses name the matrices as ``name``[arrow].  A groupoid that fails
+    ``validate_groupoid`` has no plan and gives one ``groupoid`` failure
+    with that report's first failure as its witness.
+    """
+    plan = g.isotropy_plan
+    if plan is None:
+        return [Failure("groupoid", str(validate_groupoid(g).first()))]
+    failures: list[Failure] = []
+    for comp in plan.components:
+        loops = g.hom_set(comp[0], comp[0])
+        for k in loops:
+            for l in loops:
+                kl = g.compose[(k, l)]
+                if family[k] @ family[l] != family[kl]:
+                    failures.append(
+                        Failure("isotropy group law", f"{name}[{k!r}] {name}[{l!r}] != {name}[{kl!r}]")
+                    )
+    heads: dict[tuple[ArrowId, ArrowId], Matrix] = {}  # X[t_z]·X[k], shared by all sources
+    for a in g.arrows:
+        key = (plan.tree[g.dst[a]], plan.loop[a])
+        back = g.inverse[plan.tree[g.src[a]]]
+        if key not in heads:
+            heads[key] = family[key[0]] @ family[key[1]]
+        if heads[key] @ family[back] != family[a]:
+            failures.append(Failure(
+                "factorisation", f"{name}[{a!r}] != {name}[{key[0]!r}] {name}[{key[1]!r}] {name}[{back!r}]"
+            ))
+    for y in g.objects:
+        t = plan.tree[y]
+        if t == g.unit[y]:
+            continue  # a base object
+        back, u = g.inverse[t], g.unit[g.src[t]]
+        if family[back] @ family[t] != family[u]:
+            failures.append(Failure("tree inverse", f"{name}[{back!r}] {name}[{t!r}] != {name}[{u!r}]"))
+    return failures
 
 
 def validate_hom(h: GModuleHom) -> ValidationReport:
@@ -219,56 +253,38 @@ class IsotropyFrame(NamedTuple):
     drop: Mapping[ObjectId, Matrix]
 
 
-def _isotropy_frame(m: GModule) -> IsotropyFrame | None:
-    """The frame of ``m`` on its base stalks, or None when the reduction's
-    identities fail.
+def _isotropy_frame(m: GModule) -> IsotropyFrame:
+    """The frame of a module that passes ``validate_module``.
 
-    Over a groupoid that passes ``validate_groupoid``, the identities are:
-    the unit actions E_y sum to the identity; the base stalk ranks, counted
-    once per object of their component, sum to the rank; the isotropy arrows
-    at each base multiply (A[k]·A[l] = A[kl]); and every arrow a: y -> z
-    factors as A[a] = A[t_z]·A[loop a]·A[t_y⁻¹].  Together they imply every
-    law ``validate_module`` checks.  Factoring the units gives
-    E_y = A[t_y]·A[t_y⁻¹] with A[t_y] = A[t_y]·E_x, so rank E_y <= rank E_x;
-    as the E_y sum to the identity, the rank count forces equality and a
-    direct sum of their images, so the E_y are orthogonal idempotents and
-    A[t_y⁻¹]·A[t_y] = E_x.  The tree arrows are then isomorphisms between
-    the stalks, and support, products and inverses follow from the group
-    law at the base.  Each identity is needed: the tests hold a module that
+    Why the generator checks suffice: write E_y for the unit action at y, x
+    for the base of its component and k_a for loop a.  The factorisation of
+    u_y, t_y and t_y⁻¹ (each with loop u_x) gives E_y = A[t_y]·E_x·A[t_y⁻¹],
+    A[t_y] = A[t_y]·E_x and A[t_y⁻¹] = E_x·A[t_y⁻¹], and the group law at the
+    base gives A[k] = E_x·A[k] = A[k]·E_x.  For a: y -> z and b: w -> y,
+    loop(ab) = k_a·k_b, so with the tree inverse A[t_y⁻¹]·A[t_y] = E_x
+    A[a]·A[b] = A[t_z]·A[k_a]·E_x·A[k_b]·A[t_w⁻¹] = A[ab]: multiplicativity,
+    and with b = a⁻¹ invertibility; support is multiplicativity by the
+    endpoint units.  The same identities make each unit idempotent:
+    E_y·E_y = A[t_y]·E_x·E_x·E_x·A[t_y⁻¹] = E_y.  Orthogonality the other
+    way, E_y·E_w = 0 for w before y, follows by induction on y: from
+    E_y = E_y·ΣE_v, the sum of E_y·E_v over v before y is 0, and multiplying
+    it on the right by E_w leaves E_y·E_w.  Orthogonality and the tree
+    inverses stand in for a rank count, so no check needs elimination.
+    Each identity is needed: the tests hold, for each, a non-module that
     fails only that one.
     """
     g, ring, action = m.groupoid, m.ring, m.action
     plan = g.isotropy_plan
-    if plan is None:
-        return None
-    units = {x: m.unit_action(x) for x in g.objects}
-    total = Matrix.zeros(ring, m.rank, m.rank)
-    for e in units.values():
-        total = total + e
-    if total != Matrix.identity(ring, m.rank):
-        return None
-    for comp in plan.components:
-        loops = g.hom_set(comp[0], comp[0])
-        for k in loops:
-            if any(action[k] @ action[l] != action[g.compose[(k, l)]] for l in loops):
-                return None
-    heads: dict[tuple[ArrowId, ArrowId], Matrix] = {}  # A[t_z]·A[k], shared by all sources
-    for a in g.arrows:
-        key = (plan.tree[g.dst[a]], plan.loop[a])
-        if key not in heads:
-            heads[key] = action[key[0]] @ action[key[1]]
-        if heads[key] @ action[g.inverse[plan.tree[g.src[a]]]] != action[a]:
-            return None
-
     dims: dict[ObjectId, int] = {}
     loop_reps: dict[ObjectId, tuple[Matrix, ...]] = {}
     lift: dict[ObjectId, Matrix] = {}
     drop: dict[ObjectId, Matrix] = {}
     for comp in plan.components:
         base = comp[0]
-        p = image_basis(units[base])
+        unit = m.unit_action(base)
+        p = image_basis(unit)
         # each row of E_x lies in the row space (lattice) that p spans
-        coords = tuple(express_in_basis(p, row) for row in units[base].entries)
+        coords = tuple(express_in_basis(p, row) for row in unit.entries)
         q = Matrix(ring, m.rank, p.rows, coords)  # type: ignore[arg-type]
         dims[base] = p.rows
         loop_reps[base] = tuple(
@@ -277,8 +293,6 @@ def _isotropy_frame(m: GModule) -> IsotropyFrame | None:
         for y in comp:
             lift[y] = action[plan.tree[y]] @ q
             drop[y] = p @ action[g.inverse[plan.tree[y]]]
-    if sum(len(comp) * dims[comp[0]] for comp in plan.components) != m.rank:
-        return None
     return IsotropyFrame(dims, loop_reps, lift, drop)
 
 
@@ -294,13 +308,15 @@ def _commutant(
 
 def _base_commutants(
     m1: GModule, m2: GModule
-) -> list[tuple[tuple[ObjectId, ...], int, int, tuple[tuple[Scalar, ...], ...]]] | None:
+) -> list[tuple[tuple[ObjectId, ...], int, int, tuple[tuple[Scalar, ...], ...]]]:
     """Per component: its objects, the two base stalk ranks and a basis of
-    the intertwiners of the base isotropy actions; None when either module
-    declines the reduction."""
-    f1, f2 = m1.isotropy_frame, m2.isotropy_frame
+    the intertwiners of the base isotropy actions; empty when either module
+    has rank 0.  Every module of nonzero rank is validated."""
+    if m1.groupoid != m2.groupoid or m1.ring != m2.ring:
+        raise ValueError("hom space needs a common groupoid and ring")
+    f1, f2 = (m.isotropy_frame if m.rank else None for m in (m1, m2))
     if f1 is None or f2 is None:
-        return None
+        return []
     out = []
     for comp in m1.groupoid.isotropy_plan.components:
         base = comp[0]
@@ -308,11 +324,6 @@ def _base_commutants(
         pairs = tuple(zip(f1.loops[base], f2.loops[base]))
         out.append((comp, d1, d2, _commutant(m1.ring, d1, d2, pairs)))
     return out
-
-
-def _check_common(m1: GModule, m2: GModule) -> None:
-    if m1.groupoid != m2.groupoid or m1.ring != m2.ring:
-        raise ValueError("hom space needs a common groupoid and ring")
 
 
 def hom_space_basis(m1: GModule, m2: GModule) -> list[Matrix]:
@@ -325,44 +336,31 @@ def hom_space_basis(m1: GModule, m2: GModule) -> list[Matrix]:
     actions R1[k]·X = X·R2[k] at the base, and every such X extends to the
     intertwiner H = Σ_y A1[t_y]·Q1·X·P2·A2[t_y⁻¹] (see ``IsotropyFrame``).
     Only the non-unit isotropy arrows give equations, so for a pair
-    groupoid nothing is eliminated but the spanning intertwiners.
-
-    When the groupoid fails ``validate_groupoid`` or either module fails
-    the identities of ``isotropy_frame``, one dense system with one block
-    of equations A1[g]·H = H·A2[g] per arrow gives the same basis.
+    groupoid nothing is eliminated but the spanning intertwiners.  Raises
+    ValueError naming the failed law when a module of nonzero rank is
+    invalid.
     """
-    _check_common(m1, m2)
     ring, r1, r2 = m1.ring, m1.rank, m2.rank
-    if r1 * r2 == 0:
-        return []
     commutants = _base_commutants(m1, m2)
-    if commutants is None:
-        pairs = [(m1.action[a], m2.action[a]) for a in m1.groupoid.arrows]
-        rows = _commutant(ring, r1, r2, pairs)
-    else:
-        f1, f2 = m1.isotropy_frame, m2.isotropy_frame
-        spanning = []
-        for comp, d1, d2, basis in commutants:
-            for flat in basis:
-                x = split_blocks(ring, [(d1, d2)], flat)[0]
-                h = Matrix.zeros(ring, r1, r2)
-                for y in comp:
-                    h = h + f1.lift[y] @ x @ f2.drop[y]
-                spanning.append(tuple(v for row in h.entries for v in row))
-        rows = image_basis(Matrix(ring, len(spanning), r1 * r2, tuple(spanning))).entries
+    if not commutants:
+        return []
+    f1, f2 = m1.isotropy_frame, m2.isotropy_frame
+    spanning = []
+    for comp, d1, d2, basis in commutants:
+        for flat in basis:
+            x = split_blocks(ring, [(d1, d2)], flat)[0]
+            h = Matrix.zeros(ring, r1, r2)
+            for y in comp:
+                h = h + f1.lift[y] @ x @ f2.drop[y]
+            spanning.append(tuple(v for row in h.entries for v in row))
+    rows = image_basis(Matrix(ring, len(spanning), r1 * r2, tuple(spanning))).entries
     return [split_blocks(ring, [(r1, r2)], row)[0] for row in rows]
 
 
 def hom_space_dim(m1: GModule, m2: GModule) -> int:
-    """The dimension (rank over Z) of Hom(m1, m2); on the reduced path it is
-    read off the base commutants without building any intertwiner."""
-    _check_common(m1, m2)
-    if m1.rank == 0 or m2.rank == 0:
-        return 0
-    commutants = _base_commutants(m1, m2)
-    if commutants is None:
-        return len(hom_space_basis(m1, m2))
-    return sum(len(basis) for _, _, _, basis in commutants)
+    """The dimension (rank over Z) of Hom(m1, m2), read off the base
+    commutants without building any intertwiner."""
+    return sum(len(basis) for _, _, _, basis in _base_commutants(m1, m2))
 
 
 def random_hom(m1: GModule, m2: GModule, rng: Any) -> GModuleHom:

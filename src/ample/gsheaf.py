@@ -6,6 +6,10 @@ object and, for each arrow g, a map from the stalk at the target of g to
 the stalk at its source (the right action of g on germs).  Transports
 compose contravariantly, (e g) h = e (gh), and units act as identities.
 
+Like a module, a sheaf is a functor out of the groupoid, so
+``validate_sheaf`` checks the transports on the same generators as
+``validate_module``: the base isotropy groups and one tree arrow per object.
+
 Morphisms are per-object matrices equivariant for the transports.  The
 morphism space is solved as one linear system with one block of unknowns
 per object and one block of equations per arrow, built by
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from .gmodule import _small_scalar
+from .gmodule import _generator_failures, _small_scalar
 from .groupoid import ArrowId, FiniteGroupoid, ObjectId
 from .rings import (
     Matrix,
@@ -94,25 +98,17 @@ def apply_transport(e: GSheaf, vector: Sequence[Scalar], a: ArrowId) -> tuple[Sc
 
 
 def validate_sheaf(e: GSheaf) -> ValidationReport:
-    failures: list[Failure] = []
+    """Check that unit transports are identities and that the transports
+    pass the generator checks modules use (``gmodule._generator_failures``);
+    together these imply composition on every composable pair and
+    invertibility, by the argument of ``gmodule._isotropy_frame``."""
     g = e.groupoid
-
-    for x in g.objects:
-        if not e.transport[g.unit[x]].is_identity:
-            failures.append(Failure("unit transport", f"transport of u({x!r}) is not the identity"))
-
-    for a, b in g.composable_pairs():
-        ab = g.compose.get((a, b))
-        if ab is None:
-            continue
-        if e.transport[a] @ e.transport[b] != e.transport[ab]:
-            failures.append(Failure("composition", f"B[{a!r}] B[{b!r}] != B[{ab!r}]"))
-
-    for a in g.arrows:
-        product = e.transport[a] @ e.transport[g.inverse[a]]
-        if not product.is_identity:
-            failures.append(Failure("invertibility", f"B[{a!r}] B[{g.inverse[a]!r}] != identity"))
-
+    failures = [
+        Failure("unit transport", f"transport of u({x!r}) is not the identity")
+        for x in g.objects
+        if not e.transport[g.unit[x]].is_identity
+    ]
+    failures.extend(_generator_failures(g, e.transport, "B"))
     return ValidationReport("sheaf", tuple(failures))
 
 

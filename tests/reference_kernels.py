@@ -6,8 +6,9 @@ linear algebra ``ample.rings`` ran before its inner loops became native
 ``int``/``Fraction`` arithmetic; ``tests/test_kernel_oracle.py`` checks the
 fast paths against it.  ``kernel_basis``, ``solve_row_system`` and
 ``matrix_inverse`` are the library's compositions rebuilt on these kernels;
-``hom_constraint`` and ``sheaf_hom_constraint`` are the generic constraint
-grid fills of the two hom-space solvers as they were before both moved onto
+``hom_constraint`` is the module hom system with one block of equations per
+arrow, and ``sheaf_hom_constraint`` the grid ``gsheaf.sheaf_hom_basis``
+eliminates, both filled entry by entry as they were before
 ``rings.intertwiner_constraints``; ``intertwiner_constraints`` builds that
 system a second way, by evaluating L·X_u - X_v·R on each unit unknown.
 ``sheaf_hom_basis`` and ``random_sheaf_hom`` are the sheaf morphism basis
@@ -22,6 +23,9 @@ arrow (``unique_preimage``).  ``composable_pairs``, ``validate_groupoid``
 and ``enumerate_bisections`` are the groupoid scans as they were before they
 read the endpoint indices: an all-pairs scan for composability and the
 axioms, and a test of every arrow subset for bisections.
+``validate_module`` and ``validate_sheaf`` are the module and sheaf
+validators as they were before they checked generators only: every law on
+every arrow and every composable pair.
 """
 from __future__ import annotations
 
@@ -208,7 +212,7 @@ def matrix_inverse(a: Matrix) -> Matrix | None:
 
 
 def hom_constraint(m1: Any, m2: Any) -> Matrix:
-    """The constraint matrix of ``gmodule.hom_space_basis``'s dense path."""
+    """The constraint matrix of Hom(m1, m2): A1[g]·H = H·A2[g] for every arrow g."""
     ring = m1.ring
     r1, r2 = m1.rank, m2.rank
     unknowns = r1 * r2
@@ -471,6 +475,73 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
                 failures.append(Failure("associativity", f"(({a!r}{b!r}){c!r}) != ({a!r}({b!r}{c!r}))"))
 
     return ValidationReport("groupoid", tuple(failures))
+
+
+def validate_module(m: Any) -> ValidationReport:
+    """``gmodule.validate_module`` as it was: unit, support,
+    multiplicativity on every composable pair, and invertibility laws."""
+    failures: list[Failure] = []
+    g, ring = m.groupoid, m.ring
+    ident = Matrix.identity(ring, m.rank)
+
+    units = {x: m.unit_action(x) for x in g.objects}
+    total = Matrix.zeros(ring, m.rank, m.rank)
+    for x in g.objects:
+        e = units[x]
+        if e @ e != e:
+            failures.append(Failure("unit idempotent", f"action of u({x!r}) is not idempotent"))
+        total = total + e
+    if total != ident:
+        failures.append(Failure("unit completeness", "unit actions do not sum to the identity"))
+    for i, x in enumerate(g.objects):
+        for y in g.objects[i + 1:]:
+            zero = Matrix.zeros(ring, m.rank, m.rank)
+            if units[x] @ units[y] != zero or units[y] @ units[x] != zero:
+                failures.append(Failure("unit orthogonality", f"u({x!r}) and u({y!r}) are not orthogonal"))
+
+    for a in g.arrows:
+        framed = units[g.dst[a]] @ m.action[a] @ units[g.src[a]]
+        if framed != m.action[a]:
+            failures.append(Failure("support", f"action of {a!r} is not framed by its endpoint units"))
+
+    for a, b in g.composable_pairs():
+        ab = g.compose.get((a, b))
+        if ab is None:
+            continue  # a groupoid defect, reported by validate_groupoid
+        if m.action[a] @ m.action[b] != m.action[ab]:
+            failures.append(Failure("multiplicativity", f"A[{a!r}] A[{b!r}] != A[{(ab)!r}]"))
+
+    for a in g.arrows:
+        back = m.action[a] @ m.action[g.inverse[a]]
+        if back != units[g.dst[a]]:
+            failures.append(Failure("invertibility", f"{a!r} is not inverted by {g.inverse[a]!r}"))
+
+    return ValidationReport("module", tuple(failures))
+
+
+def validate_sheaf(e: Any) -> ValidationReport:
+    """``gsheaf.validate_sheaf`` as it was: unit transports, composition
+    on every composable pair, and invertibility."""
+    failures: list[Failure] = []
+    g = e.groupoid
+
+    for x in g.objects:
+        if not e.transport[g.unit[x]].is_identity:
+            failures.append(Failure("unit transport", f"transport of u({x!r}) is not the identity"))
+
+    for a, b in g.composable_pairs():
+        ab = g.compose.get((a, b))
+        if ab is None:
+            continue
+        if e.transport[a] @ e.transport[b] != e.transport[ab]:
+            failures.append(Failure("composition", f"B[{a!r}] B[{b!r}] != B[{ab!r}]"))
+
+    for a in g.arrows:
+        product = e.transport[a] @ e.transport[g.inverse[a]]
+        if not product.is_identity:
+            failures.append(Failure("invertibility", f"B[{a!r}] B[{g.inverse[a]!r}] != identity"))
+
+    return ValidationReport("sheaf", tuple(failures))
 
 
 def enumerate_bisections(g: FiniteGroupoid) -> list[Bisection]:

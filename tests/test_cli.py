@@ -75,6 +75,30 @@ def test_referential_error_names_the_id():
     assert err.value.path.startswith("compose")
 
 
+@pytest.mark.parametrize(
+    "compose, message",
+    [
+        ([["e", "e", "e"], ["e", None, "e"]],
+         "compose[1]: expected an id string, got None (hint: ids are strings or integers)"),
+        ([["e", "e", 1.5]],
+         "compose[0]: expected an id string, got 1.5 (hint: ids are strings or integers)"),
+        ([[7, "e", "e"]], "compose[0]: unknown arrow id '7' (hint: declare the arrow in 'arrows')"),
+    ],
+)
+def test_compose_entry_errors_name_the_entry(compose, message):
+    bad = {
+        "kind": "groupoid",
+        "objects": ["x"],
+        "arrows": [{"id": "e", "src": "x", "dst": "x"}],
+        "units": {"x": "e"},
+        "inv": {"e": "e"},
+        "compose": compose,
+    }
+    with pytest.raises(ParseError) as err:
+        parse_document(json.dumps(bad))
+    assert str(err.value) == f"<document>:#{message}"
+
+
 def test_syntax_error_has_line_and_column():
     with pytest.raises(ParseError) as err:
         parse_document("{\n  \"kind\": }")
@@ -203,7 +227,23 @@ def test_validate_broken_module_document(tmp_path, corpus):
     target.write_text(json.dumps(payload))
     code, text = run_command(["validate", str(target)])
     assert code == 1
-    assert "support" in text
+    assert "factorisation: A['(1,2)'] != A['(1,1)'] A['(1,1)'] A['(1,2)']" in text
+
+
+@pytest.mark.parametrize("name", ["module-p2-regular.json", "sheaf-p2-constant.json"])
+def test_validate_document_over_a_broken_groupoid(tmp_path, corpus, name):
+    # the generator checks need the groupoid's isotropy plan; without one the
+    # report carries the groupoid's first failure instead of raising
+    groupoid = json.loads((corpus / "p2.json").read_text())
+    groupoid["inv"]["(1,2)"] = "(1,2)"
+    payload = json.loads((corpus / name).read_text())
+    payload["groupoid"] = groupoid
+    target = tmp_path / name
+    target.write_text(json.dumps(payload))
+    code, text = run_command(["validate", str(target)])
+    kind = payload["kind"]
+    assert code == 1
+    assert text == f"{kind}: FAIL\n  groupoid: inverse law: g='(1,2)': inverse has wrong endpoints"
 
 
 def test_validate_cyclic_graph(tmp_path):

@@ -124,7 +124,8 @@ def test_unsupported_action_fails_support_law(p2):
     broken = GModule(p2, Q, 4, tampered)
     report = validate_module(broken)
     assert not report.ok
-    assert report.first().law == "support"
+    assert report.first().law == "factorisation"
+    assert report.first().witness == "A['(1,2)'] != A['(1,1)'] A['(1,1)'] A['(1,2)']"
 
 
 def test_broken_units_fail(p2):
@@ -134,7 +135,8 @@ def test_broken_units_fail(p2):
     broken = GModule(p2, Q, 4, tampered)
     report = validate_module(broken)
     assert not report.ok
-    assert report.first().law in ("unit completeness", "unit orthogonality")
+    assert report.first().law == "unit completeness"
+    assert "unit orthogonality" in {f.law for f in report.failures}
 
 
 # -- homomorphisms -----------------------------------------------------------------

@@ -46,7 +46,10 @@ def test_broken_composition_is_witnessed(p2):
     broken = GSheaf(p2, Q, e.stalk_rank, tampered)
     report = validate_sheaf(broken)
     assert not report.ok
-    assert report.first().law == "composition"
+    assert [(f.law, f.witness) for f in report.failures] == [
+        ("factorisation", "B['(2,2)'] != B['(2,1)'] B['(1,1)'] B['(1,2)']"),
+        ("tree inverse", "B['(1,2)'] B['(2,1)'] != B['(1,1)']"),
+    ]
 
 
 def test_shape_mismatch_raises(p2):

@@ -1,16 +1,19 @@
-"""Isotropy-reduced hom spaces against the dense system over every arrow.
+"""Generator checks and isotropy-reduced hom spaces against all-arrow oracles.
 
 ``hom_space_basis`` and ``hom_space_dim`` solve on the base stalks of each
-connected component and extend along the tree arrows;
+connected component and extend along the tree arrows; the oracle
 ``kernel_basis(ref.hom_constraint(m1, m2))`` solves one block of equations
 per arrow.  Both must give the same canonical basis, entry for entry, over
-every ring.  A module that breaks one identity of the reduction must take
-the dense system and still give its result.
+every ring.  ``validate_module`` and ``validate_sheaf`` check the laws on
+the generators only; ``ref.validate_module`` and ``ref.validate_sheaf``
+check every composable pair, and both must give the same verdict.  A module
+that breaks one generator identity is not a module, and the hom functions
+reject it with a ValueError naming that identity.
 """
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import islice, permutations, product
 
 import pytest
 
@@ -21,6 +24,7 @@ from ample.builders import (
     pair_groupoid,
     random_invertible,
     random_module,
+    random_sheaf,
 )
 from ample.equivalence import gamma_c
 from ample.gmodule import (
@@ -31,7 +35,7 @@ from ample.gmodule import (
     regular_module,
     validate_module,
 )
-from ample.gsheaf import GSheaf
+from ample.gsheaf import GSheaf, constant_sheaf, validate_sheaf
 from ample.rings import INTEGERS, RATIONALS, Matrix, kernel_basis, matrix_inverse, modular
 
 # The dense Q reference is the slow side: a rank-6 pair over an 18-arrow
@@ -159,7 +163,7 @@ def test_reduced_hom_spaces_match_dense(groupoids, name, ring):
         mods = modules_for(g, ring, extra_modules(name, g, ring))
     assert mods, "every case needs a nonzero module"
     for m in mods:
-        assert m.isotropy_frame is not None, "a valid module must take the reduced path"
+        assert validate_module(m).ok
     for m1 in mods:
         for m2 in mods:
             assert_agrees(m1, m2)
@@ -175,37 +179,58 @@ def test_s3_cases_exercise_nonabelian_isotropy(groupoids):
     assert hom_space_dim(sgn, sgn) == 1
 
 
+def bumped(family, arrow):
+    """One matrix per arrow, with 1 added to the top right entry at ``arrow``."""
+    out = dict(family)
+    rows = [list(r) for r in out[arrow].entries]
+    rows[0][-1] += 1
+    out[arrow] = Matrix.from_rows(out[arrow].ring, rows)
+    return out
+
+
 def perturbed(m: GModule, arrow) -> GModule:
-    action = dict(m.action)
-    a = action[arrow]
-    rows = [list(r) for r in a.entries]
-    rows[0][m.rank - 1] += 1
-    action[arrow] = Matrix.from_rows(m.ring, rows)
-    return GModule(m.groupoid, m.ring, m.rank, action)
+    return GModule(m.groupoid, m.ring, m.rank, bumped(m.action, arrow))
 
 
 def arrow_roles(g):
+    """One arrow for each role the groupoid has: a unit (off the base when
+    there is another object), the first tree arrow and its inverse, a
+    non-unit isotropy arrow at a base, and an arrow of none of these kinds."""
     plan = g.isotropy_plan
-    base = plan.components[0][0]
-    other = plan.components[0][1]
-    tree = plan.tree[other]
-    loop = next(k for k in g.hom_set(base, base) if k != g.unit[base])
-    fixed = {tree, g.inverse[tree]} | set(g.unit.values()) | set(g.hom_set(base, base))
-    ordinary = next(a for a in g.arrows if a not in fixed)
-    return {"unit": g.unit[other], "tree": tree, "isotropy": loop, "ordinary": ordinary}
+    bases = [comp[0] for comp in plan.components]
+    trees = [plan.tree[y] for y in g.objects if y not in bases]
+    loops = [k for x in bases for k in g.hom_set(x, x)]
+    roles = {"unit": g.unit[next((y for y in g.objects if y not in bases), bases[0])]}
+    if trees:
+        roles["tree"], roles["tree inverse"] = trees[0], g.inverse[trees[0]]
+    isotropy = [k for k in loops if not g.is_unit_arrow(k)]
+    if isotropy:
+        roles["isotropy"] = isotropy[0]
+    fixed = {*trees, *(g.inverse[t] for t in trees), *g.unit.values(), *loops}
+    ordinary = [a for a in g.arrows if a not in fixed]
+    if ordinary:
+        roles["ordinary"] = ordinary[0]
+    return roles
+
+
+def assert_rejected(m: GModule, other: GModule) -> None:
+    law = validate_module(m).first().law
+    zero = GModule(m.groupoid, m.ring, 0, {a: Matrix.zeros(m.ring, 0, 0) for a in m.groupoid.arrows})
+    for m1, m2 in ((m, other), (other, m), (m, m), (m, zero), (zero, m)):
+        for hom_space in (hom_space_basis, hom_space_dim):
+            with pytest.raises(ValueError, match=f"module fails {law}: "):
+                hom_space(m1, m2)
 
 
 @pytest.mark.parametrize("ring", (RATIONALS, modular(5)), ids=lambda r: r.name)
-@pytest.mark.parametrize("role", ("unit", "tree", "isotropy", "ordinary"))
-def test_broken_modules_take_the_dense_path(groupoids, ring, role):
+@pytest.mark.parametrize("role", ("unit", "tree", "tree inverse", "isotropy", "ordinary"))
+def test_broken_modules_are_rejected(groupoids, ring, role):
     g = groupoids["s3_points"]
     good = sign_module(g, ring, 3)
-    other = modules_for(g, ring)[0]
     bad = perturbed(good, arrow_roles(g)[role])
     assert not validate_module(bad).ok
-    assert bad.isotropy_frame is None
-    for m1, m2 in ((bad, good), (good, bad), (bad, other), (bad, bad)):
-        assert_agrees(m1, m2)
+    assert not ref.validate_module(bad).ok
+    assert_rejected(bad, good)
 
 
 def constant_module(g, ring, entry_of):
@@ -213,20 +238,84 @@ def constant_module(g, ring, entry_of):
 
 
 def test_each_identity_of_the_reduction_is_needed(groupoids):
-    """Each module breaks exactly one identity of ``isotropy_frame`` and no
-    other, and is not a module; each must take the dense system.  The
-    factorisation identity is the one the perturbed arrows above break."""
+    """Each module breaks exactly one generator identity and no other, and is
+    not a module by the all-pairs oracle; the hom functions reject each."""
     p2, p3, z2 = groupoids["p2"], groupoids["p3"], groupoids["z2"]
-    line = [[1, 0], [0, 0]]
+    e1, e2 = [[1, 0], [0, 0]], [[0, 0], [0, 1]]
     cases = {
-        # both objects act on one line: units sum to 2·E, not to I
-        "unit sum": constant_module(p2, RATIONALS, lambda a: line),
-        # over F2 three unit actions equal to 1 sum to 1, on rank 1 < 3 · 1
-        "rank count": constant_module(p3, modular(2), lambda a: [[1]]),
+        # every arrow acts by 0: the units sum to 0, not to I
+        "unit completeness": constant_module(p2, RATIONALS, lambda a: [[0]]),
+        # over F2 three unit actions equal to 1 sum to 1, but overlap
+        "unit orthogonality": constant_module(p3, modular(2), lambda a: [[1]]),
         # g acts by 2, so A[g]·A[g] = 4 != A[e]
-        "group law": constant_module(z2, RATIONALS, lambda a: [[2 if a == "g" else 1]]),
+        "isotropy group law": constant_module(z2, RATIONALS, lambda a: [[2 if a == "g" else 1]]),
+        # both tree arrows act by E1, so A[t]·E1·A[t⁻¹] = E1 != A[u(2)] = E2
+        "factorisation": constant_module(p2, RATIONALS, lambda a: e2 if a == "(2,2)" else e1),
+        # the tree arrows act by 0, so A[t⁻¹]·A[t] = 0 != A[u(1)] = 1
+        "tree inverse": constant_module(p2, RATIONALS, lambda a: [[1 if a == "(1,1)" else 0]]),
     }
     for law, m in cases.items():
-        assert not validate_module(m).ok, law
-        assert m.isotropy_frame is None, law
-        assert_agrees(m, m)
+        assert {f.law for f in validate_module(m).failures} == {law}, law
+        assert not ref.validate_module(m).ok, law
+        assert_rejected(m, m)
+
+
+# -- the generator checks against the all-pairs oracle ---------------------------
+
+
+def oracle_inputs(name, g, ring):
+    """The valid modules and sheaves of one case, each also with one entry
+    perturbed on every arrow role."""
+    modules = modules_for(g, ring, extra_modules(name, g, ring), limit=3)
+    sheaves = [constant_sheaf(g, ring, 1)]
+    drawn = (random_sheaf(g, ring, 2, seed) for seed in range(3))
+    sheaves += [e for e in drawn if min(e.stalk_rank.values()) > 0]
+    roles = arrow_roles(g).values()
+    modules += [perturbed(m, a) for m in list(modules) for a in roles]
+    sheaves += [GSheaf(g, ring, e.stalk_rank, bumped(e.transport, a)) for e in list(sheaves) for a in roles]
+    return modules, sheaves
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+@pytest.mark.parametrize("name", GROUPOIDS)
+def test_generator_checks_agree_with_all_pairs_oracle(groupoids, name, ring):
+    g = groupoids[name]
+    modules, sheaves = oracle_inputs(name, g, ring)
+    got = [validate_module(m).ok for m in modules] + [validate_sheaf(e).ok for e in sheaves]
+    want = [ref.validate_module(m).ok for m in modules] + [ref.validate_sheaf(e).ok for e in sheaves]
+    assert got == want
+    assert set(got) == {True, False}
+
+
+def families(g, ring, rank):
+    """Every assignment of a rank x rank matrix over a finite ring to each arrow."""
+    values = [ring.coerce(v) for v in range(ring.modulus)]
+    for flat in product(values, repeat=len(g.arrows) * rank * rank):
+        cells = iter(flat)
+        yield {
+            a: Matrix(ring, rank, rank, tuple(tuple(islice(cells, rank)) for _ in range(rank)))
+            for a in g.arrows
+        }
+
+
+# (groupoid, rank, ring); modules run on all but z3, sheaves on all
+EXHAUSTIVE = (
+    ("p2", 1, modular(2)), ("p2", 1, modular(3)), ("p2", 1, modular(4)), ("p2", 1, modular(6)),
+    ("p3", 1, modular(2)), ("z2", 2, modular(2)), ("z2", 2, modular(3)),
+    ("z3", 1, modular(3)), ("z3", 2, modular(2)),
+)
+
+
+@pytest.mark.parametrize("name, rank, ring", EXHAUSTIVE, ids=lambda v: getattr(v, "name", str(v)))
+def test_generator_checks_agree_with_all_pairs_oracle_exhaustively(groupoids, name, rank, ring):
+    g = groupoids[name]
+    accepted = 0
+    for family in families(g, ring, rank):
+        if name != "z3":
+            m = GModule(g, ring, rank, family)
+            assert validate_module(m).ok == ref.validate_module(m).ok, family
+        e = GSheaf(g, ring, {x: rank for x in g.objects}, family)
+        ok = validate_sheaf(e).ok
+        assert ok == ref.validate_sheaf(e).ok, family
+        accepted += ok
+    assert accepted > 0

@@ -320,9 +320,9 @@ SHEAF_GROUPOIDS = ("p2", "z2", "z2_action", "edge_groupoid", "two_component_grou
 def test_hom_space_constraints_match_reference(ring, groupoid, seeds, request, monkeypatch):
     """The native grid fills build the same canonical constraint matrices.
 
-    ``hom_space_basis`` mostly solves on base stalks, so the module grid is
-    built by calling the shared helper directly on every arrow's pair of
-    actions, the system its dense path solves."""
+    ``hom_space_basis`` solves on base stalks, so the module grid is built
+    by calling the shared helper directly on every arrow's pair of actions,
+    the system ``ref.hom_constraint`` fills."""
     g = request.getfixturevalue(groupoid)
     m1, m2 = (random_module(g, ring, 2, s) for s in seeds)
     pairs = [(m1.action[a], m2.action[a]) for a in g.arrows]
