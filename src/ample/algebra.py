@@ -228,22 +228,12 @@ def corner_algebra(g: FiniteGroupoid, points: Iterable[ObjectId], ring: Ring) ->
 
 @dataclass(frozen=True)
 class StructureTable:
-    """Products of all arrow singletons; each cell is an arrow id or None."""
+    """Products of all arrow singletons; each cell is an arrow id or None,
+    keyed (a, b) in row-major declaration order of the arrows."""
 
     groupoid: FiniteGroupoid
     ring: Ring
     cells: Mapping[tuple[ArrowId, ArrowId], ArrowId | None]
-
-    def to_tsv(self) -> str:
-        arrows = self.groupoid.arrows
-        lines = ["\t".join(["*"] + [str(a) for a in arrows])]
-        for a in arrows:
-            row = [str(a)]
-            for b in arrows:
-                cell = self.cells[(a, b)]
-                row.append("0" if cell is None else str(cell))
-            lines.append("\t".join(row))
-        return "\n".join(lines) + "\n"
 
 
 def multiplication_table(g: FiniteGroupoid, ring: Ring, guard: int = TABLE_GUARD) -> StructureTable:

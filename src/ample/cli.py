@@ -2,20 +2,23 @@
 equivalence / Morita verification reports.
 
 Commands: validate, table, bisections, equivalence, morita, examples.
-Reports are plain text by default; ``--out json`` switches to a
-machine-readable certificate document.  Both forms are byte-reproducible
-for fixed inputs and seeds.  Exit codes: 0 all checks passed, 1 a check or
-input file failed, 2 usage error.
+Each command returns a ``Report``: its status, its text lines and its JSON
+payload.  ``run_command`` alone renders it: plain text by default, the
+machine-readable certificate document under ``--out json`` (``examples``
+has no JSON form and prints its text either way).  Both forms are
+byte-reproducible for fixed inputs and seeds.  Exit codes: 0 all checks
+passed, 1 a check or input file failed, 2 usage error.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import random
 import sys
-from typing import Any, Callable
+from dataclasses import dataclass
+from itertools import islice
+from typing import Any, Callable, Literal
 
 from . import builders
 from .algebra import multiplication_table
@@ -36,11 +39,20 @@ from .groupoid import FiniteGroupoid, SizeGuardError, enumerate_bisections, vali
 from .gsheaf import validate_sheaf
 from .morita import validate_functor, validate_span, verify_morita
 from .rings import Ring, ring_from_name
-from .validation import ValidationReport
+from .validation import Failure, ValidationReport
 
 
 class UsageError(Exception):
     pass
+
+
+@dataclass(frozen=True)
+class Report:
+    """What one command found; ``payload`` is None for a command with no JSON form."""
+
+    status: Literal["pass", "fail", "rejected"]
+    lines: list[str]
+    payload: dict[str, Any] | None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,7 +136,7 @@ def run_command(argv: list[str]) -> tuple[int, str]:
         "examples": _cmd_examples,
     }[args.command]
     try:
-        return handler(args, ring)
+        report = handler(args, ring)
     except ParseError as exc:
         return 1, exc.describe()
     except SizeGuardError as exc:  # only table and bisections enumerate exhaustively
@@ -132,6 +144,10 @@ def run_command(argv: list[str]) -> tuple[int, str]:
         return 1, ParseError(str(exc), hint=hint, source=args.file).describe()
     except UsageError as exc:
         return 2, f"usage error: {exc}"
+    code = 0 if report.status == "pass" else 1
+    if args.out == "json" and report.payload is not None:
+        return code, dump_payload(report.payload).rstrip("\n")
+    return code, "\n".join(report.lines)
 
 
 def main() -> None:
@@ -160,44 +176,43 @@ def _summary(kind: str, value: Any) -> str:
     return ""
 
 
-def _validate_parsed(doc: ParsedDocument) -> ValidationReport:
+def _groupoid_report(doc: ParsedDocument) -> tuple[FiniteGroupoid | None, ValidationReport]:
+    """The groupoid of a groupoid or graph document and its axiom report; a
+    cyclic graph has no groupoid and fails ``acyclicity``."""
     if doc.kind == "groupoid":
-        return validate_groupoid(doc.value)
-    if doc.kind == "module":
-        return validate_module(doc.value)
-    if doc.kind == "sheaf":
-        return validate_sheaf(doc.value)
-    if doc.kind == "functor":
-        return validate_functor(doc.value)
-    if doc.kind == "span":
-        return validate_span(doc.value)
-    if doc.kind == "graph":
-        try:
-            groupoid = builders.acyclic_graph_groupoid(doc.value)
-        except ValueError as exc:
-            from .validation import Failure
-
-            return ValidationReport("graph", (Failure("acyclicity", str(exc)),))
-        return validate_groupoid(groupoid)
-    raise AssertionError(doc.kind)
+        return doc.value, validate_groupoid(doc.value)
+    try:
+        groupoid = builders.acyclic_graph_groupoid(doc.value)
+    except ValueError as exc:
+        return None, ValidationReport("graph", (Failure("acyclicity", str(exc)),))
+    return groupoid, validate_groupoid(groupoid)
 
 
-def _cmd_validate(args: argparse.Namespace, ring: Ring) -> tuple[int, str]:
+_VALIDATORS = {
+    "module": validate_module, "sheaf": validate_sheaf, "functor": validate_functor, "span": validate_span,
+}
+
+
+def _cmd_validate(args: argparse.Namespace, ring: Ring) -> Report:
     doc = load_document(args.file)
-    report = _validate_parsed(doc)
-    if args.out == "json":
-        payload = {
-            "command": "validate",
-            "kind": doc.kind,
-            "summary": _summary(doc.kind, doc.value),
-            "result": "pass" if report.ok else "fail",
-            "failures": [{"law": f.law, "witness": f.witness} for f in report.failures],
-        }
-        return (0 if report.ok else 1), dump_payload(payload).rstrip("\n")
+    if doc.kind in ("groupoid", "graph"):
+        report = _groupoid_report(doc)[1]
+    else:
+        report = _VALIDATORS[doc.kind](doc.value)
+    summary = _summary(doc.kind, doc.value)
+    status = "pass" if report.ok else "fail"
     if report.ok:
-        return 0, f"{doc.kind}: PASS ({_summary(doc.kind, doc.value)})"
-    lines = [f"{doc.kind}: FAIL"] + [f"  {f}" for f in report.failures]
-    return 1, "\n".join(lines)
+        lines = [f"{doc.kind}: PASS ({summary})"]
+    else:
+        lines = [f"{doc.kind}: FAIL"] + [f"  {f}" for f in report.failures]
+    payload = {
+        "command": "validate",
+        "kind": doc.kind,
+        "summary": summary,
+        "result": status,
+        "failures": [{"law": f.law, "witness": f.witness} for f in report.failures],
+    }
+    return Report(status, lines, payload)
 
 
 # -- groupoid-consuming commands ---------------------------------------------------
@@ -205,53 +220,45 @@ def _cmd_validate(args: argparse.Namespace, ring: Ring) -> tuple[int, str]:
 
 def _groupoid_from_file(path: str) -> FiniteGroupoid:
     doc = load_document(path)
-    if doc.kind == "graph":
-        groupoid = builders.acyclic_graph_groupoid(doc.value)
-    elif doc.kind == "groupoid":
-        groupoid = doc.value
-    else:
+    if doc.kind not in ("groupoid", "graph"):
         raise UsageError(f"{path} is a {doc.kind} document; expected groupoid or graph")
-    report = validate_groupoid(groupoid)
-    if not report.ok:
+    groupoid, report = _groupoid_report(doc)
+    if groupoid is None or not report.ok:
         raise ParseError(
-            f"groupoid axioms fail: {report.first()}",
+            f"{report.subject} axioms fail: {report.first()}",
             hint="run the validate command for the full report",
             source=path,
         )
     return groupoid
 
 
-def _cmd_table(args: argparse.Namespace, ring: Ring) -> tuple[int, str]:
+def _cmd_table(args: argparse.Namespace, ring: Ring) -> Report:
     groupoid = _groupoid_from_file(args.file)
-    table = multiplication_table(groupoid, ring)
-    if args.out == "json":
-        payload = {
-            "command": "table",
-            "arrows": list(groupoid.arrows),
-            "cells": {f"{a}|{b}": table.cells[(a, b)] for a in groupoid.arrows for b in groupoid.arrows},
-        }
-        return 0, dump_payload(payload).rstrip("\n")
-    return 0, table.to_tsv().rstrip("\n")
+    arrows = groupoid.arrows
+    cells = {f"{a}|{b}": c for (a, b), c in multiplication_table(groupoid, ring).cells.items()}
+    # The text rows read the map in its row-major order, len(arrows) cells a row.
+    text = iter(["0" if c is None else str(c) for c in cells.values()])
+    lines = ["\t".join(["*", *map(str, arrows)])]
+    lines += ["\t".join([str(a), *islice(text, len(arrows))]) for a in arrows]
+    return Report("pass", lines, {"command": "table", "arrows": list(arrows), "cells": cells})
 
 
-def _cmd_bisections(args: argparse.Namespace, ring: Ring) -> tuple[int, str]:
+def _cmd_bisections(args: argparse.Namespace, ring: Ring) -> Report:
     groupoid = _groupoid_from_file(args.file)
     found = enumerate_bisections(groupoid)
-    if args.out == "json":
-        payload = {
-            "command": "bisections",
-            "count": len(found),
-            "bisections": [list(u.arrows) for u in found],
-        }
-        return 0, dump_payload(payload).rstrip("\n")
     lines = [f"bisections: {len(found)}"] + [u.label() for u in found]
-    return 0, "\n".join(lines)
+    payload = {
+        "command": "bisections",
+        "count": len(found),
+        "bisections": [list(u.arrows) for u in found],
+    }
+    return Report("pass", lines, payload)
 
 
 # -- equivalence -----------------------------------------------------------------
 
 
-def _cmd_equivalence(args: argparse.Namespace, ring: Ring) -> tuple[int, str]:
+def _cmd_equivalence(args: argparse.Namespace, ring: Ring) -> Report:
     if not ring.supports_elimination:
         raise UsageError(f"ring {ring.name} has a composite modulus; use Q, Z or Fp:<p>")
     groupoid = _groupoid_from_file(args.groupoid)
@@ -268,29 +275,25 @@ def _cmd_equivalence(args: argparse.Namespace, ring: Ring) -> tuple[int, str]:
         seed = rng.randrange(2**32)
         module = builders.random_module(groupoid, ring, args.max_rank, seed)
         result = eta(module)
+        ok = ok and result.ok
+        records["eta"].append(
+            {"index": i, "seed": seed, "rank": module.rank, "result": "pass" if result.ok else "fail"}
+        )
         if result.ok:
-            stalks = ",".join(
-                str(result.sheafification.sheaf.stalk_rank[x]) for x in groupoid.objects
-            )
+            stalks = ",".join(str(result.sheafification.sheaf.stalk_rank[x]) for x in groupoid.objects)
             lines.append(f"eta[{i:02d}] seed={seed} rank={module.rank} stalks={stalks} : PASS")
-            records["eta"].append({"index": i, "seed": seed, "rank": module.rank, "result": "pass"})
         else:
-            ok = False
             lines.append(f"eta[{i:02d}] seed={seed} rank={module.rank} : FAIL ({result})")
-            records["eta"].append({"index": i, "seed": seed, "rank": module.rank, "result": "fail"})
 
     for i in range(args.samples):
         seed = rng.randrange(2**32)
         sheaf = builders.random_sheaf(groupoid, ring, args.max_rank, seed)
         result = epsilon(sheaf)
         stalks = ",".join(str(sheaf.stalk_rank[x]) for x in groupoid.objects)
-        if result.ok:
-            lines.append(f"epsilon[{i:02d}] seed={seed} stalks={stalks} : PASS")
-            records["epsilon"].append({"index": i, "seed": seed, "result": "pass"})
-        else:
-            ok = False
-            lines.append(f"epsilon[{i:02d}] seed={seed} stalks={stalks} : FAIL ({result})")
-            records["epsilon"].append({"index": i, "seed": seed, "result": "fail"})
+        ok = ok and result.ok
+        verdict = "PASS" if result.ok else f"FAIL ({result})"
+        lines.append(f"epsilon[{i:02d}] seed={seed} stalks={stalks} : {verdict}")
+        records["epsilon"].append({"index": i, "seed": seed, "result": "pass" if result.ok else "fail"})
 
     for i in range(args.samples):
         seed_a = rng.randrange(2**32)
@@ -308,25 +311,24 @@ def _cmd_equivalence(args: argparse.Namespace, ring: Ring) -> tuple[int, str]:
 
     n = args.samples
     lines.append(f"RESULT: {'PASS' if ok else 'FAIL'} ({n} eta + {n} epsilon + {n} naturality)")
-    if args.out == "json":
-        payload = {
-            "command": "equivalence",
-            "groupoid": args.groupoid,
-            "ring": ring.name,
-            "seed": args.seed,
-            "samples": args.samples,
-            "max_rank": args.max_rank,
-            "certificates": records,
-            "result": "pass" if ok else "fail",
-        }
-        return (0 if ok else 1), dump_payload(payload).rstrip("\n")
-    return (0 if ok else 1), "\n".join(lines)
+    status = "pass" if ok else "fail"
+    payload = {
+        "command": "equivalence",
+        "groupoid": args.groupoid,
+        "ring": ring.name,
+        "seed": args.seed,
+        "samples": args.samples,
+        "max_rank": args.max_rank,
+        "certificates": records,
+        "result": status,
+    }
+    return Report(status, lines, payload)
 
 
 # -- morita ----------------------------------------------------------------------
 
 
-def _cmd_morita(args: argparse.Namespace, ring: Ring) -> tuple[int, str]:
+def _cmd_morita(args: argparse.Namespace, ring: Ring) -> Report:
     if not ring.supports_elimination:
         raise UsageError(f"ring {ring.name} has a composite modulus; use Q, Z or Fp:<p>")
     doc = load_document(args.span)
@@ -343,60 +345,51 @@ def _cmd_morita(args: argparse.Namespace, ring: Ring) -> tuple[int, str]:
             f"{name} " + ("PASS" if leg.ok else f"FAIL ({leg.first()})") for name, leg in legs.items()
         ),
     ]
+    status = "rejected" if report.rejected else "pass" if report.ok else "fail"
     payload: dict[str, Any] = {
         "command": "morita", "span": args.span, "ring": ring.name,
-        "seed": args.seed, "samples": args.samples,
+        "seed": args.seed, "samples": args.samples, "result": status,
     }
     if report.rejected:
-        if args.out == "json":
-            payload["legs"] = {name: "pass" if leg.ok else str(leg.first()) for name, leg in legs.items()}
-            payload["result"] = "rejected"
-            return 1, dump_payload(payload).rstrip("\n")
+        payload["legs"] = {name: "pass" if leg.ok else str(leg.first()) for name, leg in legs.items()}
         lines.append("RESULT: REJECTED (span legs are not essential equivalences)")
-        return 1, "\n".join(lines)
-
-    lines.append("rank table:")
-    lines.append("sample\tdirection\trank\ttransported\tround_trip")
-    for s in report.samples:
-        lines.append(
-            f"{s.index}\t{s.direction}\t{s.source_rank}\t{s.transported_rank}\t"
-            + ("PASS" if s.round_trip_ok else "FAIL")
-        )
-    if report.hom_dims:
-        all_equal = all(a == b for (_, _, a, b) in report.hom_dims)
-        lines.append(
-            f"hom-dims: {len(report.hom_dims)} pairs compared, "
-            + ("all equal" if all_equal else "MISMATCH")
-        )
-    lines.append(f"RESULT: {'PASS' if report.ok else 'FAIL'}")
-    if args.out == "json":
-        payload.update({
-            "rank_table": [
-                {
-                    "sample": s.index,
-                    "direction": s.direction,
-                    "rank": s.source_rank,
-                    "transported": s.transported_rank,
-                    "round_trip": "pass" if s.round_trip_ok else "fail",
-                }
-                for s in report.samples
-            ],
-            "hom_dims": [list(t) for t in report.hom_dims],
-            "result": "pass" if report.ok else "fail",
-        })
-        return (0 if report.ok else 1), dump_payload(payload).rstrip("\n")
-    return (0 if report.ok else 1), "\n".join(lines)
+    else:
+        lines.append("rank table:")
+        lines.append("sample\tdirection\trank\ttransported\tround_trip")
+        for s in report.samples:
+            lines.append(
+                f"{s.index}\t{s.direction}\t{s.source_rank}\t{s.transported_rank}\t"
+                + ("PASS" if s.round_trip_ok else "FAIL")
+            )
+        if report.hom_dims:
+            all_equal = all(a == b for (_, _, a, b) in report.hom_dims)
+            lines.append(
+                f"hom-dims: {len(report.hom_dims)} pairs compared, "
+                + ("all equal" if all_equal else "MISMATCH")
+            )
+        lines.append(f"RESULT: {status.upper()}")
+        payload["rank_table"] = [
+            {
+                "sample": s.index,
+                "direction": s.direction,
+                "rank": s.source_rank,
+                "transported": s.transported_rank,
+                "round_trip": "pass" if s.round_trip_ok else "fail",
+            }
+            for s in report.samples
+        ]
+        payload["hom_dims"] = [list(t) for t in report.hom_dims]
+    return Report(status, lines, payload)
 
 
 # -- examples ---------------------------------------------------------------------
 
 
-def _cmd_examples(args: argparse.Namespace, ring: Ring) -> tuple[int, str]:
+def _cmd_examples(args: argparse.Namespace, ring: Ring) -> Report:
     from .gmodule import regular_module
     from .gsheaf import constant_sheaf
     from .morita import GroupoidFunctor, identity_functor
 
-    os.makedirs(args.dir, exist_ok=True)
     point = builders.trivial_groupoid()
     p2 = builders.pair_groupoid(2)
     p3 = builders.pair_groupoid(3)
@@ -450,11 +443,19 @@ def _cmd_examples(args: argparse.Namespace, ring: Ring) -> tuple[int, str]:
         ("sheaf-p2-constant.json", sheaf_payload(constant_sheaf(p2, ring, 1), "p2.json")),
     ]
     lines = []
-    for name, payload in files:
-        with open(os.path.join(args.dir, name), "w", encoding="utf-8") as handle:
-            handle.write(dump_payload(payload))
-        lines.append(f"wrote {name}")
-    return 0, "\n".join(lines)
+    try:
+        os.makedirs(args.dir, exist_ok=True)
+        for name, payload in files:
+            with open(os.path.join(args.dir, name), "w", encoding="utf-8") as handle:
+                handle.write(dump_payload(payload))
+            lines.append(f"wrote {name}")
+    except OSError as exc:
+        raise ParseError(
+            f"cannot write the corpus: {exc.strerror or exc}",
+            hint="--dir must name a directory that can be created and written",
+            source=exc.filename or args.dir,
+        ) from None
+    return Report("pass", lines, None)
 
 
 if __name__ == "__main__":

@@ -215,9 +215,10 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
             partners = sorted((*partners, *stray[a]), key=g.arrow_index.__getitem__)
         for b in partners:
             defined = (a, b) in g.compose
-            if g.composable(a, b) and not defined:
-                failures.append(Failure("composition totality", f"({a!r},{b!r}) composable but undefined"))
-            if defined and not g.composable(a, b):
+            if g.composable(a, b):
+                if not defined:
+                    failures.append(Failure("composition totality", f"({a!r},{b!r}) composable but undefined"))
+            elif defined:
                 failures.append(Failure("composition domain", f"({a!r},{b!r}) defined but not composable"))
 
     for (a, b), ab in g.compose.items():

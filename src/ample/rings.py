@@ -11,7 +11,10 @@ leave the integers.  Composite moduli offer arithmetic and equality only.
 ``Ring.scalar_from_json`` and the scalar of ``vec_scale``/``Matrix.scaled``
 turn outside values into canonical elements (``Fraction`` over Q, ``int``
 over Z, ``int`` in ``[0, m)`` over Z/m), and every ``Matrix`` holds only
-canonical elements.  Past that boundary the kernels (products, sums,
+canonical elements.  Shapes are checked at the same boundary and nowhere
+else: ``Matrix.from_rows`` rejects ragged rows and rows that do not match
+``cols``, and the document parser checks each declared matrix shape; the
+plain ``Matrix(...)`` constructor is the kernels' unchecked one.  Past that boundary the kernels (products, sums,
 echelon forms, ``express_in_basis``) run native arithmetic picked once per
 call from the ring's modulus: ``int`` operations with one ``% m`` per
 result entry over Z/m and plain ``int`` over Z.  Over Q they run on
@@ -349,22 +352,21 @@ def _products(
 
 @dataclass(frozen=True)
 class Matrix:
-    """A dense exact matrix; entries are row-major tuples over one ring."""
+    """A dense exact matrix; entries are row-major tuples over one ring.
+    The constructor trusts its shape; ``from_rows`` is the checked one."""
 
     ring: Ring
     rows: int
     cols: int
     entries: tuple[tuple[Scalar, ...], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("entry grid does not match declared shape")
-
     @staticmethod
     def from_rows(ring: Ring, rows: Sequence[Sequence[Any]], cols: int | None = None) -> "Matrix":
         data = tuple(vec(ring, row) for row in rows)
         if cols is None:
             cols = len(data[0]) if data else 0
+        if any(len(r) != cols for r in data):
+            raise ValueError(f"every row must have {cols} entries")
         return Matrix(ring, len(data), cols, data)
 
     @staticmethod

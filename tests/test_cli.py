@@ -255,6 +255,43 @@ def test_validate_cyclic_graph(tmp_path):
     assert "acyclicity" in text
 
 
+CYCLIC_GRAPH = {"kind": "graph", "vertices": ["v", "w"], "edges": [["v", "w"], ["w", "v"]]}
+
+
+@pytest.mark.parametrize("out", ["text", "json"])
+@pytest.mark.parametrize("command", ["table", "bisections", "equivalence"])
+def test_groupoid_commands_report_a_cyclic_graph(command, out, tmp_path):
+    target = tmp_path / "cyclic.json"
+    target.write_text(json.dumps(CYCLIC_GRAPH))
+    where = ["--groupoid", str(target)] if command == "equivalence" else [str(target)]
+    code, text = run_command([command, *where, "--samples", "1", "--out", out])
+    assert code == 1
+    assert text == (
+        f"{target}: graph axioms fail: acyclicity: graph has a cycle through v -> w -> v; "
+        "only acyclic graphs have finitely many boundary paths "
+        "(hint: run the validate command for the full report)"
+    )
+
+
+@pytest.mark.parametrize("out", ["text", "json"])
+def test_examples_into_an_existing_file_is_reported(out, tmp_path):
+    target = tmp_path / "taken"
+    target.write_text("")
+    code, text = run_command(["examples", "--dir", str(target), "--out", out])
+    assert code == 1
+    assert text == (
+        f"{target}: cannot write the corpus: File exists "
+        "(hint: --dir must name a directory that can be created and written)"
+    )
+
+
+def test_examples_write_failure_is_reported(tmp_path):
+    (tmp_path / "p2.json").mkdir()  # the corpus file's name is taken by a directory
+    code, text = run_command(["examples", "--dir", str(tmp_path)])
+    assert code == 1
+    assert text.startswith(f"{tmp_path / 'p2.json'}: cannot write the corpus: Is a directory")
+
+
 def test_validate_parse_error_exit_code(tmp_path):
     target = tmp_path / "bad.json"
     target.write_text("{nope")

@@ -5,15 +5,20 @@ The digests pin the text and JSON reports of every command over the
 generic-ring kernels, every scalar operation through ``Ring.coerce``), and
 ``validate`` on every corpus document, ``table`` and ``bisections`` on a
 groupoid and a graph, ``morita`` on the broken span (recorded before the
-sheaf hom spaces moved onto the shared constraint builder), and ``morita``
+sheaf hom spaces moved onto the shared constraint builder), ``morita``
 over Q (recorded from the ``Fraction``-operator kernels, before the Q
-kernels moved to common-denominator integers).  Commands run
+kernels moved to common-denominator integers), and the failure paths of
+``validate`` on a broken module and a broken sheaf (the corpus documents
+with one transport matrix overwritten, as CI writes them) plus the
+``examples`` listing under both ``--out`` values (recorded before the
+commands moved onto one renderer).  Commands run
 from a directory holding the corpus as ``corpus/``, because reports quote
 the document path they were given.
 """
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -155,10 +160,27 @@ GOLDEN = {
         "16e0c0c705c1f380f53a21da695b9a1209c6e7662f204b96255d6feb58dfac3a",
     "morita --span corpus/span-broken.json --ring Fp:5 --out json":
         "96352c51fb0501f725c055693287c5b2f4e5bfb70c81c0ed90690e790508db17",
+    "validate corpus/module-broken.json --out text":
+        "1d7679b74384397f04c37e9bdb1962e0fb5f03e21e63496026155428fba40303",
+    "validate corpus/module-broken.json --out json":
+        "0d51141eca644def63498c1dd0faac1a0863b1f7bd482cc759910e7d35e0cda6",
+    "validate corpus/sheaf-broken.json --out text":
+        "547fe331f9e36c827678b30d43c3ebed88402ef5e24ab112e744f52f945aabf5",
+    "validate corpus/sheaf-broken.json --out json":
+        "111f3a144ef3bed708a8cd8e6a078e280c216d0f67f8522ec9a2f852f16cd1bc",
+    "examples --dir rerun --out text":
+        "ffd65860ea26bcaad0e415aa7559104bca25240aa95b2359146dec310b3f119f",
+    "examples --dir rerun --out json":
+        "ffd65860ea26bcaad0e415aa7559104bca25240aa95b2359146dec310b3f119f",
 }
 
-# The reports of the broken span: its legs are not essential equivalences.
+# The reports of the broken span (its legs are not essential equivalences)
+# and of the broken module and sheaf (one transport matrix overwritten).
 FAILING = {
+    "validate corpus/module-broken.json --out text",
+    "validate corpus/module-broken.json --out json",
+    "validate corpus/sheaf-broken.json --out text",
+    "validate corpus/sheaf-broken.json --out json",
     "validate corpus/span-broken.json --out text",
     "validate corpus/span-broken.json --out json",
     "morita --span corpus/span-broken.json --ring Fp:5 --out text",
@@ -169,8 +191,15 @@ FAILING = {
 @pytest.fixture(scope="module")
 def corpus_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
-    code, _ = run_command(["examples", "--dir", str(root / "corpus")])
+    corpus = root / "corpus"
+    code, _ = run_command(["examples", "--dir", str(corpus)])
     assert code == 0
+    module = json.loads((corpus / "module-p2-regular.json").read_text())
+    module["action"]["(1,2)"] = [[int(i == j) for j in range(4)] for i in range(4)]
+    sheaf = json.loads((corpus / "sheaf-p2-constant.json").read_text())
+    sheaf["transport"]["(1,2)"] = [[2]]
+    for name, doc in (("module", module), ("sheaf", sheaf)):
+        (corpus / f"{name}-broken.json").write_text(json.dumps(doc))
     return root
 
 

@@ -102,6 +102,30 @@ def test_rational_literal_with_an_empty_denominator_is_rejected():
         Q.scalar_from_json("3/")
 
 
+# -- matrix construction ------------------------------------------------------
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
+def test_from_rows_rejects_ragged_rows(ring):
+    with pytest.raises(ValueError):
+        Matrix.from_rows(ring, [[1, 2], [3]])
+    with pytest.raises(ValueError):
+        Matrix.from_rows(ring, [[1], [2, 3]])
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
+def test_from_rows_rejects_rows_that_do_not_match_cols(ring):
+    with pytest.raises(ValueError):
+        Matrix.from_rows(ring, [[1, 2], [3, 4]], cols=3)
+    with pytest.raises(ValueError):
+        Matrix.from_rows(ring, [[1, 2]], cols=1)
+
+
+def test_from_rows_keeps_the_declared_width_of_an_empty_matrix():
+    m = Matrix.from_rows(Q, [], cols=3)
+    assert (m.rows, m.cols) == (0, 3)
+
+
 # -- matrix product -----------------------------------------------------------
 
 
