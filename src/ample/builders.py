@@ -300,12 +300,16 @@ def random_vector(ring: Ring, n: int, rng: random.Random) -> tuple[Scalar, ...]:
     return tuple(random_scalar(ring, rng) for _ in range(n))
 
 
-def random_invertible(ring: Ring, n: int, rng: random.Random) -> Matrix:
-    """A random invertible matrix as a product of elementary operations, so
-    it stays invertible over Z (unimodular) as well as over fields."""
+def random_invertible(ring: Ring, n: int, rng: random.Random) -> tuple[Matrix, Matrix]:
+    """A random invertible matrix and its inverse.
+
+    The matrix is a product of elementary operations, so it stays
+    invertible over Z (unimodular) as well as over fields.  The inverse is
+    the one ``matrix_inverse`` computes when the matrix is checked."""
     m = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
     if n == 0:
-        return Matrix(ring, 0, 0, ())
+        empty = Matrix(ring, 0, 0, ())
+        return empty, empty
     for _ in range(2 * n * n + 2):
         kind = rng.randrange(3)
         i = rng.randrange(n)
@@ -323,8 +327,9 @@ def random_invertible(ring: Ring, n: int, rng: random.Random) -> Matrix:
                 c = rng.choice([1, -1])
             m[i] = vec_scale(ring, c, m[i])
     out = Matrix(ring, n, n, tuple(tuple(r) for r in m))
-    assert matrix_inverse(out) is not None
-    return out
+    inverse = matrix_inverse(out)
+    assert inverse is not None
+    return out, inverse
 
 
 def random_algebra_element(g: FiniteGroupoid, ring: Ring, rng: random.Random):
@@ -368,8 +373,10 @@ def random_sheaf(g: FiniteGroupoid, ring: Ring, max_rank: int, seed: int) -> GSh
         c, r = plan[component_of[x]]
         stalk_rank[x] = c + r * len(fiber[x])
 
-    twists = {x: random_invertible(ring, stalk_rank[x], rng) for x in g.objects}
-    untwists = {x: matrix_inverse(twists[x]) for x in g.objects}
+    twists: dict[ObjectId, Matrix] = {}
+    untwists: dict[ObjectId, Matrix] = {}
+    for x in g.objects:
+        twists[x], untwists[x] = random_invertible(ring, stalk_rank[x], rng)
 
     transport: dict[ArrowId, Matrix] = {}
     for a in g.arrows:
@@ -389,9 +396,7 @@ def random_sheaf(g: FiniteGroupoid, ring: Ring, max_rank: int, seed: int) -> GSh
                 moved = g.compose[(arrow, a)]
                 rows[base_from + k][base_to + index_to[moved]] = ring.one
         raw = Matrix(ring, n_from, n_to, tuple(tuple(row) for row in rows))
-        untw = untwists[x]
-        assert untw is not None
-        transport[a] = untw @ raw @ twists[y]
+        transport[a] = untwists[x] @ raw @ twists[y]
     return GSheaf(g, ring, stalk_rank, transport)
 
 
@@ -401,8 +406,6 @@ def random_module(g: FiniteGroupoid, ring: Ring, max_rank: int, seed: int) -> GM
     structure is hidden from every downstream computation."""
     rng = random.Random(seed)
     base = gamma_c(random_sheaf(g, ring, max_rank, rng.randrange(2**32)))
-    q = random_invertible(ring, base.rank, rng)
-    q_inv = matrix_inverse(q)
-    assert q_inv is not None
+    q, q_inv = random_invertible(ring, base.rank, rng)
     action = {a: q @ base.action[a] @ q_inv for a in g.arrows}
     return GModule(g, ring, base.rank, action)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -79,6 +80,13 @@ class ParsedDocument:
     value: Any
 
 
+# The files loaded so far by the outermost ``parse_document`` call, by path,
+# so that a file referenced by several parts of one document (a span's apex,
+# named by the span and by both legs) is read and parsed once.  Nothing is
+# kept once that call returns: files can change between commands.
+_LOADED: ContextVar[dict[str, ParsedDocument] | None] = ContextVar("_LOADED", default=None)
+
+
 def parse_document(text: str, base_dir: str | None = None, source: str | None = None) -> ParsedDocument:
     try:
         payload = json.loads(text)
@@ -90,6 +98,7 @@ def parse_document(text: str, base_dir: str | None = None, source: str | None = 
             column=exc.colno,
             source=source,
         ) from None
+    token = _LOADED.set({}) if _LOADED.get() is None else None
     try:
         return _parse_payload(payload, base_dir)
     except ParseError as exc:
@@ -99,9 +108,17 @@ def parse_document(text: str, base_dir: str | None = None, source: str | None = 
                 path=exc.path, source=source,
             ) from None
         raise
+    finally:
+        if token is not None:
+            _LOADED.reset(token)
 
 
 def load_document(path: str) -> ParsedDocument:
+    """Read and parse a document file.  Files it references are read and
+    parsed once per top-level call, however often they are named."""
+    loaded = _LOADED.get()
+    if loaded is not None and path in loaded:
+        return loaded[path]
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -109,7 +126,10 @@ def load_document(path: str) -> ParsedDocument:
         raise ParseError(
             f"cannot read file: {exc.strerror}", hint="check the path", source=path
         ) from None
-    return parse_document(text, base_dir=os.path.dirname(path) or ".", source=path)
+    doc = parse_document(text, base_dir=os.path.dirname(path) or ".", source=path)
+    if loaded is not None:
+        loaded[path] = doc
+    return doc
 
 
 def _parse_payload(payload: Any, base_dir: str | None) -> ParsedDocument:

@@ -336,7 +336,10 @@ def epsilon(e: GSheaf) -> NaturalIsoCertificate | Failure:
 
     The stalkwise map evaluates the germ of a section at its base point; in
     coordinates it is the block of the stalk basis sitting over that object.
-    Checks: stalk support, stalkwise bijectivity, equivariance.
+    Checks: stalk support, stalkwise bijectivity, equivariance.  The
+    bijectivity check is ``morphism.inverse``, so a certificate's morphism
+    carries the inverse that check computed; on failure the witness names
+    the first object, in declaration order, whose component is singular.
     """
     gamma = gamma_c(e)
     sh = sheafify(gamma)
@@ -353,12 +356,11 @@ def epsilon(e: GSheaf) -> NaturalIsoCertificate | Failure:
                 return Failure("stalk-support", f"germ basis at {x!r} leaks outside its block")
         components[x] = basis.column_slice(lo, hi)
 
-    for x in g.objects:
-        comp = components[x]
-        if comp.rows != comp.cols or matrix_inverse(comp) is None:
-            return Failure("stalkwise-bijective", f"component at {x!r}")
-
     morphism = GSheafMor(sh.sheaf, e, components)
+    if morphism.inverse is None:
+        bad = next(x for x in g.objects if matrix_inverse(components[x]) is None)
+        return Failure("stalkwise-bijective", f"component at {bad!r}")
+
     report = validate_sheaf_morphism(morphism)
     if not report.ok:
         return Failure("equivariant", report.failures[0].witness)

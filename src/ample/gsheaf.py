@@ -18,6 +18,7 @@ per object and one block of equations per arrow, built by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 from .gmodule import _generator_failures, _small_scalar
@@ -66,6 +67,11 @@ class GSheaf:
 
 @dataclass(frozen=True)
 class GSheafMor:
+    """Per-object components, stalk at x of the source -> stalk at x of the
+    target.  ``inverse`` is computed on first use and kept, so the check
+    that a morphism is invertible and the inverse it finds are one
+    elimination per component."""
+
     source: GSheaf
     target: GSheaf
     maps: Mapping[ObjectId, Matrix]
@@ -82,6 +88,18 @@ class GSheafMor:
             want = (self.source.stalk_rank[x], self.target.stalk_rank[x])
             if (m.rows, m.cols) != want:
                 raise ValueError(f"component at {x!r} must be {want[0]}x{want[1]}")
+
+    @cached_property
+    def inverse(self) -> "GSheafMor | None":
+        """The componentwise inverse, target -> source, or None when some
+        component is not square or not invertible (over Z: not unimodular)."""
+        inverted = {}
+        for x in self.source.groupoid.objects:
+            inv = matrix_inverse(self.maps[x])
+            if inv is None:
+                return None
+            inverted[x] = inv
+        return GSheafMor(self.target, self.source, inverted)
 
 
 def apply_transport(e: GSheaf, vector: Sequence[Scalar], a: ArrowId) -> tuple[Scalar, ...]:
@@ -159,18 +177,15 @@ def compose_sheaf_mors(phi: GSheafMor, psi: GSheafMor) -> GSheafMor:
 
 
 def invert_sheaf_mor(phi: GSheafMor) -> GSheafMor | None:
-    """The inverse morphism when every component is invertible, else None."""
-    inverted = {}
-    for x in phi.source.groupoid.objects:
-        inv = matrix_inverse(phi.maps[x])
-        if inv is None:
-            return None
-        inverted[x] = inv
-    return GSheafMor(phi.target, phi.source, inverted)
+    """The inverse morphism when every component is invertible, else None
+    (``phi.inverse``)."""
+    return phi.inverse
 
 
 def is_sheaf_isomorphism(phi: GSheafMor) -> bool:
-    return validate_sheaf_morphism(phi).ok and invert_sheaf_mor(phi) is not None
+    """Equivariant with invertible components; the inverse this finds stays
+    on ``phi.inverse``."""
+    return validate_sheaf_morphism(phi).ok and phi.inverse is not None
 
 
 def direct_sum_sheaf(e: GSheaf, f: GSheaf) -> GSheaf:

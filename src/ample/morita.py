@@ -25,7 +25,6 @@ from .gsheaf import (
     GSheaf,
     GSheafMor,
     compose_sheaf_mors,
-    invert_sheaf_mor,
     is_sheaf_isomorphism,
 )
 from .rings import Matrix, Ring
@@ -247,6 +246,7 @@ def counit_iso(f: GroupoidFunctor, e: GSheaf, pushed_pullback: GSheaf) -> GSheaf
 
     Componentwise it transports along the inverse anchor arrow; the input
     ``pushed_pullback`` must be pullback_quasi_inverse(f, pullback_sheaf(f, e)).sheaf.
+    The returned morphism's ``inverse`` is the one the isomorphism check found.
     """
     _, alpha, _ = f.inverse_data
     maps = {y: e.transport[e.groupoid.inverse[alpha[y]]] for y in f.target.objects}
@@ -287,17 +287,23 @@ class RoundTripCertificate:
 
 def round_trip(span: MoritaSpan, m: GModule) -> RoundTripCertificate:
     """Transport a module across the span and back, with an explicit
-    invertible intertwiner from the original onto the result."""
+    invertible intertwiner from the original onto the result.
+
+    No isomorphism in the chain is inverted twice: the inverse of ε is the
+    one its stalkwise-bijective check computed, and the inverse of the
+    counit the one ``counit_iso``'s check computed (``GSheafMor.inverse``).
+    The transported module is the section module ε already built.
+    """
     left, right = span.left, span.right
     sh_m = sheafify(m)
     e = sh_m.sheaf                                    # over the left target
     e_apex = pullback_sheaf(left, e)                  # over the apex
     push_right = pullback_quasi_inverse(right, e_apex)
-    n = gamma_c(push_right.sheaf)                     # transported module
 
     eps = epsilon(push_right.sheaf)
     if not eps.ok:
         raise AssertionError("epsilon certificate unavailable during round trip")
+    n = eps.sheafification.module                     # transported module
     sh_n_sheaf = eps.sheafification.sheaf             # germ sheaf of n
 
     back_apex = pullback_sheaf(right, sh_n_sheaf)     # over the apex again
@@ -305,14 +311,14 @@ def round_trip(span: MoritaSpan, m: GModule) -> RoundTripCertificate:
     returned = gamma_c(push_left.sheaf)
 
     # Sheaf-level chain over the apex: pb_L(e) -> pb_R(sh_n_sheaf).
-    eps_inv = invert_sheaf_mor(eps.morphism)
+    eps_inv = eps.morphism.inverse
     assert eps_inv is not None
     chain_apex = compose_sheaf_mors(push_right.unit, pullback_mor(right, eps_inv))
     # Push the chain forward along the left leg and close up with the counit.
     qi_e_apex = pullback_quasi_inverse(left, e_apex).sheaf
     lifted = qi_mor(left, chain_apex, qi_e_apex, push_left.sheaf)
     counit = counit_iso(left, e, qi_e_apex)
-    counit_inv = invert_sheaf_mor(counit)
+    counit_inv = counit.inverse
     assert counit_inv is not None
     sheaf_iso = compose_sheaf_mors(counit_inv, lifted)  # e -> push_left.sheaf
 

@@ -388,7 +388,11 @@ class Matrix:
     def is_identity(self) -> bool:
         if self.rows != self.cols:
             return False
-        return self == Matrix.identity(self.ring, self.rows)
+        one, zeros = self.ring.one, (self.ring.zero,) * self.cols
+        return all(
+            row[i] == one and row[:i] == zeros[:i] and row[i + 1:] == zeros[i + 1:]
+            for i, row in enumerate(self.entries)
+        )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ring != other.ring:
@@ -503,7 +507,10 @@ def _rref(a: Matrix) -> Echelon:
     ring = a.ring
     p = ring.modulus
     n, width = a.cols, a.cols + a.rows
-    m = [list(r) + list(unit_vec(ring, a.rows, i)) for i, r in enumerate(a.entries)]
+    zeros = [ring.zero] * a.rows
+    m = [[*r, *zeros] for r in a.entries]
+    for i, row in enumerate(m):
+        row[n + i] = ring.one
     pivots: list[int] = []
     pr = 0
     for c in range(n):

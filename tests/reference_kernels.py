@@ -6,6 +6,8 @@ linear algebra ``ample.rings`` ran before its inner loops became native
 ``int``/``Fraction`` arithmetic; ``tests/test_kernel_oracle.py`` checks the
 fast paths against it.  ``kernel_basis``, ``solve_row_system`` and
 ``matrix_inverse`` are the library's compositions rebuilt on these kernels;
+``is_identity`` is ``Matrix.is_identity`` as it was before it compared rows
+in place, against a freshly built identity matrix.
 ``hom_constraint`` is the module hom system with one block of equations per
 arrow, and ``sheaf_hom_constraint`` the grid ``gsheaf.sheaf_hom_basis``
 eliminates, both filled entry by entry as they were before
@@ -200,6 +202,10 @@ def solve_row_system(a: Matrix, b: Sequence[Scalar]) -> tuple[Scalar, ...] | Non
         return None
     padded = list(coeffs) + [a.ring.zero] * (a.rows - len(coeffs))
     return vec_mat(padded, ech.transform)
+
+
+def is_identity(a: Matrix) -> bool:
+    return a.rows == a.cols and a == Matrix.identity(a.ring, a.rows)
 
 
 def matrix_inverse(a: Matrix) -> Matrix | None:

@@ -145,6 +145,43 @@ def test_span_fixture_parses_with_relative_references(corpus):
     assert doc.value.apex.objects == ("1",)
 
 
+def test_span_load_parses_each_referenced_file_once(corpus, monkeypatch):
+    # the apex point.json is named by the span and as the source of both legs
+    # (and as the right leg's target); p2.json is the left leg's target
+    from ample import documents
+
+    parsed = []
+    real = documents._parse_groupoid
+    monkeypatch.setattr(
+        documents, "_parse_groupoid", lambda payload, base: parsed.append(payload) or real(payload, base)
+    )
+    doc = load_document(str(corpus / "span-p2-point.json"))
+    assert sorted(len(p["objects"]) for p in parsed) == [1, 2]
+    assert doc.value.left.source is doc.value.apex is doc.value.right.source
+    # nothing is kept between calls: the next load reads its files again
+    load_document(str(corpus / "span-p2-point.json"))
+    assert len(parsed) == 4
+
+
+def test_broken_span_reference_error_is_unchanged(tmp_path):
+    # texts recorded before referenced files were parsed once per load
+    run_command(["examples", "--dir", str(tmp_path)])
+    span = str(tmp_path / "span-p2-point.json")
+    cases = {
+        "point.json": ('{"kind": "groupoid", "objects": "x"}',
+                       ":#objects: objects must be a list (hint: list the object ids)"),
+        "p2.json": ('{\n  "kind": }',
+                    ":2:11: invalid JSON: Expecting value (hint: fix the syntax; documents are JSON objects)"),
+    }
+    for name, (text, tail) in cases.items():
+        good = (tmp_path / name).read_text()
+        (tmp_path / name).write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_document(span)
+        assert err.value.describe() == str(tmp_path / name) + tail
+        (tmp_path / name).write_text(good)
+
+
 def test_missing_file_is_reported():
     with pytest.raises(ParseError) as err:
         load_document("no-such-file.json")

@@ -11,7 +11,10 @@ kernels moved to common-denominator integers), and the failure paths of
 ``validate`` on a broken module and a broken sheaf (the corpus documents
 with one transport matrix overwritten, as CI writes them) plus the
 ``examples`` listing under both ``--out`` values (recorded before the
-commands moved onto one renderer).  Commands run
+commands moved onto one renderer), and ``equivalence`` and ``morita`` over Z
+(recorded before the generators and the round trip kept the inverses their
+invertibility checks compute; Z is the one ring whose inverse check compares
+against the identity).  Commands run
 from a directory holding the corpus as ``corpus/``, because reports quote
 the document path they were given.
 """
@@ -172,6 +175,14 @@ GOLDEN = {
         "ffd65860ea26bcaad0e415aa7559104bca25240aa95b2359146dec310b3f119f",
     "examples --dir rerun --out json":
         "ffd65860ea26bcaad0e415aa7559104bca25240aa95b2359146dec310b3f119f",
+    "equivalence --groupoid corpus/p2.json --ring Z --out text":
+        "840db5240ee4fcaa01127cc8826ad51f910abca6e86c00e4e6d9fff8f6bea190",
+    "equivalence --groupoid corpus/p2.json --ring Z --out json":
+        "da6a143d74853d9f50342a609b49c9f6bd8a4fb7bd1bda7796848685f1523032",
+    "morita --span corpus/span-p2-point.json --ring Z --out text":
+        "932eb7015d4525bdfe89f12699d919e550f25d18060dbd1f36ac3abfc248f99d",
+    "morita --span corpus/span-p2-point.json --ring Z --out json":
+        "10242e1202cf5db5d97863f83ea9d841aa30ad38d495f191620be6741c4ac472",
 }
 
 # The reports of the broken span (its legs are not essential equivalences)

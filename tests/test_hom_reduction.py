@@ -36,7 +36,7 @@ from ample.gmodule import (
     validate_module,
 )
 from ample.gsheaf import GSheaf, constant_sheaf, validate_sheaf
-from ample.rings import INTEGERS, RATIONALS, Matrix, kernel_basis, matrix_inverse, modular
+from ample.rings import INTEGERS, RATIONALS, Matrix, kernel_basis, modular
 
 # The dense Q reference is the slow side: a rank-6 pair over an 18-arrow
 # groupoid is a 36x648 system, which takes minutes over Q.  Every nonzero
@@ -73,8 +73,7 @@ def sign(perm: str) -> int:
 
 def rebased(m: GModule, seed: int) -> GModule:
     """``m`` in a random basis, so no unit action is a coordinate projection."""
-    q = random_invertible(m.ring, m.rank, random.Random(seed))
-    q_inv = matrix_inverse(q)
+    q, q_inv = random_invertible(m.ring, m.rank, random.Random(seed))
     return GModule(m.groupoid, m.ring, m.rank, {a: q @ a_m @ q_inv for a, a_m in m.action.items()})
 
 

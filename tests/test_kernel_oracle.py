@@ -283,14 +283,90 @@ ROW_OP_RINGS = (RATIONALS, INTEGERS, modular(2), modular(5))
 
 @pytest.mark.parametrize("ring", ROW_OP_RINGS, ids=lambda r: r.name)
 def test_random_invertible_matches_reference(ring):
-    """Same draws, same matrix: the native row operations change no value."""
+    """Same draws, same matrix: the native row operations change no value.
+    The inverse handed back with it is the reference inverse of the matrix."""
     for n in range(6):
         for seed in range(8):
             rng, ref_rng = random.Random(seed), random.Random(seed)
-            assert_same_matrix(
-                ring, random_invertible(ring, n, rng), ref.random_invertible(ring, n, ref_rng)
-            )
+            got, got_inverse = random_invertible(ring, n, rng)
+            want = ref.random_invertible(ring, n, ref_rng)
+            assert_same_matrix(ring, got, want)
             assert rng.getstate() == ref_rng.getstate()
+            assert_same_matrix(ring, got_inverse, ref.matrix_inverse(want))
+
+
+def _near_identities(ring, n, rng):
+    """The identity of size n, then copies with one stray off-diagonal entry
+    and with one wrong diagonal entry, at seeded positions."""
+    rows = [list(r) for r in Matrix.identity(ring, n).entries]
+    out = [rows]
+    if n >= 2:
+        i, j = rng.sample(range(n), 2)
+        stray = [list(r) for r in rows]
+        stray[i][j] = ring.coerce(rng.choice([1, -1]))
+        out.append(stray)
+    if n >= 1:
+        i = rng.randrange(n)
+        for wrong in {ring.zero, ring.coerce(2), ring.coerce(-1)} - {ring.one}:
+            bad = [list(r) for r in rows]
+            bad[i][i] = wrong
+            out.append(bad)
+    return [Matrix(ring, n, n, tuple(map(tuple, r))) for r in out]
+
+
+@pytest.mark.parametrize("ring", ROW_OP_RINGS, ids=lambda r: r.name)
+def test_is_identity_matches_reference(ring):
+    for n in range(6):
+        for seed in range(8):
+            rng = random.Random(seed)
+            cases = _near_identities(ring, n, rng) + [
+                Matrix.zeros(ring, n, n),
+                Matrix.identity(ring, n + 1).column_slice(0, n),
+                Matrix(ring, n, n + 1, tuple(r + (ring.zero,) for r in Matrix.identity(ring, n).entries)),
+                random_invertible(ring, n, rng)[0],
+            ]
+            for m in cases:
+                assert m.is_identity == ref.is_identity(m), (m.rows, m.cols, m.entries)
+    assert Matrix(ring, 0, 0, ()).is_identity
+
+
+@pytest.mark.parametrize("ring", ROW_OP_RINGS, ids=lambda r: r.name)
+def test_sheaf_morphism_inverse_matches_reference(ring, p2, monkeypatch):
+    """``GSheafMor.inverse`` is the componentwise reference inverse, or None
+    when a component is singular or not square, and it is computed once."""
+    eliminations = []
+    real_inverse = gsheaf.matrix_inverse
+    monkeypatch.setattr(
+        gsheaf, "matrix_inverse", lambda a: eliminations.append(a) or real_inverse(a)
+    )
+    for n in range(6):
+        for seed in range(8):
+            rng = random.Random(seed)
+            e = gsheaf.constant_sheaf(p2, ring, n)
+            f = gsheaf.constant_sheaf(p2, ring, n + seed % 2)  # odd seeds: not square
+            maps = {}
+            for x in p2.objects:
+                if rng.randrange(3):
+                    maps[x] = random_invertible(ring, n, rng)[0] if e == f else Matrix.zeros(ring, n, n + 1)
+                else:
+                    maps[x] = Matrix.from_rows(
+                        ring, [random_vector(ring, f.stalk_rank[x], rng) for _ in range(n)], f.stalk_rank[x]
+                    )
+            phi = gsheaf.GSheafMor(e, f, maps)
+            eliminations.clear()
+            got = phi.inverse
+            want = {x: ref.matrix_inverse(maps[x]) for x in p2.objects}
+            if any(w is None for w in want.values()):
+                assert got is None
+            else:
+                assert (got.source, got.target) == (f, e)
+                for x in p2.objects:
+                    assert_same_matrix(ring, got.maps[x], want[x])
+            done = len(eliminations)
+            assert 1 <= done <= len(p2.objects)
+            assert phi.inverse is got
+            assert gsheaf.invert_sheaf_mor(phi) is got
+            assert len(eliminations) == done
 
 
 @pytest.mark.parametrize("ring", ROW_OP_RINGS, ids=lambda r: r.name)

@@ -233,8 +233,9 @@ def test_pullback_reflects_isomorphisms(inclusion, p2_local):
 
     e = random_sheaf(p2_local, Q, 2, seed=21)
     rng = random.Random(23)
-    twist = {x: random_invertible(Q, e.stalk_rank[x], rng) for x in p2_local.objects}
-    untwist = {x: matrix_inverse(twist[x]) for x in p2_local.objects}
+    twist, untwist = {}, {}
+    for x in p2_local.objects:
+        twist[x], untwist[x] = random_invertible(Q, e.stalk_rank[x], rng)
     f = GSheaf(
         p2_local,
         Q,
