@@ -80,11 +80,13 @@ class ParsedDocument:
     value: Any
 
 
-# The files loaded so far by the outermost ``parse_document`` call, by path,
-# so that a file referenced by several parts of one document (a span's apex,
-# named by the span and by both legs) is read and parsed once.  Nothing is
+# The files loaded so far by the outermost ``load_document`` or
+# ``parse_document`` call, by real path, so that a file referenced by several
+# parts of one document (a span's apex, named by the span and by both legs)
+# is read and parsed once.  A file still being parsed maps to the path it was
+# named by, so a reference back to it is reported as a cycle.  Nothing is
 # kept once that call returns: files can change between commands.
-_LOADED: ContextVar[dict[str, ParsedDocument] | None] = ContextVar("_LOADED", default=None)
+_LOADED: ContextVar[dict[str, ParsedDocument | str] | None] = ContextVar("_LOADED", default=None)
 
 
 def parse_document(text: str, base_dir: str | None = None, source: str | None = None) -> ParsedDocument:
@@ -116,20 +118,40 @@ def parse_document(text: str, base_dir: str | None = None, source: str | None = 
 def load_document(path: str) -> ParsedDocument:
     """Read and parse a document file.  Files it references are read and
     parsed once per top-level call, however often they are named."""
-    loaded = _LOADED.get()
-    if loaded is not None and path in loaded:
-        return loaded[path]
+    loaded, token = _LOADED.get(), None
+    if loaded is None:
+        loaded = {}
+        token = _LOADED.set(loaded)
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ParseError(
-            f"cannot read file: {exc.strerror}", hint="check the path", source=path
-        ) from None
-    doc = parse_document(text, base_dir=os.path.dirname(path) or ".", source=path)
-    if loaded is not None:
-        loaded[path] = doc
-    return doc
+        key = os.path.realpath(path)
+        found = loaded.get(key)
+        if isinstance(found, ParsedDocument):
+            return found
+        try:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise ParseError(
+                f"cannot read file: {exc.strerror}", hint="check the path", source=path
+            ) from None
+        loaded[key] = path
+        doc = parse_document(text, base_dir=os.path.dirname(path) or ".", source=path)
+        loaded[key] = doc
+        return doc
+    finally:
+        if token is not None:
+            _LOADED.reset(token)
+
+
+def _reference_cycle(path: str) -> list[str]:
+    """The files being parsed from ``path`` on, then ``path`` again, when a
+    reference to ``path`` would close a cycle; otherwise empty."""
+    loading = [(key, named) for key, named in (_LOADED.get() or {}).items() if isinstance(named, str)]
+    keys = [key for key, _ in loading]
+    key = os.path.realpath(path)
+    if key not in keys:
+        return []
+    return [named for _, named in loading[keys.index(key):]] + [path]
 
 
 def _parse_payload(payload: Any, base_dir: str | None) -> ParsedDocument:
@@ -157,6 +179,10 @@ def _resolve_groupoid(value: Any, base_dir: str | None, path: str) -> FiniteGrou
 def _resolve_reference(value: Any, base_dir: str | None, path: str, expected: str) -> ParsedDocument:
     if isinstance(value, str):
         full = value if os.path.isabs(value) or base_dir is None else os.path.join(base_dir, value)
+        cycle = _reference_cycle(full)
+        if cycle:
+            hint = "a document cannot reference itself, directly or through other files"
+            raise _fail(f"reference cycle: {' -> '.join(cycle)}", path, hint)
         doc = load_document(full)
     elif isinstance(value, dict):
         doc = _parse_payload(value, base_dir)

@@ -145,9 +145,6 @@ class FiniteGroupoid:
     def is_unit_arrow(self, g: ArrowId) -> bool:
         return g in self._unit_arrow_set
 
-    def unit_arrows(self) -> tuple[ArrowId, ...]:
-        return tuple(self.unit[x] for x in self.objects)
-
     def connected_components(self) -> tuple[tuple[ObjectId, ...], ...]:
         """Object classes joined by arrows (in declaration order)."""
         parent: dict[ObjectId, ObjectId] = {x: x for x in self.objects}
@@ -171,75 +168,129 @@ class FiniteGroupoid:
     @cached_property
     def isotropy_plan(self) -> IsotropyPlan | None:
         """Base objects, tree arrows and isotropy factors of every arrow, or
-        None when the groupoid fails ``validate_groupoid``."""
-        if not validate_groupoid(self).ok:
-            return None
-        components = self.connected_components()
-        tree: dict[ObjectId, ArrowId] = {}
-        for comp in components:
-            base = comp[0]
-            tree[base] = self.unit[base]
-            for y in comp[1:]:
-                tree[y] = self.hom_set(base, y)[0]
-        loop = {
-            a: self.compose[(self.inverse[tree[self.dst[a]]], self.compose[(a, tree[self.src[a]])])]
-            for a in self.arrows
-        }
-        return IsotropyPlan(components, tree, loop)
+        None when the groupoid fails ``validate_groupoid``.  The tables are
+        the ones that function's associativity check builds."""
+        return None if _law_failures(self) else _associative_plan(self)
 
 
 def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     """Check the groupoid axioms, reporting violations with witnesses.
 
-    The composition checks read the arrows ending at an object from an
-    index, so the work is proportional to the arrows, the composition
-    entries and the composable triples (a, b, c), not to all A² pairs and
-    A³ triples.  Failures come out law by law, each law in declaration order
-    of its arrows (the endpoint law in the order of the composition table).
+    Every law but associativity reads the arrows ending at an object from an
+    index, so its work is proportional to the arrows and the composition
+    entries.  On a table that passes them, associativity is checked on the
+    isotropy plan (``_associative_plan``) in time proportional to the
+    composable pairs plus the sum of |K_x|³ over the base isotropy groups
+    K_x.  Only when that check fails, or an earlier law did, are the
+    composable triples (a, b, c) scanned for associativity witnesses.
+    Failures come out law by law, each law in declaration order of its
+    arrows (the endpoint law in the order of the composition table).
     """
+    failures = _law_failures(g)
+    if failures or _associative_plan(g) is None:
+        failures.extend(_associativity_failures(g))
+    return ValidationReport("groupoid", tuple(failures))
+
+
+def _law_failures(g: FiniteGroupoid) -> list[Failure]:
+    """The failures of every groupoid law but associativity."""
     failures: list[Failure] = []
+    compose, src, dst, unit = g.compose, g.src, g.dst, g.unit
 
     for x in g.objects:
-        e = g.unit[x]
-        if g.src[e] != x or g.dst[e] != x:
+        e = unit[x]
+        if src[e] != x or dst[e] != x:
             failures.append(Failure("unit endpoints", f"u({x!r}) = {e!r} is not an endo-arrow at {x!r}"))
 
     # Composition entries on non-composable pairs, grouped by first arrow.
     stray: dict[ArrowId, list[ArrowId]] = {}
-    for a, b in g.compose:
-        if not g.composable(a, b):
+    for a, b in compose:
+        if src[a] != dst[b]:
             stray.setdefault(a, []).append(b)
     for a in g.arrows:
-        partners = g._dst_index.get(g.src[a], ())
-        if a in stray:
-            partners = sorted((*partners, *stray[a]), key=g.arrow_index.__getitem__)
-        for b in partners:
-            defined = (a, b) in g.compose
-            if g.composable(a, b):
+        partners = g._dst_index.get(src[a], ())
+        if a not in stray:  # every partner is composable
+            for b in partners:
+                if (a, b) not in compose:
+                    failures.append(Failure("composition totality", f"({a!r},{b!r}) composable but undefined"))
+            continue
+        for b in sorted((*partners, *stray[a]), key=g.arrow_index.__getitem__):
+            defined = (a, b) in compose
+            if src[a] == dst[b]:
                 if not defined:
                     failures.append(Failure("composition totality", f"({a!r},{b!r}) composable but undefined"))
             elif defined:
                 failures.append(Failure("composition domain", f"({a!r},{b!r}) defined but not composable"))
 
-    for (a, b), ab in g.compose.items():
-        if g.composable(a, b):
-            if g.src[ab] != g.src[b] or g.dst[ab] != g.dst[a]:
-                failures.append(Failure("composition endpoints", f"{a!r}*{b!r} = {ab!r} has wrong endpoints"))
+    for (a, b), ab in compose.items():
+        if src[a] == dst[b] and (src[ab] != src[b] or dst[ab] != dst[a]):
+            failures.append(Failure("composition endpoints", f"{a!r}*{b!r} = {ab!r} has wrong endpoints"))
 
     for a in g.arrows:
-        ua = g.unit[g.dst[a]]
-        au = g.unit[g.src[a]]
-        if g.compose.get((ua, a)) != a or g.compose.get((a, au)) != a:
+        if compose.get((unit[dst[a]], a)) != a or compose.get((a, unit[src[a]])) != a:
             failures.append(Failure("unit law", f"units do not act as identities on {a!r}"))
 
     for a in g.arrows:
         b = g.inverse[a]
-        if g.src[b] != g.dst[a] or g.dst[b] != g.src[a]:
+        if src[b] != dst[a] or dst[b] != src[a]:
             failures.append(Failure("inverse law", f"g={a!r}: inverse has wrong endpoints"))
-            continue
-        if g.compose.get((b, a)) != g.unit[g.src[a]] or g.compose.get((a, b)) != g.unit[g.dst[a]]:
+        elif compose.get((b, a)) != unit[src[a]] or compose.get((a, b)) != unit[dst[a]]:
             failures.append(Failure("inverse law", f"g={a!r}: g⁻¹g or gg⁻¹ is not the unit"))
 
+    return failures
+
+
+def _associative_plan(g: FiniteGroupoid) -> IsotropyPlan | None:
+    """The isotropy plan of a table that passes ``_law_failures``, or None
+    when the table is not associative.
+
+    The tables: the base of each component is its first object, t_y is the
+    first arrow from the base to y, and loop[a] = t_z⁻¹·(a·t_y) for a: y -> z
+    lies in the base's isotropy set K.  The other laws make these lookups
+    total: arrows compose whenever they are composable, with the right
+    endpoints, and inverses reverse them, so the base reaches every object
+    of its component by a single arrow.  Three checks follow:
+
+    1. the table of K is associative (Σ|K|³ lookups);
+    2. a ↦ (dst a, loop a, src a) is injective;
+    3. loop[ab] = loop[a]·loop[b] for every composable pair (a, b).
+
+    Why they suffice: on a component with object set C, the triples C×K×C
+    with (z, k, y)·(y, l, w) = (z, kl, w) form a partial magma that is
+    associative by check 1.  The map a ↦ (dst a, loop a, src a) sends
+    composable pairs to composable pairs and, by check 3, products to
+    products, so ((ab)c) and (a(bc)) have the same image, and by check 2
+    they are the same arrow.  Conversely a groupoid passes all three, since
+    there loop[ab] = t_z⁻¹·a·t_y·t_y⁻¹·b·t_w and a = t_z·loop[a]·t_y⁻¹.
+    """
+    compose, inverse, src, dst = g.compose, g.inverse, g.src, g.dst
+    components = g.connected_components()
+    tree: dict[ObjectId, ArrowId] = {}
+    for comp in components:
+        base = comp[0]
+        tree[base] = g.unit[base]
+        for y in comp[1:]:
+            tree[y] = g.hom_set(base, y)[0]
+    loop = {a: compose[(inverse[tree[dst[a]]], compose[(a, tree[src[a]])])] for a in g.arrows}
+
+    for comp in components:
+        group = g.hom_set(comp[0], comp[0])
+        table = {(k, l): compose[(k, l)] for k in group for l in group}
+        for (k, l), kl in table.items():
+            for m in group:
+                if table[(kl, m)] != table[(k, table[(l, m)])]:
+                    return None
+    if len({(dst[a], loop[a], src[a]) for a in g.arrows}) != len(g.arrows):
+        return None
+    for (a, b), ab in compose.items():
+        if loop[ab] != compose[(loop[a], loop[b])]:
+            return None
+    return IsotropyPlan(components, tree, loop)
+
+
+def _associativity_failures(g: FiniteGroupoid) -> list[Failure]:
+    """Every composable triple whose two bracketings differ or are missing."""
+    failures: list[Failure] = []
     compose = g.compose
     for a, b in g.composable_pairs():
         ab = compose.get((a, b))
@@ -249,8 +300,7 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
             bc = compose.get((b, c))
             if bc is not None and compose.get((ab, c)) != compose.get((a, bc)):
                 failures.append(Failure("associativity", f"(({a!r}{b!r}){c!r}) != ({a!r}({b!r}{c!r}))"))
-
-    return ValidationReport("groupoid", tuple(failures))
+    return failures
 
 
 # -- compact open object subsets -------------------------------------------
@@ -350,11 +400,6 @@ def unit_bisection(g: FiniteGroupoid, points: Iterable[ObjectId] | None = None) 
 def source_objects(g: FiniteGroupoid, u: Bisection) -> tuple[ObjectId, ...]:
     """The compact open set U^{-1}U, i.e. the source objects of U."""
     return object_subset(g, (g.src[a] for a in u))
-
-
-def target_objects(g: FiniteGroupoid, u: Bisection) -> tuple[ObjectId, ...]:
-    """The compact open set UU^{-1}, i.e. the target objects of U."""
-    return object_subset(g, (g.dst[a] for a in u))
 
 
 def enumerate_bisections(g: FiniteGroupoid) -> list[Bisection]:

@@ -205,7 +205,7 @@ class QuasiInverse:
     unit: GSheafMor
 
 
-def pullback_quasi_inverse(f: GroupoidFunctor, e: GSheaf) -> QuasiInverse:
+def push_sheaf(f: GroupoidFunctor, e: GSheaf) -> GSheaf:
     """Push a sheaf over the source forward along an essential equivalence.
 
     The stalk at a target object y is the stalk at the anchor sigma(y); the
@@ -214,7 +214,7 @@ def pullback_quasi_inverse(f: GroupoidFunctor, e: GSheaf) -> QuasiInverse:
     """
     if e.groupoid != f.source:
         raise ValueError("sheaf must live over the functor's source")
-    s, t = f.source, f.target
+    t = f.target
     sigma, alpha, preimage = f.inverse_data
 
     stalk_rank = {y: e.stalk_rank[sigma[y]] for y in t.objects}
@@ -223,10 +223,16 @@ def pullback_quasi_inverse(f: GroupoidFunctor, e: GSheaf) -> QuasiInverse:
         y_from, y_to = t.src[h], t.dst[h]  # h runs y_from -> y_to
         conj = t.compose[(t.inverse[alpha[y_to]], t.compose[(h, alpha[y_from])])]
         transport[h] = e.transport[preimage[sigma[y_from], sigma[y_to], conj]]
-    pushed = GSheaf(t, e.ring, stalk_rank, transport)
+    return GSheaf(t, e.ring, stalk_rank, transport)
 
+
+def pullback_quasi_inverse(f: GroupoidFunctor, e: GSheaf) -> QuasiInverse:
+    """``push_sheaf(f, e)`` with its certificate: the unit, an isomorphism
+    from e onto the pullback of the pushed sheaf, checked here."""
+    pushed = push_sheaf(f, e)
+    sigma, alpha, preimage = f.inverse_data
     unit_maps: dict[ObjectId, Matrix] = {}
-    for x in s.objects:
+    for x in f.source.objects:
         y = f.obj_map[x]
         unit_maps[x] = e.transport[preimage[sigma[y], x, alpha[y]]]
     unit = GSheafMor(e, pullback_sheaf(f, pushed), unit_maps)
@@ -245,7 +251,7 @@ def counit_iso(f: GroupoidFunctor, e: GSheaf, pushed_pullback: GSheaf) -> GSheaf
     """The isomorphism from the quasi-inverse of the pullback of e onto e.
 
     Componentwise it transports along the inverse anchor arrow; the input
-    ``pushed_pullback`` must be pullback_quasi_inverse(f, pullback_sheaf(f, e)).sheaf.
+    ``pushed_pullback`` must be push_sheaf(f, pullback_sheaf(f, e)).
     The returned morphism's ``inverse`` is the one the isomorphism check found.
     """
     _, alpha, _ = f.inverse_data
@@ -292,7 +298,10 @@ def round_trip(span: MoritaSpan, m: GModule) -> RoundTripCertificate:
     No isomorphism in the chain is inverted twice: the inverse of ε is the
     one its stalkwise-bijective check computed, and the inverse of the
     counit the one ``counit_iso``'s check computed (``GSheafMor.inverse``).
-    The transported module is the section module ε already built.
+    The transported module is the section module ε already built.  The
+    left push of the apex sheaf is needed only as a sheaf, so it comes from
+    ``push_sheaf`` without a unit to build and check; the final intertwiner
+    check covers it.
     """
     left, right = span.left, span.right
     sh_m = sheafify(m)
@@ -315,7 +324,7 @@ def round_trip(span: MoritaSpan, m: GModule) -> RoundTripCertificate:
     assert eps_inv is not None
     chain_apex = compose_sheaf_mors(push_right.unit, pullback_mor(right, eps_inv))
     # Push the chain forward along the left leg and close up with the counit.
-    qi_e_apex = pullback_quasi_inverse(left, e_apex).sheaf
+    qi_e_apex = push_sheaf(left, e_apex)
     lifted = qi_mor(left, chain_apex, qi_e_apex, push_left.sheaf)
     counit = counit_iso(left, e, qi_e_apex)
     counit_inv = counit.inverse

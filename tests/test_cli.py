@@ -182,6 +182,24 @@ def test_broken_span_reference_error_is_unchanged(tmp_path):
         (tmp_path / name).write_text(good)
 
 
+def test_reference_cycles_are_positioned_parse_errors(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    module = '{"kind": "module", "ring": "Q", "rank": 0, "groupoid": "%s", "action": {}}'
+    (tmp_path / "m.json").write_text(module % "m.json")
+    (tmp_path / "a.json").write_text(module % "b.json")
+    (tmp_path / "b.json").write_text(module % "a.json")
+    hint = "(hint: a document cannot reference itself, directly or through other files)"
+    cases = {
+        "m.json": "m.json:#groupoid: reference cycle: m.json -> ./m.json " + hint,
+        "a.json": "./b.json:#groupoid: reference cycle: a.json -> ./b.json -> ./a.json " + hint,
+    }
+    for name, text in cases.items():
+        with pytest.raises(ParseError) as err:
+            load_document(name)
+        assert err.value.describe() == text
+        assert run_command(["validate", name]) == (1, text)
+
+
 def test_missing_file_is_reported():
     with pytest.raises(ParseError) as err:
         load_document("no-such-file.json")

@@ -486,3 +486,23 @@ def test_verify_morita_checks_and_anchors_each_leg_once(monkeypatch):
     report = verify_morita(MoritaSpan(point, incl, identity_functor(point)), F5, samples=3, seed=1)
     assert report.ok and len(report.samples) == 6
     assert calls == {"is_essential_equivalence": 2, "anchors": 2}
+
+
+def test_round_trip_pushes_without_building_a_discarded_unit(monkeypatch, p2_point_span, p2_local):
+    # two quasi-inverses (and their unit checks) per round trip; the left
+    # push of the apex sheaf is needed only as a sheaf, so it is the one
+    # push_sheaf call besides the two inside the quasi-inverses
+    calls = {"pullback_quasi_inverse": 0, "push_sheaf": 0}
+    for name in calls:
+        real = getattr(morita, name)
+
+        def counted(f, e, name=name, real=real):
+            calls[name] += 1
+            return real(f, e)
+
+        monkeypatch.setattr(morita, name, counted)
+    m = random_module(p2_local, F5, 2, seed=9)
+    cert = round_trip(p2_point_span, m)
+    assert cert.ok and validate_hom(cert.iso).ok
+    assert calls == {"pullback_quasi_inverse": 2, "push_sheaf": 3}
+
