@@ -19,7 +19,7 @@ from .equivalence import gamma_c
 from .gmodule import GModule
 from .groupoid import ArrowId, FiniteGroupoid, ObjectId
 from .gsheaf import GSheaf
-from .rings import Matrix, Ring, Scalar, matrix_inverse, vec_add, vec_scale
+from .rings import Matrix, Ring, Scalar, matrix_inverse, vec
 
 
 def pair_groupoid(n: int) -> FiniteGroupoid:
@@ -306,27 +306,33 @@ def random_invertible(ring: Ring, n: int, rng: random.Random) -> tuple[Matrix, M
     The matrix is a product of elementary operations, so it stays
     invertible over Z (unimodular) as well as over fields.  The inverse is
     the one ``matrix_inverse`` computes when the matrix is checked."""
-    m = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
     if n == 0:
         empty = Matrix(ring, 0, 0, ())
         return empty, empty
+    # Every entry stays an integer (reduced mod p over Z/p), so the row
+    # operations run on plain ints and each row is coerced once at the end.
+    p = ring.modulus
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(2 * n * n + 2):
         kind = rng.randrange(3)
         i = rng.randrange(n)
         j = rng.randrange(n)
         if kind == 0 and i != j:  # shear: row_i += c * row_j
             c = rng.choice([-2, -1, 1, 2])
-            m[i] = vec_add(ring, m[i], vec_scale(ring, c, m[j]))
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
         elif kind == 1 and i != j:  # swap
             m[i], m[j] = m[j], m[i]
+            continue
         else:  # scale by a unit
             if ring.is_field:
                 choices = [2, -1] if ring.kind == "Q" else list(range(1, ring.modulus))
                 c = rng.choice(choices)
             else:
                 c = rng.choice([1, -1])
-            m[i] = vec_scale(ring, c, m[i])
-    out = Matrix(ring, n, n, tuple(tuple(r) for r in m))
+            m[i] = [c * a for a in m[i]]
+        if p is not None:
+            m[i] = [x % p for x in m[i]]
+    out = Matrix(ring, n, n, tuple(vec(ring, r) for r in m))
     inverse = matrix_inverse(out)
     assert inverse is not None
     return out, inverse

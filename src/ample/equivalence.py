@@ -34,7 +34,6 @@ from .rings import (
     kernel_basis,
     matrix_inverse,
     stack_rows,
-    unit_vec,
     vec,
     vec_add,
     vec_is_zero,
@@ -206,20 +205,17 @@ class Sheafification:
     stalk_basis: Mapping[ObjectId, Matrix]
 
     def coords(self, vector: Sequence[Scalar], x: ObjectId) -> tuple[Scalar, ...]:
-        germ = germ_at(self.module, vector, x)
-        found = express_in_basis(self.stalk_basis[x], germ.normal_form)
+        return self.germ_coords(germ_at(self.module, vector, x).normal_form, x)
+
+    def germ_coords(self, germ: Sequence[Scalar], x: ObjectId) -> tuple[Scalar, ...]:
+        """The coordinates of a germ's normal form at x in the stalk basis."""
+        found = express_in_basis(self.stalk_basis[x], germ)
         if found is None:
             raise ValueError(f"germ at {x!r} is outside the stalk lattice")
         return found
 
     def representative(self, coords: Sequence[Scalar], x: ObjectId) -> tuple[Scalar, ...]:
         return vec_mat(vec(self.module.ring, coords), self.stalk_basis[x])
-
-    def section_vector(self, vector: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        out: list[Scalar] = []
-        for x in self.module.groupoid.objects:
-            out.extend(self.coords(vector, x))
-        return tuple(out)
 
 
 def sheafify(m: GModule) -> Sheafification:
@@ -293,10 +289,17 @@ class NaturalIsoCertificate:
 
 
 def eta_matrix(sh: Sheafification) -> Matrix:
-    """Rows are the germ-coordinate families of the module's basis vectors."""
+    """Rows are the germ-coordinate families of the module's basis vectors.
+
+    The germ of basis vector i at x is row i of the unit action at x, so
+    row i is the coordinates of those rows, object after object."""
     m = sh.module
-    rows = [sh.section_vector(unit_vec(m.ring, m.rank, i)) for i in range(m.rank)]
-    return Matrix(m.ring, m.rank, sh.sheaf.total_rank, tuple(rows))
+    units = [(x, m.unit_action(x)) for x in m.groupoid.objects]
+    rows = tuple(
+        tuple(c for x, unit in units for c in sh.germ_coords(unit.row(i), x))
+        for i in range(m.rank)
+    )
+    return Matrix(m.ring, m.rank, sh.sheaf.total_rank, rows)
 
 
 def eta(m: GModule) -> NaturalIsoCertificate | Failure:

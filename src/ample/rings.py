@@ -20,8 +20,11 @@ call from the ring's modulus: ``int`` operations with one ``% m`` per
 result entry over Z/m and plain ``int`` over Z.  Over Q they run on
 integers too: each vector is held as integer numerators over one common
 denominator (``_common_denominator``), dot products are integer sums, and
-one ``Fraction`` is built per nonzero result entry.  Elimination visits
-only the nonzero entries of each pivot row.
+one ``Fraction`` is built per nonzero result entry.  A Q matrix computes
+the integer forms of its rows and of its columns once, on first use
+(``Matrix.int_rows``, ``Matrix.int_cols``), and every later product,
+elimination or ``express_in_basis`` it takes part in reads them from
+there.  Elimination visits only the nonzero entries of each pivot row.
 
 Conventions used throughout the library: vectors are rows, linear maps act
 on the right (``v @ A``), and matrix products compose left to right, so
@@ -305,13 +308,13 @@ def vec_mat(v: Sequence[Scalar], a: "Matrix") -> tuple[Scalar, ...]:
     return _products(a.ring, (v,), a)[0]
 
 
-def _common_denominator(v: Sequence[Scalar]) -> tuple[list[int], int]:
+def _common_denominator(v: Sequence[Scalar]) -> tuple[tuple[int, ...], int]:
     """Rationals (or ints) as integer numerators over their positive lcm denominator."""
     dens = [x.denominator for x in v]
     d = lcm(*dens)
     if d == 1:
-        return [x.numerator for x in v], 1
-    return [x.numerator * (d // e) for x, e in zip(v, dens)], d
+        return tuple([x.numerator for x in v]), 1
+    return tuple([x.numerator * (d // e) for x, e in zip(v, dens)]), d
 
 
 def _from_common(nums: Sequence[int], d: int, zero: Scalar) -> tuple[Scalar, ...]:
@@ -320,27 +323,28 @@ def _from_common(nums: Sequence[int], d: int, zero: Scalar) -> tuple[Scalar, ...
 
 
 def _products(
-    ring: Ring, rows: Sequence[Sequence[Scalar]], b: "Matrix"
+    ring: Ring, left: "Matrix | Sequence[Sequence[Scalar]]", b: "Matrix"
 ) -> tuple[tuple[Scalar, ...], ...]:
-    """The rows of ``rows @ b``: one dot product and one reduction per entry.
+    """The rows of ``left @ b``: one dot product and one reduction per entry.
 
-    Over Q, each row of ``rows`` and each column of ``b`` is scaled to
-    integers by the lcm of its denominators, so a dot product is an integer
-    sum and each nonzero entry is one ``Fraction`` over the two lcms.
+    ``left`` is a matrix or a sequence of rows.  Over Q, each row of
+    ``left`` and each column of ``b`` is scaled to integers by the lcm of
+    its denominators (read from a matrix's cached ``int_rows`` and
+    ``int_cols``), so a dot product is an integer sum and each nonzero
+    entry is one ``Fraction`` over the two lcms.
     """
     zero = ring.zero
+    rows = left.entries if isinstance(left, Matrix) else left
     if b.rows == 0:
         return tuple((zero,) * b.cols for _ in rows)
-    cols = tuple(zip(*b.entries))
     if ring.kind == "Q":
-        right = [_common_denominator(c) for c in cols]
-        out = []
-        for r in rows:
-            nums, d = _common_denominator(r)
-            out.append(tuple(
-                Fraction(t, d * e) if (t := sum(map(mul, nums, c))) else zero for c, e in right
-            ))
-        return tuple(out)
+        forms = left.int_rows if isinstance(left, Matrix) else map(_common_denominator, rows)
+        right = b.int_cols
+        return tuple(
+            tuple(Fraction(t, d * e) if (t := sum(map(mul, nums, c))) else zero for c, e in right)
+            for nums, d in forms
+        )
+    cols = tuple(zip(*b.entries))
     p = ring.modulus
     if p is None:
         return tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in rows)
@@ -353,12 +357,27 @@ def _products(
 @dataclass(frozen=True)
 class Matrix:
     """A dense exact matrix; entries are row-major tuples over one ring.
-    The constructor trusts its shape; ``from_rows`` is the checked one."""
+    The constructor trusts its shape; ``from_rows`` is the checked one.
+
+    Over Q, ``int_rows`` and ``int_cols`` are the integer forms of the rows
+    and columns, built on first use and kept for the life of the matrix.
+    They are not fields, so equality, hashing and reports ignore them."""
 
     ring: Ring
     rows: int
     cols: int
     entries: tuple[tuple[Scalar, ...], ...]
+
+    @cached_property
+    def int_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each row as ``_common_denominator`` gives it."""
+        return tuple(map(_common_denominator, self.entries))
+
+    @cached_property
+    def int_cols(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each column as ``_common_denominator`` gives it."""
+        cols = zip(*self.entries) if self.rows else ((),) * self.cols
+        return tuple(map(_common_denominator, cols))
 
     @staticmethod
     def from_rows(ring: Ring, rows: Sequence[Sequence[Any]], cols: int | None = None) -> "Matrix":
@@ -401,7 +420,7 @@ class Matrix:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        return Matrix(self.ring, self.rows, other.cols, _products(self.ring, self.entries, other))
+        return Matrix(self.ring, self.rows, other.cols, _products(self.ring, self, other))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
@@ -541,16 +560,17 @@ def _rref(a: Matrix) -> Echelon:
 def _q_rref(a: Matrix) -> Echelon:
     # The Gauss-Jordan loop of ``_rref`` over Q, with row i of
     # [a | identity] held as integer numerators nums[i] over one positive
-    # denominator dens[i], both divided by their gcd after every update.
-    # Pivot choice and operation order are those of a ``Fraction`` loop, so
-    # every intermediate row has the same rational values.
+    # denominator dens[i], both divided by their gcd after every update; the
+    # rows start as copies of a's cached integer rows.  Pivot choice and
+    # operation order are those of a ``Fraction`` loop, so every
+    # intermediate row has the same rational values.
     ring, zero = a.ring, a.ring.zero
     n, width = a.cols, a.cols + a.rows
     nums: list[list[int]] = []
     dens: list[int] = []
-    for i, r in enumerate(a.entries):
-        row, d = _common_denominator(r)
-        row.extend([0] * a.rows)
+    zeros = [0] * a.rows
+    for i, (r, d) in enumerate(a.int_rows):
+        row = [*r, *zeros]
         row[n + i] = d
         nums.append(row)
         dens.append(d)
@@ -700,16 +720,17 @@ def express_in_basis(basis: Matrix, target: Sequence[Scalar]) -> tuple[Scalar, .
 
 def _q_express_in_basis(basis: Matrix, target: Sequence[Scalar]) -> tuple[Scalar, ...] | None:
     # The residue is held as integer numerators over one positive
-    # denominator, divided by their gcd after each step.
+    # denominator, divided by their gcd after each step; the basis rows are
+    # read from the basis's cached integer form.
     zero = basis.ring.zero
-    residue, e = _common_denominator(target)
+    target_nums, e = _common_denominator(target)
+    residue = list(target_nums)
     coeffs = []
-    for row in basis.entries:
-        lead = next((j for j, x in enumerate(row) if x), None)
+    for nums, d in basis.int_rows:
+        lead = next((j for j, x in enumerate(nums) if x), None)
         if lead is None or not residue[lead]:
             coeffs.append(zero)
             continue
-        nums, d = _common_denominator(row)
         r, s = residue[lead], nums[lead]
         coeffs.append(Fraction(r * d, e * s))
         # residue - (r/e)/(s/d) * nums/d, over the denominator e*|s|

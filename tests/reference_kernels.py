@@ -27,7 +27,9 @@ read the endpoint indices: an all-pairs scan for composability and the
 axioms, and a test of every arrow subset for bisections.
 ``validate_module`` and ``validate_sheaf`` are the module and sheaf
 validators as they were before they checked generators only: every law on
-every arrow and every composable pair.
+every arrow and every composable pair.  ``eta_matrix`` is the unit's matrix
+as it was before it read the rows of the unit actions: each standard basis
+vector goes through ``germ_at`` at every object.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from typing import Any, Iterator, Sequence
 
 from ample import rings
 from ample.algebra import AlgebraElement
-from ample.equivalence import Section
+from ample.equivalence import Section, Sheafification
 from ample.groupoid import (
     BISECTION_ENUM_GUARD,
     ArrowId,
@@ -351,6 +353,18 @@ def random_invertible(ring: Ring, n: int, rng: random.Random) -> Matrix:
     out = Matrix(ring, n, n, tuple(tuple(r) for r in m))
     assert matrix_inverse(out) is not None
     return out
+
+
+def eta_matrix(sh: Sheafification) -> Matrix:
+    """Rows are the germ-coordinate families of the module's basis vectors."""
+    m = sh.module
+    rows = []
+    for i in range(m.rank):
+        out: list[Scalar] = []
+        for x in m.groupoid.objects:
+            out.extend(sh.coords(unit_vec(m.ring, m.rank, i), x))
+        rows.append(tuple(out))
+    return Matrix(m.ring, m.rank, sh.sheaf.total_rank, tuple(rows))
 
 
 def section_action(s: Section, f: AlgebraElement) -> Section:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
-from ample import gsheaf
+from ample import gsheaf, rings
 from ample.builders import (
     random_algebra_element,
     random_invertible,
@@ -23,7 +23,7 @@ from ample.builders import (
     random_sheaf,
     random_vector,
 )
-from ample.equivalence import section_action, vector_to_section
+from ample.equivalence import eta_matrix, section_action, sheafify, vector_to_section
 from ample.rings import (
     INTEGERS,
     RATIONALS,
@@ -42,6 +42,14 @@ from ample.rings import (
     vec_mat,
     vec_scale,
     vec_sub,
+)
+from test_hom_reduction import (
+    GROUPOIDS as HOM_GROUPOIDS,
+    PAIR5_MODULES,
+    PAIR5_RANK_CAP,
+    extra_modules,
+    groupoids,  # the fixture of named groupoids
+    modules_for,
 )
 
 ELIMINATION_RINGS = (RATIONALS, INTEGERS, modular(2), modular(5), modular(1000003))
@@ -278,6 +286,89 @@ def test_q_inverse_matches_reference_on_hard_denominators(data):
         assert (a @ got).is_identity
 
 
+@SETTINGS
+@given(data=st.data())
+def test_q_cached_integer_forms_are_the_common_denominator_forms(data):
+    r, c = data.draw(DIMS), data.draw(DIMS)
+    a = data.draw(hard_q_matrices(r, c))
+    assert a.int_rows == tuple(rings._common_denominator(row) for row in a.entries)
+    columns = [[row[j] for row in a.entries] for j in range(c)]
+    assert a.int_cols == tuple(rings._common_denominator(col) for col in columns)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_q_warm_matrix_matches_reference_in_every_kernel(data):
+    """One matrix, its integer forms built by its first product, reused as
+    left and right operand, as elimination input and, echelonized, as a
+    basis: every result has the reference values and types, and the cached
+    forms still describe the matrix afterwards."""
+    r, c, k = data.draw(DIMS), data.draw(DIMS), data.draw(DIMS)
+    a = data.draw(hard_q_matrices(r, c))
+    lefts = [data.draw(hard_q_matrices(k, r)) for _ in range(2)]
+    rights = [data.draw(hard_q_matrices(c, k)) for _ in range(2)]
+    u = data.draw(hard_q_vectors(r))
+    for _ in range(2):
+        for b in rights:
+            assert_same_matrix(RATIONALS, a @ b, ref.matmul(a, b))
+        for b in lefts:
+            assert_same_matrix(RATIONALS, b @ a, ref.matmul(b, a))
+        got = vec_mat(u, a)
+        assert got == ref.vec_mat(u, a)
+        assert_canonical(RATIONALS, got)
+        ech, want = row_echelon(a), ref.row_echelon(a)
+        assert ech.pivots == want.pivots
+        assert_same_matrix(RATIONALS, ech.reduced, want.reduced)
+        assert_same_matrix(RATIONALS, ech.transform, want.transform)
+    basis = image_basis(a)
+    targets = (vec_mat(u, a), data.draw(hard_q_vectors(c)))
+    for _ in range(2):
+        for target in targets:
+            got = express_in_basis(basis, target)
+            assert got == ref.express_in_basis(basis, target)
+            if got is not None:
+                assert_canonical(RATIONALS, got)
+    for m in (a, basis):
+        assert m.int_rows == tuple(rings._common_denominator(row) for row in m.entries)
+
+
+def test_q_cached_forms_stay_out_of_equality_hash_and_reports():
+    rows = [[Fraction(1, 3), 2, 0], [0, Fraction(-5, 7), Fraction(9, 14)]]
+    warm, fresh = Matrix.from_rows(RATIONALS, rows), Matrix.from_rows(RATIONALS, rows)
+    warm @ Matrix.identity(RATIONALS, 3)
+    Matrix.identity(RATIONALS, 2) @ warm
+    assert {"int_rows", "int_cols"} <= set(vars(warm))
+    assert not {"int_rows", "int_cols"} & set(vars(fresh))
+    assert warm == fresh and hash(warm) == hash(fresh)
+    assert repr(warm) == repr(fresh) and warm.to_json() == fresh.to_json()
+
+
+def test_q_products_build_each_operand_form_once(monkeypatch):
+    built = []
+    real = rings._common_denominator
+    monkeypatch.setattr(rings, "_common_denominator", lambda v: built.append(v) or real(v))
+    q = lambda *rows: Matrix.from_rows(RATIONALS, rows)
+    a = q([Fraction(1, 3), 2, 0], [0, Fraction(-5, 7), 1])
+    b = q([1, 0], [Fraction(1, 2), 3], [0, Fraction(2, 9)])
+    c = q([Fraction(4, 5), 0, 1, 2], [1, 1, 0, 0], [0, 0, Fraction(1, 6), 1])
+    a @ b
+    assert len(built) == a.rows + b.cols
+    built.clear()
+    a @ c  # a's rows are read from its cache
+    assert len(built) == c.cols
+    built.clear()
+    c.column_slice(0, 3) @ b  # b's columns are read from its cache
+    assert len(built) == c.rows
+    built.clear()
+    row_echelon(a)
+    assert built == []
+    basis = image_basis(b)
+    express_in_basis(basis, b.row(1))  # builds the basis's rows and the target's
+    built.clear()
+    express_in_basis(basis, b.row(0))
+    assert len(built) == 1  # the target's only
+
+
 ROW_OP_RINGS = (RATIONALS, INTEGERS, modular(2), modular(5))
 
 
@@ -468,3 +559,19 @@ def test_sheaf_hom_basis_and_draw_match_reference(ring, groupoid, request):
         rng, ref_rng = random.Random(seeds[0]), random.Random(seeds[0])
         assert gsheaf.random_sheaf_hom(e, f, rng) == ref.random_sheaf_hom(e, f, ref_rng)
         assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("ring", ROW_OP_RINGS, ids=lambda r: r.name)
+@pytest.mark.parametrize("name", HOM_GROUPOIDS)
+def test_eta_matrix_matches_reference(groupoids, name, ring):
+    """Rows read off the unit actions give the matrix that pushing each
+    basis vector through ``germ_at`` gives, on the hom-reduction modules."""
+    g = groupoids[name]
+    if name == "pair5" and ring.name in ("Q", "Z"):
+        mods = modules_for(g, ring, cap=PAIR5_RANK_CAP, limit=PAIR5_MODULES)
+    else:
+        mods = modules_for(g, ring, extra_modules(name, g, ring))
+    assert mods
+    for m in mods:
+        sh = sheafify(m)
+        assert_same_matrix(ring, eta_matrix(sh), ref.eta_matrix(sh))
