@@ -188,17 +188,17 @@ def _groupoid_report(doc: ParsedDocument) -> tuple[FiniteGroupoid | None, Valida
     return groupoid, validate_groupoid(groupoid)
 
 
-_VALIDATORS = {
-    "module": validate_module, "sheaf": validate_sheaf, "functor": validate_functor, "span": validate_span,
-}
-
-
 def _cmd_validate(args: argparse.Namespace, ring: Ring) -> Report:
     doc = load_document(args.file)
     if doc.kind in ("groupoid", "graph"):
         report = _groupoid_report(doc)[1]
     else:
-        report = _VALIDATORS[doc.kind](doc.value)
+        # looked up per call, so a validator rebound on this module is the one run
+        validators = {
+            "module": validate_module, "sheaf": validate_sheaf,
+            "functor": validate_functor, "span": validate_span,
+        }
+        report = validators[doc.kind](doc.value)
     summary = _summary(doc.kind, doc.value)
     status = "pass" if report.ok else "fail"
     if report.ok:

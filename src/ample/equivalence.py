@@ -29,7 +29,7 @@ from .rings import (
     Matrix,
     Scalar,
     block_diagonal,
-    express_in_basis,
+    coordinates,
     image_basis,
     kernel_basis,
     matrix_inverse,
@@ -205,11 +205,13 @@ class Sheafification:
     stalk_basis: Mapping[ObjectId, Matrix]
 
     def coords(self, vector: Sequence[Scalar], x: ObjectId) -> tuple[Scalar, ...]:
-        return self.germ_coords(germ_at(self.module, vector, x).normal_form, x)
+        germ = germ_at(self.module, vector, x).normal_form
+        return self.germ_coords(Matrix(self.module.ring, 1, len(germ), (germ,)), x).entries[0]
 
-    def germ_coords(self, germ: Sequence[Scalar], x: ObjectId) -> tuple[Scalar, ...]:
-        """The coordinates of a germ's normal form at x in the stalk basis."""
-        found = express_in_basis(self.stalk_basis[x], germ)
+    def germ_coords(self, germs: Matrix, x: ObjectId) -> Matrix:
+        """The coordinates at x, in the stalk basis, of the germ normal forms
+        that are the rows of ``germs``."""
+        found = coordinates(self.stalk_basis[x], germs)
         if found is None:
             raise ValueError(f"germ at {x!r} is outside the stalk lattice")
         return found
@@ -220,7 +222,7 @@ class Sheafification:
 
 def sheafify(m: GModule) -> Sheafification:
     """Build the germ sheaf of a module (needs a field or Z for bases)."""
-    g, ring = m.groupoid, m.ring
+    g = m.groupoid
     basis: dict[ObjectId, Matrix] = {}
     for x in g.objects:
         basis[x] = image_basis(m.unit_action(x))
@@ -228,17 +230,13 @@ def sheafify(m: GModule) -> Sheafification:
     transport: dict[ArrowId, Matrix] = {}
     for a in g.arrows:
         x, y = g.dst[a], g.src[a]
-        rows = []
-        for i in range(basis[x].rows):
-            moved = vec_mat(basis[x].row(i), m.action[a])
-            coords = express_in_basis(basis[y], moved)
-            if coords is None:
-                raise ValueError(
-                    f"action of {a!r} does not preserve stalk lattices; is the module valid?"
-                )
-            rows.append(coords)
-        transport[a] = Matrix(ring, stalk_rank[x], stalk_rank[y], tuple(rows))
-    sheaf = GSheaf(g, ring, stalk_rank, transport)
+        coords = coordinates(basis[y], basis[x] @ m.action[a])
+        if coords is None:
+            raise ValueError(
+                f"action of {a!r} does not preserve stalk lattices; is the module valid?"
+            )
+        transport[a] = coords
+    sheaf = GSheaf(g, m.ring, stalk_rank, transport)
     return Sheafification(m, sheaf, basis)
 
 
@@ -250,15 +248,10 @@ def sh_mor(
     """Sheafification on morphisms: the induced map on germ coordinates."""
     source = source if source is not None else sheafify(f.source)
     target = target if target is not None else sheafify(f.target)
-    maps: dict[ObjectId, Matrix] = {}
-    for x in f.source.groupoid.objects:
-        rows = []
-        for i in range(source.stalk_basis[x].rows):
-            image = vec_mat(source.stalk_basis[x].row(i), f.matrix)
-            rows.append(target.coords(image, x))
-        maps[x] = Matrix(
-            f.source.ring, source.sheaf.stalk_rank[x], target.sheaf.stalk_rank[x], tuple(rows)
-        )
+    maps = {
+        x: target.germ_coords(source.stalk_basis[x] @ f.matrix @ f.target.unit_action(x), x)
+        for x in f.source.groupoid.objects
+    }
     return GSheafMor(source.sheaf, target.sheaf, maps)
 
 
@@ -294,11 +287,8 @@ def eta_matrix(sh: Sheafification) -> Matrix:
     The germ of basis vector i at x is row i of the unit action at x, so
     row i is the coordinates of those rows, object after object."""
     m = sh.module
-    units = [(x, m.unit_action(x)) for x in m.groupoid.objects]
-    rows = tuple(
-        tuple(c for x, unit in units for c in sh.germ_coords(unit.row(i), x))
-        for i in range(m.rank)
-    )
+    blocks = [sh.germ_coords(m.unit_action(x), x).entries for x in m.groupoid.objects]
+    rows = tuple(tuple(c for block in blocks for c in block[i]) for i in range(m.rank))
     return Matrix(m.ring, m.rank, sh.sheaf.total_rank, rows)
 
 

@@ -29,7 +29,7 @@ from .rings import (
     Matrix,
     Ring,
     Scalar,
-    express_in_basis,
+    coordinates,
     image_basis,
     intertwiner_constraints,
     kernel_basis,
@@ -273,7 +273,7 @@ def _isotropy_frame(m: GModule) -> IsotropyFrame:
     Each identity is needed: the tests hold, for each, a non-module that
     fails only that one.
     """
-    g, ring, action = m.groupoid, m.ring, m.action
+    g, action = m.groupoid, m.action
     plan = g.isotropy_plan
     dims: dict[ObjectId, int] = {}
     loop_reps: dict[ObjectId, tuple[Matrix, ...]] = {}
@@ -284,8 +284,8 @@ def _isotropy_frame(m: GModule) -> IsotropyFrame:
         unit = m.unit_action(base)
         p = image_basis(unit)
         # each row of E_x lies in the row space (lattice) that p spans
-        coords = tuple(express_in_basis(p, row) for row in unit.entries)
-        q = Matrix(ring, m.rank, p.rows, coords)  # type: ignore[arg-type]
+        q = coordinates(p, unit)
+        assert q is not None
         dims[base] = p.rows
         loop_reps[base] = tuple(
             p @ action[k] @ q for k in g.hom_set(base, base) if k != g.unit[base]

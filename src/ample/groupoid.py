@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .validation import Failure, ValidationReport
@@ -82,10 +83,13 @@ class FiniteGroupoid:
         for g, h in self.inverse.items():
             if h not in arrow_set:
                 raise ValueError(f"inverse[{g!r}] = {h!r} is not an arrow")
-        for (g, h), gh in self.compose.items():
-            for a in (g, h, gh):
-                if a not in arrow_set:
-                    raise ValueError(f"compose entry {(g, h, gh)!r} references unknown arrow {a!r}")
+        referenced = set(chain.from_iterable(self.compose))
+        referenced.update(self.compose.values())
+        if not referenced <= arrow_set:  # name the first bad entry
+            for (g, h), gh in self.compose.items():
+                for a in (g, h, gh):
+                    if a not in arrow_set:
+                        raise ValueError(f"compose entry {(g, h, gh)!r} references unknown arrow {a!r}")
 
     @cached_property
     def object_index(self) -> dict[ObjectId, int]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .equivalence import epsilon, eta_matrix, gamma_c, gamma_c_mor, sheafify
+from .equivalence import epsilon, eta_matrix, gamma_c, sheafify
 from .gmodule import GModule, GModuleHom, hom_space_dim, is_isomorphism
 from .groupoid import ArrowId, FiniteGroupoid, ObjectId
 from .gsheaf import (
@@ -27,7 +27,7 @@ from .gsheaf import (
     compose_sheaf_mors,
     is_sheaf_isomorphism,
 )
-from .rings import Matrix, Ring
+from .rings import Matrix, Ring, block_diagonal
 from .validation import Failure, ValidationReport
 
 
@@ -331,8 +331,9 @@ def round_trip(span: MoritaSpan, m: GModule) -> RoundTripCertificate:
     assert counit_inv is not None
     sheaf_iso = compose_sheaf_mors(counit_inv, lifted)  # e -> push_left.sheaf
 
-    iso_matrix = eta_matrix(sh_m) @ gamma_c_mor(sheaf_iso, gamma_c(e), returned).matrix
-    iso = GModuleHom(m, returned, iso_matrix)
+    # Γ(sheaf_iso) is block-diagonal in its components (``gamma_c_mor``).
+    blocks = block_diagonal(m.ring, [sheaf_iso.maps[x] for x in e.groupoid.objects])
+    iso = GModuleHom(m, returned, eta_matrix(sh_m) @ blocks)
     if not is_isomorphism(iso):
         raise AssertionError("round-trip intertwiner failed to be an isomorphism")
     return RoundTripCertificate(m, n, returned, iso)

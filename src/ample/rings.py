@@ -26,6 +26,14 @@ the integer forms of its rows and of its columns once, on first use
 elimination or ``express_in_basis`` it takes part in reads them from
 there.  Elimination visits only the nonzero entries of each pivot row.
 
+An identity skips the arithmetic: ``Matrix.is_identity`` compares with one
+shared identity per (ring, size), a product with an identity operand
+returns the other operand once the ring and shape checks pass, and
+``row_echelon`` returns an identity as its own reduced form and transform.
+``coordinates`` expresses every row of a matrix in an echelon basis at once:
+over a field it reads the coordinates off the pivot columns and checks them
+in one pass, falling back to ``express_in_basis`` row by row.
+
 Conventions used throughout the library: vectors are rows, linear maps act
 on the right (``v @ A``), and matrix products compose left to right, so
 ``A @ B`` means "apply A, then B".  All values are immutable and every
@@ -390,7 +398,7 @@ class Matrix:
 
     @staticmethod
     def identity(ring: Ring, n: int) -> "Matrix":
-        return Matrix(ring, n, n, tuple(unit_vec(ring, n, i) for i in range(n)))
+        return _identity(ring, n)
 
     @staticmethod
     def zeros(ring: Ring, rows: int, cols: int) -> "Matrix":
@@ -405,21 +413,24 @@ class Matrix:
 
     @property
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        one, zeros = self.ring.one, (self.ring.zero,) * self.cols
-        return all(
-            row[i] == one and row[:i] == zeros[:i] and row[i + 1:] == zeros[i + 1:]
-            for i, row in enumerate(self.entries)
+        # the corner test turns most other matrices away before the lookup
+        n, rows = self.rows, self.entries
+        return n == self.cols and (
+            n == 0 or rows[0][0] == self.ring.one and rows == _identity(self.ring, n).entries
         )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The product; an identity operand returns the other one unchanged."""
         if self.ring != other.ring:
             raise ValueError(f"ring mismatch: {self.ring.name} vs {other.ring.name}")
         if self.cols != other.rows:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
+        if self.is_identity:
+            return other
+        if other.is_identity:
+            return self
         return Matrix(self.ring, self.rows, other.cols, _products(self.ring, self, other))
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -466,6 +477,12 @@ class Matrix:
         return [[self.ring.scalar_to_json(a) for a in row] for row in self.entries]
 
 
+@lru_cache(maxsize=256)
+def _identity(ring: Ring, n: int) -> Matrix:
+    """The n×n identity over ``ring``, built once and shared."""
+    return Matrix(ring, n, n, tuple(unit_vec(ring, n, i) for i in range(n)))
+
+
 def stack_rows(ring: Ring, matrices: Sequence[Matrix], cols: int) -> Matrix:
     rows: list[tuple[Scalar, ...]] = []
     for m in matrices:
@@ -507,16 +524,20 @@ class Echelon:
 
 
 def row_echelon(a: Matrix) -> Echelon:
+    """The echelon record of ``a``; an identity is its own reduced form and
+    transform, with no elimination."""
     ring = a.ring
+    if not ring.supports_elimination:
+        raise UnsupportedRingError(
+            f"row reduction needs a field or Z, not {ring.name} (composite modulus)"
+        )
+    if a.is_identity:
+        return Echelon(a, a, tuple(range(a.rows)))
     if ring.kind == "Q":
         return _q_rref(a)
     if ring.is_field:
         return _rref(a)
-    if ring.kind == "Z":
-        return _hermite(a)
-    raise UnsupportedRingError(
-        f"row reduction needs a field or Z, not {ring.name} (composite modulus)"
-    )
+    return _hermite(a)
 
 
 def _rref(a: Matrix) -> Echelon:
@@ -716,6 +737,64 @@ def express_in_basis(basis: Matrix, target: Sequence[Scalar]) -> tuple[Scalar, .
     if not vec_is_zero(ring, residue):
         return None
     return tuple(coeffs)
+
+
+def coordinates(basis: Matrix, m: Matrix) -> Matrix | None:
+    """The matrix C with C @ basis = m, or None when a row of ``m`` is
+    outside the row space (the lattice, over Z) of ``basis``.
+
+    ``basis`` must be in echelon form, as for ``express_in_basis``, and row
+    i of C is ``express_in_basis(basis, m.row(i))``.  Over a field a reduced
+    basis has a 1 at each row's leading column and zeros above and below
+    it, so C is ``m`` read at those columns, and one pass of dot products
+    checks it (``_reads_back``).  The nonzero rows of an echelon basis are
+    independent, so a C that passes is the only one.  When the check fails
+    (the basis is not reduced, or ``m`` leaves the row space), and over Z,
+    C is built row by row with ``express_in_basis``.
+    """
+    ring = basis.ring
+    if m.ring != ring:
+        raise ValueError(f"ring mismatch: {m.ring.name} vs {ring.name}")
+    if m.cols != basis.cols:
+        raise ValueError(f"dimension mismatch: rows of length {m.cols} vs {basis.cols} cols")
+    if ring.is_field:
+        leads = [next((j for j, x in enumerate(row) if x), None) for row in basis.entries]
+        if _reads_back(basis, m, leads):
+            zero = ring.zero
+            read = tuple(tuple(zero if j is None else row[j] for j in leads) for row in m.entries)
+            return Matrix(ring, m.rows, basis.rows, read)
+    rows = []
+    for row in m.entries:
+        found = express_in_basis(basis, row)
+        if found is None:
+            return None
+        rows.append(found)
+    return Matrix(ring, m.rows, basis.rows, tuple(rows))
+
+
+def _reads_back(basis: Matrix, m: Matrix, leads: Sequence[int | None]) -> bool:
+    """Whether C @ basis == m, for C the entries of m at ``leads`` (0 for a
+    zero row of ``basis``), over a field, without building C or the product.
+
+    Over Z/p each entry is one dot product reduced mod p.  Over Q it runs on
+    integers: with row i of m cached as nums/f and column k of ``basis`` as
+    col/e, row i of C is nums[leads]/f, so entry (i, k) holds exactly when
+    the dot product of nums[leads] and col equals nums[k]·e.
+    """
+    if basis.ring.kind == "Q":
+        cols = basis.int_cols
+        for nums, _ in m.int_rows:
+            c = [0 if j is None else nums[j] for j in leads]
+            if any(sum(map(mul, c, col)) != nums[k] * e for k, (col, e) in enumerate(cols)):
+                return False
+        return True
+    p = basis.ring.modulus
+    cols = tuple(zip(*basis.entries)) if basis.rows else ((),) * basis.cols
+    for row in m.entries:
+        c = [0 if j is None else row[j] for j in leads]
+        if any(sum(map(mul, c, col)) % p != x for col, x in zip(cols, row)):
+            return False
+    return True
 
 
 def _q_express_in_basis(basis: Matrix, target: Sequence[Scalar]) -> tuple[Scalar, ...] | None:

@@ -29,7 +29,11 @@ axioms, and a test of every arrow subset for bisections.
 validators as they were before they checked generators only: every law on
 every arrow and every composable pair.  ``eta_matrix`` is the unit's matrix
 as it was before it read the rows of the unit actions: each standard basis
-vector goes through ``germ_at`` at every object.
+vector is pushed through the unit action at every object.  ``coordinates``,
+``sheafify``, ``sh_mor`` and ``isotropy_frame`` are the stalk coordinates as
+they were before ``rings.coordinates`` took a whole matrix at once: one
+``express_in_basis`` per row.  ``row_echelon`` over Z is the Hermite form
+itself, so none of these references takes the identity shortcut.
 """
 from __future__ import annotations
 
@@ -40,6 +44,7 @@ from typing import Any, Iterator, Sequence
 from ample import rings
 from ample.algebra import AlgebraElement
 from ample.equivalence import Section, Sheafification
+from ample.gmodule import GModule, GModuleHom, IsotropyFrame
 from ample.groupoid import (
     BISECTION_ENUM_GUARD,
     ArrowId,
@@ -151,7 +156,9 @@ def rref(a: Matrix) -> Echelon:
 def row_echelon(a: Matrix) -> Echelon:
     if a.ring.is_field:
         return rref(a)
-    return rings.row_echelon(a)  # Hermite form over Z has no separate fast path
+    if a.ring.kind == "Z":
+        return rings._hermite(a)  # the Hermite form has no other oracle; no identity shortcut
+    return rings.row_echelon(a)  # rejects a composite modulus
 
 
 def express_in_basis(basis: Matrix, target: Sequence[Scalar]) -> tuple[Scalar, ...] | None:
@@ -179,6 +186,17 @@ def express_in_basis(basis: Matrix, target: Sequence[Scalar]) -> tuple[Scalar, .
     if not all(ring.is_zero(x) for x in residue):
         return None
     return tuple(coeffs)
+
+
+def coordinates(basis: Matrix, m: Matrix) -> Matrix | None:
+    """C with C @ basis = m, one ``express_in_basis`` per row of m."""
+    rows = []
+    for row in m.entries:
+        found = express_in_basis(basis, row)
+        if found is None:
+            return None
+        rows.append(found)
+    return Matrix(basis.ring, m.rows, basis.rows, tuple(rows))
 
 
 def image_basis(a: Matrix) -> Matrix:
@@ -362,9 +380,76 @@ def eta_matrix(sh: Sheafification) -> Matrix:
     for i in range(m.rank):
         out: list[Scalar] = []
         for x in m.groupoid.objects:
-            out.extend(sh.coords(unit_vec(m.ring, m.rank, i), x))
+            out.extend(germ_coords(sh, unit_vec(m.ring, m.rank, i), x))
         rows.append(tuple(out))
     return Matrix(m.ring, m.rank, sh.sheaf.total_rank, tuple(rows))
+
+
+def sheafify(m: GModule) -> Sheafification:
+    """The germ sheaf with each stalk basis row pushed through the action
+    and expressed in the next stalk's basis on its own."""
+    g, ring = m.groupoid, m.ring
+    basis = {x: image_basis(m.unit_action(x)) for x in g.objects}
+    stalk_rank = {x: basis[x].rows for x in g.objects}
+    transport: dict[ArrowId, Matrix] = {}
+    for a in g.arrows:
+        x, y = g.dst[a], g.src[a]
+        rows = []
+        for i in range(basis[x].rows):
+            coords = express_in_basis(basis[y], vec_mat(basis[x].row(i), m.action[a]))
+            if coords is None:
+                raise ValueError(
+                    f"action of {a!r} does not preserve stalk lattices; is the module valid?"
+                )
+            rows.append(coords)
+        transport[a] = Matrix(ring, stalk_rank[x], stalk_rank[y], tuple(rows))
+    return Sheafification(m, GSheaf(g, ring, stalk_rank, transport), basis)
+
+
+def germ_coords(sh: Sheafification, vector: Sequence[Scalar], x: ObjectId) -> tuple[Scalar, ...]:
+    """The stalk coordinates at x of the germ of one module vector."""
+    found = express_in_basis(sh.stalk_basis[x], vec_mat(vector, sh.module.unit_action(x)))
+    if found is None:
+        raise ValueError(f"germ at {x!r} is outside the stalk lattice")
+    return found
+
+
+def sh_mor(f: GModuleHom, source: Sheafification, target: Sheafification) -> GSheafMor:
+    """Sheafification on morphisms, one stalk basis row at a time."""
+    maps: dict[ObjectId, Matrix] = {}
+    for x in f.source.groupoid.objects:
+        rows = []
+        for i in range(source.stalk_basis[x].rows):
+            image = vec_mat(source.stalk_basis[x].row(i), f.matrix)
+            rows.append(germ_coords(target, image, x))
+        maps[x] = Matrix(
+            f.source.ring, source.sheaf.stalk_rank[x], target.sheaf.stalk_rank[x], tuple(rows)
+        )
+    return GSheafMor(source.sheaf, target.sheaf, maps)
+
+
+def isotropy_frame(m: GModule) -> IsotropyFrame:
+    """``GModule.isotropy_frame`` of a valid module, with Q built one row
+    of E_x at a time and every product through ``matmul``."""
+    g, ring, action = m.groupoid, m.ring, m.action
+    plan = g.isotropy_plan
+    dims: dict[ObjectId, int] = {}
+    loop_reps: dict[ObjectId, tuple[Matrix, ...]] = {}
+    lift: dict[ObjectId, Matrix] = {}
+    drop: dict[ObjectId, Matrix] = {}
+    for comp in plan.components:
+        base = comp[0]
+        unit = m.unit_action(base)
+        p = image_basis(unit)
+        q = Matrix(ring, m.rank, p.rows, tuple(express_in_basis(p, row) for row in unit.entries))
+        dims[base] = p.rows
+        loop_reps[base] = tuple(
+            matmul(matmul(p, action[k]), q) for k in g.hom_set(base, base) if k != g.unit[base]
+        )
+        for y in comp:
+            lift[y] = matmul(action[plan.tree[y]], q)
+            drop[y] = matmul(p, action[g.inverse[plan.tree[y]]])
+    return IsotropyFrame(dims, loop_reps, lift, drop)
 
 
 def section_action(s: Section, f: AlgebraElement) -> Section:

@@ -257,6 +257,26 @@ def test_validate_every_fixture(corpus):
         assert "PASS" in text
 
 
+@pytest.mark.parametrize(
+    "name, kind, document",
+    [
+        ("validate_module", "module", "module-p2-regular.json"),
+        ("validate_sheaf", "sheaf", "sheaf-p2-constant.json"),
+        ("validate_functor", "functor", "functor-z2-to-point.json"),
+        ("validate_span", "span", "span-p2-point.json"),
+    ],
+)
+def test_validate_runs_the_validator_bound_on_the_cli_module(corpus, monkeypatch, name, kind, document):
+    """``ample validate`` looks its validators up when it runs, so one
+    rebound on ``ample.cli`` (as a tracing wrapper would be) is called."""
+    real = getattr(ample.cli, name)
+    seen = []
+    monkeypatch.setattr(ample.cli, name, lambda value: seen.append(value) or real(value))
+    code, text = run_command(["validate", str(corpus / document)])
+    assert code == 0 and text.startswith(f"{kind}: PASS")
+    assert len(seen) == 1
+
+
 def test_validate_broken_span_fails(corpus):
     code, text = run_command(["validate", str(corpus / "span-broken.json")])
     assert code == 1

@@ -147,6 +147,28 @@ def test_repeated_target_is_not_a_bisection(p2):
     assert not is_bisection(p2, ["(1,1)", "(1,2)"])  # both end at 1
 
 
+def test_a_compose_entry_naming_an_unknown_arrow_is_reported_first_in_order(p2):
+    """The message names the first bad entry in ``compose`` order and its
+    first unknown id: left, then right factor, then the product."""
+    def build(bad):
+        compose = dict(p2.compose)
+        compose.update(bad)
+        return FiniteGroupoid(p2.objects, p2.arrows, p2.src, p2.dst, p2.unit, compose, p2.inverse)
+
+    first = next(iter(p2.compose))
+    cases = [
+        ({first: "zz"}, f"compose entry {(*first, 'zz')!r} references unknown arrow 'zz'"),
+        ({("yy", "zz"): "(1,1)"}, "compose entry ('yy', 'zz', '(1,1)') references unknown arrow 'yy'"),
+        ({("(1,1)", "zz"): "yy"}, "compose entry ('(1,1)', 'zz', 'yy') references unknown arrow 'zz'"),
+        ({("(1,1)", "(1,1)"): "(1,1)", ("a", "b"): "c", ("d", "e"): "f"},
+         "compose entry ('a', 'b', 'c') references unknown arrow 'a'"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError) as raised:
+            build(bad)
+        assert str(raised.value) == message
+
+
 def test_unknown_arrow_id_raises(p2):
     with pytest.raises(ValueError):
         is_bisection(p2, ["nope"])

@@ -335,8 +335,9 @@ def test_q_warm_matrix_matches_reference_in_every_kernel(data):
 def test_q_cached_forms_stay_out_of_equality_hash_and_reports():
     rows = [[Fraction(1, 3), 2, 0], [0, Fraction(-5, 7), Fraction(9, 14)]]
     warm, fresh = Matrix.from_rows(RATIONALS, rows), Matrix.from_rows(RATIONALS, rows)
-    warm @ Matrix.identity(RATIONALS, 3)
-    Matrix.identity(RATIONALS, 2) @ warm
+    # an identity operand takes no product, so warm the caches with others
+    warm @ Matrix.from_rows(RATIONALS, [[1, 0], [2, Fraction(1, 2)], [0, 3]])
+    Matrix.from_rows(RATIONALS, [[1, 1], [0, Fraction(4, 3)]]) @ warm
     assert {"int_rows", "int_cols"} <= set(vars(warm))
     assert not {"int_rows", "int_cols"} & set(vars(fresh))
     assert warm == fresh and hash(warm) == hash(fresh)
