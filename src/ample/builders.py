@@ -59,51 +59,44 @@ def cyclic_group(n: int) -> tuple[tuple[str, ...], dict[tuple[str, str], str]]:
     return names, table
 
 
-def _check_group(elements: Sequence[str], table: Mapping[tuple[str, str], str]) -> str:
+def _check_group(
+    elements: Sequence[str], table: Mapping[tuple[str, str], str]
+) -> tuple[str, dict[str, str]]:
+    """The identity and the inverse of each element of a group table;
+    raises ValueError "not a group table: ..." naming the first law broken."""
     elems = set(elements)
     if len(elems) != len(elements):
-        return "duplicate element names"
+        raise ValueError("not a group table: duplicate element names")
     for a in elements:
         for b in elements:
             if table.get((a, b)) not in elems:
-                return f"product ({a},{b}) missing or unknown"
-    identity = None
-    for e in elements:
-        if all(table[(e, a)] == a and table[(a, e)] == a for a in elements):
-            identity = e
-            break
+                raise ValueError(f"not a group table: product ({a},{b}) missing or unknown")
+    identity = next(
+        (e for e in elements if all(table[(e, a)] == a and table[(a, e)] == a for a in elements)),
+        None,
+    )
     if identity is None:
-        return "no identity element"
+        raise ValueError("not a group table: no identity element")
+    inverse = {}
     for a in elements:
-        if not any(table[(a, b)] == identity and table[(b, a)] == identity for b in elements):
-            return f"element {a} has no inverse"
+        b = next((b for b in elements if table[(a, b)] == identity == table[(b, a)]), None)
+        if b is None:
+            raise ValueError(f"not a group table: element {a} has no inverse")
+        inverse[a] = b
     for a in elements:
         for b in elements:
             for c in elements:
                 if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
-                    return f"associativity fails at ({a},{b},{c})"
-    return ""
-
-
-def _group_identity(elements: Sequence[str], table: Mapping[tuple[str, str], str]) -> str:
-    for e in elements:
-        if all(table[(e, a)] == a and table[(a, e)] == a for a in elements):
-            return e
-    raise ValueError("no identity element")
+                    raise ValueError(f"not a group table: associativity fails at ({a},{b},{c})")
+    return identity, inverse
 
 
 def group_groupoid(
     elements: Sequence[str], table: Mapping[tuple[str, str], str]
 ) -> FiniteGroupoid:
     """A group as a one-object groupoid; its algebra is the group algebra."""
-    problem = _check_group(elements, table)
-    if problem:
-        raise ValueError(f"not a group table: {problem}")
-    identity = _group_identity(elements, table)
+    identity, inverse = _check_group(elements, table)
     obj = "*"
-    inverse = {}
-    for a in elements:
-        inverse[a] = next(b for b in elements if table[(a, b)] == identity)
     return FiniteGroupoid(
         objects=(obj,),
         arrows=tuple(elements),
@@ -123,10 +116,7 @@ def action_groupoid(
 ) -> FiniteGroupoid:
     """The transformation groupoid of a group action: one arrow (g,x) from x
     to g.x, composing by (g, h.x)(h, x) = (gh, x)."""
-    problem = _check_group(elements, table)
-    if problem:
-        raise ValueError(f"not a group table: {problem}")
-    identity = _group_identity(elements, table)
+    identity, group_inverse = _check_group(elements, table)
     point_set = set(points)
     if len(point_set) != len(points):
         raise ValueError("duplicate points")
@@ -155,9 +145,8 @@ def action_groupoid(
                 compose[(name(g, action[(h, x)]), name(h, x))] = name(table[(g, h)], x)
     inverse = {}
     for g in elements:
-        ginv = next(b for b in elements if table[(g, b)] == identity)
         for x in points:
-            inverse[name(g, x)] = name(ginv, action[(g, x)])
+            inverse[name(g, x)] = name(group_inverse[g], action[(g, x)])
     return FiniteGroupoid(tuple(points), arrows, src, dst, unit, compose, inverse)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .algebra import AlgebraElement, char_fn
-from .gmodule import GModule, GModuleHom, act
+from .gmodule import GModule, GModuleHom, _unintertwined, act
 from .groupoid import ArrowId, Bisection, ObjectId
 from .gsheaf import GSheaf, GSheafMor, validate_sheaf_morphism
 from .rings import (
@@ -126,13 +126,11 @@ def gamma_c(e: GSheaf) -> GModule:
     return GModule(g, ring, total, action)
 
 
-def gamma_c_mor(phi: GSheafMor, source: GModule | None = None, target: GModule | None = None) -> GModuleHom:
+def gamma_c_mor(phi: GSheafMor) -> GModuleHom:
     """Sections functor on morphisms: the block-diagonal matrix of components."""
     e, f = phi.source, phi.target
-    source = source if source is not None else gamma_c(e)
-    target = target if target is not None else gamma_c(f)
     matrix = block_diagonal(e.ring, [phi.maps[x] for x in e.groupoid.objects])
-    return GModuleHom(source, target, matrix)
+    return GModuleHom(gamma_c(e), gamma_c(f), matrix)
 
 
 # -- germs -------------------------------------------------------------------
@@ -305,9 +303,9 @@ def eta(m: GModule) -> NaturalIsoCertificate | Failure:
     gamma = gamma_c(sh.sheaf)
     h = eta_matrix(sh)
 
-    for a in m.groupoid.arrows:
-        if m.action[a] @ h != h @ gamma.action[a]:
-            return Failure("module-hom", f"intertwining fails at arrow {a!r}")
+    bad = _unintertwined(m.groupoid, m.action, dict.fromkeys(m.groupoid.objects, h), gamma.action)
+    if bad:
+        return Failure("module-hom", f"intertwining fails at arrow {bad[0]!r}")
 
     if kernel_basis(h).rows != 0:
         return Failure("injective", "nontrivial kernel")
@@ -385,11 +383,9 @@ def _naturality(*failures: Failure) -> ValidationReport:
 def _check_eta_square(f: GModuleHom) -> ValidationReport:
     sh_src = sheafify(f.source)
     sh_tgt = sheafify(f.target)
-    h_src = eta_matrix(sh_src)
-    h_tgt = eta_matrix(sh_tgt)
     phi = sh_mor(f, sh_src, sh_tgt)
-    gamma_phi = gamma_c_mor(phi)
-    if f.matrix @ h_tgt != h_src @ gamma_phi.matrix:
+    gamma_phi = block_diagonal(f.source.ring, [phi.maps[x] for x in f.source.groupoid.objects])
+    if f.matrix @ eta_matrix(sh_tgt) != eta_matrix(sh_src) @ gamma_phi:
         return _naturality(Failure("eta square", "eta square does not commute"))
     return _naturality()
 
@@ -399,7 +395,8 @@ def _check_epsilon_square(phi: GSheafMor) -> ValidationReport:
     eps_tgt = epsilon(phi.target)
     if not (eps_src.ok and eps_tgt.ok):
         return _naturality(Failure("epsilon square", "epsilon certificate unavailable"))
-    gamma_phi = gamma_c_mor(phi)
+    matrix = block_diagonal(phi.source.ring, [phi.maps[x] for x in phi.source.groupoid.objects])
+    gamma_phi = GModuleHom(eps_src.sheafification.module, eps_tgt.sheafification.module, matrix)
     psi = sh_mor(gamma_phi, eps_src.sheafification, eps_tgt.sheafification)
     for x in phi.source.groupoid.objects:
         left = psi.maps[x] @ eps_tgt.morphism.maps[x]

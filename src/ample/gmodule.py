@@ -13,15 +13,15 @@ generators: the isotropy group K_x at one base object x per connected
 component and one tree arrow per object.  ``validate_module`` checks the
 laws there only, and homomorphisms, the matrices intertwining two actions,
 are computed as Hom_{K_x}(M1·e_x, M2·e_x) on each component's base stalks
-and extended along the tree arrows (``hom_space_basis``).  A module that
-fails validation has no hom space: the hom functions raise ValueError
-naming the failed law.
+and extended along the tree arrows (``hom_space_basis``), as are sheaf
+morphism spaces.  A module that fails validation has no hom space: the hom
+functions raise ValueError naming the failed law.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 from .algebra import AlgebraElement
 from .groupoid import ArrowId, FiniteGroupoid, ObjectId, validate_groupoid
@@ -64,10 +64,7 @@ class GModule:
     def isotropy_frame(self) -> "IsotropyFrame":
         """The module on its base stalks; raises ValueError naming the first
         law ``validate_module`` finds broken."""
-        failure = validate_module(self).first()
-        if failure is not None:
-            raise ValueError(f"module fails {failure}")
-        return _isotropy_frame(self)
+        return _isotropy_frame(validate_module(self), self.groupoid, self.action)
 
 
 @dataclass(frozen=True)
@@ -179,12 +176,24 @@ def _generator_failures(
     return failures
 
 
+def _unintertwined(
+    g: FiniteGroupoid,
+    left: Mapping[ArrowId, Matrix],
+    maps: Mapping[ObjectId, Matrix],
+    right: Mapping[ArrowId, Matrix],
+) -> list[ArrowId]:
+    """The arrows a: y -> z, in declaration order, with left[a]·maps[y] !=
+    maps[z]·right[a]: the failed squares of a module hom (maps[y] = H) or
+    of a sheaf morphism (maps[y] = φ_y)."""
+    src, dst = g.src, g.dst
+    return [a for a in g.arrows if left[a] @ maps[src[a]] != maps[dst[a]] @ right[a]]
+
+
 def validate_hom(h: GModuleHom) -> ValidationReport:
-    failures: list[Failure] = []
-    for a in h.source.groupoid.arrows:
-        if h.source.action[a] @ h.matrix != h.matrix @ h.target.action[a]:
-            failures.append(Failure("intertwining", f"square fails at arrow {a!r}"))
-    return ValidationReport("module homomorphism", tuple(failures))
+    g = h.source.groupoid
+    bad = _unintertwined(g, h.source.action, dict.fromkeys(g.objects, h.matrix), h.target.action)
+    failures = tuple(Failure("intertwining", f"square fails at arrow {a!r}") for a in bad)
+    return ValidationReport("module homomorphism", failures)
 
 
 def identity_hom(m: GModule) -> GModuleHom:
@@ -236,7 +245,7 @@ def regular_module(g: FiniteGroupoid, ring: Ring) -> GModule:
 
 
 class IsotropyFrame(NamedTuple):
-    """A module read off its base stalks, for ``hom_space_basis``.
+    """A module, or a sheaf (A: its transports), read off its base stalks.
 
     For each base object x of the groupoid's ``isotropy_plan`` the unit
     idempotent factors as E_x = Q·P with P·Q = I, the rows of P being a basis
@@ -244,7 +253,7 @@ class IsotropyFrame(NamedTuple):
     the rank of that stalk and ``loops[x]`` holds R[k] = P·A[k]·Q for the
     non-unit isotropy arrows k at x, in declaration order.  For every object
     y with tree arrow t_y, ``lift[y]`` is A[t_y]·Q and ``drop[y]`` is
-    P·A[t_y⁻¹].
+    P·A[t_y⁻¹].  A sheaf's units are identities, so there P = Q = I.
     """
 
     dims: Mapping[ObjectId, int]
@@ -253,8 +262,11 @@ class IsotropyFrame(NamedTuple):
     drop: Mapping[ObjectId, Matrix]
 
 
-def _isotropy_frame(m: GModule) -> IsotropyFrame:
-    """The frame of a module that passes ``validate_module``.
+def _isotropy_frame(
+    report: ValidationReport, g: FiniteGroupoid, family: Mapping[ArrowId, Matrix]
+) -> IsotropyFrame:
+    """The frame of a module's action or a sheaf's transports, given the
+    report of its validator; raises ValueError naming its first failure.
 
     Why the generator checks suffice: write E_y for the unit action at y, x
     for the base of its component and k_a for loop a.  The factorisation of
@@ -273,7 +285,8 @@ def _isotropy_frame(m: GModule) -> IsotropyFrame:
     Each identity is needed: the tests hold, for each, a non-module that
     fails only that one.
     """
-    g, action = m.groupoid, m.action
+    if not report.ok:
+        raise ValueError(f"{report.subject} fails {report.first()}")
     plan = g.isotropy_plan
     dims: dict[ObjectId, int] = {}
     loop_reps: dict[ObjectId, tuple[Matrix, ...]] = {}
@@ -281,18 +294,18 @@ def _isotropy_frame(m: GModule) -> IsotropyFrame:
     drop: dict[ObjectId, Matrix] = {}
     for comp in plan.components:
         base = comp[0]
-        unit = m.unit_action(base)
+        unit = family[g.unit[base]]
         p = image_basis(unit)
         # each row of E_x lies in the row space (lattice) that p spans
         q = coordinates(p, unit)
         assert q is not None
         dims[base] = p.rows
         loop_reps[base] = tuple(
-            p @ action[k] @ q for k in g.hom_set(base, base) if k != g.unit[base]
+            p @ family[k] @ q for k in g.hom_set(base, base) if k != g.unit[base]
         )
         for y in comp:
-            lift[y] = action[plan.tree[y]] @ q
-            drop[y] = p @ action[g.inverse[plan.tree[y]]]
+            lift[y] = family[plan.tree[y]] @ q
+            drop[y] = p @ family[g.inverse[plan.tree[y]]]
     return IsotropyFrame(dims, loop_reps, lift, drop)
 
 
@@ -302,28 +315,37 @@ def _commutant(
     """Echelon basis of {X : L·X = X·R for every pair}, X flattened row-major."""
     if not pairs:  # no constraint: every X, in the basis kernel_basis would give
         return Matrix.identity(ring, r1 * r2).entries
-    equations = [(left, 0, 0, right) for left, right in pairs]
-    return kernel_basis(intertwiner_constraints(ring, [(r1, r2)], equations)).entries
+    return kernel_basis(intertwiner_constraints(ring, r1, r2, pairs)).entries
 
 
 def _base_commutants(
-    m1: GModule, m2: GModule
+    s1: Any, s2: Any, rank1: int, rank2: int
 ) -> list[tuple[tuple[ObjectId, ...], int, int, tuple[tuple[Scalar, ...], ...]]]:
-    """Per component: its objects, the two base stalk ranks and a basis of
-    the intertwiners of the base isotropy actions; empty when either module
-    has rank 0.  Every module of nonzero rank is validated."""
-    if m1.groupoid != m2.groupoid or m1.ring != m2.ring:
+    """Per component of two modules, or two sheaves: its objects, the two base
+    stalk ranks and a basis of the intertwiners of the base isotropy
+    actions; empty when either rank is 0, and each nonzero side validated."""
+    if s1.groupoid != s2.groupoid or s1.ring != s2.ring:
         raise ValueError("hom space needs a common groupoid and ring")
-    f1, f2 = (m.isotropy_frame if m.rank else None for m in (m1, m2))
+    f1, f2 = (s.isotropy_frame if rank else None for s, rank in ((s1, rank1), (s2, rank2)))
     if f1 is None or f2 is None:
         return []
     out = []
-    for comp in m1.groupoid.isotropy_plan.components:
+    for comp in s1.groupoid.isotropy_plan.components:
         base = comp[0]
         d1, d2 = f1.dims[base], f2.dims[base]
         pairs = tuple(zip(f1.loops[base], f2.loops[base]))
-        out.append((comp, d1, d2, _commutant(m1.ring, d1, d2, pairs)))
+        out.append((comp, d1, d2, _commutant(s1.ring, d1, d2, pairs)))
     return out
+
+
+def _extended_commutants(s1: Any, s2: Any, rank1: int, rank2: int) -> Iterator[dict[ObjectId, Matrix]]:
+    """Each basis element X of ``_base_commutants`` extended along the tree
+    arrows: lift1[y]·X·drop2[y] on each object y of its component."""
+    for comp, d1, d2, basis in _base_commutants(s1, s2, rank1, rank2):
+        f1, f2 = s1.isotropy_frame, s2.isotropy_frame
+        for flat in basis:
+            x = split_blocks(s1.ring, [(d1, d2)], flat)[0]
+            yield {y: f1.lift[y] @ x @ f2.drop[y] for y in comp}
 
 
 def hom_space_basis(m1: GModule, m2: GModule) -> list[Matrix]:
@@ -341,26 +363,21 @@ def hom_space_basis(m1: GModule, m2: GModule) -> list[Matrix]:
     invalid.
     """
     ring, r1, r2 = m1.ring, m1.rank, m2.rank
-    commutants = _base_commutants(m1, m2)
-    if not commutants:
+    zero = Matrix.zeros(ring, r1, r2)
+    spanning = tuple(
+        tuple(v for row in sum(parts.values(), zero).entries for v in row)
+        for parts in _extended_commutants(m1, m2, r1, r2)
+    )
+    if not spanning:
         return []
-    f1, f2 = m1.isotropy_frame, m2.isotropy_frame
-    spanning = []
-    for comp, d1, d2, basis in commutants:
-        for flat in basis:
-            x = split_blocks(ring, [(d1, d2)], flat)[0]
-            h = Matrix.zeros(ring, r1, r2)
-            for y in comp:
-                h = h + f1.lift[y] @ x @ f2.drop[y]
-            spanning.append(tuple(v for row in h.entries for v in row))
-    rows = image_basis(Matrix(ring, len(spanning), r1 * r2, tuple(spanning))).entries
+    rows = image_basis(Matrix(ring, len(spanning), r1 * r2, spanning)).entries
     return [split_blocks(ring, [(r1, r2)], row)[0] for row in rows]
 
 
 def hom_space_dim(m1: GModule, m2: GModule) -> int:
     """The dimension (rank over Z) of Hom(m1, m2), read off the base
     commutants without building any intertwiner."""
-    return sum(len(basis) for _, _, _, basis in _base_commutants(m1, m2))
+    return sum(len(basis) for *_, basis in _base_commutants(m1, m2, m1.rank, m2.rank))
 
 
 def random_hom(m1: GModule, m2: GModule, rng: Any) -> GModuleHom:

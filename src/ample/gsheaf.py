@@ -10,10 +10,10 @@ Like a module, a sheaf is a functor out of the groupoid, so
 ``validate_sheaf`` checks the transports on the same generators as
 ``validate_module``: the base isotropy groups and one tree arrow per object.
 
-Morphisms are per-object matrices equivariant for the transports.  The
-morphism space is solved as one linear system with one block of unknowns
-per object and one block of equations per arrow, built by
-``rings.intertwiner_constraints``, the builder module homs use as well.
+Morphisms are per-object matrices equivariant for the transports.  Their
+space is solved as module hom spaces are: on the ``isotropy_frame``, the
+commutant of the base isotropy transports extended along the tree arrows;
+for an invalid sheaf ``sheaf_hom_basis`` raises ValueError naming the law.
 """
 from __future__ import annotations
 
@@ -21,15 +21,21 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Mapping, Sequence
 
-from .gmodule import _generator_failures, _small_scalar
+from .gmodule import (
+    IsotropyFrame,
+    _extended_commutants,
+    _generator_failures,
+    _isotropy_frame,
+    _small_scalar,
+    _unintertwined,
+)
 from .groupoid import ArrowId, FiniteGroupoid, ObjectId
 from .rings import (
     Matrix,
     Ring,
     Scalar,
     block_diagonal,
-    intertwiner_constraints,
-    kernel_basis,
+    image_basis,
     matrix_inverse,
     split_blocks,
     vec,
@@ -63,6 +69,12 @@ class GSheaf:
     @property
     def total_rank(self) -> int:
         return sum(self.stalk_rank[x] for x in self.groupoid.objects)
+
+    @cached_property
+    def isotropy_frame(self) -> IsotropyFrame:
+        """The sheaf on its base stalks; raises ValueError naming the first
+        law ``validate_sheaf`` finds broken."""
+        return _isotropy_frame(validate_sheaf(self), self.groupoid, self.transport)
 
 
 @dataclass(frozen=True)
@@ -144,15 +156,9 @@ def constant_sheaf(g: FiniteGroupoid, ring: Ring, rank: int) -> GSheaf:
 
 
 def validate_sheaf_morphism(phi: GSheafMor) -> ValidationReport:
-    failures: list[Failure] = []
-    g = phi.source.groupoid
-    for a in g.arrows:
-        x, y = phi.source.groupoid.dst[a], phi.source.groupoid.src[a]
-        left = phi.maps[x] @ phi.target.transport[a]
-        right = phi.source.transport[a] @ phi.maps[y]
-        if left != right:
-            failures.append(Failure("equivariance", f"square fails at arrow {a!r}"))
-    return ValidationReport("sheaf morphism", tuple(failures))
+    bad = _unintertwined(phi.source.groupoid, phi.source.transport, phi.maps, phi.target.transport)
+    failures = tuple(Failure("equivariance", f"square fails at arrow {a!r}") for a in bad)
+    return ValidationReport("sheaf morphism", failures)
 
 
 def identity_sheaf_mor(e: GSheaf) -> GSheafMor:
@@ -206,20 +212,23 @@ def direct_sum_sheaf(e: GSheaf, f: GSheaf) -> GSheaf:
 def sheaf_hom_basis(e: GSheaf, f: GSheaf) -> list[dict[ObjectId, Matrix]]:
     """A basis of the space of sheaf morphisms e -> f, by exact elimination.
 
-    The unknowns are the components φ_x, one block per object in
-    declaration order; each arrow a adds B_e[a]·φ_src(a) = φ_dst(a)·B_f[a].
-    This is the system ``rings.intertwiner_constraints`` builds for module
-    homs too, and the basis is its canonical kernel basis.
+    Each X at a base object x with B_e[k]·X = X·B_f[k] on its isotropy
+    extends to φ_y = B_e[t_y]·X·B_f[t_y⁻¹] on its component, 0 elsewhere.
+    The basis is the canonical one of these morphisms, flattened one block
+    per object, each row-major.  Raises ValueError naming the failed law
+    when a sheaf of nonzero total rank is invalid.
     """
-    if e.groupoid != f.groupoid or e.ring != f.ring:
-        raise ValueError("hom space needs a common groupoid and ring")
+    extended = list(_extended_commutants(e, f, e.total_rank, f.total_rank))
+    if not extended:
+        return []
     g, ring = e.groupoid, e.ring
     blocks = [(e.stalk_rank[x], f.stalk_rank[x]) for x in g.objects]
-    if not any(rows * cols for rows, cols in blocks):
-        return []
-    at = g.object_index
-    equations = [(e.transport[a], at[g.src[a]], at[g.dst[a]], f.transport[a]) for a in g.arrows]
-    basis = kernel_basis(intertwiner_constraints(ring, blocks, equations))
+    zeros = {x: Matrix.zeros(ring, *shape) for x, shape in zip(g.objects, blocks)}
+    spanning = tuple(
+        tuple(v for x in g.objects for row in parts.get(x, zeros[x]).entries for v in row)
+        for parts in extended
+    )
+    basis = image_basis(Matrix(ring, len(spanning), len(spanning[0]), spanning))
     return [dict(zip(g.objects, split_blocks(ring, blocks, row))) for row in basis.entries]
 
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 from typing import Any, Iterable, Sequence
@@ -259,48 +258,34 @@ def vec_is_zero(ring: Ring, u: Sequence[Scalar]) -> bool:
     return not any(u)
 
 
-def canonical_rows(ring: Ring, rows: Iterable[Iterable[Scalar]]) -> tuple[tuple[Scalar, ...], ...]:
-    """Rows of sums and differences of elements, reduced to canonical elements."""
-    p = ring.modulus
-    if p is None:
-        return tuple(tuple(r) for r in rows)
-    return tuple(tuple(x % p for x in r) for r in rows)
-
-
 def intertwiner_constraints(
-    ring: Ring,
-    blocks: Sequence[tuple[int, int]],
-    equations: Sequence[tuple["Matrix", int, int, "Matrix"]],
+    ring: Ring, rows: int, cols: int, pairs: Sequence[tuple["Matrix", "Matrix"]]
 ) -> "Matrix":
-    """The linear system of L·X_u = X_v·R over the equations (L, u, v, R).
-
-    One row per unknown: the entries of the blocks X_0, X_1, ... of the
-    given (rows, cols) shapes, block after block, each row-major.  Each
-    equation adds one column per entry of L·X_u - X_v·R, row-major.  A
-    module hom is one block with u = v; a sheaf morphism has one per object.
-    """
-    offsets = [0, *accumulate(rows * cols for rows, cols in blocks)]
-    width = sum(left.rows * right.cols for left, _, _, right in equations)
-    grid = [[ring.zero] * width for _ in range(offsets[-1])]
+    """The linear system of L·X = X·R over the pairs (L, R), for one
+    rows×cols unknown X: one row per entry of X and one column per entry of
+    each L·X - X·R, both row-major."""
+    width = len(pairs) * rows * cols
+    grid = [[ring.zero] * width for _ in range(rows * cols)]
     col = 0
-    for left, u, v, right in equations:
-        if (left.cols, right.cols) != blocks[u] or (left.rows, right.rows) != blocks[v]:
-            raise ValueError(f"equation {u} -> {v} does not fit its unknown blocks")
-        at_u, at_v, cols_u, cols_v = offsets[u], offsets[v], right.cols, right.rows
+    for left, right in pairs:
+        if (left.rows, left.cols, right.rows, right.cols) != (rows, rows, cols, cols):
+            raise ValueError(f"pair does not fit a {rows}x{cols} unknown")
         for i, left_row in enumerate(left.entries):
-            for j in range(cols_u):
+            for j in range(cols):
                 for k, x in enumerate(left_row):
                     if x:
-                        grid[at_u + k * cols_u + j][col] += x
+                        grid[k * cols + j][col] += x
                 for l, right_row in enumerate(right.entries):
                     if right_row[j]:
-                        grid[at_v + i * cols_v + l][col] -= right_row[j]
+                        grid[i * cols + l][col] -= right_row[j]
                 col += 1
-    return Matrix(ring, offsets[-1], width, canonical_rows(ring, grid))
+    p = ring.modulus
+    canonical = grid if p is None else ([x % p for x in r] for r in grid)
+    return Matrix(ring, rows * cols, width, tuple(map(tuple, canonical)))
 
 
 def split_blocks(ring: Ring, blocks: Sequence[tuple[int, int]], flat: Sequence[Scalar]) -> list["Matrix"]:
-    """The blocks X_0, X_1, ... of one unknown vector of ``intertwiner_constraints``."""
+    """The (rows, cols) blocks, each row-major, that ``flat`` holds in turn."""
     out, start = [], 0
     for rows, cols in blocks:
         entries = tuple(tuple(flat[start + i * cols: start + (i + 1) * cols]) for i in range(rows))

@@ -10,12 +10,13 @@ fast paths against it.  ``kernel_basis``, ``solve_row_system`` and
 in place, against a freshly built identity matrix.
 ``hom_constraint`` is the module hom system with one block of equations per
 arrow, and ``sheaf_hom_constraint`` the grid ``gsheaf.sheaf_hom_basis``
-eliminates, both filled entry by entry as they were before
-``rings.intertwiner_constraints``; ``intertwiner_constraints`` builds that
-system a second way, by evaluating L·X_u - X_v·R on each unit unknown.
-``sheaf_hom_basis`` and ``random_sheaf_hom`` are the sheaf morphism basis
-and its random draw as they were before (the draw with its own inline
-coefficient source).  ``random_invertible`` and ``section_action`` are the
+eliminated before it solved on the isotropy frame, with one block of
+unknowns per object, both filled entry by entry as they were before
+``rings.intertwiner_constraints``; ``intertwiner_constraints`` builds such
+a system over any blocks a second way, by evaluating L·X_u - X_v·R on each
+unit unknown.  ``sheaf_hom_basis`` and ``random_sheaf_hom`` are the sheaf
+morphism basis, the kernel of that dense grid, and its random draw as they
+were before (the draw with its own inline coefficient source).  ``random_invertible`` and ``section_action`` are the
 builder and the section action as they were before their row operations
 became native vector operations.  ``pullback_quasi_inverse``, ``qi_mor`` and
 ``counit_iso`` are the quasi-inverse constructions as they were before they
@@ -27,7 +28,9 @@ read the endpoint indices: an all-pairs scan for composability and the
 axioms, and a test of every arrow subset for bisections.
 ``validate_module`` and ``validate_sheaf`` are the module and sheaf
 validators as they were before they checked generators only: every law on
-every arrow and every composable pair.  ``eta_matrix`` is the unit's matrix
+every arrow and every composable pair.  ``validate_hom``,
+``validate_sheaf_morphism`` and ``eta_module_hom`` are the three
+intertwining scans as they were before they shared one helper.  ``eta_matrix`` is the unit's matrix
 as it was before it read the rows of the unit actions: each standard basis
 vector is pushed through the unit action at every object.  ``coordinates``,
 ``sheafify``, ``sh_mor`` and ``isotropy_frame`` are the stalk coordinates as
@@ -258,7 +261,8 @@ def hom_constraint(m1: Any, m2: Any) -> Matrix:
 
 
 def sheaf_hom_constraint(e: Any, f: Any) -> Matrix:
-    """The constraint matrix ``gsheaf.sheaf_hom_basis`` eliminates."""
+    """The dense constraint matrix of sheaf morphisms e -> f: one block of
+    unknowns per object, one block of equations per arrow."""
     g, ring = e.groupoid, e.ring
     offsets = {}
     total = 0
@@ -647,6 +651,38 @@ def validate_sheaf(e: Any) -> ValidationReport:
             failures.append(Failure("invertibility", f"B[{a!r}] B[{g.inverse[a]!r}] != identity"))
 
     return ValidationReport("sheaf", tuple(failures))
+
+
+def validate_hom(h: GModuleHom) -> ValidationReport:
+    """``gmodule.validate_hom`` as it was: its own scan over every arrow."""
+    failures: list[Failure] = []
+    for a in h.source.groupoid.arrows:
+        if matmul(h.source.action[a], h.matrix) != matmul(h.matrix, h.target.action[a]):
+            failures.append(Failure("intertwining", f"square fails at arrow {a!r}"))
+    return ValidationReport("module homomorphism", tuple(failures))
+
+
+def validate_sheaf_morphism(phi: GSheafMor) -> ValidationReport:
+    """``gsheaf.validate_sheaf_morphism`` as it was: its own scan over
+    every arrow."""
+    failures: list[Failure] = []
+    g = phi.source.groupoid
+    for a in g.arrows:
+        x, y = g.dst[a], g.src[a]
+        left = matmul(phi.maps[x], phi.target.transport[a])
+        right = matmul(phi.source.transport[a], phi.maps[y])
+        if left != right:
+            failures.append(Failure("equivariance", f"square fails at arrow {a!r}"))
+    return ValidationReport("sheaf morphism", tuple(failures))
+
+
+def eta_module_hom(m: GModule, h: Matrix, gamma: GModule) -> Failure | None:
+    """The ``module-hom`` check of ``equivalence.eta`` as it was: the first
+    arrow whose square fails, by its own scan."""
+    for a in m.groupoid.arrows:
+        if matmul(m.action[a], h) != matmul(h, gamma.action[a]):
+            return Failure("module-hom", f"intertwining fails at arrow {a!r}")
+    return None
 
 
 def enumerate_bisections(g: FiniteGroupoid) -> list[Bisection]:

@@ -71,6 +71,35 @@ def test_non_group_table_rejected():
                                     ("b", "a"): "b", ("b", "b"): "b"})  # no inverse for b
 
 
+def table_of(elements, rows):
+    return {(a, b): rows[i][j] for i, a in enumerate(elements) for j, b in enumerate(elements)}
+
+
+@pytest.mark.parametrize("elements, table, problem", [
+    (("a", "a"), {("a", "a"): "a"}, "duplicate element names"),
+    (("a", "b"), {("a", "a"): "a"}, "product (a,b) missing or unknown"),
+    (("a", "b"), table_of("ab", ["aa", "aa"]), "no identity element"),
+    (("a", "b"), table_of("ab", ["ab", "bb"]), "element b has no inverse"),
+    # Z/3 with a·a set to a: every law holds but associativity
+    (("e", "a", "b"), table_of("eab", ["eab", "aae", "bea"]), "associativity fails at (a,a,b)"),
+])
+def test_group_table_failures_name_the_first_law(elements, table, problem):
+    with pytest.raises(ValueError) as group_error:
+        group_groupoid(elements, table)
+    with pytest.raises(ValueError) as action_error:
+        action_groupoid(elements, table, ["x"], {(g, "x"): "x" for g in elements})
+    assert str(group_error.value) == str(action_error.value) == f"not a group table: {problem}"
+
+
+def test_inverses_come_from_the_group_table(z3):
+    elems, table = cyclic_group(3)
+    action = {(g, str(x)): str((x + elems.index(g)) % 3) for g in elems for x in range(3)}
+    rotations = action_groupoid(elems, table, ["0", "1", "2"], action)
+    assert z3.inverse == {"e": "e", "g": "g2", "g2": "g"}
+    assert rotations.inverse["(g,0)"] == "(g2,1)"
+    assert validate_groupoid(rotations).ok
+
+
 # -- action groupoids ----------------------------------------------------------------
 
 

@@ -588,15 +588,11 @@ def test_naturality_fails_the_eta_square(p2):
 
 def test_naturality_fails_the_epsilon_square(p2, monkeypatch):
     # both counits exist and the square commutes for every sheaf morphism, so
-    # a patched sections functor doubles the morphism on one side of it
+    # a patched sections functor, the block-diagonal matrix of the
+    # components, doubles the morphism on one side of it
     phi = identity_sheaf_mor(constant_sheaf(p2, Q, 1))
-    real = equivalence.gamma_c_mor
-
-    def doubled(p):
-        h = real(p)
-        return GModuleHom(h.source, h.target, h.matrix.scaled(2))
-
-    monkeypatch.setattr(equivalence, "gamma_c_mor", doubled)
+    real = equivalence.block_diagonal
+    monkeypatch.setattr(equivalence, "block_diagonal", lambda ring, blocks: real(ring, blocks).scaled(2))
     report = check_naturality(phi)
     assert not report.ok
     assert str(report.first()) == f"epsilon square: epsilon square fails at object {p2.objects[0]!r}"

@@ -4,11 +4,14 @@
 connected component and extend along the tree arrows; the oracle
 ``kernel_basis(ref.hom_constraint(m1, m2))`` solves one block of equations
 per arrow.  Both must give the same canonical basis, entry for entry, over
-every ring.  ``validate_module`` and ``validate_sheaf`` check the laws on
-the generators only; ``ref.validate_module`` and ``ref.validate_sheaf``
-check every composable pair, and both must give the same verdict.  A module
-that breaks one generator identity is not a module, and the hom functions
-reject it with a ValueError naming that identity.
+every ring.  ``sheaf_hom_basis`` solves on the same frame, against the dense
+per-object grid of ``ref.sheaf_hom_basis``.  ``validate_module`` and
+``validate_sheaf`` check the laws on the generators only;
+``ref.validate_module`` and ``ref.validate_sheaf`` check every composable
+pair, and both must give the same verdict.  A module or sheaf that breaks
+one generator identity is not one, and the hom functions reject it with a
+ValueError naming that identity.  The one intertwining scan lists the same
+failures as the per-arrow scans it replaced.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from itertools import islice, permutations, product
 import pytest
 
 import reference_kernels as ref
+from ample import equivalence, rings
 from ample.builders import (
     action_groupoid,
     group_groupoid,
@@ -26,16 +30,27 @@ from ample.builders import (
     random_module,
     random_sheaf,
 )
-from ample.equivalence import gamma_c
+from ample.equivalence import eta, gamma_c
 from ample.gmodule import (
     GModule,
+    GModuleHom,
     direct_sum,
     hom_space_basis,
     hom_space_dim,
+    random_hom,
     regular_module,
+    validate_hom,
     validate_module,
 )
-from ample.gsheaf import GSheaf, constant_sheaf, validate_sheaf
+from ample.gsheaf import (
+    GSheaf,
+    GSheafMor,
+    constant_sheaf,
+    random_sheaf_hom,
+    sheaf_hom_basis,
+    validate_sheaf,
+    validate_sheaf_morphism,
+)
 from ample.rings import INTEGERS, RATIONALS, Matrix, kernel_basis, modular
 
 # The dense Q reference is the slow side: a rank-6 pair over an 18-arrow
@@ -77,11 +92,16 @@ def rebased(m: GModule, seed: int) -> GModule:
     return GModule(m.groupoid, m.ring, m.rank, {a: q @ a_m @ q_inv for a, a_m in m.action.items()})
 
 
-def sign_module(g, ring, seed: int) -> GModule:
-    """Sections of the rank-one sheaf on which (perm, x) acts by sign(perm);
-    a sign action of the isotropy groups that random_module never draws."""
+def sign_sheaf(g, ring) -> GSheaf:
+    """The rank-one sheaf on which (perm, x) acts by sign(perm)."""
     transport = {a: Matrix.from_rows(ring, [[sign(a.strip("()").split(",")[0])]]) for a in g.arrows}
-    return rebased(gamma_c(GSheaf(g, ring, {x: 1 for x in g.objects}, transport)), seed)
+    return GSheaf(g, ring, {x: 1 for x in g.objects}, transport)
+
+
+def sign_module(g, ring, seed: int) -> GModule:
+    """Sections of ``sign_sheaf``; a sign action of the isotropy groups that
+    random_module never draws."""
+    return rebased(gamma_c(sign_sheaf(g, ring)), seed)
 
 
 def permutation_module(g, ring) -> GModule:
@@ -318,3 +338,160 @@ def test_generator_checks_agree_with_all_pairs_oracle_exhaustively(groupoids, na
         assert ok == ref.validate_sheaf(e).ok, family
         accepted += ok
     assert accepted > 0
+
+
+# -- sheaf morphism spaces on the isotropy frame ------------------------------
+
+
+def sheaves_for(name, g, ring):
+    found = [constant_sheaf(g, ring, 1), constant_sheaf(g, ring, 0)]
+    if name == "s3_points":
+        found.append(sign_sheaf(g, ring))
+    found += [random_sheaf(g, ring, 2, seed) for seed in range(3)]
+    return found
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+@pytest.mark.parametrize("name", GROUPOIDS)
+def test_sheaf_hom_bases_match_dense(groupoids, name, ring):
+    g = groupoids[name]
+    sheaves = sheaves_for(name, g, ring)
+    for e in sheaves:
+        assert validate_sheaf(e).ok
+    for e in sheaves:
+        for f in sheaves:
+            assert sheaf_hom_basis(e, f) == ref.sheaf_hom_basis(e, f)
+
+
+def assert_sheaf_rejected(e: GSheaf, other: GSheaf) -> None:
+    law = validate_sheaf(e).first().law
+    zero = constant_sheaf(e.groupoid, e.ring, 0)
+    for e1, e2 in ((e, other), (other, e), (e, e), (e, zero), (zero, e)):
+        with pytest.raises(ValueError, match=f"sheaf fails {law}: "):
+            sheaf_hom_basis(e1, e2)
+        with pytest.raises(ValueError, match=f"sheaf fails {law}: "):
+            random_sheaf_hom(e1, e2, random.Random(0))
+
+
+@pytest.mark.parametrize("ring", (RATIONALS, modular(5)), ids=lambda r: r.name)
+@pytest.mark.parametrize("role", ("unit", "tree", "tree inverse", "isotropy", "ordinary"))
+def test_broken_sheaves_are_rejected(groupoids, ring, role):
+    g = groupoids["s3_points"]
+    good = sign_sheaf(g, ring)
+    bad = GSheaf(g, ring, good.stalk_rank, bumped(good.transport, arrow_roles(g)[role]))
+    assert not validate_sheaf(bad).ok
+    assert not ref.validate_sheaf(bad).ok
+    assert_sheaf_rejected(bad, good)
+
+
+def test_each_sheaf_law_is_rejected(groupoids):
+    """One sheaf per generator law, failing that law first; the morphism
+    functions reject each."""
+    p2, z2 = groupoids["p2"], groupoids["z2"]
+
+    def sheaf(g, ranks, rows):
+        transport = {a: Matrix.from_rows(RATIONALS, rows(a), ranks[g.src[a]]) for a in g.arrows}
+        return GSheaf(g, RATIONALS, ranks, transport)
+
+    ones = {"1": 1, "2": 1}
+    cases = {
+        # u(2) transports by 2
+        "unit transport": sheaf(p2, ones, lambda a: [[2 if a == "(2,2)" else 1]]),
+        # g transports by 2, so B[g]·B[g] = 4 != B[e]
+        "isotropy group law": sheaf(z2, {"*": 1}, lambda a: [[2 if a == "g" else 1]]),
+        # B[(1,2)] = 2, so B[(2,1)]·B[(1,1)]·B[(1,2)] = 2 != B[(2,2)] = 1
+        "factorisation": sheaf(p2, ones, lambda a: [[2 if a == "(1,2)" else 1]]),
+        # a 2 -> 1 -> 2 round trip is the identity, 1 -> 2 -> 1 only a projection
+        "tree inverse": sheaf(p2, {"1": 2, "2": 1}, lambda a: {
+            "(1,1)": [[1, 0], [0, 1]], "(2,2)": [[1]], "(2,1)": [[1, 0]], "(1,2)": [[1], [0]],
+        }[a]),
+    }
+    for law, e in cases.items():
+        assert validate_sheaf(e).first().law == law, law
+        assert not ref.validate_sheaf(e).ok, law
+        assert_sheaf_rejected(e, e)
+
+
+@pytest.mark.parametrize("ring", (RATIONALS, modular(5)), ids=lambda r: r.name)
+def test_no_elimination_exceeds_the_spanning_matrix(ring, monkeypatch):
+    """On pair(n) every ``row_echelon`` that ``sheaf_hom_basis`` and
+    ``hom_space_basis`` run has at most the cells of the matrix of spanning
+    morphisms; the dense sheaf system had at least n² times as many."""
+    shapes = []
+    real = rings.row_echelon
+
+    def recorded(a):
+        shapes.append((a.rows, a.cols))
+        return real(a)
+
+    monkeypatch.setattr(rings, "row_echelon", recorded)
+    eliminated = 0
+    for n in (2, 3, 5):
+        g = pair_groupoid(n)
+        sheaves = [constant_sheaf(g, ring, 3), random_sheaf(g, ring, 2, 1), random_sheaf(g, ring, 2, 2)]
+        for e in sheaves:
+            for f in sheaves:
+                shapes.clear()
+                basis = sheaf_hom_basis(e, f)
+                spanning = len(basis) * sum(e.stalk_rank[x] * f.stalk_rank[x] for x in g.objects)
+                assert max((r * c for r, c in shapes), default=0) <= spanning
+                dense = ref.sheaf_hom_constraint(e, f)
+                assert dense.rows * dense.cols >= n * n * spanning
+                eliminated += len(shapes)
+        m = random_module(g, ring, 2, 1)
+        shapes.clear()
+        basis = hom_space_basis(m, m)
+        assert shapes and max(r * c for r, c in shapes) <= len(basis) * m.rank * m.rank
+    assert eliminated
+
+
+# -- the one intertwining scan against the per-arrow scans ----------------------
+
+
+def bumped_matrix(m: Matrix, i: int, j: int) -> Matrix:
+    rows = [list(r) for r in m.entries]
+    rows[i][j] += 1
+    return Matrix.from_rows(m.ring, rows, m.cols)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+@pytest.mark.parametrize("name", ("p3", "z2_action", "s3_points", "two_component_groupoid"))
+def test_intertwining_faults_match_per_arrow_scans(groupoids, name, ring, monkeypatch):
+    """One entry of a module hom, of a sheaf morphism component and of eta's
+    matrix, perturbed in turn: the same failures, in the same order, as the
+    scans each check ran before."""
+    g = groupoids[name]
+    rng = random.Random(3)
+    m = max(modules_for(g, ring, extra_modules(name, g, ring)), key=lambda m: m.rank)
+    h = random_hom(m, m, rng)
+    verdicts = set()
+    for i, j in product(range(m.rank), repeat=2):
+        bad = GModuleHom(m, m, bumped_matrix(h.matrix, i, j))
+        assert validate_hom(bad) == ref.validate_hom(bad)
+        verdicts.add(validate_hom(bad).ok)
+    for e in sheaves_for(name, g, ring):
+        if min(e.stalk_rank.values()) == 0:
+            continue
+        phi = random_sheaf_hom(e, e, rng)
+        for x in g.objects:
+            maps = dict(phi.maps)
+            maps[x] = bumped_matrix(maps[x], 0, 0)
+            bad = GSheafMor(e, e, maps)
+            assert validate_sheaf_morphism(bad) == ref.validate_sheaf_morphism(bad)
+            verdicts.add(validate_sheaf_morphism(bad).ok)
+    assert False in verdicts
+
+    real = equivalence.eta_matrix
+    sh = equivalence.sheafify(m)
+    gamma = gamma_c(sh.sheaf)
+    found = []
+    for i, j in product(range(m.rank), range(gamma.rank)):
+        monkeypatch.setattr(equivalence, "eta_matrix", lambda s: bumped_matrix(real(s), i, j))
+        want = ref.eta_module_hom(m, bumped_matrix(real(sh), i, j), gamma)
+        got = eta(m)
+        if want is None:
+            assert getattr(got, "law", None) != "module-hom"
+        else:
+            assert got == want
+            found.append(want)
+    assert found

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
-from ample import gsheaf, rings
+from ample import gmodule, gsheaf, rings
 from ample.builders import (
     random_algebra_element,
     random_invertible,
@@ -486,15 +486,17 @@ SHEAF_GROUPOIDS = ("p2", "z2", "z2_action", "edge_groupoid", "two_component_grou
 @pytest.mark.parametrize("groupoid", SHEAF_GROUPOIDS)
 @pytest.mark.parametrize("seeds", ((1, 2), (3, 4), (5, 6)))
 def test_hom_space_constraints_match_reference(ring, groupoid, seeds, request, monkeypatch):
-    """The native grid fills build the same canonical constraint matrices.
+    """The native grid fill builds the same canonical constraint matrices.
 
     ``hom_space_basis`` solves on base stalks, so the module grid is built
-    by calling the shared helper directly on every arrow's pair of actions,
-    the system ``ref.hom_constraint`` fills."""
+    by calling the builder directly on every arrow's pair of actions, the
+    system ``ref.hom_constraint`` fills.  ``sheaf_hom_basis`` eliminates one
+    system per component with isotropy: the one-block grid of the base
+    isotropy transports, as the evaluating oracle builds it."""
     g = request.getfixturevalue(groupoid)
     m1, m2 = (random_module(g, ring, 2, s) for s in seeds)
     pairs = [(m1.action[a], m2.action[a]) for a in g.arrows]
-    got = intertwiner_constraints(ring, [(m1.rank, m2.rank)], [(l, 0, 0, r) for l, r in pairs])
+    got = intertwiner_constraints(ring, m1.rank, m2.rank, pairs)
     assert_same_matrix(ring, got, ref.hom_constraint(m1, m2))
 
     seen = []
@@ -503,35 +505,40 @@ def test_hom_space_constraints_match_reference(ring, groupoid, seeds, request, m
         seen.append(constraint)
         return kernel_basis(constraint)
 
-    monkeypatch.setattr(gsheaf, "kernel_basis", capture)
+    monkeypatch.setattr(gmodule, "kernel_basis", capture)
     e, f = (random_sheaf(g, ring, 2, s) for s in seeds)
     gsheaf.sheaf_hom_basis(e, f)
-    want = ref.sheaf_hom_constraint(e, f)
-    if want.rows == 0:
-        assert seen == []
-    else:
-        (got,) = seen
-        assert_same_matrix(ring, got, want)
+    want = []
+    for base in (comp[0] for comp in g.isotropy_plan.components if e.total_rank * f.total_rank):
+        equations = [
+            (e.transport[k], 0, 0, f.transport[k]) for k in g.hom_set(base, base) if k != g.unit[base]
+        ]
+        if equations:
+            block = (e.stalk_rank[base], f.stalk_rank[base])
+            want.append(ref.intertwiner_constraints(ring, [block], equations))
+    assert len(seen) == len(want)
+    for got, w in zip(seen, want):
+        assert_same_matrix(ring, got, w)
 
 
 @SETTINGS
 @given(ring=st.sampled_from(ELIMINATION_RINGS), data=st.data())
 def test_intertwiner_constraints_match_evaluation(ring, data):
-    """Unknown blocks of unequal shapes, equations joining different blocks:
-    the grid is the one read off by evaluating every equation on each unit
-    unknown, and ``split_blocks`` cuts an unknown vector back into blocks."""
+    """The grid is the one read off by evaluating every pair on each unit
+    unknown, and ``split_blocks`` cuts a flat vector into blocks of unequal
+    shapes."""
     small = st.integers(0, 3)
-    blocks = data.draw(st.lists(st.tuples(small, small), min_size=1, max_size=3))
-    equations = []
-    for _ in range(data.draw(st.integers(0, 4))):
-        u, v = (data.draw(st.integers(0, len(blocks) - 1)) for _ in range(2))
-        left = data.draw(matrices(ring, blocks[v][0], blocks[u][0]))
-        right = data.draw(matrices(ring, blocks[v][1], blocks[u][1]))
-        equations.append((left, u, v, right))
-    got = intertwiner_constraints(ring, blocks, equations)
-    assert_same_matrix(ring, got, ref.intertwiner_constraints(ring, blocks, equations))
+    rows, cols = data.draw(small), data.draw(small)
+    pairs = [
+        (data.draw(matrices(ring, rows, rows)), data.draw(matrices(ring, cols, cols)))
+        for _ in range(data.draw(st.integers(0, 4)))
+    ]
+    got = intertwiner_constraints(ring, rows, cols, pairs)
+    want = ref.intertwiner_constraints(ring, [(rows, cols)], [(l, 0, 0, r) for l, r in pairs])
+    assert_same_matrix(ring, got, want)
 
-    flat = vec(ring, range(got.rows))
+    blocks = data.draw(st.lists(st.tuples(small, small), min_size=1, max_size=3))
+    flat = vec(ring, range(sum(r * c for r, c in blocks)))
     parts = split_blocks(ring, blocks, flat)
     assert [(x.rows, x.cols) for x in parts] == blocks
     assert tuple(v for x in parts for row in x.entries for v in row) == flat
@@ -540,7 +547,7 @@ def test_intertwiner_constraints_match_evaluation(ring, data):
 def test_intertwiner_constraints_reject_an_equation_that_misfits_its_blocks():
     one = Matrix.identity(RATIONALS, 1)
     with pytest.raises(ValueError, match="does not fit"):
-        intertwiner_constraints(RATIONALS, [(1, 1), (2, 2)], [(one, 0, 1, one)])
+        intertwiner_constraints(RATIONALS, 1, 2, [(one, one)])
 
 
 @pytest.mark.parametrize("ring", ROW_OP_RINGS, ids=lambda r: r.name)
