@@ -19,7 +19,7 @@ from .equivalence import gamma_c
 from .gmodule import GModule
 from .groupoid import ArrowId, FiniteGroupoid, ObjectId
 from .gsheaf import GSheaf
-from .rings import Matrix, Ring, Scalar, matrix_inverse, vec
+from .rings import Matrix, Ring, Scalar, matrix_inverse
 
 
 def pair_groupoid(n: int) -> FiniteGroupoid:
@@ -299,7 +299,7 @@ def random_invertible(ring: Ring, n: int, rng: random.Random) -> tuple[Matrix, M
         empty = Matrix(ring, 0, 0, ())
         return empty, empty
     # Every entry stays an integer (reduced mod p over Z/p), so the row
-    # operations run on plain ints and each row is coerced once at the end.
+    # operations run on plain ints and the matrix is built from them once.
     p = ring.modulus
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(2 * n * n + 2):
@@ -321,7 +321,7 @@ def random_invertible(ring: Ring, n: int, rng: random.Random) -> tuple[Matrix, M
             m[i] = [c * a for a in m[i]]
         if p is not None:
             m[i] = [x % p for x in m[i]]
-    out = Matrix(ring, n, n, tuple(vec(ring, r) for r in m))
+    out = Matrix.from_ints(ring, m, n)
     inverse = matrix_inverse(out)
     assert inverse is not None
     return out, inverse
@@ -379,9 +379,9 @@ def random_sheaf(g: FiniteGroupoid, ring: Ring, max_rank: int, seed: int) -> GSh
         c, r = plan[component_of[x]]
         fx, fy = fiber[x], fiber[y]
         n_from, n_to = stalk_rank[x], stalk_rank[y]
-        rows = [[ring.zero] * n_to for _ in range(n_from)]
+        rows = [[0] * n_to for _ in range(n_from)]
         for i in range(c):
-            rows[i][i] = ring.one
+            rows[i][i] = 1
         # each regular copy permutes fiber basis vectors by right composition
         index_to = {arrow: k for k, arrow in enumerate(fy)}
         for copy in range(r):
@@ -389,8 +389,8 @@ def random_sheaf(g: FiniteGroupoid, ring: Ring, max_rank: int, seed: int) -> GSh
             base_to = c + copy * len(fy)
             for k, arrow in enumerate(fx):
                 moved = g.compose[(arrow, a)]
-                rows[base_from + k][base_to + index_to[moved]] = ring.one
-        raw = Matrix(ring, n_from, n_to, tuple(tuple(row) for row in rows))
+                rows[base_from + k][base_to + index_to[moved]] = 1
+        raw = Matrix.from_ints(ring, rows, n_to)
         transport[a] = untwists[x] @ raw @ twists[y]
     return GSheaf(g, ring, stalk_rank, transport)
 

@@ -28,6 +28,7 @@ from .gsheaf import GSheaf, GSheafMor, validate_sheaf_morphism
 from .rings import (
     Matrix,
     Scalar,
+    assemble,
     block_diagonal,
     coordinates,
     image_basis,
@@ -114,15 +115,10 @@ def gamma_c(e: GSheaf) -> GModule:
     g, ring = e.groupoid, e.ring
     offsets = block_offsets(e)
     total = e.total_rank
-    action: dict[ArrowId, Matrix] = {}
-    for a in g.arrows:
-        rows = [[ring.zero] * total for _ in range(total)]
-        b = e.transport[a]
-        r0, c0 = offsets[g.dst[a]], offsets[g.src[a]]
-        for i in range(b.rows):
-            for j in range(b.cols):
-                rows[r0 + i][c0 + j] = b.entries[i][j]
-        action[a] = Matrix(ring, total, total, tuple(tuple(r) for r in rows))
+    action = {
+        a: assemble(ring, total, total, [(offsets[g.dst[a]], offsets[g.src[a]], e.transport[a])])
+        for a in g.arrows
+    }
     return GModule(g, ring, total, action)
 
 
@@ -285,9 +281,9 @@ def eta_matrix(sh: Sheafification) -> Matrix:
     The germ of basis vector i at x is row i of the unit action at x, so
     row i is the coordinates of those rows, object after object."""
     m = sh.module
-    blocks = [sh.germ_coords(m.unit_action(x), x).entries for x in m.groupoid.objects]
-    rows = tuple(tuple(c for block in blocks for c in block[i]) for i in range(m.rank))
-    return Matrix(m.ring, m.rank, sh.sheaf.total_rank, rows)
+    offsets = block_offsets(sh.sheaf)
+    blocks = [(0, offsets[x], sh.germ_coords(m.unit_action(x), x)) for x in m.groupoid.objects]
+    return assemble(m.ring, m.rank, sh.sheaf.total_rank, blocks)
 
 
 def eta(m: GModule) -> NaturalIsoCertificate | Failure:

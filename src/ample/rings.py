@@ -14,17 +14,21 @@ over Z, ``int`` in ``[0, m)`` over Z/m), and every ``Matrix`` holds only
 canonical elements.  Shapes are checked at the same boundary and nowhere
 else: ``Matrix.from_rows`` rejects ragged rows and rows that do not match
 ``cols``, and the document parser checks each declared matrix shape; the
-plain ``Matrix(...)`` constructor is the kernels' unchecked one.  Past that boundary the kernels (products, sums,
-echelon forms, ``express_in_basis``) run native arithmetic picked once per
-call from the ring's modulus: ``int`` operations with one ``% m`` per
-result entry over Z/m and plain ``int`` over Z.  Over Q they run on
-integers too: each vector is held as integer numerators over one common
-denominator (``_common_denominator``), dot products are integer sums, and
-one ``Fraction`` is built per nonzero result entry.  A Q matrix computes
-the integer forms of its rows and of its columns once, on first use
-(``Matrix.int_rows``, ``Matrix.int_cols``), and every later product,
-elimination or ``express_in_basis`` it takes part in reads them from
-there.  Elimination visits only the nonzero entries of each pivot row.
+plain ``Matrix(...)`` constructor is the kernels' unchecked one.  Past that
+boundary the kernels (products, sums, echelon forms, ``coordinates``) run
+native arithmetic picked once per call from the ring's modulus: ``int``
+operations with one ``% m`` per result entry over Z/m and plain ``int``
+over Z.
+
+Over Q a matrix is one integer matrix over one denominator:
+``Matrix.q_form`` is ``(numerators, d)`` with ``d`` positive and the gcd of
+``d`` and every numerator 1, so equal matrices have equal forms.  Every
+kernel reads that form and returns a matrix that holds only it: a product
+is one integer product and one gcd pass, an elimination runs on integer
+rows, and no ``Fraction`` is built until code reads ``entries``, which are
+then derived once and kept.  A matrix constructed from ``Fraction``
+entries derives its form once, on first use, in the same way.  Elimination
+visits only the nonzero entries of each pivot row.
 
 An identity skips the arithmetic: ``Matrix.is_identity`` compares with one
 shared identity per (ring, size), a product with an identity operand
@@ -32,7 +36,7 @@ returns the other operand once the ring and shape checks pass, and
 ``row_echelon`` returns an identity as its own reduced form and transform.
 ``coordinates`` expresses every row of a matrix in an echelon basis at once:
 over a field it reads the coordinates off the pivot columns and checks them
-in one pass, falling back to ``express_in_basis`` row by row.
+with one product, falling back to solving row by row.
 
 Conventions used throughout the library: vectors are rows, linear maps act
 on the right (``v @ A``), and matrix products compose left to right, so
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Any, Iterable, Sequence
 
 Scalar = Any  # int for Z and Z/m, Fraction for Q
@@ -69,7 +73,10 @@ def _is_prime(m: int) -> bool:
 
 @dataclass(frozen=True)
 class Ring:
-    """A coefficient ring: kind is one of "Q", "Z", "mod" (with a modulus)."""
+    """A coefficient ring: kind is one of "Q", "Z", "mod" (with a modulus).
+
+    The hash is computed once, at construction; ``modular`` and
+    ``ring_from_name`` hand out one shared ring per modulus."""
 
     kind: str
     modulus: int | None = None
@@ -82,6 +89,10 @@ class Ring:
                 raise ValueError("modulus must be a positive integer")
         elif self.modulus is not None:
             raise ValueError(f"ring {self.kind} takes no modulus")
+        object.__setattr__(self, "_hash", hash((self.kind, self.modulus)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def name(self) -> str:
@@ -177,7 +188,9 @@ RATIONALS = Ring("Q")
 INTEGERS = Ring("Z")
 
 
+@lru_cache(maxsize=None, typed=True)
 def modular(m: int) -> Ring:
+    """Z/m, one shared ``Ring`` per modulus."""
     return Ring("mod", m)
 
 
@@ -265,23 +278,28 @@ def intertwiner_constraints(
     rows×cols unknown X: one row per entry of X and one column per entry of
     each L·X - X·R, both row-major."""
     width = len(pairs) * rows * cols
-    grid = [[ring.zero] * width for _ in range(rows * cols)]
+    q = ring.kind == "Q"
+    # over Q every L and R is read as integers over one common denominator
+    d = lcm(*(m.q_form[1] for pair in pairs for m in pair)) if q else 1
+    grid = [[0] * width for _ in range(rows * cols)]
     col = 0
     for left, right in pairs:
         if (left.rows, left.cols, right.rows, right.cols) != (rows, rows, cols, cols):
             raise ValueError(f"pair does not fit a {rows}x{cols} unknown")
-        for i, left_row in enumerate(left.entries):
+        lefts = _nums_over(left, d) if q else left.entries
+        rights = _nums_over(right, d) if q else right.entries
+        for i, left_row in enumerate(lefts):
             for j in range(cols):
                 for k, x in enumerate(left_row):
                     if x:
                         grid[k * cols + j][col] += x
-                for l, right_row in enumerate(right.entries):
+                for l, right_row in enumerate(rights):
                     if right_row[j]:
                         grid[i * cols + l][col] -= right_row[j]
                 col += 1
-    p = ring.modulus
-    canonical = grid if p is None else ([x % p for x in r] for r in grid)
-    return Matrix(ring, rows * cols, width, tuple(map(tuple, canonical)))
+    if q:
+        return _q_matrix(ring, rows * cols, width, tuple(map(tuple, grid)), d)
+    return Matrix.from_ints(ring, grid, width)
 
 
 def split_blocks(ring: Ring, blocks: Sequence[tuple[int, int]], flat: Sequence[Scalar]) -> list["Matrix"]:
@@ -298,79 +316,124 @@ def vec_mat(v: Sequence[Scalar], a: "Matrix") -> tuple[Scalar, ...]:
     """Row vector times matrix: the action of the linear map ``a`` on ``v``."""
     if len(v) != a.rows:
         raise ValueError(f"dimension mismatch: vector of length {len(v)} @ {a.rows}x{a.cols}")
-    return _products(a.ring, (v,), a)[0]
-
-
-def _common_denominator(v: Sequence[Scalar]) -> tuple[tuple[int, ...], int]:
-    """Rationals (or ints) as integer numerators over their positive lcm denominator."""
-    dens = [x.denominator for x in v]
-    d = lcm(*dens)
-    if d == 1:
-        return tuple([x.numerator for x in v]), 1
-    return tuple([x.numerator * (d // e) for x, e in zip(v, dens)]), d
-
-
-def _from_common(nums: Sequence[int], d: int, zero: Scalar) -> tuple[Scalar, ...]:
-    """The canonical ``Fraction`` entries of numerators ``nums`` over ``d``."""
-    return tuple(Fraction(x, d) if x else zero for x in nums)
+    ring = a.ring
+    if ring.kind == "Q":
+        return _q_product(Matrix(ring, 1, a.rows, (tuple(v),)), a).entries[0]
+    return _products((v,), a.entries, a.cols, ring.modulus)[0]
 
 
 def _products(
-    ring: Ring, left: "Matrix | Sequence[Sequence[Scalar]]", b: "Matrix"
-) -> tuple[tuple[Scalar, ...], ...]:
-    """The rows of ``left @ b``: one dot product and one reduction per entry.
-
-    ``left`` is a matrix or a sequence of rows.  Over Q, each row of
-    ``left`` and each column of ``b`` is scaled to integers by the lcm of
-    its denominators (read from a matrix's cached ``int_rows`` and
-    ``int_cols``), so a dot product is an integer sum and each nonzero
-    entry is one ``Fraction`` over the two lcms.
-    """
-    zero = ring.zero
-    rows = left.entries if isinstance(left, Matrix) else left
-    if b.rows == 0:
-        return tuple((zero,) * b.cols for _ in rows)
-    if ring.kind == "Q":
-        forms = left.int_rows if isinstance(left, Matrix) else map(_common_denominator, rows)
-        right = b.int_cols
-        return tuple(
-            tuple(Fraction(t, d * e) if (t := sum(map(mul, nums, c))) else zero for c, e in right)
-            for nums, d in forms
-        )
-    cols = tuple(zip(*b.entries))
-    p = ring.modulus
+    left: Sequence[Sequence[int]], right: Sequence[Sequence[int]], cols: int, p: int | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """The rows of ``left @ right`` for integer rows, ``right`` with ``cols``
+    columns: one dot product per entry, reduced mod ``p`` unless it is None."""
+    columns = tuple(zip(*right)) if right else ((),) * cols
     if p is None:
-        return tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in rows)
-    return tuple(tuple(sum(map(mul, r, c)) % p for c in cols) for r in rows)
+        return tuple([tuple([sum(map(mul, r, c)) for c in columns]) for r in left])
+    return tuple([tuple([sum(map(mul, r, c)) % p for c in columns]) for r in left])
+
+
+# -- the integer form of a Q matrix ---------------------------------------------
+
+
+def _q_form(entries: Sequence[Sequence[Scalar]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Rationals as integer numerators over the lcm of their denominators.
+    Each entry is in lowest terms, so the result is normalised: a prime
+    dividing the lcm fully divides some entry's denominator, and not its
+    numerator."""
+    d = lcm(*[x.denominator for row in entries for x in row])
+    if d == 1:
+        return tuple([tuple([x.numerator for x in row]) for row in entries]), 1
+    return tuple([tuple([x.numerator * (d // x.denominator) for x in row]) for row in entries]), d
+
+
+def _q_new(ring: Ring, rows: int, cols: int, nums: tuple[tuple[int, ...], ...], d: int) -> "Matrix":
+    """The Q matrix ``nums / d``, trusted to be normalised; its entries are
+    derived when first read."""
+    m = object.__new__(Matrix)
+    m.__dict__.update(ring=ring, rows=rows, cols=cols, q_form=(nums, d))
+    return m
+
+
+def _q_matrix(
+    ring: Ring, rows: int, cols: int, nums: tuple[tuple[int, ...], ...], d: int
+) -> "Matrix":
+    """The Q matrix ``nums / d`` for any positive ``d``, normalised by one
+    gcd pass."""
+    if d != 1:
+        g = gcd(d, *[x for row in nums for x in row])
+        if g != 1:
+            d //= g
+            nums = tuple([tuple([x // g for x in row]) for row in nums])
+    return _q_new(ring, rows, cols, nums, d)
+
+
+def _q_rows(ring: Ring, cols: int, rows: Sequence[tuple[Sequence[int], int]]) -> "Matrix":
+    """The Q matrix whose row i is ``nums_i / d_i`` for the pairs in ``rows``."""
+    d = lcm(*[e for _, e in rows])
+    nums = tuple([tuple(r) if e == d else tuple([x * (d // e) for x in r]) for r, e in rows])
+    return _q_matrix(ring, len(rows), cols, nums, d)
+
+
+def _nums_over(m: "Matrix", d: int) -> tuple[tuple[int, ...], ...]:
+    """The numerators of Q matrix ``m`` over ``d``, a multiple of its denominator."""
+    nums, e = m.q_form
+    if e == d:
+        return nums
+    s = d // e
+    return tuple([tuple([s * x for x in row]) for row in nums])
+
+
+def _q_product(a: "Matrix", b: "Matrix") -> "Matrix":
+    (left, d), (right, e) = a.q_form, b.q_form
+    return _q_matrix(a.ring, a.rows, b.cols, _products(left, right, b.cols), d * e)
 
 
 # -- matrices --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Matrix:
     """A dense exact matrix; entries are row-major tuples over one ring.
     The constructor trusts its shape; ``from_rows`` is the checked one.
 
-    Over Q, ``int_rows`` and ``int_cols`` are the integer forms of the rows
-    and columns, built on first use and kept for the life of the matrix.
-    They are not fields, so equality, hashing and reports ignore them."""
+    Over Q, ``q_form`` is the matrix as integer numerator rows over one
+    positive denominator, normalised (see the module docstring).  A matrix
+    that a kernel built holds only that form, and a constructed one only its
+    entries, until the other is read: it is then derived once and kept.
+    Over Q, equality and the hash compare the forms; over the other rings
+    they compare the entries."""
 
     ring: Ring
     rows: int
     cols: int
     entries: tuple[tuple[Scalar, ...], ...]
 
-    @cached_property
-    def int_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Each row as ``_common_denominator`` gives it."""
-        return tuple(map(_common_denominator, self.entries))
+    def __getattr__(self, name: str) -> Any:
+        # Only a missing ``entries`` or ``q_form`` reaches here.
+        held = self.__dict__
+        if name == "q_form" and "entries" in held:
+            value = _q_form(held["entries"])
+        elif name == "entries" and "q_form" in held:
+            nums, d = held["q_form"]
+            zero = self.ring.zero
+            value = tuple([tuple([Fraction(x, d) if x else zero for x in row]) for row in nums])
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        held[name] = value
+        return value
 
-    @cached_property
-    def int_cols(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Each column as ``_common_denominator`` gives it."""
-        cols = zip(*self.entries) if self.rows else ((),) * self.cols
-        return tuple(map(_common_denominator, cols))
+    def _key(self) -> tuple[Any, ...]:
+        form = self.q_form if self.ring.kind == "Q" else self.entries
+        return self.ring, self.rows, self.cols, form
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not Matrix:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @staticmethod
     def from_rows(ring: Ring, rows: Sequence[Sequence[Any]], cols: int | None = None) -> "Matrix":
@@ -382,32 +445,52 @@ class Matrix:
         return Matrix(ring, len(data), cols, data)
 
     @staticmethod
+    def from_ints(ring: Ring, rows: Sequence[Sequence[int]], cols: int) -> "Matrix":
+        """The matrix of the integer rows ``rows``, each of length ``cols``,
+        unchecked: reduced mod m over Z/m, and over Q held in its integer
+        form, so no ``Fraction`` is built."""
+        if ring.kind == "Q":
+            return _q_new(ring, len(rows), cols, tuple(map(tuple, rows)), 1)
+        p = ring.modulus
+        canonical = rows if p is None else ([x % p for x in r] for r in rows)
+        return Matrix(ring, len(rows), cols, tuple(map(tuple, canonical)))
+
+    @staticmethod
     def identity(ring: Ring, n: int) -> "Matrix":
         return _identity(ring, n)
 
     @staticmethod
     def zeros(ring: Ring, rows: int, cols: int) -> "Matrix":
-        return Matrix(ring, rows, cols, tuple(zero_vec(ring, cols) for _ in range(rows)))
+        return Matrix.from_ints(ring, ((0,) * cols,) * rows, cols)
 
     def row(self, i: int) -> tuple[Scalar, ...]:
         return self.entries[i]
 
     @property
     def is_zero(self) -> bool:
-        return all(vec_is_zero(self.ring, r) for r in self.entries)
+        rows = self.q_form[0] if self.ring.kind == "Q" else self.entries
+        return not any(map(any, rows))
 
     @property
     def is_identity(self) -> bool:
         # the corner test turns most other matrices away before the lookup
-        n, rows = self.rows, self.entries
-        return n == self.cols and (
-            n == 0 or rows[0][0] == self.ring.one and rows == _identity(self.ring, n).entries
-        )
+        n = self.rows
+        if n != self.cols:
+            return False
+        if not n:
+            return True
+        ring = self.ring
+        if ring.kind == "Q":
+            nums, d = self.q_form
+            return d == 1 and nums[0][0] == 1 and nums == _identity(ring, n).q_form[0]
+        rows = self.entries
+        return rows[0][0] == ring.one and rows == _identity(ring, n).entries
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """The product; an identity operand returns the other one unchanged."""
-        if self.ring != other.ring:
-            raise ValueError(f"ring mismatch: {self.ring.name} vs {other.ring.name}")
+        ring = self.ring
+        if ring is not other.ring and ring != other.ring:
+            raise ValueError(f"ring mismatch: {ring.name} vs {other.ring.name}")
         if self.cols != other.rows:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
@@ -416,47 +499,69 @@ class Matrix:
             return other
         if other.is_identity:
             return self
-        return Matrix(self.ring, self.rows, other.cols, _products(self.ring, self, other))
+        if ring.kind == "Q":
+            return _q_product(self, other)
+        products = _products(self.entries, other.entries, other.cols, ring.modulus)
+        return Matrix(ring, self.rows, other.cols, products)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(
-            self.ring,
-            self.rows,
-            self.cols,
-            tuple(vec_add(self.ring, a, b) for a, b in zip(self.entries, other.entries)),
-        )
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(sub, other)
+
+    def _entrywise(self, op: Any, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix(
-            self.ring,
-            self.rows,
-            self.cols,
-            tuple(vec_sub(self.ring, a, b) for a, b in zip(self.entries, other.entries)),
-        )
+        ring = self.ring
+        if ring.kind == "Q":
+            d = lcm(self.q_form[1], other.q_form[1])
+            pairs = zip(_nums_over(self, d), _nums_over(other, d))
+            nums = tuple([tuple(map(op, r, s)) for r, s in pairs])
+            return _q_matrix(ring, self.rows, self.cols, nums, d)
+        rows = [list(map(op, r, s)) for r, s in zip(self.entries, other.entries)]
+        return Matrix.from_ints(ring, rows, self.cols)
 
     def __neg__(self) -> "Matrix":
         return self.scaled(-1)
 
     def scaled(self, c: Any) -> "Matrix":
-        c = self.ring.coerce(c)
-        return Matrix(
-            self.ring, self.rows, self.cols, tuple(_scale(self.ring, c, r) for r in self.entries)
-        )
+        ring = self.ring
+        if ring.kind != "Q":
+            c = ring.coerce(c)
+            rows = tuple(_scale(ring, c, r) for r in self.entries)
+            return Matrix(ring, self.rows, self.cols, rows)
+        if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+            ring.coerce(c)  # raises: only ints and rationals scale over Q
+        n, e = c.numerator, c.denominator
+        nums, d = self.q_form
+        scaled = tuple([tuple([n * x for x in row]) for row in nums])
+        return _q_matrix(ring, self.rows, self.cols, scaled, d * e)
 
     def _check_same_shape(self, other: "Matrix") -> None:
-        if self.ring != other.ring:
-            raise ValueError(f"ring mismatch: {self.ring.name} vs {other.ring.name}")
+        ring = self.ring
+        if ring is not other.ring and ring != other.ring:
+            raise ValueError(f"ring mismatch: {ring.name} vs {other.ring.name}")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
+    def row_slice(self, start: int, stop: int) -> "Matrix":
+        """Rows ``start`` to ``stop``, for 0 <= start <= stop <= rows."""
+        return self._sliced(stop - start, self.cols, lambda rows: rows[start:stop])
+
     def column_slice(self, start: int, stop: int) -> "Matrix":
-        return Matrix(
-            self.ring, self.rows, stop - start, tuple(r[start:stop] for r in self.entries)
+        return self._sliced(
+            self.rows, stop - start, lambda rows: tuple(r[start:stop] for r in rows)
         )
+
+    def _sliced(self, rows: int, cols: int, cut: Any) -> "Matrix":
+        """The rows×cols matrix of ``cut`` applied to the entry rows, or over
+        Q to the numerator rows, over the same denominator."""
+        if self.ring.kind == "Q":
+            nums, d = self.q_form
+            return _q_matrix(self.ring, rows, cols, cut(nums), d)
+        return Matrix(self.ring, rows, cols, cut(self.entries))
 
     def to_json(self) -> list[list[int | str]]:
         return [[self.ring.scalar_to_json(a) for a in row] for row in self.entries]
@@ -465,30 +570,46 @@ class Matrix:
 @lru_cache(maxsize=256)
 def _identity(ring: Ring, n: int) -> Matrix:
     """The n×n identity over ``ring``, built once and shared."""
-    return Matrix(ring, n, n, tuple(unit_vec(ring, n, i) for i in range(n)))
+    return Matrix.from_ints(ring, [[int(i == j) for j in range(n)] for i in range(n)], n)
+
+
+def assemble(ring: Ring, rows: int, cols: int, blocks: Iterable[tuple[int, int, Matrix]]) -> Matrix:
+    """The rows×cols matrix holding each ``(r, c, block)`` of ``blocks`` with
+    its top left entry at (r, c), and zeros elsewhere.  Blocks do not
+    overlap."""
+    blocks = tuple(blocks)
+    q = ring.kind == "Q"
+    # Over Q each block is normalised, so its numerators over the lcm d of
+    # the block denominators are too: a prime power dividing d fully divides
+    # some block's denominator and, scaled by d over it, that block's
+    # numerators keep one entry the prime does not divide.
+    d = lcm(*[b.q_form[1] for _, _, b in blocks]) if q else 1
+    grid = [[0] * cols for _ in range(rows)]  # 0 is every ring's zero but Q's
+    for r, c, b in blocks:
+        for i, row in enumerate(_nums_over(b, d) if q else b.entries):
+            grid[r + i][c: c + b.cols] = row
+    if q:
+        return _q_new(ring, rows, cols, tuple(map(tuple, grid)), d)
+    return Matrix(ring, rows, cols, tuple(map(tuple, grid)))
 
 
 def stack_rows(ring: Ring, matrices: Sequence[Matrix], cols: int) -> Matrix:
-    rows: list[tuple[Scalar, ...]] = []
+    placed, r = [], 0
     for m in matrices:
         if m.cols != cols:
             raise ValueError("dimension mismatch while stacking rows")
-        rows.extend(m.entries)
-    return Matrix(ring, len(rows), cols, tuple(rows))
+        placed.append((r, 0, m))
+        r += m.rows
+    return assemble(ring, r, cols, placed)
 
 
 def block_diagonal(ring: Ring, blocks: Sequence[Matrix]) -> Matrix:
-    total_r = sum(b.rows for b in blocks)
-    total_c = sum(b.cols for b in blocks)
-    out = [[ring.zero] * total_c for _ in range(total_r)]
-    r0 = c0 = 0
+    placed, r, c = [], 0, 0
     for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out[r0 + i][c0 + j] = b.entries[i][j]
-        r0 += b.rows
-        c0 += b.cols
-    return Matrix(ring, total_r, total_c, tuple(tuple(r) for r in out))
+        placed.append((r, c, b))
+        r += b.rows
+        c += b.cols
+    return assemble(ring, r, c, placed)
 
 
 # -- echelon forms and what they buy us ------------------------------------
@@ -567,19 +688,19 @@ def _q_rref(a: Matrix) -> Echelon:
     # The Gauss-Jordan loop of ``_rref`` over Q, with row i of
     # [a | identity] held as integer numerators nums[i] over one positive
     # denominator dens[i], both divided by their gcd after every update; the
-    # rows start as copies of a's cached integer rows.  Pivot choice and
+    # rows start as a's numerators over its denominator.  Pivot choice and
     # operation order are those of a ``Fraction`` loop, so every
     # intermediate row has the same rational values.
-    ring, zero = a.ring, a.ring.zero
+    ring = a.ring
     n, width = a.cols, a.cols + a.rows
+    start, d = a.q_form
     nums: list[list[int]] = []
-    dens: list[int] = []
     zeros = [0] * a.rows
-    for i, (r, d) in enumerate(a.int_rows):
+    for i, r in enumerate(start):
         row = [*r, *zeros]
         row[n + i] = d
         nums.append(row)
-        dens.append(d)
+    dens = [d] * a.rows
     pivots: list[int] = []
     pr = 0
     for c in range(n):
@@ -619,9 +740,8 @@ def _q_rref(a: Matrix) -> Echelon:
         pr += 1
         if pr == a.rows:
             break
-    rows = tuple(zip(nums, dens))
-    reduced = Matrix(ring, a.rows, a.cols, tuple(_from_common(r[:n], d, zero) for r, d in rows))
-    transform = Matrix(ring, a.rows, a.rows, tuple(_from_common(r[n:], d, zero) for r, d in rows))
+    reduced = _q_rows(ring, a.cols, [(r[:n], e) for r, e in zip(nums, dens)])
+    transform = _q_rows(ring, a.rows, [(r[n:], e) for r, e in zip(nums, dens)])
     return Echelon(reduced, transform, tuple(pivots))
 
 
@@ -677,15 +797,13 @@ def rank(a: Matrix) -> int:
 def image_basis(a: Matrix) -> Matrix:
     """Echelon basis (field) or Hermite lattice basis (Z) of the row space {vA}."""
     ech = row_echelon(a)
-    keep = ech.reduced.entries[: len(ech.pivots)]
-    return Matrix(a.ring, len(keep), a.cols, keep)
+    return ech.reduced.row_slice(0, len(ech.pivots))
 
 
 def kernel_basis(a: Matrix) -> Matrix:
     """Echelonized basis of the left null space {v : vA = 0}."""
     ech = row_echelon(a)
-    null_rows = ech.transform.entries[len(ech.pivots):]
-    raw = Matrix(a.ring, len(null_rows), a.rows, null_rows)
+    raw = ech.transform.row_slice(len(ech.pivots), a.rows)
     if raw.rows == 0 or raw.cols == 0:
         return raw
     return image_basis(raw)  # re-echelonize for a canonical result
@@ -702,7 +820,8 @@ def express_in_basis(basis: Matrix, target: Sequence[Scalar]) -> tuple[Scalar, .
     if len(target) != basis.cols:
         raise ValueError(f"dimension mismatch: target length {len(target)} vs {basis.cols} cols")
     if ring.kind == "Q":
-        return _q_express_in_basis(basis, target)
+        found = _q_express(basis, Matrix(ring, 1, basis.cols, (tuple(target),)))
+        return None if found is None else found.entries[0]
     field, p = ring.is_field, ring.modulus
     residue = tuple(target) if p is None else tuple(x % p for x in target)
     coeffs = []
@@ -731,23 +850,32 @@ def coordinates(basis: Matrix, m: Matrix) -> Matrix | None:
     ``basis`` must be in echelon form, as for ``express_in_basis``, and row
     i of C is ``express_in_basis(basis, m.row(i))``.  Over a field a reduced
     basis has a 1 at each row's leading column and zeros above and below
-    it, so C is ``m`` read at those columns, and one pass of dot products
-    checks it (``_reads_back``).  The nonzero rows of an echelon basis are
-    independent, so a C that passes is the only one.  When the check fails
-    (the basis is not reduced, or ``m`` leaves the row space), and over Z,
-    C is built row by row with ``express_in_basis``.
+    it, so C is ``m`` read at those columns, and one product checks it.
+    The nonzero rows of an echelon basis are independent, so a C that
+    passes is the only one.  When the check fails (the basis is not
+    reduced, or ``m`` leaves the row space), and over Z, C is built row by
+    row as ``express_in_basis`` builds it.
     """
     ring = basis.ring
-    if m.ring != ring:
+    if m.ring is not ring and m.ring != ring:
         raise ValueError(f"ring mismatch: {m.ring.name} vs {ring.name}")
     if m.cols != basis.cols:
         raise ValueError(f"dimension mismatch: rows of length {m.cols} vs {basis.cols} cols")
+    q = ring.kind == "Q"
     if ring.is_field:
-        leads = [next((j for j, x in enumerate(row) if x), None) for row in basis.entries]
-        if _reads_back(basis, m, leads):
-            zero = ring.zero
-            read = tuple(tuple(zero if j is None else row[j] for j in leads) for row in m.entries)
+        # with basis as B/e and m as M/f (e = f = 1 off Q), C is M read at
+        # the leads over f, and C @ basis = m exactly when that read @ B = M·e
+        brows, e = basis.q_form if q else (basis.entries, 1)
+        mrows, f = m.q_form if q else (m.entries, 1)
+        leads = [next((j for j, x in enumerate(row) if x), None) for row in brows]
+        read = tuple([tuple([0 if j is None else row[j] for j in leads]) for row in mrows])
+        want = mrows if e == 1 else tuple([tuple([x * e for x in row]) for row in mrows])
+        if _products(read, brows, basis.cols, ring.modulus) == want:
+            if q:
+                return _q_matrix(ring, m.rows, basis.rows, read, f)
             return Matrix(ring, m.rows, basis.rows, read)
+    if q:
+        return _q_express(basis, m)
     rows = []
     for row in m.entries:
         found = express_in_basis(basis, row)
@@ -757,70 +885,51 @@ def coordinates(basis: Matrix, m: Matrix) -> Matrix | None:
     return Matrix(ring, m.rows, basis.rows, tuple(rows))
 
 
-def _reads_back(basis: Matrix, m: Matrix, leads: Sequence[int | None]) -> bool:
-    """Whether C @ basis == m, for C the entries of m at ``leads`` (0 for a
-    zero row of ``basis``), over a field, without building C or the product.
-
-    Over Z/p each entry is one dot product reduced mod p.  Over Q it runs on
-    integers: with row i of m cached as nums/f and column k of ``basis`` as
-    col/e, row i of C is nums[leads]/f, so entry (i, k) holds exactly when
-    the dot product of nums[leads] and col equals nums[k]·e.
-    """
-    if basis.ring.kind == "Q":
-        cols = basis.int_cols
-        for nums, _ in m.int_rows:
-            c = [0 if j is None else nums[j] for j in leads]
-            if any(sum(map(mul, c, col)) != nums[k] * e for k, (col, e) in enumerate(cols)):
-                return False
-        return True
-    p = basis.ring.modulus
-    cols = tuple(zip(*basis.entries)) if basis.rows else ((),) * basis.cols
-    for row in m.entries:
-        c = [0 if j is None else row[j] for j in leads]
-        if any(sum(map(mul, c, col)) % p != x for col, x in zip(cols, row)):
-            return False
-    return True
-
-
-def _q_express_in_basis(basis: Matrix, target: Sequence[Scalar]) -> tuple[Scalar, ...] | None:
-    # The residue is held as integer numerators over one positive
-    # denominator, divided by their gcd after each step; the basis rows are
-    # read from the basis's cached integer form.
-    zero = basis.ring.zero
-    target_nums, e = _common_denominator(target)
-    residue = list(target_nums)
-    coeffs = []
-    for nums, d in basis.int_rows:
-        lead = next((j for j, x in enumerate(nums) if x), None)
-        if lead is None or not residue[lead]:
-            coeffs.append(zero)
-            continue
-        r, s = residue[lead], nums[lead]
-        coeffs.append(Fraction(r * d, e * s))
-        # residue - (r/e)/(s/d) * nums/d, over the denominator e*|s|
-        if s < 0:
-            r, s = -r, -s
-        if s != 1:
-            residue = [x * s for x in residue]
-            e *= s
-        for j in range(lead, len(nums)):
-            if nums[j]:
-                residue[j] -= r * nums[j]
-        if e != 1:
-            g = gcd(e, *residue)
-            if g != 1:
-                residue = [x // g for x in residue]
-                e //= g
-    if any(residue):
-        return None
-    return tuple(coeffs)
+def _q_express(basis: Matrix, m: Matrix) -> Matrix | None:
+    """``coordinates`` over Q, row by row: each row of m is reduced against
+    the basis rows in turn, its residue held as integer numerators over one
+    positive denominator, divided by their gcd after each step.  With the
+    basis as B/b, a residue r/e at the lead column of basis row nums/b,
+    where nums holds s, takes the coefficient r·b/(e·s)."""
+    ring = basis.ring
+    bnums, b = basis.q_form
+    leads = [next((j for j, x in enumerate(nums) if x), None) for nums in bnums]
+    mnums, f = m.q_form
+    rows: list[tuple[list[int], int]] = []
+    for target in mnums:
+        residue, e = list(target), f
+        coeffs: list[tuple[int, int]] = []  # (numerator, positive denominator)
+        for nums, lead in zip(bnums, leads):
+            if lead is None or not residue[lead]:
+                coeffs.append((0, 1))
+                continue
+            r, s = residue[lead], nums[lead]
+            # residue - (r/e)/(s/b) * nums/b, over the denominator e*|s|
+            if s < 0:
+                r, s = -r, -s
+            coeffs.append((r * b, e * s))
+            if s != 1:
+                residue = [x * s for x in residue]
+                e *= s
+            for j in range(lead, len(nums)):
+                if nums[j]:
+                    residue[j] -= r * nums[j]
+            if e != 1:
+                g = gcd(e, *residue)
+                if g != 1:
+                    residue = [x // g for x in residue]
+                    e //= g
+        if any(residue):
+            return None
+        d = lcm(*[f for _, f in coeffs])
+        rows.append(([x * (d // f) for x, f in coeffs], d))
+    return _q_rows(ring, basis.rows, rows)
 
 
 def solve_row_system(a: Matrix, b: Sequence[Scalar]) -> tuple[Scalar, ...] | None:
     """Some v with v @ a = b, or None when b is outside the row space."""
     ech = row_echelon(a)
-    lead = Matrix(a.ring, len(ech.pivots), a.cols, ech.reduced.entries[: len(ech.pivots)])
-    coeffs = express_in_basis(lead, b)
+    coeffs = express_in_basis(ech.reduced.row_slice(0, len(ech.pivots)), b)
     if coeffs is None:
         return None
     padded = list(coeffs) + [a.ring.zero] * (a.rows - len(coeffs))

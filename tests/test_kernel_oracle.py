@@ -7,6 +7,7 @@ over Q, ``int`` over Z, ``int`` in ``[0, m)`` over Z/m.
 """
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from ample.rings import (
     INTEGERS,
     RATIONALS,
     Matrix,
+    coordinates,
     express_in_basis,
     image_basis,
     intertwiner_constraints,
@@ -286,14 +288,29 @@ def test_q_inverse_matches_reference_on_hard_denominators(data):
         assert (a @ got).is_identity
 
 
+def common_denominator_form(entries):
+    """The integer numerators of ``entries`` over the lcm of their denominators."""
+    d = math.lcm(*(x.denominator for row in entries for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in entries), d
+
+
+def assert_normalised(form):
+    nums, d = form
+    assert d > 0 and math.gcd(d, *(x for row in nums for x in row)) == 1
+    assert all(type(x) is int for row in nums for x in row)
+
+
 @SETTINGS
 @given(data=st.data())
-def test_q_cached_integer_forms_are_the_common_denominator_forms(data):
-    r, c = data.draw(DIMS), data.draw(DIMS)
-    a = data.draw(hard_q_matrices(r, c))
-    assert a.int_rows == tuple(rings._common_denominator(row) for row in a.entries)
-    columns = [[row[j] for row in a.entries] for j in range(c)]
-    assert a.int_cols == tuple(rings._common_denominator(col) for col in columns)
+def test_q_form_is_the_normalised_common_denominator_form(data):
+    """Built from entries or by a kernel, a Q matrix's integer form is its
+    entries over the lcm of their denominators, with no common factor left."""
+    r, k, c = data.draw(DIMS), data.draw(DIMS), data.draw(DIMS)
+    a = data.draw(hard_q_matrices(r, k))
+    b = data.draw(hard_q_matrices(k, c))
+    for m in (a, b, a @ b, image_basis(a), kernel_basis(a), a.scaled(Fraction(3, 10))):
+        assert_normalised(m.q_form)
+        assert m.q_form == common_denominator_form(m.entries)
 
 
 @SETTINGS
@@ -329,45 +346,89 @@ def test_q_warm_matrix_matches_reference_in_every_kernel(data):
             if got is not None:
                 assert_canonical(RATIONALS, got)
     for m in (a, basis):
-        assert m.int_rows == tuple(rings._common_denominator(row) for row in m.entries)
+        assert_normalised(m.q_form)
+        assert m.q_form == common_denominator_form(m.entries)
 
 
-def test_q_cached_forms_stay_out_of_equality_hash_and_reports():
-    rows = [[Fraction(1, 3), 2, 0], [0, Fraction(-5, 7), Fraction(9, 14)]]
-    warm, fresh = Matrix.from_rows(RATIONALS, rows), Matrix.from_rows(RATIONALS, rows)
-    # an identity operand takes no product, so warm the caches with others
-    warm @ Matrix.from_rows(RATIONALS, [[1, 0], [2, Fraction(1, 2)], [0, 3]])
-    Matrix.from_rows(RATIONALS, [[1, 1], [0, Fraction(4, 3)]]) @ warm
-    assert {"int_rows", "int_cols"} <= set(vars(warm))
-    assert not {"int_rows", "int_cols"} & set(vars(fresh))
-    assert warm == fresh and hash(warm) == hash(fresh)
-    assert repr(warm) == repr(fresh) and warm.to_json() == fresh.to_json()
+@SETTINGS
+@given(data=st.data())
+def test_q_fraction_built_and_kernel_built_matrices_agree(data):
+    """A matrix a kernel built holds only its integer form, one built from
+    entries holds only the entries; equal values agree in equality, hash,
+    repr and reports, whichever form each side holds or derives first."""
+    r, c = data.draw(DIMS), data.draw(DIMS)
+    a = data.draw(hard_q_matrices(r, c))
+    kernel_built = (a + a).scaled(Fraction(1, 2))
+    fresh = Matrix(RATIONALS, r, c, a.entries)
+    assert "entries" not in vars(kernel_built) and "q_form" not in vars(fresh)
+    assert kernel_built == fresh and fresh == kernel_built
+    assert hash(kernel_built) == hash(fresh)
+    assert repr(kernel_built) == repr(fresh) and kernel_built.to_json() == fresh.to_json()
+    if r and c:
+        corner = [[Fraction(int(i == j == 0), 7) for j in range(c)] for i in range(r)]
+        bumped = kernel_built + Matrix.from_rows(RATIONALS, corner)
+        assert bumped != fresh and fresh != bumped
 
 
-def test_q_products_build_each_operand_form_once(monkeypatch):
+def test_q_form_is_built_once_per_matrix(monkeypatch):
+    """A matrix built from entries derives its integer form on first use and
+    keeps it; a kernel result is born with its form."""
     built = []
-    real = rings._common_denominator
-    monkeypatch.setattr(rings, "_common_denominator", lambda v: built.append(v) or real(v))
+    real = rings._q_form
+    monkeypatch.setattr(rings, "_q_form", lambda entries: built.append(entries) or real(entries))
     q = lambda *rows: Matrix.from_rows(RATIONALS, rows)
     a = q([Fraction(1, 3), 2, 0], [0, Fraction(-5, 7), 1])
     b = q([1, 0], [Fraction(1, 2), 3], [0, Fraction(2, 9)])
     c = q([Fraction(4, 5), 0, 1, 2], [1, 1, 0, 0], [0, 0, Fraction(1, 6), 1])
-    a @ b
-    assert len(built) == a.rows + b.cols
-    built.clear()
-    a @ c  # a's rows are read from its cache
-    assert len(built) == c.cols
-    built.clear()
-    c.column_slice(0, 3) @ b  # b's columns are read from its cache
-    assert len(built) == c.rows
-    built.clear()
+    ab = a @ b
+    assert len(built) == 2
+    a @ c  # a's form is kept
+    assert len(built) == 3
+    c.column_slice(0, 3) @ b  # the slice is a kernel result, b's form is kept
+    ab.entries  # reading entries derives them, not the form
+    ab @ ab.scaled(2) - ab
     row_echelon(a)
-    assert built == []
+    assert len(built) == 3
     basis = image_basis(b)
-    express_in_basis(basis, b.row(1))  # builds the basis's rows and the target's
-    built.clear()
-    express_in_basis(basis, b.row(0))
-    assert len(built) == 1  # the target's only
+    express_in_basis(basis, b.row(1))  # the target's form only
+    assert len(built) == 4
+
+
+def test_q_kernels_build_no_fraction_until_entries_are_read(monkeypatch):
+    """Over Q a kernel result holds integers only: products, sums, equality,
+    the identity test, elimination, coordinates and inverses on such
+    operands build no ``Fraction``; reading the entries builds each nonzero
+    one once."""
+    q = lambda *rows: Matrix.from_rows(RATIONALS, rows).scaled(1)
+    a = q([Fraction(1, 3), 2, 0], [0, Fraction(-5, 7), 1], [1, 1, Fraction(1, 2)])
+    b = q([1, 0, Fraction(2, 9)], [Fraction(1, 2), 3, 0], [0, Fraction(2, 9), 0])
+    plane = q([1, 2, 0], [0, 1, 3])
+    inside = q([Fraction(2, 3), Fraction(4, 3), 0], [5, 11, 3])
+    outside = q([1, 0, 0])
+    assert RATIONALS.zero == 0  # the shared zero exists before the count starts
+    built = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    product = a @ b
+    total, difference = a + b, a - b
+    assert product != total and total == b + a and hash(total) == hash(b + a)
+    assert difference != a and not difference.is_identity
+    row_echelon(product)
+    basis = image_basis(plane)
+    assert coordinates(basis, inside) is not None
+    assert coordinates(basis, outside) is None
+    inverse = matrix_inverse(a)
+    assert inverse is not None and (a @ inverse).is_identity
+    assert built == []
+
+    entries = product.entries
+    assert product.entries is entries
+    assert len(built) == sum(1 for row in entries for x in row if x) > 0
 
 
 ROW_OP_RINGS = (RATIONALS, INTEGERS, modular(2), modular(5))

@@ -12,6 +12,7 @@ from ample.rings import (
     INTEGERS,
     RATIONALS,
     Matrix,
+    Ring,
     UnsupportedRingError,
     express_in_basis,
     image_basis,
@@ -48,6 +49,19 @@ def test_ring_names_round_trip():
     assert ring_from_name("F5") == modular(5)  # accepted shorthand
     assert modular(5).name == "Fp:5"
     assert modular(6).name == "Zmod:6"
+
+
+def test_rings_are_shared_per_modulus_and_equal_rings_hash_alike():
+    assert modular(5) is modular(5)
+    assert ring_from_name("Fp:5") is modular(5) is ring_from_name("F5")
+    assert ring_from_name("Zmod:6") is modular(6)
+    fresh = Ring("mod", 5)
+    assert fresh is not modular(5) and fresh == modular(5) and hash(fresh) == hash(modular(5))
+    assert hash(Ring("Q")) == hash(RATIONALS) and Ring("Q") != Ring("Z")
+    m = Matrix.from_rows(modular(5), [[1, 2], [3, 4]])
+    assert Matrix.from_rows(fresh, [[1, 2], [3, 4]]) == m
+    assert (Matrix.identity(fresh, 2) @ m).entries == ((1, 2), (3, 4))
+    assert (m + Matrix.zeros(fresh, 2, 2)).entries == m.entries
 
 
 def test_ring_name_rejects_bad_input():
