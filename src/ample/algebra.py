@@ -11,6 +11,8 @@ corner algebras cut out by compact open object sets exhaust the algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
 from typing import Any, Iterable, Mapping, Sequence
 
 from .groupoid import (
@@ -44,7 +46,7 @@ class AlgebraElement:
 
     @property
     def support(self) -> tuple[ArrowId, ...]:
-        return tuple(a for a in self.groupoid.arrows if a in self.coeffs)
+        return tuple(sorted(self.coeffs, key=self.groupoid.arrow_index.__getitem__))
 
     def coefficient(self, a: ArrowId) -> Scalar:
         if a not in self.groupoid.arrow_index:
@@ -85,9 +87,10 @@ class AlgebraElement:
 
 
 def _check_compatible(f1: AlgebraElement, f2: AlgebraElement) -> None:
-    if f1.groupoid != f2.groupoid:
+    # Identity first: elements of one table share their groupoid and ring.
+    if f1.groupoid is not f2.groupoid and f1.groupoid != f2.groupoid:
         raise ValueError("groupoid mismatch between algebra elements")
-    if f1.ring != f2.ring:
+    if f1.ring is not f2.ring and f1.ring != f2.ring:
         raise ValueError(f"ring mismatch: {f1.ring.name} vs {f2.ring.name}")
 
 
@@ -133,17 +136,28 @@ def convolve(f1: AlgebraElement, f2: AlgebraElement) -> AlgebraElement:
 
     Iterates over support pairs and accumulates f1(a)f2(b) at the composite
     ab; by the substitution a = g b^{-1} this agrees with the fiberwise sum
-    over {h : src h = src g} of f1(g h^{-1}) f2(h).
+    over {h : src h = src g} of f1(g h^{-1}) f2(h).  The sums are native
+    ``int``/``Fraction`` arithmetic, reduced once per composite over Z/m.
     """
     _check_compatible(f1, f2)
     g, ring = f1.groupoid, f1.ring
+    src, dst, compose = g.src, g.dst, g.compose
     acc: dict[ArrowId, Scalar] = {}
     for a, ca in f1.coeffs.items():
+        x = src[a]
         for b, cb in f2.coeffs.items():
-            if g.composable(a, b):
-                ab = g.compose[(a, b)]
-                acc[ab] = ring.add(acc.get(ab, ring.zero), ring.mul(ca, cb))
-    return algebra_element(g, ring, acc)
+            if x == dst[b]:
+                ab = compose[(a, b)]
+                acc[ab] = acc[ab] + ca * cb if ab in acc else ca * cb
+    order = sorted(acc, key=g.arrow_index.__getitem__) if len(acc) > 1 else acc
+    m = ring.modulus
+    if m is not None:
+        coeffs = {ab: c for ab in order if (c := acc[ab] % m)}
+    elif ring.kind == "Q":  # an int sum comes from int values stored over Q
+        coeffs = {ab: c if type(c) is Fraction else Fraction(c) for ab in order if (c := acc[ab])}
+    else:
+        coeffs = {ab: c for ab in order if (c := acc[ab])}
+    return AlgebraElement(g, ring, coeffs)
 
 
 def local_unit(g: FiniteGroupoid, fs: Sequence[AlgebraElement]) -> tuple[ObjectId, ...]:
@@ -240,13 +254,8 @@ def multiplication_table(g: FiniteGroupoid, ring: Ring, guard: int = TABLE_GUARD
     """Structure constants chi_[a] * chi_[b] over all arrow singletons."""
     if len(g.arrows) > guard:
         raise SizeGuardError(f"structure table is guarded at {guard} arrows, got {len(g.arrows)}")
-    singleton = {a: char_fn(g, Bisection.of(g, [a]), ring) for a in g.arrows}
-    cells: dict[tuple[ArrowId, ArrowId], ArrowId | None] = {}
-    for a in g.arrows:
-        for b in g.arrows:
-            if g.composable(a, b):
-                (cell,) = convolve(singleton[a], singleton[b]).support
-                cells[(a, b)] = cell
-            else:
-                cells[(a, b)] = None
+    singleton = {a: algebra_element(g, ring, {a: 1}) for a in g.arrows}
+    cells: dict[tuple[ArrowId, ArrowId], ArrowId | None] = dict.fromkeys(product(g.arrows, repeat=2))
+    for a, b in g.composable_pairs():
+        (cells[(a, b)],) = convolve(singleton[a], singleton[b]).coeffs
     return StructureTable(g, ring, cells)

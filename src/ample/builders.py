@@ -19,7 +19,7 @@ from .equivalence import gamma_c
 from .gmodule import GModule
 from .groupoid import ArrowId, FiniteGroupoid, ObjectId
 from .gsheaf import GSheaf
-from .rings import Matrix, Ring, Scalar, matrix_inverse
+from .rings import Matrix, Ring, matrix_inverse
 
 
 def pair_groupoid(n: int) -> FiniteGroupoid:
@@ -279,16 +279,6 @@ def single_edge_graph() -> GraphSpec:
 # -- seeded random generators ----------------------------------------------------
 
 
-def random_scalar(ring: Ring, rng: random.Random) -> Scalar:
-    if ring.kind == "mod":
-        return ring.coerce(rng.randrange(ring.modulus))
-    return ring.coerce(rng.randint(-4, 4))
-
-
-def random_vector(ring: Ring, n: int, rng: random.Random) -> tuple[Scalar, ...]:
-    return tuple(random_scalar(ring, rng) for _ in range(n))
-
-
 def random_invertible(ring: Ring, n: int, rng: random.Random) -> tuple[Matrix, Matrix]:
     """A random invertible matrix and its inverse.
 
@@ -325,16 +315,6 @@ def random_invertible(ring: Ring, n: int, rng: random.Random) -> tuple[Matrix, M
     inverse = matrix_inverse(out)
     assert inverse is not None
     return out, inverse
-
-
-def random_algebra_element(g: FiniteGroupoid, ring: Ring, rng: random.Random):
-    from .algebra import algebra_element
-
-    support_size = rng.randint(0, min(4, len(g.arrows)))
-    coeffs = {}
-    for _ in range(support_size):
-        coeffs[g.arrows[rng.randrange(len(g.arrows))]] = random_scalar(ring, rng)
-    return algebra_element(g, ring, coeffs)
 
 
 def random_sheaf(g: FiniteGroupoid, ring: Ring, max_rank: int, seed: int) -> GSheaf:

@@ -16,7 +16,9 @@ import json
 import os
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Mapping
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Iterable, Mapping
 
 from .builders import GraphSpec
 from .gmodule import GModule
@@ -203,41 +205,84 @@ def _parse_ring(payload: Mapping[str, Any], path_prefix: str = "") -> Ring:
         raise _fail(str(exc), path_prefix + "ring", 'use "Q", "Z", "Fp:<p>" or "Zmod:<m>"') from None
 
 
+_ARROW_FIELDS = itemgetter("id", "src", "dst")
+
+
+def _all_of(kind: type, values: Iterable[Any]) -> bool:
+    """Every value is exactly a ``kind``; a subclass takes the per-entry loop."""
+    return set(map(type, values)) <= {kind}
+
+
+def _id_map(raw: Mapping[Any, Any], section: str) -> dict[str, str]:
+    """A map section of ids to ids, such as ``units`` or ``inv``."""
+    if _all_of(str, raw) and _all_of(str, raw.values()):
+        return dict(raw)
+    return {_as_id(x, f"{section}.{x}"): _as_id(y, f"{section}.{x}") for x, y in raw.items()}
+
+
 def _parse_groupoid(payload: Mapping[str, Any], base_dir: str | None) -> FiniteGroupoid:
+    # Each section is first checked in bulk.  Only a section that fails that
+    # check runs the per-entry loop, which stringifies integer ids and names
+    # the first bad entry.
     objects_raw = _require(payload, "objects", "objects")
     if not isinstance(objects_raw, list):
         raise _fail("objects must be a list", "objects", "list the object ids")
-    objects = tuple(_as_id(x, f"objects[{i}]") for i, x in enumerate(objects_raw))
+    if _all_of(str, objects_raw):
+        objects = tuple(objects_raw)
+    else:
+        objects = tuple(_as_id(x, f"objects[{i}]") for i, x in enumerate(objects_raw))
 
     arrows_raw = _require(payload, "arrows", "arrows")
     if not isinstance(arrows_raw, list):
         raise _fail("arrows must be a list", "arrows", "list {id, src, dst} records")
-    arrows: list[str] = []
-    src: dict[str, str] = {}
-    dst: dict[str, str] = {}
-    for i, record in enumerate(arrows_raw):
-        if not isinstance(record, dict):
-            raise _fail("arrow entry must be an object", f"arrows[{i}]", 'use {"id","src","dst"}')
-        aid = _as_id(_require(record, "id", f"arrows[{i}].id"), f"arrows[{i}].id")
-        arrows.append(aid)
-        src[aid] = _as_id(_require(record, "src", f"arrows[{i}].src"), f"arrows[{i}].src")
-        dst[aid] = _as_id(_require(record, "dst", f"arrows[{i}].dst"), f"arrows[{i}].dst")
+    try:
+        records = list(map(_ARROW_FIELDS, arrows_raw)) if _all_of(dict, arrows_raw) else None
+    except KeyError:
+        records = None
+    if records is not None and _all_of(str, chain.from_iterable(records)):
+        arrows = [aid for aid, _, _ in records]
+        src = {aid: x for aid, x, _ in records}
+        dst = {aid: y for aid, _, y in records}
+    else:
+        arrows, src, dst = [], {}, {}
+        for i, record in enumerate(arrows_raw):
+            if not isinstance(record, dict):
+                raise _fail("arrow entry must be an object", f"arrows[{i}]", 'use {"id","src","dst"}')
+            aid = _as_id(_require(record, "id", f"arrows[{i}].id"), f"arrows[{i}].id")
+            arrows.append(aid)
+            src[aid] = _as_id(_require(record, "src", f"arrows[{i}].src"), f"arrows[{i}].src")
+            dst[aid] = _as_id(_require(record, "dst", f"arrows[{i}].dst"), f"arrows[{i}].dst")
 
     units_raw = _require(payload, "units", "units")
     if not isinstance(units_raw, dict):
         raise _fail("units must be a map object -> arrow", "units", 'e.g. {"1": "(1,1)"}')
-    unit = {
-        _as_id(x, f"units.{x}"): _as_id(a, f"units.{x}") for x, a in units_raw.items()
-    }
+    unit = _id_map(units_raw, "units")
 
     inv_raw = _require(payload, "inv", "inv")
     if not isinstance(inv_raw, dict):
         raise _fail("inv must be a map arrow -> arrow", "inv", 'e.g. {"(1,2)": "(2,1)"}')
-    inverse = {_as_id(g, f"inv.{g}"): _as_id(h, f"inv.{g}") for g, h in inv_raw.items()}
+    inverse = _id_map(inv_raw, "inv")
 
     compose_raw = _require(payload, "compose", "compose")
     if not isinstance(compose_raw, list):
         raise _fail("compose must be a list of [g, h, gh] triples", "compose", "list the table")
+    bulk = (
+        _all_of(list, compose_raw)
+        and set(map(len, compose_raw)) <= {3}
+        and _all_of(str, chain.from_iterable(compose_raw))
+    )
+    # FiniteGroupoid checks that the ids of a bulk-read table are arrows.
+    compose = {(g, h): gh for g, h, gh in compose_raw} if bulk else _compose_table(compose_raw, arrows)
+    try:
+        return FiniteGroupoid(objects, tuple(arrows), src, dst, unit, compose, inverse)
+    except ValueError as exc:
+        if bulk:  # an unknown arrow in the table is named before any other error
+            _compose_table(compose_raw, arrows)
+        raise _fail(str(exc), "", "cross-check ids between the sections") from None
+
+
+def _compose_table(compose_raw: list[Any], arrows: list[str]) -> dict[tuple[str, str], str]:
+    """The compose section entry by entry, naming its first bad entry."""
     compose: dict[tuple[str, str], str] = {}
     arrow_set = set(arrows)
     for i, triple in enumerate(compose_raw):
@@ -253,11 +298,7 @@ def _parse_groupoid(payload: Mapping[str, Any], base_dir: str | None) -> FiniteG
                     f"unknown arrow id {t!r}", f"compose[{i}]", "declare the arrow in 'arrows'"
                 )
         compose[(g, h)] = gh
-
-    try:
-        return FiniteGroupoid(objects, tuple(arrows), src, dst, unit, compose, inverse)
-    except ValueError as exc:
-        raise _fail(str(exc), "", "cross-check ids between the sections") from None
+    return compose
 
 
 def _parse_matrix(ring: Ring, value: Any, rows: int, cols: int, path: str) -> Matrix:

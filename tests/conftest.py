@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from ample.algebra import algebra_element
 from ample.builders import (
     GraphSpec,
     acyclic_graph_groupoid,
@@ -12,7 +15,8 @@ from ample.builders import (
     single_edge_graph,
     trivial_groupoid,
 )
-from ample.rings import INTEGERS, RATIONALS, modular
+from ample.groupoid import FiniteGroupoid
+from ample.rings import INTEGERS, RATIONALS, Ring, Scalar, modular
 
 Q = RATIONALS
 Z = INTEGERS
@@ -21,6 +25,24 @@ F5 = modular(5)
 
 ALL_RINGS = (Q, Z, F2, F5)
 FIELDS = (Q, F2, F5)
+
+
+def random_scalar(ring: Ring, rng: random.Random) -> Scalar:
+    if ring.kind == "mod":
+        return ring.coerce(rng.randrange(ring.modulus))
+    return ring.coerce(rng.randint(-4, 4))
+
+
+def random_vector(ring: Ring, n: int, rng: random.Random) -> tuple[Scalar, ...]:
+    return tuple(random_scalar(ring, rng) for _ in range(n))
+
+
+def random_algebra_element(g: FiniteGroupoid, ring: Ring, rng: random.Random):
+    support_size = rng.randint(0, min(4, len(g.arrows)))
+    coeffs = {}
+    for _ in range(support_size):
+        coeffs[g.arrows[rng.randrange(len(g.arrows))]] = random_scalar(ring, rng)
+    return algebra_element(g, ring, coeffs)
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,12 @@ re-validates the leg, recomputes the anchors and scans ``hom_set`` once per
 arrow (``unique_preimage``).  ``composable_pairs``, ``validate_groupoid``
 and ``enumerate_bisections`` are the groupoid scans as they were before they
 read the endpoint indices: an all-pairs scan for composability and the
-axioms, and a test of every arrow subset for bisections.
+axioms, and a test of every arrow subset for bisections.  ``convolve`` is
+the convolution product as it was before it summed natively: every term
+goes through ``Ring.add``/``Ring.mul`` and the result through
+``algebra_element``.  ``table_cells`` is the structure table as it was
+built before it convolved only composable pairs: a test of every pair, and
+each product's cell read by a scan of the arrows (``support``).
 ``validate_module`` and ``validate_sheaf`` are the module and sheaf
 validators as they were before they checked generators only: every law on
 every arrow and every composable pair.  ``validate_hom``,
@@ -45,7 +50,7 @@ from itertools import combinations
 from typing import Any, Iterator, Sequence
 
 from ample import rings
-from ample.algebra import AlgebraElement
+from ample.algebra import AlgebraElement, _check_compatible, algebra_element, char_fn
 from ample.equivalence import Section, Sheafification
 from ample.gmodule import GModule, GModuleHom, IsotropyFrame
 from ample.groupoid import (
@@ -699,3 +704,32 @@ def enumerate_bisections(g: FiniteGroupoid) -> list[Bisection]:
             if _injective_endpoints(g, arrows):
                 found.append(Bisection(arrows))
     return found
+
+
+def convolve(f1: AlgebraElement, f2: AlgebraElement) -> AlgebraElement:
+    _check_compatible(f1, f2)
+    g, ring = f1.groupoid, f1.ring
+    acc: dict[ArrowId, Scalar] = {}
+    for a, ca in f1.coeffs.items():
+        for b, cb in f2.coeffs.items():
+            if g.composable(a, b):
+                ab = g.compose[(a, b)]
+                acc[ab] = ring.add(acc.get(ab, ring.zero), ring.mul(ca, cb))
+    return algebra_element(g, ring, acc)
+
+
+def support(f: AlgebraElement) -> tuple[ArrowId, ...]:
+    return tuple(a for a in f.groupoid.arrows if a in f.coeffs)
+
+
+def table_cells(g: FiniteGroupoid, ring: Ring) -> dict[tuple[ArrowId, ArrowId], ArrowId | None]:
+    singleton = {a: char_fn(g, Bisection.of(g, [a]), ring) for a in g.arrows}
+    cells: dict[tuple[ArrowId, ArrowId], ArrowId | None] = {}
+    for a in g.arrows:
+        for b in g.arrows:
+            if g.composable(a, b):
+                (cell,) = support(convolve(singleton[a], singleton[b]))
+                cells[(a, b)] = cell
+            else:
+                cells[(a, b)] = None
+    return cells

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from ample.algebra import char_fn, char_of_objects, convolve, corner_algebra, multiplication_table
-from ample.builders import random_algebra_element, random_module, random_sheaf
+from ample.builders import random_module, random_sheaf
 from ample.cli import run_command
 from ample.equivalence import (
     check_naturality,
@@ -38,7 +38,7 @@ from ample.morita import (
 )
 from ample.rings import matrix_inverse, vec
 
-from conftest import F2, F5, Q, Z
+from conftest import F2, F5, Q, Z, random_algebra_element
 
 RINGS = (F2, F5, Q, Z)
 

@@ -16,10 +16,10 @@ from ample.algebra import (
     multiplication_table,
     zero_element,
 )
-from ample.builders import pair_groupoid, random_algebra_element
+from ample.builders import pair_groupoid
 from ample.groupoid import Bisection, SizeGuardError, bisection_product, enumerate_bisections
 
-from conftest import ALL_RINGS, F2, F5, Q, Z
+from conftest import ALL_RINGS, F2, F5, Q, Z, random_algebra_element
 
 
 def all_subsets(items):

@@ -75,28 +75,142 @@ def test_referential_error_names_the_id():
     assert err.value.path.startswith("compose")
 
 
+ID_HINT = "(hint: ids are strings or integers)"
+RECORD_HINT = '(hint: use {"id","src","dst"})'
+TRIPLE_HINT = "(hint: three arrow ids)"
+
+
 @pytest.mark.parametrize(
-    "compose, message",
+    "section, value, message",
     [
-        ([["e", "e", "e"], ["e", None, "e"]],
+        ("compose", [["e", "e", "e"], ["e", None, "e"]],
          "compose[1]: expected an id string, got None (hint: ids are strings or integers)"),
-        ([["e", "e", 1.5]],
+        ("compose", [["e", "e", 1.5]],
          "compose[0]: expected an id string, got 1.5 (hint: ids are strings or integers)"),
-        ([[7, "e", "e"]], "compose[0]: unknown arrow id '7' (hint: declare the arrow in 'arrows')"),
+        ("compose", [[7, "e", "e"]], "compose[0]: unknown arrow id '7' (hint: declare the arrow in 'arrows')"),
+        ("compose", [["e", "e", "e"], ["e", "ghost", "e"]],
+         "compose[1]: unknown arrow id 'ghost' (hint: declare the arrow in 'arrows')"),
+        ("compose", [{"g": "e", "h": "e", "gh": "e"}],
+         f"compose[0]: compose entry must be a [g, h, gh] triple {TRIPLE_HINT}"),
+        ("compose", [["e", "e"]], f"compose[0]: compose entry must be a [g, h, gh] triple {TRIPLE_HINT}"),
+        ("compose", [["e", "e", "e", "e"]],
+         f"compose[0]: compose entry must be a [g, h, gh] triple {TRIPLE_HINT}"),
+        ("compose", [["e", ["e"], "e"]], f"compose[0]: expected an id string, got ['e'] {ID_HINT}"),
+        ("compose", [["e", "e", "ghost"], ["e", "e"]],
+         "compose[0]: unknown arrow id 'ghost' (hint: declare the arrow in 'arrows')"),
+        ("objects", ["x", 1.5], f"objects[1]: expected an id string, got 1.5 {ID_HINT}"),
+        ("objects", ["x", None], f"objects[1]: expected an id string, got None {ID_HINT}"),
+        ("objects", ["x", True], f"objects[1]: expected an id string, got True {ID_HINT}"),
+        ("objects", [["x"]], f"objects[0]: expected an id string, got ['x'] {ID_HINT}"),
+        ("objects", ["x", None, 1.5], f"objects[1]: expected an id string, got None {ID_HINT}"),
+        ("arrows", [{"id": "e", "src": "x", "dst": "x"}, ["f", "x", "x"]],
+         f"arrows[1]: arrow entry must be an object {RECORD_HINT}"),
+        ("arrows", [{"id": "e", "dst": "x"}], "arrows[0].src: missing field 'src' (hint: add a 'src' entry)"),
+        ("arrows", [{"src": "x", "dst": "x"}], "arrows[0].id: missing field 'id' (hint: add a 'id' entry)"),
+        ("arrows", [{"id": ["e"], "src": "x", "dst": "x"}],
+         f"arrows[0].id: expected an id string, got ['e'] {ID_HINT}"),
+        ("arrows", [{"id": "e", "src": "x", "dst": 2.0}, "f"],
+         f"arrows[0].dst: expected an id string, got 2.0 {ID_HINT}"),
+        ("units", {"x": None}, f"units.x: expected an id string, got None {ID_HINT}"),
+        ("units", {"x": ["e"]}, f"units.x: expected an id string, got ['e'] {ID_HINT}"),
+        ("inv", {"e": 1.5}, f"inv.e: expected an id string, got 1.5 {ID_HINT}"),
+        ("inv", {"e": "e", "f": None, "g": []}, f"inv.f: expected an id string, got None {ID_HINT}"),
     ],
 )
-def test_compose_entry_errors_name_the_entry(compose, message):
+def test_compose_entry_errors_name_the_entry(section, value, message):
     bad = {
         "kind": "groupoid",
         "objects": ["x"],
         "arrows": [{"id": "e", "src": "x", "dst": "x"}],
         "units": {"x": "e"},
         "inv": {"e": "e"},
-        "compose": compose,
+        "compose": [["e", "e", "e"]],
+        section: value,
     }
     with pytest.raises(ParseError) as err:
         parse_document(json.dumps(bad))
     assert str(err.value) == f"<document>:#{message}"
+
+
+def test_sections_are_checked_in_order():
+    # bad entries in several sections: the first section's is named
+    bad = {
+        "kind": "groupoid",
+        "objects": ["x"],
+        "arrows": [{"id": "e", "src": "x"}],
+        "units": {"x": None},
+        "inv": {"e": None},
+        "compose": [["e", "ghost", "e"]],
+    }
+    with pytest.raises(ParseError) as err:
+        parse_document(json.dumps(bad))
+    assert err.value.path == "arrows[0].dst"
+    del bad["arrows"][0]["src"]
+    bad["arrows"][0]["dst"] = "x"
+    bad["units"] = {"x": "e"}
+    with pytest.raises(ParseError) as err:
+        parse_document(json.dumps(bad))
+    assert err.value.path == "arrows[0].src"
+
+
+def test_unknown_compose_arrow_is_named_before_other_errors():
+    # duplicate objects fail only in the groupoid constructor, after the table is read;
+    # its errors carry no path
+    bad = {
+        "kind": "groupoid",
+        "objects": ["x", "x"],
+        "arrows": [{"id": "e", "src": "x", "dst": "x"}],
+        "units": {"x": "e"},
+        "inv": {"e": "e"},
+        "compose": [["e", "e", "e"], ["e", "e", "ghost"]],
+    }
+    with pytest.raises(ParseError) as err:
+        parse_document(json.dumps(bad))
+    assert str(err.value) == "<document>:#compose[1]: unknown arrow id 'ghost' (hint: declare the arrow in 'arrows')"
+    bad["compose"] = [["e", "e", "e"]]
+    with pytest.raises(ParseError) as err:
+        parse_document(json.dumps(bad))
+    assert str(err.value) == "<document>: duplicate object ids (hint: cross-check ids between the sections)"
+    bad["objects"] = ["x"]
+    bad["units"] = {"x": "e", "y": "e"}
+    with pytest.raises(ParseError) as err:
+        parse_document(json.dumps(bad))
+    assert str(err.value) == (
+        "<document>: unit map must cover exactly the object set (hint: cross-check ids between the sections)"
+    )
+
+
+def test_integer_ids_are_stringified_in_every_section():
+    doc = parse_document(
+        json.dumps(
+            {
+                "kind": "groupoid",
+                "objects": [1, "y"],
+                "arrows": [
+                    {"id": 10, "src": 1, "dst": 1},
+                    {"id": "u", "src": "y", "dst": "y"},
+                    {"id": 12, "src": 1, "dst": "y"},
+                    {"id": 21, "src": "y", "dst": 1},
+                ],
+                "units": {"1": 10, "y": "u"},
+                "inv": {"10": 10, "u": "u", "12": 21, "21": 12},
+                "compose": [
+                    [10, 10, 10], ["u", "u", "u"], [12, 10, 12], ["u", 12, 12],
+                    [21, "u", 21], [10, 21, 21], [12, 21, "u"], [21, 12, 10],
+                ],
+            }
+        )
+    )
+    g = doc.value
+    assert g.objects == ("1", "y")
+    assert g.arrows == ("10", "u", "12", "21")
+    assert g.src == {"10": "1", "u": "y", "12": "1", "21": "y"}
+    assert g.dst == {"10": "1", "u": "y", "12": "y", "21": "1"}
+    assert g.unit == {"1": "10", "y": "u"}
+    assert g.inverse == {"10": "10", "u": "u", "12": "21", "21": "12"}
+    assert g.compose[("12", "10")] == "12" and g.compose[("21", "12")] == "10"
+    assert all(type(a) is str for pair, c in g.compose.items() for a in (*pair, c))
+    assert validate_groupoid(g).ok
 
 
 def test_syntax_error_has_line_and_column():

@@ -53,7 +53,7 @@ from ample.gsheaf import (
 )
 from ample.rings import Matrix, matrix_inverse, unit_vec, vec, vec_is_zero, vec_mat
 
-from conftest import F2, F5, Q, Z
+from conftest import F2, F5, Q, Z, random_algebra_element
 
 
 def rand_vec(ring, n, rng):
@@ -114,8 +114,6 @@ def test_bisection_action_on_sections(small_groupoids):
 
 def test_section_action_agrees_with_module_action(small_groupoids):
     # dual route: the stalkwise formula against the block-matrix action
-    from ample.builders import random_algebra_element
-
     rng = random.Random(7)
     for g in small_groupoids:
         e = random_sheaf(g, Q, 2, seed=45)

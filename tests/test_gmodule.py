@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ample.algebra import char_fn, convolve, identity_element, multiplication_table, zero_element
-from ample.builders import random_algebra_element, random_module
+from ample.builders import random_module
 from ample.gmodule import (
     GModule,
     GModuleHom,
@@ -23,7 +23,7 @@ from ample.gmodule import (
 from ample.groupoid import Bisection
 from ample.rings import Matrix, unit_vec, vec, vec_scale
 
-from conftest import ALL_RINGS, F2, F5, Q, Z
+from conftest import ALL_RINGS, F2, F5, Q, Z, random_algebra_element
 
 
 # -- the action --------------------------------------------------------------

@@ -17,13 +17,7 @@ from hypothesis import strategies as st
 
 import reference_kernels as ref
 from ample import gmodule, gsheaf, rings
-from ample.builders import (
-    random_algebra_element,
-    random_invertible,
-    random_module,
-    random_sheaf,
-    random_vector,
-)
+from ample.builders import random_invertible, random_module, random_sheaf
 from ample.equivalence import eta_matrix, section_action, sheafify, vector_to_section
 from ample.rings import (
     INTEGERS,
@@ -45,6 +39,7 @@ from ample.rings import (
     vec_scale,
     vec_sub,
 )
+from conftest import random_algebra_element, random_vector
 from test_hom_reduction import (
     GROUPOIDS as HOM_GROUPOIDS,
     PAIR5_MODULES,
