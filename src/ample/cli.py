@@ -5,7 +5,10 @@ Commands: validate, table, bisections, equivalence, morita, examples.
 Each command returns a ``Report``: its status, its text lines and its JSON
 payload.  ``run_command`` alone renders it: plain text by default, the
 machine-readable certificate document under ``--out json`` (``examples``
-has no JSON form and prints its text either way).  Both forms are
+has no JSON form and prints its text either way).  Every command takes
+``--ring`` and ``--out``; ``equivalence`` and ``morita`` also take
+``--seed`` and ``--samples``, and ``equivalence`` ``--max-rank``.  A flag
+the command does not read is a usage error.  Both forms are
 byte-reproducible for fixed inputs and seeds.  Exit codes: 0 all checks
 passed, 1 a check or input file failed, 2 usage error.
 """
@@ -81,10 +84,13 @@ def _build_parser() -> _Parser:
     p_eq = sub.add_parser("equivalence", help="certify eta/epsilon and naturality on samples")
     p_eq.add_argument("--groupoid", required=True, help="groupoid or graph document")
     _common_flags(p_eq)
+    _sample_flags(p_eq)
+    p_eq.add_argument("--max-rank", type=_int_at_least(0), default=3, dest="max_rank")
 
     p_mor = sub.add_parser("morita", help="verify a span of essential equivalences")
     p_mor.add_argument("--span", required=True, help="span document")
     _common_flags(p_mor)
+    _sample_flags(p_mor)
 
     p_ex = sub.add_parser("examples", help="emit the builder fixture corpus")
     p_ex.add_argument("--dir", required=True, help="output directory")
@@ -108,10 +114,12 @@ def _int_at_least(low: int) -> Callable[[str], int]:
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ring", default="Q", help="Q, Z, Fp:<p> or Zmod:<m>")
+    parser.add_argument("--out", choices=("text", "json"), default="text", help="report format")
+
+
+def _sample_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--samples", type=_int_at_least(1), default=10)
-    parser.add_argument("--max-rank", type=_int_at_least(0), default=3, dest="max_rank")
-    parser.add_argument("--out", choices=("text", "json"), default="text", help="report format")
 
 
 def run_command(argv: list[str]) -> tuple[int, str]:

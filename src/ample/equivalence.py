@@ -74,23 +74,6 @@ def block_offsets(e: GSheaf) -> dict[ObjectId, int]:
     return offsets
 
 
-def section_to_vector(s: Section) -> tuple[Scalar, ...]:
-    out: list[Scalar] = []
-    for x in s.sheaf.groupoid.objects:
-        out.extend(s.values[x])
-    return tuple(out)
-
-
-def vector_to_section(e: GSheaf, v: Sequence[Scalar]) -> Section:
-    offsets = block_offsets(e)
-    if len(v) != e.total_rank:
-        raise ValueError(f"vector length {len(v)} does not match total stalk rank {e.total_rank}")
-    values = {
-        x: vec(e.ring, v[offsets[x]: offsets[x] + e.stalk_rank[x]]) for x in e.groupoid.objects
-    }
-    return Section(e, values)
-
-
 def section_action(s: Section, f: AlgebraElement) -> Section:
     """The action of an algebra element on a section, computed stalkwise:
     the new value at x sums f(a) times the transported value s(dst a) a over
@@ -337,10 +320,8 @@ def epsilon(e: GSheaf) -> NaturalIsoCertificate | Failure:
     for x in g.objects:
         basis = sh.stalk_basis[x]
         lo, hi = offsets[x], offsets[x] + e.stalk_rank[x]
-        for i in range(basis.rows):
-            row = basis.row(i)
-            if any(not ring.is_zero(v) for j, v in enumerate(row) if not lo <= j < hi):
-                return Failure("stalk-support", f"germ basis at {x!r} leaks outside its block")
+        if not (basis.column_slice(0, lo).is_zero and basis.column_slice(hi, basis.cols).is_zero):
+            return Failure("stalk-support", f"germ basis at {x!r} leaks outside its block")
         components[x] = basis.column_slice(lo, hi)
 
     morphism = GSheafMor(sh.sheaf, e, components)

@@ -30,11 +30,12 @@ from .rings import (
     Ring,
     Scalar,
     coordinates,
+    flatten_rows,
     image_basis,
     intertwiner_constraints,
     kernel_basis,
     matrix_inverse,
-    split_blocks,
+    unflatten_rows,
     vec,
     vec_mat,
 )
@@ -196,21 +197,6 @@ def validate_hom(h: GModuleHom) -> ValidationReport:
     return ValidationReport("module homomorphism", failures)
 
 
-def identity_hom(m: GModule) -> GModuleHom:
-    return GModuleHom(m, m, Matrix.identity(m.ring, m.rank))
-
-
-def zero_hom(m: GModule, n: GModule) -> GModuleHom:
-    return GModuleHom(m, n, Matrix.zeros(m.ring, m.rank, n.rank))
-
-
-def compose_homs(f: GModuleHom, g: GModuleHom) -> GModuleHom:
-    """First f, then g (row vectors: v @ f.matrix @ g.matrix)."""
-    if f.target != g.source:
-        raise ValueError("homomorphisms do not compose: target != source")
-    return GModuleHom(f.source, g.target, f.matrix @ g.matrix)
-
-
 def is_isomorphism(h: GModuleHom) -> bool:
     return validate_hom(h).ok and matrix_inverse(h.matrix) is not None
 
@@ -309,18 +295,16 @@ def _isotropy_frame(
     return IsotropyFrame(dims, loop_reps, lift, drop)
 
 
-def _commutant(
-    ring: Ring, r1: int, r2: int, pairs: Sequence[tuple[Matrix, Matrix]]
-) -> tuple[tuple[Scalar, ...], ...]:
-    """Echelon basis of {X : L·X = X·R for every pair}, X flattened row-major."""
+def _commutant(ring: Ring, r1: int, r2: int, pairs: Sequence[tuple[Matrix, Matrix]]) -> Matrix:
+    """Echelon basis of {X : L·X = X·R for every pair}, one X per row, flattened row-major."""
     if not pairs:  # no constraint: every X, in the basis kernel_basis would give
-        return Matrix.identity(ring, r1 * r2).entries
-    return kernel_basis(intertwiner_constraints(ring, r1, r2, pairs)).entries
+        return Matrix.identity(ring, r1 * r2)
+    return kernel_basis(intertwiner_constraints(ring, r1, r2, pairs))
 
 
 def _base_commutants(
     s1: Any, s2: Any, rank1: int, rank2: int
-) -> list[tuple[tuple[ObjectId, ...], int, int, tuple[tuple[Scalar, ...], ...]]]:
+) -> list[tuple[tuple[ObjectId, ...], int, int, Matrix]]:
     """Per component of two modules, or two sheaves: its objects, the two base
     stalk ranks and a basis of the intertwiners of the base isotropy
     actions; empty when either rank is 0, and each nonzero side validated."""
@@ -343,8 +327,7 @@ def _extended_commutants(s1: Any, s2: Any, rank1: int, rank2: int) -> Iterator[d
     arrows: lift1[y]·X·drop2[y] on each object y of its component."""
     for comp, d1, d2, basis in _base_commutants(s1, s2, rank1, rank2):
         f1, f2 = s1.isotropy_frame, s2.isotropy_frame
-        for flat in basis:
-            x = split_blocks(s1.ring, [(d1, d2)], flat)[0]
+        for (x,) in unflatten_rows(basis, [(d1, d2)]):
             yield {y: f1.lift[y] @ x @ f2.drop[y] for y in comp}
 
 
@@ -364,20 +347,17 @@ def hom_space_basis(m1: GModule, m2: GModule) -> list[Matrix]:
     """
     ring, r1, r2 = m1.ring, m1.rank, m2.rank
     zero = Matrix.zeros(ring, r1, r2)
-    spanning = tuple(
-        tuple(v for row in sum(parts.values(), zero).entries for v in row)
-        for parts in _extended_commutants(m1, m2, r1, r2)
-    )
+    spanning = [[sum(parts.values(), zero)] for parts in _extended_commutants(m1, m2, r1, r2)]
     if not spanning:
         return []
-    rows = image_basis(Matrix(ring, len(spanning), r1 * r2, spanning)).entries
-    return [split_blocks(ring, [(r1, r2)], row)[0] for row in rows]
+    basis = image_basis(flatten_rows(ring, r1 * r2, spanning))
+    return [x for (x,) in unflatten_rows(basis, [(r1, r2)])]
 
 
 def hom_space_dim(m1: GModule, m2: GModule) -> int:
     """The dimension (rank over Z) of Hom(m1, m2), read off the base
     commutants without building any intertwiner."""
-    return sum(len(basis) for *_, basis in _base_commutants(m1, m2, m1.rank, m2.rank))
+    return sum(basis.rows for *_, basis in _base_commutants(m1, m2, m1.rank, m2.rank))
 
 
 def random_hom(m1: GModule, m2: GModule, rng: Any) -> GModuleHom:
@@ -390,9 +370,10 @@ def random_hom(m1: GModule, m2: GModule, rng: Any) -> GModuleHom:
     return GModuleHom(m1, m2, total)
 
 
-def _small_scalar(ring: Ring, rng: Any) -> Scalar:
+def _small_scalar(ring: Ring, rng: Any) -> int:
     """The seeded coefficient source of ``random_hom`` and
-    ``gsheaf.random_sheaf_hom``: uniform over Z/m, in -3..3 over Q and Z."""
+    ``gsheaf.random_sheaf_hom``: uniform over Z/m, in -3..3 over Q and Z,
+    as an ``int``, which ``Matrix.scaled`` takes as it is."""
     if ring.kind == "mod":
-        return ring.coerce(rng.randrange(ring.modulus))
-    return ring.coerce(rng.randint(-3, 3))
+        return rng.randrange(ring.modulus)
+    return rng.randint(-3, 3)

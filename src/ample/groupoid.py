@@ -401,11 +401,6 @@ def unit_bisection(g: FiniteGroupoid, points: Iterable[ObjectId] | None = None) 
     return Bisection.of(g, (g.unit[x] for x in objs))
 
 
-def source_objects(g: FiniteGroupoid, u: Bisection) -> tuple[ObjectId, ...]:
-    """The compact open set U^{-1}U, i.e. the source objects of U."""
-    return object_subset(g, (g.src[a] for a in u))
-
-
 def enumerate_bisections(g: FiniteGroupoid) -> list[Bisection]:
     """All compact open bisections, ordered by (size, arrow indices).
 

@@ -35,9 +35,10 @@ from .rings import (
     Ring,
     Scalar,
     block_diagonal,
+    flatten_rows,
     image_basis,
     matrix_inverse,
-    split_blocks,
+    unflatten_rows,
     vec,
     vec_mat,
 )
@@ -161,16 +162,6 @@ def validate_sheaf_morphism(phi: GSheafMor) -> ValidationReport:
     return ValidationReport("sheaf morphism", failures)
 
 
-def identity_sheaf_mor(e: GSheaf) -> GSheafMor:
-    return GSheafMor(e, e, {x: Matrix.identity(e.ring, e.stalk_rank[x]) for x in e.groupoid.objects})
-
-
-def zero_sheaf_mor(e: GSheaf, f: GSheaf) -> GSheafMor:
-    return GSheafMor(
-        e, f, {x: Matrix.zeros(e.ring, e.stalk_rank[x], f.stalk_rank[x]) for x in e.groupoid.objects}
-    )
-
-
 def compose_sheaf_mors(phi: GSheafMor, psi: GSheafMor) -> GSheafMor:
     """First phi, then psi (stalk rows: v @ phi_x @ psi_x)."""
     if phi.target != psi.source:
@@ -180,12 +171,6 @@ def compose_sheaf_mors(phi: GSheafMor, psi: GSheafMor) -> GSheafMor:
         psi.target,
         {x: phi.maps[x] @ psi.maps[x] for x in phi.source.groupoid.objects},
     )
-
-
-def invert_sheaf_mor(phi: GSheafMor) -> GSheafMor | None:
-    """The inverse morphism when every component is invertible, else None
-    (``phi.inverse``)."""
-    return phi.inverse
 
 
 def is_sheaf_isomorphism(phi: GSheafMor) -> bool:
@@ -222,14 +207,11 @@ def sheaf_hom_basis(e: GSheaf, f: GSheaf) -> list[dict[ObjectId, Matrix]]:
     if not extended:
         return []
     g, ring = e.groupoid, e.ring
-    blocks = [(e.stalk_rank[x], f.stalk_rank[x]) for x in g.objects]
-    zeros = {x: Matrix.zeros(ring, *shape) for x, shape in zip(g.objects, blocks)}
-    spanning = tuple(
-        tuple(v for x in g.objects for row in parts.get(x, zeros[x]).entries for v in row)
-        for parts in extended
-    )
-    basis = image_basis(Matrix(ring, len(spanning), len(spanning[0]), spanning))
-    return [dict(zip(g.objects, split_blocks(ring, blocks, row))) for row in basis.entries]
+    shapes = [(e.stalk_rank[x], f.stalk_rank[x]) for x in g.objects]
+    zeros = {x: Matrix.zeros(ring, *shape) for x, shape in zip(g.objects, shapes)}
+    spanning = [[parts.get(x, zeros[x]) for x in g.objects] for parts in extended]
+    basis = image_basis(flatten_rows(ring, sum(r * c for r, c in shapes), spanning))
+    return [dict(zip(g.objects, blocks)) for blocks in unflatten_rows(basis, shapes)]
 
 
 def random_sheaf_hom(e: GSheaf, f: GSheaf, rng: Any) -> GSheafMor:

@@ -298,10 +298,11 @@ def round_trip(span: MoritaSpan, m: GModule) -> RoundTripCertificate:
     No isomorphism in the chain is inverted twice: the inverse of ε is the
     one its stalkwise-bijective check computed, and the inverse of the
     counit the one ``counit_iso``'s check computed (``GSheafMor.inverse``).
-    The transported module is the section module ε already built.  The
-    left push of the apex sheaf is needed only as a sheaf, so it comes from
+    The transported module is the section module ε already built.  Both
+    pushes along the left leg, of the apex sheaf and of the pulled-back
+    germ sheaf, are needed only as sheaves, so they come from
     ``push_sheaf`` without a unit to build and check; the final intertwiner
-    check covers it.
+    check covers them.
     """
     left, right = span.left, span.right
     sh_m = sheafify(m)
@@ -316,8 +317,8 @@ def round_trip(span: MoritaSpan, m: GModule) -> RoundTripCertificate:
     sh_n_sheaf = eps.sheafification.sheaf             # germ sheaf of n
 
     back_apex = pullback_sheaf(right, sh_n_sheaf)     # over the apex again
-    push_left = pullback_quasi_inverse(left, back_apex)
-    returned = gamma_c(push_left.sheaf)
+    pushed_back = push_sheaf(left, back_apex)
+    returned = gamma_c(pushed_back)
 
     # Sheaf-level chain over the apex: pb_L(e) -> pb_R(sh_n_sheaf).
     eps_inv = eps.morphism.inverse
@@ -325,11 +326,11 @@ def round_trip(span: MoritaSpan, m: GModule) -> RoundTripCertificate:
     chain_apex = compose_sheaf_mors(push_right.unit, pullback_mor(right, eps_inv))
     # Push the chain forward along the left leg and close up with the counit.
     qi_e_apex = push_sheaf(left, e_apex)
-    lifted = qi_mor(left, chain_apex, qi_e_apex, push_left.sheaf)
+    lifted = qi_mor(left, chain_apex, qi_e_apex, pushed_back)
     counit = counit_iso(left, e, qi_e_apex)
     counit_inv = counit.inverse
     assert counit_inv is not None
-    sheaf_iso = compose_sheaf_mors(counit_inv, lifted)  # e -> push_left.sheaf
+    sheaf_iso = compose_sheaf_mors(counit_inv, lifted)  # e -> pushed_back
 
     # Γ(sheaf_iso) is block-diagonal in its components (``gamma_c_mor``).
     blocks = block_diagonal(m.ring, [sheaf_iso.maps[x] for x in e.groupoid.objects])

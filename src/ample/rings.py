@@ -14,21 +14,24 @@ over Z, ``int`` in ``[0, m)`` over Z/m), and every ``Matrix`` holds only
 canonical elements.  Shapes are checked at the same boundary and nowhere
 else: ``Matrix.from_rows`` rejects ragged rows and rows that do not match
 ``cols``, and the document parser checks each declared matrix shape; the
-plain ``Matrix(...)`` constructor is the kernels' unchecked one.  Past that
-boundary the kernels (products, sums, echelon forms, ``coordinates``) run
-native arithmetic picked once per call from the ring's modulus: ``int``
+plain ``Matrix(...)`` constructor is unchecked.  Past that boundary the
+kernels (products, sums, echelon forms, ``coordinates``) run native
+arithmetic picked once per call from the ring's modulus: ``int``
 operations with one ``% m`` per result entry over Z/m and plain ``int``
-over Z.
+elsewhere.
 
-Over Q a matrix is one integer matrix over one denominator:
-``Matrix.q_form`` is ``(numerators, d)`` with ``d`` positive and the gcd of
-``d`` and every numerator 1, so equal matrices have equal forms.  Every
-kernel reads that form and returns a matrix that holds only it: a product
-is one integer product and one gcd pass, an elimination runs on integer
-rows, and no ``Fraction`` is built until code reads ``entries``, which are
-then derived once and kept.  A matrix constructed from ``Fraction``
-entries derives its form once, on first use, in the same way.  Elimination
-visits only the nonzero entries of each pivot row.
+Every matrix is one integer matrix over one denominator: ``Matrix.q_form``
+is ``(numerators, d)`` with ``d`` positive and normalised, so equal
+matrices have equal forms.  Off Q, ``d`` is 1 and the numerators are the
+entries tuple itself, in ``[0, m)`` over Z/m; over Q the gcd of ``d`` and
+every numerator is 1.  Every kernel reads the form and builds its result
+around one, on one path for every ring; the ring is consulted only to
+normalise (a reduction mod m over Z/m, a gcd pass over Q), to derive
+``Fraction`` entries over Q, and in the eliminations and row solvers.  So
+over Q no ``Fraction`` is built until code reads ``entries``, which are
+then derived once and kept, and a matrix constructed from entries derives
+its form once, on first use.  Elimination visits only the nonzero entries
+of each pivot row.
 
 An identity skips the arithmetic: ``Matrix.is_identity`` compares with one
 shared identity per (ring, size), a product with an identity operand
@@ -48,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import islice
 from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Any, Iterable, Sequence
@@ -85,8 +89,8 @@ class Ring:
         if self.kind not in ("Q", "Z", "mod"):
             raise ValueError(f"unknown ring kind {self.kind!r}")
         if self.kind == "mod":
-            if not isinstance(self.modulus, int) or self.modulus < 1:
-                raise ValueError("modulus must be a positive integer")
+            if not isinstance(self.modulus, int) or self.modulus < 2:
+                raise ValueError("modulus must be an integer of at least 2")
         elif self.modulus is not None:
             raise ValueError(f"ring {self.kind} takes no modulus")
         object.__setattr__(self, "_hash", hash((self.kind, self.modulus)))
@@ -120,6 +124,8 @@ class Ring:
         if isinstance(value, bool) or isinstance(value, float):
             raise ValueError(f"inexact or boolean scalar {value!r}")
         if self.kind == "Q":
+            if value.__class__ is Fraction:
+                return value
             if isinstance(value, (int, Fraction)):
                 return Fraction(value)
             raise ValueError(f"cannot coerce {value!r} into Q")
@@ -218,8 +224,8 @@ def ring_from_name(name: str) -> Ring:
 
 
 def _parse_modulus(full: str, tail: str) -> int:
-    if not tail.isdigit() or int(tail) < 1:
-        raise ValueError(f"bad modulus in ring name {full!r}")
+    if not tail.isdigit() or int(tail) < 2:
+        raise ValueError(f"bad modulus in ring name {full!r}: expected an integer of at least 2")
     return int(tail)
 
 
@@ -278,17 +284,15 @@ def intertwiner_constraints(
     rows×cols unknown X: one row per entry of X and one column per entry of
     each L·X - X·R, both row-major."""
     width = len(pairs) * rows * cols
-    q = ring.kind == "Q"
-    # over Q every L and R is read as integers over one common denominator
-    d = lcm(*(m.q_form[1] for pair in pairs for m in pair)) if q else 1
+    # every L and R is read as integers over one common denominator
+    d = lcm(*(m.q_form[1] for pair in pairs for m in pair))
     grid = [[0] * width for _ in range(rows * cols)]
     col = 0
     for left, right in pairs:
         if (left.rows, left.cols, right.rows, right.cols) != (rows, rows, cols, cols):
             raise ValueError(f"pair does not fit a {rows}x{cols} unknown")
-        lefts = _nums_over(left, d) if q else left.entries
-        rights = _nums_over(right, d) if q else right.entries
-        for i, left_row in enumerate(lefts):
+        rights = _nums_over(right, d)
+        for i, left_row in enumerate(_nums_over(left, d)):
             for j in range(cols):
                 for k, x in enumerate(left_row):
                     if x:
@@ -297,18 +301,26 @@ def intertwiner_constraints(
                     if right_row[j]:
                         grid[i * cols + l][col] -= right_row[j]
                 col += 1
-    if q:
-        return _q_matrix(ring, rows * cols, width, tuple(map(tuple, grid)), d)
-    return Matrix.from_ints(ring, grid, width)
+    return _normal(ring, rows * cols, width, grid, d)
 
 
-def split_blocks(ring: Ring, blocks: Sequence[tuple[int, int]], flat: Sequence[Scalar]) -> list["Matrix"]:
-    """The (rows, cols) blocks, each row-major, that ``flat`` holds in turn."""
-    out, start = [], 0
-    for rows, cols in blocks:
-        entries = tuple(tuple(flat[start + i * cols: start + (i + 1) * cols]) for i in range(rows))
-        out.append(Matrix(ring, rows, cols, entries))
-        start += rows * cols
+def flatten_rows(ring: Ring, cols: int, rows: Sequence[Sequence["Matrix"]]) -> "Matrix":
+    """The matrix whose row i is the matrices of ``rows[i]`` one after
+    another, each row-major, ``cols`` entries in all."""
+    d = lcm(*[m.q_form[1] for parts in rows for m in parts])
+    flat = tuple([tuple([x for m in parts for row in _nums_over(m, d) for x in row]) for parts in rows])
+    return _lowest(ring, len(rows), cols, flat, d)
+
+
+def unflatten_rows(m: "Matrix", shapes: Sequence[tuple[int, int]]) -> list[list["Matrix"]]:
+    """Each row of ``m`` cut into matrices of the (rows, cols) ``shapes`` in
+    turn, each row-major: ``flatten_rows`` undone."""
+    nums, d = m.q_form
+    out = []
+    for flat in nums:
+        it = iter(flat)
+        out.append([_lowest(m.ring, r, c, tuple([tuple(islice(it, c)) for _ in range(r)]), d)
+                    for r, c in shapes])
     return out
 
 
@@ -317,9 +329,9 @@ def vec_mat(v: Sequence[Scalar], a: "Matrix") -> tuple[Scalar, ...]:
     if len(v) != a.rows:
         raise ValueError(f"dimension mismatch: vector of length {len(v)} @ {a.rows}x{a.cols}")
     ring = a.ring
-    if ring.kind == "Q":
-        return _q_product(Matrix(ring, 1, a.rows, (tuple(v),)), a).entries[0]
-    return _products((v,), a.entries, a.cols, ring.modulus)[0]
+    (row,), d = _form(ring, (tuple(v),))
+    right, e = a.q_form
+    return _entries(ring, _products((row,), right, a.cols, ring.modulus), d * e)[0]
 
 
 def _products(
@@ -333,60 +345,78 @@ def _products(
     return tuple([tuple([sum(map(mul, r, c)) % p for c in columns]) for r in left])
 
 
-# -- the integer form of a Q matrix ---------------------------------------------
+# -- the integer form -------------------------------------------------------------
 
 
 def _q_form(entries: Sequence[Sequence[Scalar]]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Rationals as integer numerators over the lcm of their denominators.
-    Each entry is in lowest terms, so the result is normalised: a prime
-    dividing the lcm fully divides some entry's denominator, and not its
-    numerator."""
+    """Rationals as integer numerators over the lcm of their denominators,
+    normalised: a prime dividing the lcm fully divides some entry's
+    denominator, and not that entry's numerator, which is in lowest terms."""
     d = lcm(*[x.denominator for row in entries for x in row])
     if d == 1:
         return tuple([tuple([x.numerator for x in row]) for row in entries]), 1
     return tuple([tuple([x.numerator * (d // x.denominator) for x in row]) for row in entries]), d
 
 
-def _q_new(ring: Ring, rows: int, cols: int, nums: tuple[tuple[int, ...], ...], d: int) -> "Matrix":
-    """The Q matrix ``nums / d``, trusted to be normalised; its entries are
-    derived when first read."""
+def _form(ring: Ring, entries: tuple[tuple[Scalar, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The normalised form of canonical entries: off Q, the entries over 1."""
+    if ring.kind == "Q":
+        return _q_form(entries)
+    return entries, 1
+
+
+def _entries(ring: Ring, nums: tuple[tuple[int, ...], ...], d: int) -> tuple[tuple[Scalar, ...], ...]:
+    """The canonical entries of ``nums / d``: off Q, ``nums`` itself."""
+    if ring.kind != "Q":
+        return nums
+    zero = ring.zero
+    return tuple([tuple([Fraction(x, d) if x else zero for x in row]) for row in nums])
+
+
+def _held(ring: Ring, rows: int, cols: int, nums: tuple[tuple[int, ...], ...], d: int = 1) -> "Matrix":
+    """The matrix ``nums / d``, trusted to be normalised; off Q ``nums`` is
+    held as the entries too."""
     m = object.__new__(Matrix)
     m.__dict__.update(ring=ring, rows=rows, cols=cols, q_form=(nums, d))
+    if ring.kind != "Q":
+        m.__dict__["entries"] = nums
     return m
 
 
-def _q_matrix(
-    ring: Ring, rows: int, cols: int, nums: tuple[tuple[int, ...], ...], d: int
-) -> "Matrix":
-    """The Q matrix ``nums / d`` for any positive ``d``, normalised by one
-    gcd pass."""
+def _lowest(ring: Ring, rows: int, cols: int, nums: tuple[tuple[int, ...], ...], d: int) -> "Matrix":
+    """The matrix ``nums / d`` for numerators already reduced mod m over
+    Z/m and any positive ``d`` (1 off Q), normalised by one gcd pass."""
     if d != 1:
         g = gcd(d, *[x for row in nums for x in row])
         if g != 1:
             d //= g
             nums = tuple([tuple([x // g for x in row]) for row in nums])
-    return _q_new(ring, rows, cols, nums, d)
+    return _held(ring, rows, cols, nums, d)
 
 
-def _q_rows(ring: Ring, cols: int, rows: Sequence[tuple[Sequence[int], int]]) -> "Matrix":
-    """The Q matrix whose row i is ``nums_i / d_i`` for the pairs in ``rows``."""
+def _normal(ring: Ring, rows: int, cols: int, nums: Iterable[Iterable[int]], d: int = 1) -> "Matrix":
+    """The matrix ``nums / d`` for any integer rows and positive ``d`` (1 off
+    Q), normalised: each entry reduced mod m over Z/m, one gcd pass over Q."""
+    p = ring.modulus
+    if p is None:
+        return _lowest(ring, rows, cols, tuple(map(tuple, nums)), d)
+    return _held(ring, rows, cols, tuple([tuple([x % p for x in row]) for row in nums]))
+
+
+def _over_rows(ring: Ring, cols: int, rows: Sequence[tuple[Sequence[int], int]]) -> "Matrix":
+    """The matrix whose row i is ``nums_i / d_i`` for the pairs in ``rows``."""
     d = lcm(*[e for _, e in rows])
     nums = tuple([tuple(r) if e == d else tuple([x * (d // e) for x in r]) for r, e in rows])
-    return _q_matrix(ring, len(rows), cols, nums, d)
+    return _lowest(ring, len(rows), cols, nums, d)
 
 
 def _nums_over(m: "Matrix", d: int) -> tuple[tuple[int, ...], ...]:
-    """The numerators of Q matrix ``m`` over ``d``, a multiple of its denominator."""
+    """The numerators of ``m`` over ``d``, a multiple of its denominator."""
     nums, e = m.q_form
     if e == d:
         return nums
     s = d // e
     return tuple([tuple([s * x for x in row]) for row in nums])
-
-
-def _q_product(a: "Matrix", b: "Matrix") -> "Matrix":
-    (left, d), (right, e) = a.q_form, b.q_form
-    return _q_matrix(a.ring, a.rows, b.cols, _products(left, right, b.cols), d * e)
 
 
 # -- matrices --------------------------------------------------------------
@@ -397,12 +427,11 @@ class Matrix:
     """A dense exact matrix; entries are row-major tuples over one ring.
     The constructor trusts its shape; ``from_rows`` is the checked one.
 
-    Over Q, ``q_form`` is the matrix as integer numerator rows over one
-    positive denominator, normalised (see the module docstring).  A matrix
-    that a kernel built holds only that form, and a constructed one only its
-    entries, until the other is read: it is then derived once and kept.
-    Over Q, equality and the hash compare the forms; over the other rings
-    they compare the entries."""
+    ``q_form`` is the normalised integer form (see the module docstring).
+    A kernel result holds its form, and over Q only its form until the
+    entries are read; a constructed matrix holds only its entries until the
+    form is read.  Either is then derived once and kept.  Equality and the
+    hash compare the forms."""
 
     ring: Ring
     rows: int
@@ -410,22 +439,19 @@ class Matrix:
     entries: tuple[tuple[Scalar, ...], ...]
 
     def __getattr__(self, name: str) -> Any:
-        # Only a missing ``entries`` or ``q_form`` reaches here.
+        # Only a missing ``q_form``, or a missing ``entries`` over Q, reaches here.
         held = self.__dict__
         if name == "q_form" and "entries" in held:
-            value = _q_form(held["entries"])
+            value = _form(self.ring, held["entries"])
         elif name == "entries" and "q_form" in held:
-            nums, d = held["q_form"]
-            zero = self.ring.zero
-            value = tuple([tuple([Fraction(x, d) if x else zero for x in row]) for row in nums])
+            value = _entries(self.ring, *held["q_form"])
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         held[name] = value
         return value
 
     def _key(self) -> tuple[Any, ...]:
-        form = self.q_form if self.ring.kind == "Q" else self.entries
-        return self.ring, self.rows, self.cols, form
+        return self.ring, self.rows, self.cols, self.q_form
 
     def __eq__(self, other: Any) -> bool:
         if other.__class__ is not Matrix:
@@ -447,13 +473,9 @@ class Matrix:
     @staticmethod
     def from_ints(ring: Ring, rows: Sequence[Sequence[int]], cols: int) -> "Matrix":
         """The matrix of the integer rows ``rows``, each of length ``cols``,
-        unchecked: reduced mod m over Z/m, and over Q held in its integer
-        form, so no ``Fraction`` is built."""
-        if ring.kind == "Q":
-            return _q_new(ring, len(rows), cols, tuple(map(tuple, rows)), 1)
-        p = ring.modulus
-        canonical = rows if p is None else ([x % p for x in r] for r in rows)
-        return Matrix(ring, len(rows), cols, tuple(map(tuple, canonical)))
+        unchecked and normalised: reduced mod m over Z/m, and over Q held in
+        its integer form, so no ``Fraction`` is built."""
+        return _normal(ring, len(rows), cols, rows)
 
     @staticmethod
     def identity(ring: Ring, n: int) -> "Matrix":
@@ -468,8 +490,7 @@ class Matrix:
 
     @property
     def is_zero(self) -> bool:
-        rows = self.q_form[0] if self.ring.kind == "Q" else self.entries
-        return not any(map(any, rows))
+        return not any(map(any, self.q_form[0]))
 
     @property
     def is_identity(self) -> bool:
@@ -479,12 +500,8 @@ class Matrix:
             return False
         if not n:
             return True
-        ring = self.ring
-        if ring.kind == "Q":
-            nums, d = self.q_form
-            return d == 1 and nums[0][0] == 1 and nums == _identity(ring, n).q_form[0]
-        rows = self.entries
-        return rows[0][0] == ring.one and rows == _identity(ring, n).entries
+        nums, d = self.q_form
+        return d == 1 and nums[0][0] == 1 and nums == _identity(self.ring, n).q_form[0]
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """The product; an identity operand returns the other one unchanged."""
@@ -499,10 +516,9 @@ class Matrix:
             return other
         if other.is_identity:
             return self
-        if ring.kind == "Q":
-            return _q_product(self, other)
-        products = _products(self.entries, other.entries, other.cols, ring.modulus)
-        return Matrix(ring, self.rows, other.cols, products)
+        (left, d), (right, e) = self.q_form, other.q_form
+        products = _products(left, right, other.cols, ring.modulus)
+        return _lowest(ring, self.rows, other.cols, products, d * e)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(add, other)
@@ -512,30 +528,22 @@ class Matrix:
 
     def _entrywise(self, op: Any, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        ring = self.ring
-        if ring.kind == "Q":
-            d = lcm(self.q_form[1], other.q_form[1])
-            pairs = zip(_nums_over(self, d), _nums_over(other, d))
-            nums = tuple([tuple(map(op, r, s)) for r, s in pairs])
-            return _q_matrix(ring, self.rows, self.cols, nums, d)
-        rows = [list(map(op, r, s)) for r, s in zip(self.entries, other.entries)]
-        return Matrix.from_ints(ring, rows, self.cols)
+        d = lcm(self.q_form[1], other.q_form[1])
+        pairs = zip(_nums_over(self, d), _nums_over(other, d))
+        return _normal(self.ring, self.rows, self.cols, [map(op, r, s) for r, s in pairs], d)
 
     def __neg__(self) -> "Matrix":
         return self.scaled(-1)
 
     def scaled(self, c: Any) -> "Matrix":
-        ring = self.ring
-        if ring.kind != "Q":
-            c = ring.coerce(c)
-            rows = tuple(_scale(ring, c, r) for r in self.entries)
-            return Matrix(ring, self.rows, self.cols, rows)
-        if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-            ring.coerce(c)  # raises: only ints and rationals scale over Q
-        n, e = c.numerator, c.denominator
+        """``c`` times the matrix; an ``int``, and over Q a ``Fraction``, is
+        taken as it is, so no ``Fraction`` is built."""
+        if c.__class__ is not int:
+            c = self.ring.coerce(c)
+        n = c.numerator
         nums, d = self.q_form
-        scaled = tuple([tuple([n * x for x in row]) for row in nums])
-        return _q_matrix(ring, self.rows, self.cols, scaled, d * e)
+        scaled = [[n * x for x in row] for row in nums]
+        return _normal(self.ring, self.rows, self.cols, scaled, d * c.denominator)
 
     def _check_same_shape(self, other: "Matrix") -> None:
         ring = self.ring
@@ -556,12 +564,10 @@ class Matrix:
         )
 
     def _sliced(self, rows: int, cols: int, cut: Any) -> "Matrix":
-        """The rows×cols matrix of ``cut`` applied to the entry rows, or over
-        Q to the numerator rows, over the same denominator."""
-        if self.ring.kind == "Q":
-            nums, d = self.q_form
-            return _q_matrix(self.ring, rows, cols, cut(nums), d)
-        return Matrix(self.ring, rows, cols, cut(self.entries))
+        """The rows×cols matrix of ``cut`` applied to the numerator rows, over
+        the same denominator."""
+        nums, d = self.q_form
+        return _lowest(self.ring, rows, cols, cut(nums), d)
 
     def to_json(self) -> list[list[int | str]]:
         return [[self.ring.scalar_to_json(a) for a in row] for row in self.entries]
@@ -578,19 +584,16 @@ def assemble(ring: Ring, rows: int, cols: int, blocks: Iterable[tuple[int, int, 
     its top left entry at (r, c), and zeros elsewhere.  Blocks do not
     overlap."""
     blocks = tuple(blocks)
-    q = ring.kind == "Q"
-    # Over Q each block is normalised, so its numerators over the lcm d of
-    # the block denominators are too: a prime power dividing d fully divides
+    # Each block is normalised, so its numerators over the lcm d of the
+    # block denominators are too: a prime power dividing d fully divides
     # some block's denominator and, scaled by d over it, that block's
     # numerators keep one entry the prime does not divide.
-    d = lcm(*[b.q_form[1] for _, _, b in blocks]) if q else 1
-    grid = [[0] * cols for _ in range(rows)]  # 0 is every ring's zero but Q's
+    d = lcm(*[b.q_form[1] for _, _, b in blocks])
+    grid = [[0] * cols for _ in range(rows)]
     for r, c, b in blocks:
-        for i, row in enumerate(_nums_over(b, d) if q else b.entries):
+        for i, row in enumerate(_nums_over(b, d)):
             grid[r + i][c: c + b.cols] = row
-    if q:
-        return _q_new(ring, rows, cols, tuple(map(tuple, grid)), d)
-    return Matrix(ring, rows, cols, tuple(map(tuple, grid)))
+    return _held(ring, rows, cols, tuple(map(tuple, grid)), d)
 
 
 def stack_rows(ring: Ring, matrices: Sequence[Matrix], cols: int) -> Matrix:
@@ -654,7 +657,7 @@ def _rref(a: Matrix) -> Echelon:
     p = ring.modulus
     n, width = a.cols, a.cols + a.rows
     zeros = [ring.zero] * a.rows
-    m = [[*r, *zeros] for r in a.entries]
+    m = [[*r, *zeros] for r in a.q_form[0]]
     for i, row in enumerate(m):
         row[n + i] = ring.one
     pivots: list[int] = []
@@ -679,8 +682,8 @@ def _rref(a: Matrix) -> Echelon:
         pr += 1
         if pr == a.rows:
             break
-    reduced = Matrix(ring, a.rows, a.cols, tuple(tuple(r[:n]) for r in m))
-    transform = Matrix(ring, a.rows, a.rows, tuple(tuple(r[n:]) for r in m))
+    reduced = _held(ring, a.rows, a.cols, tuple([tuple(r[:n]) for r in m]))
+    transform = _held(ring, a.rows, a.rows, tuple([tuple(r[n:]) for r in m]))
     return Echelon(reduced, transform, tuple(pivots))
 
 
@@ -740,8 +743,8 @@ def _q_rref(a: Matrix) -> Echelon:
         pr += 1
         if pr == a.rows:
             break
-    reduced = _q_rows(ring, a.cols, [(r[:n], e) for r, e in zip(nums, dens)])
-    transform = _q_rows(ring, a.rows, [(r[n:], e) for r, e in zip(nums, dens)])
+    reduced = _over_rows(ring, a.cols, [(r[:n], e) for r, e in zip(nums, dens)])
+    transform = _over_rows(ring, a.rows, [(r[n:], e) for r, e in zip(nums, dens)])
     return Echelon(reduced, transform, tuple(pivots))
 
 
@@ -750,7 +753,7 @@ def _hermite(a: Matrix) -> Echelon:
     # reduced into [0, pivot).  Row operations are unimodular and mirrored
     # into the transform.
     ring = a.ring
-    m = [list(r) for r in a.entries]
+    m = [list(r) for r in a.q_form[0]]
     t = [list(unit_vec(ring, a.rows, i)) for i in range(a.rows)]
     pivots: list[int] = []
     pr = 0
@@ -785,8 +788,8 @@ def _hermite(a: Matrix) -> Echelon:
                 t[i] = [x - q * y for x, y in zip(t[i], t[pr])]
         pivots.append(c)
         pr += 1
-    reduced = Matrix(ring, a.rows, a.cols, tuple(tuple(r) for r in m))
-    transform = Matrix(ring, a.rows, a.rows, tuple(tuple(r) for r in t))
+    reduced = _held(ring, a.rows, a.cols, tuple(map(tuple, m)))
+    transform = _held(ring, a.rows, a.rows, tuple(map(tuple, t)))
     return Echelon(reduced, transform, tuple(pivots))
 
 
@@ -810,25 +813,27 @@ def kernel_basis(a: Matrix) -> Matrix:
 
 
 def express_in_basis(basis: Matrix, target: Sequence[Scalar]) -> tuple[Scalar, ...] | None:
-    """Coefficients c with c @ basis = target, or None.
+    """Coefficients c with c @ basis = target, or None: the one row of
+    ``coordinates`` for ``target``.
 
     ``basis`` must be in echelon form (each row's leading entry strictly to
     the right of the previous row's).  Over Z the expression must be exact,
     so divisibility failures mean "not in the lattice".
     """
+    found = coordinates(basis, Matrix.from_rows(basis.ring, [target], basis.cols))
+    return None if found is None else found.entries[0]
+
+
+def _express(basis: Matrix, target: tuple[int, ...]) -> tuple[int, ...] | None:
+    """One row of ``coordinates`` over Z or Z/p: ``target`` reduced against
+    the basis rows in turn, or None when a residue remains."""
     ring = basis.ring
-    if len(target) != basis.cols:
-        raise ValueError(f"dimension mismatch: target length {len(target)} vs {basis.cols} cols")
-    if ring.kind == "Q":
-        found = _q_express(basis, Matrix(ring, 1, basis.cols, (tuple(target),)))
-        return None if found is None else found.entries[0]
     field, p = ring.is_field, ring.modulus
-    residue = tuple(target) if p is None else tuple(x % p for x in target)
-    coeffs = []
-    for row in basis.entries:
+    residue, coeffs = target, []
+    for row in basis.q_form[0]:
         lead = next((j for j, x in enumerate(row) if x), None)
         if lead is None or not residue[lead]:
-            coeffs.append(ring.zero)
+            coeffs.append(0)
             continue
         if field:
             c = residue[lead] * ring.inv(row[lead]) % p
@@ -838,51 +843,43 @@ def express_in_basis(basis: Matrix, target: Sequence[Scalar]) -> tuple[Scalar, .
             c = residue[lead] // row[lead]
         coeffs.append(c)
         residue = vec_sub(ring, residue, _scale(ring, c, row))
-    if not vec_is_zero(ring, residue):
-        return None
-    return tuple(coeffs)
+    return None if any(residue) else tuple(coeffs)
 
 
 def coordinates(basis: Matrix, m: Matrix) -> Matrix | None:
     """The matrix C with C @ basis = m, or None when a row of ``m`` is
-    outside the row space (the lattice, over Z) of ``basis``.
-
-    ``basis`` must be in echelon form, as for ``express_in_basis``, and row
-    i of C is ``express_in_basis(basis, m.row(i))``.  Over a field a reduced
-    basis has a 1 at each row's leading column and zeros above and below
-    it, so C is ``m`` read at those columns, and one product checks it.
-    The nonzero rows of an echelon basis are independent, so a C that
-    passes is the only one.  When the check fails (the basis is not
-    reduced, or ``m`` leaves the row space), and over Z, C is built row by
-    row as ``express_in_basis`` builds it.
+    outside the row space (the lattice, over Z) of ``basis``, which must be
+    in echelon form.  Over a field a reduced basis has a 1 at each row's
+    leading column and zeros above and below it, so C is ``m`` read at
+    those columns, and one product checks it; the nonzero rows of an
+    echelon basis are independent, so a C that passes is the only one.
+    When the check fails (the basis is not reduced, or ``m`` leaves the row
+    space), and over Z, C is built row by row by elimination.
     """
     ring = basis.ring
     if m.ring is not ring and m.ring != ring:
         raise ValueError(f"ring mismatch: {m.ring.name} vs {ring.name}")
     if m.cols != basis.cols:
         raise ValueError(f"dimension mismatch: rows of length {m.cols} vs {basis.cols} cols")
-    q = ring.kind == "Q"
     if ring.is_field:
         # with basis as B/e and m as M/f (e = f = 1 off Q), C is M read at
         # the leads over f, and C @ basis = m exactly when that read @ B = M·e
-        brows, e = basis.q_form if q else (basis.entries, 1)
-        mrows, f = m.q_form if q else (m.entries, 1)
+        brows, e = basis.q_form
+        mrows, f = m.q_form
         leads = [next((j for j, x in enumerate(row) if x), None) for row in brows]
         read = tuple([tuple([0 if j is None else row[j] for j in leads]) for row in mrows])
         want = mrows if e == 1 else tuple([tuple([x * e for x in row]) for row in mrows])
         if _products(read, brows, basis.cols, ring.modulus) == want:
-            if q:
-                return _q_matrix(ring, m.rows, basis.rows, read, f)
-            return Matrix(ring, m.rows, basis.rows, read)
-    if q:
+            return _lowest(ring, m.rows, basis.rows, read, f)
+    if ring.kind == "Q":
         return _q_express(basis, m)
     rows = []
-    for row in m.entries:
-        found = express_in_basis(basis, row)
+    for row in m.q_form[0]:
+        found = _express(basis, row)
         if found is None:
             return None
         rows.append(found)
-    return Matrix(ring, m.rows, basis.rows, tuple(rows))
+    return _held(ring, m.rows, basis.rows, tuple(rows))
 
 
 def _q_express(basis: Matrix, m: Matrix) -> Matrix | None:
@@ -923,7 +920,7 @@ def _q_express(basis: Matrix, m: Matrix) -> Matrix | None:
             return None
         d = lcm(*[f for _, f in coeffs])
         rows.append(([x * (d // f) for x, f in coeffs], d))
-    return _q_rows(ring, basis.rows, rows)
+    return _over_rows(ring, basis.rows, rows)
 
 
 def solve_row_system(a: Matrix, b: Sequence[Scalar]) -> tuple[Scalar, ...] | None:

@@ -15,8 +15,10 @@ from ample.builders import (
     single_edge_graph,
     trivial_groupoid,
 )
-from ample.groupoid import FiniteGroupoid
-from ample.rings import INTEGERS, RATIONALS, Ring, Scalar, modular
+from ample.gmodule import GModule, GModuleHom
+from ample.groupoid import Bisection, FiniteGroupoid, ObjectId, object_subset
+from ample.gsheaf import GSheaf, GSheafMor
+from ample.rings import INTEGERS, RATIONALS, Matrix, Ring, Scalar, modular
 
 Q = RATIONALS
 Z = INTEGERS
@@ -43,6 +45,29 @@ def random_algebra_element(g: FiniteGroupoid, ring: Ring, rng: random.Random):
     for _ in range(support_size):
         coeffs[g.arrows[rng.randrange(len(g.arrows))]] = random_scalar(ring, rng)
     return algebra_element(g, ring, coeffs)
+
+
+def identity_hom(m: GModule) -> GModuleHom:
+    return GModuleHom(m, m, Matrix.identity(m.ring, m.rank))
+
+
+def zero_hom(m: GModule, n: GModule) -> GModuleHom:
+    return GModuleHom(m, n, Matrix.zeros(m.ring, m.rank, n.rank))
+
+
+def identity_sheaf_mor(e: GSheaf) -> GSheafMor:
+    return GSheafMor(e, e, {x: Matrix.identity(e.ring, e.stalk_rank[x]) for x in e.groupoid.objects})
+
+
+def zero_sheaf_mor(e: GSheaf, f: GSheaf) -> GSheafMor:
+    return GSheafMor(
+        e, f, {x: Matrix.zeros(e.ring, e.stalk_rank[x], f.stalk_rank[x]) for x in e.groupoid.objects}
+    )
+
+
+def source_objects(g: FiniteGroupoid, u: Bisection) -> tuple[ObjectId, ...]:
+    """The compact open set U^{-1}U, i.e. the source objects of U."""
+    return object_subset(g, (g.src[a] for a in u))
 
 
 @pytest.fixture(scope="session")

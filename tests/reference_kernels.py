@@ -14,7 +14,8 @@ eliminated before it solved on the isotropy frame, with one block of
 unknowns per object, both filled entry by entry as they were before
 ``rings.intertwiner_constraints``; ``intertwiner_constraints`` builds such
 a system over any blocks a second way, by evaluating L·X_u - X_v·R on each
-unit unknown.  ``sheaf_hom_basis`` and ``random_sheaf_hom`` are the sheaf
+unit unknown cut into its blocks by ``split_blocks``, which is how the hom
+bases cut their flat rows before they reshaped the integer form.  ``sheaf_hom_basis`` and ``random_sheaf_hom`` are the sheaf
 morphism basis, the kernel of that dense grid, and its random draw as they
 were before (the draw with its own inline coefficient source).  ``random_invertible`` and ``section_action`` are the
 builder and the section action as they were before their row operations
@@ -300,6 +301,16 @@ def sheaf_hom_constraint(e: Any, f: Any) -> Matrix:
     return Matrix(ring, total, cols, tuple(tuple(r) for r in grid))
 
 
+def split_blocks(ring: Ring, blocks: Sequence[tuple[int, int]], flat: Sequence[Scalar]) -> list[Matrix]:
+    """The (rows, cols) blocks, each row-major, that ``flat`` holds in turn."""
+    out, start = [], 0
+    for rows, cols in blocks:
+        entries = tuple(tuple(flat[start + i * cols: start + (i + 1) * cols]) for i in range(rows))
+        out.append(Matrix(ring, rows, cols, entries))
+        start += rows * cols
+    return out
+
+
 def intertwiner_constraints(
     ring: Ring, blocks: Sequence[tuple[int, int]], equations: Sequence[tuple[Matrix, int, int, Matrix]]
 ) -> Matrix:
@@ -308,11 +319,7 @@ def intertwiner_constraints(
     total = sum(r * c for r, c in blocks)
     rows = []
     for k in range(total):
-        flat, xs, start = unit_vec(ring, total, k), [], 0
-        for r, c in blocks:
-            entries = tuple(tuple(flat[start + i * c: start + (i + 1) * c]) for i in range(r))
-            xs.append(Matrix(ring, r, c, entries))
-            start += r * c
+        xs = split_blocks(ring, blocks, unit_vec(ring, total, k))
         row: list[Scalar] = []
         for left, u, v, right in equations:
             lx, xr = matmul(left, xs[u]), matmul(xs[v], right)

@@ -26,7 +26,6 @@ from ample.groupoid import (
     bisection_product,
     enumerate_bisections,
     is_bisection,
-    source_objects,
 )
 from ample.morita import (
     GroupoidFunctor,
@@ -38,7 +37,7 @@ from ample.morita import (
 )
 from ample.rings import matrix_inverse, vec
 
-from conftest import F2, F5, Q, Z, random_algebra_element
+from conftest import F2, F5, Q, Z, random_algebra_element, source_objects
 
 RINGS = (F2, F5, Q, Z)
 

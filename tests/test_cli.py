@@ -453,7 +453,8 @@ def test_groupoid_commands_report_a_cyclic_graph(command, out, tmp_path):
     target = tmp_path / "cyclic.json"
     target.write_text(json.dumps(CYCLIC_GRAPH))
     where = ["--groupoid", str(target)] if command == "equivalence" else [str(target)]
-    code, text = run_command([command, *where, "--samples", "1", "--out", out])
+    samples = ["--samples", "1"] if command == "equivalence" else []
+    code, text = run_command([command, *where, *samples, "--out", out])
     assert code == 1
     assert text == (
         f"{target}: graph axioms fail: acyclicity: graph has a cycle through v -> w -> v; "
@@ -520,6 +521,22 @@ def test_bad_ring_is_usage_error(corpus):
     assert "usage error" in text
 
 
+@pytest.mark.parametrize("name", ["Zmod:1", "Zmod:0", "Fp:1"])
+def test_a_modulus_below_2_is_a_usage_error(corpus, name):
+    code, text = run_command(["table", str(corpus / "p2.json"), "--ring", name])
+    assert code == 2
+    assert text == f"usage error: bad modulus in ring name {name!r}: expected an integer of at least 2"
+
+
+def test_a_document_over_the_zero_ring_is_a_positioned_parse_error(corpus):
+    payload = json.loads((corpus / "module-p2-regular.json").read_text())
+    payload["ring"] = "Zmod:1"
+    with pytest.raises(ParseError) as err:
+        parse_document(json.dumps(payload), base_dir=str(corpus))
+    assert err.value.path == "ring"
+    assert err.value.message == "bad modulus in ring name 'Zmod:1': expected an integer of at least 2"
+
+
 def test_wrong_document_kind_is_usage_error(corpus):
     code, text = run_command(["table", str(corpus / "span-p2-point.json")])
     assert code == 2
@@ -540,7 +557,31 @@ def test_out_of_range_counts_are_usage_errors(corpus, command, flags, message):
     name, flag, path = command.split()
     code, text = run_command([name, flag, str(corpus / path), "--ring", "Fp:5"] + flags)
     assert code == 2
+    if name == "morita" and flags[0] == "--max-rank":  # morita has no rank to set
+        message = f"unrecognized arguments: {' '.join(flags)}"
     assert text == f"usage error: {message}"
+
+
+UNREAD_FLAGS = [
+    (command, flag)
+    for command in ("validate", "table", "bisections", "examples")
+    for flag in ("--seed", "--samples", "--max-rank")
+] + [("morita", "--max-rank")]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(corpus, tmp_path, command, flag):
+    where = {
+        "validate": [str(corpus / "p2.json")],
+        "table": [str(corpus / "p2.json")],
+        "bisections": [str(corpus / "p2.json")],
+        "examples": ["--dir", str(tmp_path / "corpus")],
+        "morita": ["--span", str(corpus / "span-p2-point.json")],
+    }[command]
+    code, text = run_command([command, *where, flag, "2"])
+    assert code == 2
+    assert text == f"usage error: unrecognized arguments: {flag} 2"
+    assert not (tmp_path / "corpus").exists()
 
 
 def test_smallest_counts_are_accepted(corpus):

@@ -20,40 +20,49 @@ from ample.equivalence import (
     germ_at,
     germ_transport,
     section_action,
-    section_to_vector,
     sh_mor,
     sheafify,
-    vector_to_section,
 )
 from ample.gmodule import (
     GModule,
     GModuleHom,
     act,
-    identity_hom,
     random_hom,
     regular_module,
     validate_hom,
     validate_module,
-    zero_hom,
 )
 from ample.groupoid import (
     Bisection,
     FiniteGroupoid,
     enumerate_bisections,
-    source_objects,
 )
 from ample.gsheaf import (
     GSheaf,
     constant_sheaf,
-    identity_sheaf_mor,
     random_sheaf_hom,
     validate_sheaf,
     validate_sheaf_morphism,
-    zero_sheaf_mor,
 )
 from ample.rings import Matrix, matrix_inverse, unit_vec, vec, vec_is_zero, vec_mat
 
-from conftest import F2, F5, Q, Z, random_algebra_element
+from conftest import (
+    F2,
+    F5,
+    Q,
+    Z,
+    identity_hom,
+    identity_sheaf_mor,
+    random_algebra_element,
+    source_objects,
+    zero_hom,
+    zero_sheaf_mor,
+)
+
+
+def section_to_vector(s: Section) -> tuple:
+    """The stalk values of ``s``, one block per object in object order."""
+    return tuple(v for x in s.sheaf.groupoid.objects for v in s.values[x])
 
 
 def rand_vec(ring, n, rng):
@@ -124,13 +133,6 @@ def test_section_action_agrees_with_module_action(small_groupoids):
             via_sections = section_to_vector(section_action(s, f))
             via_module = act(m, section_to_vector(s), f)
             assert via_sections == via_module
-
-
-def test_vector_section_round_trip(p2):
-    e = random_sheaf(p2, Q, 2, seed=46)
-    rng = random.Random(8)
-    s = rand_section(e, rng)
-    assert vector_to_section(e, section_to_vector(s)) == s
 
 
 def test_gamma_c_mor_identity_zero_and_composition(p2):
@@ -354,11 +356,10 @@ def test_sh_mor_functoriality(z2):
         m3 = random_module(z2, F2, 2, seed=seed + 200)
         f = random_hom(m1, m2, rng)
         g = random_hom(m2, m3, rng)
-        from ample.gmodule import compose_homs
         from ample.gsheaf import compose_sheaf_mors
 
         sh1, sh2, sh3 = sheafify(m1), sheafify(m2), sheafify(m3)
-        lhs = sh_mor(compose_homs(f, g), sh1, sh3)
+        lhs = sh_mor(GModuleHom(m1, m3, f.matrix @ g.matrix), sh1, sh3)
         rhs = compose_sheaf_mors(sh_mor(f, sh1, sh2), sh_mor(g, sh2, sh3))
         assert lhs == rhs
 

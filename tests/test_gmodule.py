@@ -13,17 +13,15 @@ from ample.gmodule import (
     direct_sum,
     hom_space_basis,
     hom_space_dim,
-    identity_hom,
     random_hom,
     regular_module,
     validate_hom,
     validate_module,
-    zero_hom,
 )
 from ample.groupoid import Bisection
 from ample.rings import Matrix, unit_vec, vec, vec_scale
 
-from conftest import ALL_RINGS, F2, F5, Q, Z, random_algebra_element
+from conftest import ALL_RINGS, F2, F5, Q, Z, identity_hom, random_algebra_element, zero_hom
 
 
 # -- the action --------------------------------------------------------------

@@ -15,10 +15,11 @@ from ample.groupoid import (
     is_bisection,
     object_subset,
     restrict_groupoid,
-    source_objects,
     unit_bisection,
     validate_groupoid,
 )
+
+from conftest import source_objects
 
 
 def all_subsets(items):

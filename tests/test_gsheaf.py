@@ -12,17 +12,14 @@ from ample.gsheaf import (
     compose_sheaf_mors,
     constant_sheaf,
     direct_sum_sheaf,
-    identity_sheaf_mor,
-    invert_sheaf_mor,
     random_sheaf_hom,
     sheaf_hom_basis,
     validate_sheaf,
     validate_sheaf_morphism,
-    zero_sheaf_mor,
 )
 from ample.rings import Matrix, vec
 
-from conftest import F5, Q, Z
+from conftest import F5, Q, Z, identity_sheaf_mor, zero_sheaf_mor
 
 
 # -- validation ---------------------------------------------------------------
@@ -114,9 +111,8 @@ def test_morphism_composition_and_inverse(p2):
     e = random_sheaf(p2, Q, 2, seed=9)
     ident = identity_sheaf_mor(e)
     assert compose_sheaf_mors(ident, ident) == ident
-    inv = invert_sheaf_mor(ident)
-    assert inv == ident
-    assert invert_sheaf_mor(zero_sheaf_mor(e, e)) is None or e.total_rank == 0
+    assert ident.inverse == ident
+    assert zero_sheaf_mor(e, e).inverse is None or e.total_rank == 0
 
 
 def test_sheaf_hom_space_members_are_equivariant(p2, z2):

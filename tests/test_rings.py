@@ -73,6 +73,10 @@ def test_ring_name_rejects_bad_input():
         ring_from_name("R")
     with pytest.raises(ValueError):
         ring_from_name("Zmod:0")
+    with pytest.raises(ValueError):
+        ring_from_name("Zmod:1")  # the zero ring, where 1 = 0
+    with pytest.raises(ValueError):
+        Ring("mod", 1)
 
 
 def test_coerce_rejects_floats():
