@@ -180,7 +180,8 @@ def local_unit(g: FiniteGroupoid, fs: Sequence[AlgebraElement]) -> tuple[ObjectI
 
 @dataclass(frozen=True)
 class CornerAlgebra:
-    """The corner chi_U * kG * chi_U identified with the algebra of G_U.
+    """The corner chi_U * kG * chi_U identified with the algebra of G_U,
+    the value of ``corner_algebra``'s report.
 
     Arrow ids are shared between the subgroupoid and the ambient groupoid,
     so the embedding is extension by zero and compression is restriction
@@ -191,7 +192,6 @@ class CornerAlgebra:
     ring: Ring
     points: tuple[ObjectId, ...]
     subgroupoid: FiniteGroupoid
-    report: ValidationReport
 
     @property
     def corner_unit(self) -> AlgebraElement:
@@ -208,8 +208,9 @@ class CornerAlgebra:
         return algebra_element(self.subgroupoid, self.ring, dict(cut.coeffs))
 
 
-def corner_algebra(g: FiniteGroupoid, points: Iterable[ObjectId], ring: Ring) -> CornerAlgebra:
-    """Cut the corner at a compact open object set and certify it equals kG_U."""
+def corner_algebra(g: FiniteGroupoid, points: Iterable[ObjectId], ring: Ring) -> ValidationReport:
+    """Cut the corner at a compact open object set and certify it equals kG_U;
+    the report's value is the ``CornerAlgebra``."""
     objs = object_subset(g, points)
     sub = restrict_groupoid(g, objs)
     unit = char_of_objects(g, objs, ring)
@@ -237,7 +238,7 @@ def corner_algebra(g: FiniteGroupoid, points: Iterable[ObjectId], ring: Ring) ->
             if dict(inner.coeffs) != dict(outer.coeffs):
                 failures.append(Failure("corner table", f"products of [{a}],[{b}] disagree"))
 
-    return CornerAlgebra(g, ring, objs, sub, ValidationReport("corner", tuple(failures)))
+    return ValidationReport("corner", tuple(failures), CornerAlgebra(g, ring, objs, sub))
 
 
 @dataclass(frozen=True)

@@ -288,10 +288,11 @@ def _cmd_equivalence(args: argparse.Namespace, ring: Ring) -> Report:
             {"index": i, "seed": seed, "rank": module.rank, "result": "pass" if result.ok else "fail"}
         )
         if result.ok:
-            stalks = ",".join(str(result.sheafification.sheaf.stalk_rank[x]) for x in groupoid.objects)
+            stalk_rank = result.value.sheafification.sheaf.stalk_rank
+            stalks = ",".join(str(stalk_rank[x]) for x in groupoid.objects)
             lines.append(f"eta[{i:02d}] seed={seed} rank={module.rank} stalks={stalks} : PASS")
         else:
-            lines.append(f"eta[{i:02d}] seed={seed} rank={module.rank} : FAIL ({result})")
+            lines.append(f"eta[{i:02d}] seed={seed} rank={module.rank} : FAIL ({result.first()})")
 
     for i in range(args.samples):
         seed = rng.randrange(2**32)
@@ -299,7 +300,7 @@ def _cmd_equivalence(args: argparse.Namespace, ring: Ring) -> Report:
         result = epsilon(sheaf)
         stalks = ",".join(str(sheaf.stalk_rank[x]) for x in groupoid.objects)
         ok = ok and result.ok
-        verdict = "PASS" if result.ok else f"FAIL ({result})"
+        verdict = "PASS" if result.ok else f"FAIL ({result.first()})"
         lines.append(f"epsilon[{i:02d}] seed={seed} stalks={stalks} : {verdict}")
         records["epsilon"].append({"index": i, "seed": seed, "result": "pass" if result.ok else "fail"})
 

@@ -11,10 +11,8 @@ characteristic functions.
 
 Both composites are certified isomorphisms: eta sends a module element to
 its family of germ coordinates, epsilon evaluates the germ of a section at
-its base point.  Certificates are emitted only when every check passes;
-otherwise the failure value is a ``validation.Failure`` whose law names the
-failed check, with a witness.  The naturality checks return a
-``ValidationReport``.
+its base point.  Each certificate, like each naturality check, is a
+``ValidationReport``; a failed one names the failed check, with a witness.
 """
 from __future__ import annotations
 
@@ -237,25 +235,14 @@ def sh_mor(
 
 @dataclass(frozen=True)
 class NaturalIsoCertificate:
-    """Witness that one unit of the equivalence is an isomorphism.
+    """The value of an eta or epsilon report: the unit ``iso`` and the germ
+    sheaf it goes through (of the module for eta, of the section module for
+    epsilon).  For eta ``iso`` is the matrix from the module to the section
+    module of its germ sheaf; for epsilon it is the stalkwise morphism from
+    that germ sheaf onto the original sheaf."""
 
-    Fields: ``direction`` ("eta" or "epsilon"); ``checks``, the checks that
-    passed, in order; ``sheafification``, the germ sheaf the unit goes
-    through (of the module for eta, of the section module for epsilon).
-    direction "eta": ``matrix`` is the isomorphism from the module to the
-    section module of its germ sheaf.  direction "epsilon": ``morphism`` is
-    the stalkwise isomorphism from that germ sheaf onto the original sheaf.
-    """
-
-    direction: str
-    checks: tuple[str, ...]
     sheafification: Sheafification
-    matrix: Matrix | None = None
-    morphism: GSheafMor | None = None
-
-    @property
-    def ok(self) -> bool:
-        return True
+    iso: Matrix | GSheafMor
 
 
 def eta_matrix(sh: Sheafification) -> Matrix:
@@ -269,75 +256,73 @@ def eta_matrix(sh: Sheafification) -> Matrix:
     return assemble(m.ring, m.rank, sh.sheaf.total_rank, blocks)
 
 
-def eta(m: GModule) -> NaturalIsoCertificate | Failure:
+def eta(m: GModule) -> ValidationReport:
     """Certify the unit: module -> sections of its germ sheaf.
 
     Checks, in order: the map intertwines the actions on the arrow spanning
     set; it is injective (trivial kernel); it is surjective, constructively,
     by exhibiting a preimage of every standard basis section through the
     partition of the unit space into its points (the preimages are exactly
-    the stalk basis rows).
+    the stalk basis rows).  The report names the first check that fails.
     """
     sh = sheafify(m)
     gamma = gamma_c(sh.sheaf)
     h = eta_matrix(sh)
 
     bad = _unintertwined(m.groupoid, m.action, dict.fromkeys(m.groupoid.objects, h), gamma.action)
-    if bad:
-        return Failure("module-hom", f"intertwining fails at arrow {bad[0]!r}")
-
-    if kernel_basis(h).rows != 0:
-        return Failure("injective", "nontrivial kernel")
-
     preimages = stack_rows(m.ring, [sh.stalk_basis[x] for x in m.groupoid.objects], m.rank)
-    if (preimages @ h) != Matrix.identity(m.ring, gamma.rank):
-        return Failure("surjective", "partition preimages do not hit the basis")
+    if bad:
+        failures = (Failure("module-hom", f"intertwining fails at arrow {bad[0]!r}"),)
+    elif kernel_basis(h).rows != 0:
+        failures = (Failure("injective", "nontrivial kernel"),)
+    elif (preimages @ h) != Matrix.identity(m.ring, gamma.rank):
+        failures = (Failure("surjective", "partition preimages do not hit the basis"),)
+    else:
+        failures = ()
+    return ValidationReport("eta", failures, NaturalIsoCertificate(sh, h))
 
-    return NaturalIsoCertificate(
-        direction="eta",
-        checks=("module-hom", "injective", "surjective"),
-        sheafification=sh,
-        matrix=h,
-    )
 
-
-def epsilon(e: GSheaf) -> NaturalIsoCertificate | Failure:
+def epsilon(e: GSheaf) -> ValidationReport:
     """Certify the counit: germ sheaf of the section module -> the sheaf.
 
     The stalkwise map evaluates the germ of a section at its base point; in
     coordinates it is the block of the stalk basis sitting over that object.
-    Checks: stalk support, stalkwise bijectivity, equivariance.  The
-    bijectivity check is ``morphism.inverse``, so a certificate's morphism
-    carries the inverse that check computed; on failure the witness names
-    the first object, in declaration order, whose component is singular.
+    Checks, in order: stalk support, stalkwise bijectivity, equivariance;
+    the report names the first that fails.  The bijectivity check is
+    ``iso.inverse``, so the morphism carries the inverse that check
+    computed; on failure the witness names the first object, in declaration
+    order, whose component is singular.
+
+    Only a faulty ``sheafify`` or ``gamma_c`` can fail stalk support or
+    equivariance: ``gamma_c`` puts each unit transport in its own block, so
+    no germ basis leaks, and a leak-free counit is equivariant by
+    construction.  Their negative tests reach them through a patched
+    ``sheafify``; both checks stay, as the certificate's own evidence.
     """
     gamma = gamma_c(e)
     sh = sheafify(gamma)
     offsets = block_offsets(e)
-    g, ring = e.groupoid, e.ring
+    g = e.groupoid
 
     components: dict[ObjectId, Matrix] = {}
+    leaks: list[Failure] = []
     for x in g.objects:
         basis = sh.stalk_basis[x]
         lo, hi = offsets[x], offsets[x] + e.stalk_rank[x]
         if not (basis.column_slice(0, lo).is_zero and basis.column_slice(hi, basis.cols).is_zero):
-            return Failure("stalk-support", f"germ basis at {x!r} leaks outside its block")
+            leaks.append(Failure("stalk-support", f"germ basis at {x!r} leaks outside its block"))
         components[x] = basis.column_slice(lo, hi)
-
     morphism = GSheafMor(sh.sheaf, e, components)
-    if morphism.inverse is None:
-        bad = next(x for x in g.objects if matrix_inverse(components[x]) is None)
-        return Failure("stalkwise-bijective", f"component at {bad!r}")
 
-    report = validate_sheaf_morphism(morphism)
-    if not report.ok:
-        return Failure("equivariant", report.failures[0].witness)
-    return NaturalIsoCertificate(
-        direction="epsilon",
-        checks=("stalk-support", "stalkwise-bijective", "equivariant"),
-        sheafification=sh,
-        morphism=morphism,
-    )
+    if leaks:
+        failures = (leaks[0],)
+    elif morphism.inverse is None:
+        bad = next(x for x in g.objects if matrix_inverse(components[x]) is None)
+        failures = (Failure("stalkwise-bijective", f"component at {bad!r}"),)
+    else:
+        squares = validate_sheaf_morphism(morphism)
+        failures = () if squares.ok else (Failure("equivariant", squares.first().witness),)
+    return ValidationReport("epsilon", failures, NaturalIsoCertificate(sh, morphism))
 
 
 # -- naturality ----------------------------------------------------------------
@@ -372,12 +357,13 @@ def _check_epsilon_square(phi: GSheafMor) -> ValidationReport:
     eps_tgt = epsilon(phi.target)
     if not (eps_src.ok and eps_tgt.ok):
         return _naturality(Failure("epsilon square", "epsilon certificate unavailable"))
+    eps_src, eps_tgt = eps_src.value, eps_tgt.value
     matrix = block_diagonal(phi.source.ring, [phi.maps[x] for x in phi.source.groupoid.objects])
     gamma_phi = GModuleHom(eps_src.sheafification.module, eps_tgt.sheafification.module, matrix)
     psi = sh_mor(gamma_phi, eps_src.sheafification, eps_tgt.sheafification)
     for x in phi.source.groupoid.objects:
-        left = psi.maps[x] @ eps_tgt.morphism.maps[x]
-        right = eps_src.morphism.maps[x] @ phi.maps[x]
+        left = psi.maps[x] @ eps_tgt.iso.maps[x]
+        right = eps_src.iso.maps[x] @ phi.maps[x]
         if left != right:
             return _naturality(Failure("epsilon square", f"epsilon square fails at object {x!r}"))
     return _naturality()

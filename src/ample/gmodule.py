@@ -197,8 +197,12 @@ def validate_hom(h: GModuleHom) -> ValidationReport:
     return ValidationReport("module homomorphism", failures)
 
 
-def is_isomorphism(h: GModuleHom) -> bool:
-    return validate_hom(h).ok and matrix_inverse(h.matrix) is not None
+def is_isomorphism(h: GModuleHom) -> ValidationReport:
+    """``validate_hom``, then law "invertibility": the matrix has an inverse."""
+    report = validate_hom(h)
+    if report.ok and matrix_inverse(h.matrix) is None:
+        return ValidationReport(report.subject, (Failure("invertibility", "singular matrix"),))
+    return report
 
 
 def direct_sum(m1: GModule, m2: GModule) -> GModule:

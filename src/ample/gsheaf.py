@@ -173,10 +173,14 @@ def compose_sheaf_mors(phi: GSheafMor, psi: GSheafMor) -> GSheafMor:
     )
 
 
-def is_sheaf_isomorphism(phi: GSheafMor) -> bool:
-    """Equivariant with invertible components; the inverse this finds stays
-    on ``phi.inverse``."""
-    return validate_sheaf_morphism(phi).ok and phi.inverse is not None
+def is_sheaf_isomorphism(phi: GSheafMor) -> ValidationReport:
+    """``validate_sheaf_morphism``, then law "invertibility": every component
+    has an inverse.  The inverse this finds stays on ``phi.inverse``."""
+    report = validate_sheaf_morphism(phi)
+    if report.ok and phi.inverse is None:
+        bad = next(x for x in phi.source.groupoid.objects if matrix_inverse(phi.maps[x]) is None)
+        return ValidationReport(report.subject, (Failure("invertibility", f"component at {bad!r}"),))
+    return report
 
 
 def direct_sum_sheaf(e: GSheaf, f: GSheaf) -> GSheaf:

@@ -8,8 +8,8 @@ explicit inverse-image functor (stalkwise relabeling along the functor) and
 a quasi-inverse built from a deterministic choice of anchor objects and
 arrows.  Composing with the section/germ equivalence on both ends
 transports unitary modules between the two convolution algebras, and every
-transported sample comes with an explicit invertible round-trip intertwiner
-rather than a bare assertion.
+transported sample comes with a round-trip report: an explicit invertible
+intertwiner, or the step of the round trip that failed, with a witness.
 """
 from __future__ import annotations
 
@@ -194,10 +194,11 @@ def anchors(f: GroupoidFunctor) -> tuple[dict[ObjectId, ObjectId], dict[ObjectId
 
 @dataclass(frozen=True)
 class QuasiInverse:
-    """A sheaf pushed forward along an essential equivalence.
+    """A sheaf pushed forward along an essential equivalence, the value of
+    ``pullback_quasi_inverse``'s report.
 
-    ``unit`` certifies the construction: it is the isomorphism from the
-    input sheaf onto the pullback of the output sheaf.
+    ``unit`` is the morphism from the input sheaf onto the pullback of the
+    output sheaf that the report certifies an isomorphism.
     """
 
     functor: GroupoidFunctor
@@ -226,9 +227,10 @@ def push_sheaf(f: GroupoidFunctor, e: GSheaf) -> GSheaf:
     return GSheaf(t, e.ring, stalk_rank, transport)
 
 
-def pullback_quasi_inverse(f: GroupoidFunctor, e: GSheaf) -> QuasiInverse:
-    """``push_sheaf(f, e)`` with its certificate: the unit, an isomorphism
-    from e onto the pullback of the pushed sheaf, checked here."""
+def pullback_quasi_inverse(f: GroupoidFunctor, e: GSheaf) -> ValidationReport:
+    """``push_sheaf(f, e)`` with its certificate, law "quasi-inverse unit":
+    the unit from e onto the pullback of the pushed sheaf is an
+    isomorphism.  The report's value is the ``QuasiInverse``."""
     pushed = push_sheaf(f, e)
     sigma, alpha, preimage = f.inverse_data
     unit_maps: dict[ObjectId, Matrix] = {}
@@ -236,9 +238,14 @@ def pullback_quasi_inverse(f: GroupoidFunctor, e: GSheaf) -> QuasiInverse:
         y = f.obj_map[x]
         unit_maps[x] = e.transport[preimage[sigma[y], x, alpha[y]]]
     unit = GSheafMor(e, pullback_sheaf(f, pushed), unit_maps)
-    if not is_sheaf_isomorphism(unit):
-        raise AssertionError("quasi-inverse unit failed to be an isomorphism")
-    return QuasiInverse(f, pushed, unit)
+    failures = _as_step("quasi-inverse unit", is_sheaf_isomorphism(unit))
+    return ValidationReport("quasi-inverse", failures, QuasiInverse(f, pushed, unit))
+
+
+def _as_step(law: str, report: ValidationReport) -> tuple[Failure, ...]:
+    """The failures of ``report`` under the law ``law``, the name of a
+    certified step; each keeps its own law and witness as the witness."""
+    return tuple(Failure(law, str(failure)) for failure in report.failures)
 
 
 def qi_mor(f: GroupoidFunctor, phi: GSheafMor, source: GSheaf, target: GSheaf) -> GSheafMor:
@@ -247,19 +254,19 @@ def qi_mor(f: GroupoidFunctor, phi: GSheafMor, source: GSheaf, target: GSheaf) -
     return GSheafMor(source, target, {y: phi.maps[sigma[y]] for y in f.target.objects})
 
 
-def counit_iso(f: GroupoidFunctor, e: GSheaf, pushed_pullback: GSheaf) -> GSheafMor:
-    """The isomorphism from the quasi-inverse of the pullback of e onto e.
+def counit_iso(f: GroupoidFunctor, e: GSheaf, pushed_pullback: GSheaf) -> ValidationReport:
+    """Certify the counit, law "counit": the morphism from the quasi-inverse
+    of the pullback of e onto e is an isomorphism.
 
     Componentwise it transports along the inverse anchor arrow; the input
-    ``pushed_pullback`` must be push_sheaf(f, pullback_sheaf(f, e)).
-    The returned morphism's ``inverse`` is the one the isomorphism check found.
+    ``pushed_pullback`` must be push_sheaf(f, pullback_sheaf(f, e)).  The
+    report's value is the morphism, whose ``inverse`` is the one the
+    isomorphism check found.
     """
     _, alpha, _ = f.inverse_data
     maps = {y: e.transport[e.groupoid.inverse[alpha[y]]] for y in f.target.objects}
     iso = GSheafMor(pushed_pullback, e, maps)
-    if not is_sheaf_isomorphism(iso):
-        raise AssertionError("counit failed to be an isomorphism")
-    return iso
+    return ValidationReport("counit", _as_step("counit", is_sheaf_isomorphism(iso)), iso)
 
 
 # -- module transport ----------------------------------------------------------
@@ -275,31 +282,34 @@ def module_transport(span: MoritaSpan, m: GModule) -> GModule:
         raise ValueError("module must live over the left leg's target groupoid")
     sheaf = sheafify(m).sheaf
     over_apex = pullback_sheaf(span.left, sheaf)
-    pushed = pullback_quasi_inverse(span.right, over_apex)
-    return gamma_c(pushed.sheaf)
+    return gamma_c(push_sheaf(span.right, over_apex))
 
 
 @dataclass(frozen=True)
 class RoundTripCertificate:
-    module: GModule
+    """The value of a round-trip report: the module carried across the span,
+    and ``iso``, the intertwiner from the original module onto the one
+    carried back (None when a singular epsilon or counit left no chain to
+    build it from)."""
+
     transported: GModule
-    returned: GModule
-    iso: GModuleHom  # module -> returned, invertible intertwiner
-
-    @property
-    def ok(self) -> bool:
-        return True
+    iso: GModuleHom | None
 
 
-def round_trip(span: MoritaSpan, m: GModule) -> RoundTripCertificate:
-    """Transport a module across the span and back, with an explicit
+def round_trip(span: MoritaSpan, m: GModule) -> ValidationReport:
+    """Transport a module across the span and back, and certify an explicit
     invertible intertwiner from the original onto the result.
+
+    The steps are certified in turn; a failure's law names its step
+    ("quasi-inverse unit", "epsilon", "counit" or "round-trip
+    intertwiner") and its witness is that step's own failure.  The
+    transported module is the section module ε already built, so the value
+    holds it whichever step failed.
 
     No isomorphism in the chain is inverted twice: the inverse of ε is the
     one its stalkwise-bijective check computed, and the inverse of the
     counit the one ``counit_iso``'s check computed (``GSheafMor.inverse``).
-    The transported module is the section module ε already built.  Both
-    pushes along the left leg, of the apex sheaf and of the pulled-back
+    Both pushes along the left leg, of the apex sheaf and of the pulled-back
     germ sheaf, are needed only as sheaves, so they come from
     ``push_sheaf`` without a unit to build and check; the final intertwiner
     check covers them.
@@ -310,34 +320,31 @@ def round_trip(span: MoritaSpan, m: GModule) -> RoundTripCertificate:
     e_apex = pullback_sheaf(left, e)                  # over the apex
     push_right = pullback_quasi_inverse(right, e_apex)
 
-    eps = epsilon(push_right.sheaf)
-    if not eps.ok:
-        raise AssertionError("epsilon certificate unavailable during round trip")
-    n = eps.sheafification.module                     # transported module
-    sh_n_sheaf = eps.sheafification.sheaf             # germ sheaf of n
+    eps = epsilon(push_right.value.sheaf)
+    n = eps.value.sheafification.module               # transported module
+    sh_n_sheaf = eps.value.sheafification.sheaf       # germ sheaf of n
+    qi_e_apex = push_sheaf(left, e_apex)
+    counit = counit_iso(left, e, qi_e_apex)
+    failures = push_right.failures + _as_step("epsilon", eps) + counit.failures
+    eps_inv, counit_inv = eps.value.iso.inverse, counit.value.inverse
+    if eps_inv is None or counit_inv is None:
+        return ValidationReport("round trip", failures, RoundTripCertificate(n, None))
 
     back_apex = pullback_sheaf(right, sh_n_sheaf)     # over the apex again
     pushed_back = push_sheaf(left, back_apex)
     returned = gamma_c(pushed_back)
 
     # Sheaf-level chain over the apex: pb_L(e) -> pb_R(sh_n_sheaf).
-    eps_inv = eps.morphism.inverse
-    assert eps_inv is not None
-    chain_apex = compose_sheaf_mors(push_right.unit, pullback_mor(right, eps_inv))
+    chain_apex = compose_sheaf_mors(push_right.value.unit, pullback_mor(right, eps_inv))
     # Push the chain forward along the left leg and close up with the counit.
-    qi_e_apex = push_sheaf(left, e_apex)
     lifted = qi_mor(left, chain_apex, qi_e_apex, pushed_back)
-    counit = counit_iso(left, e, qi_e_apex)
-    counit_inv = counit.inverse
-    assert counit_inv is not None
     sheaf_iso = compose_sheaf_mors(counit_inv, lifted)  # e -> pushed_back
 
     # Γ(sheaf_iso) is block-diagonal in its components (``gamma_c_mor``).
     blocks = block_diagonal(m.ring, [sheaf_iso.maps[x] for x in e.groupoid.objects])
     iso = GModuleHom(m, returned, eta_matrix(sh_m) @ blocks)
-    if not is_isomorphism(iso):
-        raise AssertionError("round-trip intertwiner failed to be an isomorphism")
-    return RoundTripCertificate(m, n, returned, iso)
+    failures += _as_step("round-trip intertwiner", is_isomorphism(iso))
+    return ValidationReport("round trip", failures, RoundTripCertificate(n, iso))
 
 
 # -- batch verification ----------------------------------------------------------
@@ -393,14 +400,14 @@ def verify_morita(span: MoritaSpan, ring: Ring, samples: int, seed: int) -> Mori
         m = random_module(left_g, ring, max_rank=2, seed=rng.randrange(2**32))
         cert = round_trip(span, m)
         results.append(
-            MoritaSample(i, "left->right", m.rank, cert.transported.rank, cert.ok)
+            MoritaSample(i, "left->right", m.rank, cert.value.transported.rank, cert.ok)
         )
-        transported_pairs.append((m, cert.transported))
+        transported_pairs.append((m, cert.value.transported))
 
         n = random_module(right_g, ring, max_rank=2, seed=rng.randrange(2**32))
         cert_back = round_trip(span.reversed(), n)
         results.append(
-            MoritaSample(i, "right->left", n.rank, cert_back.transported.rank, cert_back.ok)
+            MoritaSample(i, "right->left", n.rank, cert_back.value.transported.rank, cert_back.ok)
         )
 
     hom_dims: list[tuple[int, int, int, int]] = []

@@ -1,23 +1,21 @@
-"""Uniform pass/fail results for the axiom validators and the certificates.
+"""The one result shape of every validator and certificate.
 
-Validators never raise on a violated law; they return a report naming the
-first (and any further) broken laws together with concrete witnesses, so a
-caller can print them or assert on them.  A certificate that cannot be
-issued comes back as a single ``Failure``; both shapes answer ``ok``.
+Validators and certificates never raise on a violated law; they return a
+``ValidationReport`` naming the first (and any further) broken laws together
+with concrete witnesses, so a caller can print them or assert on them.  A
+certificate also carries ``value``, what it certifies: the construction it
+checked, so a failed report still holds as much of it as was built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 
 @dataclass(frozen=True)
 class Failure:
     law: str
     witness: str
-
-    @property
-    def ok(self) -> bool:
-        return False
 
     def __str__(self) -> str:
         return f"{self.law}: {self.witness}"
@@ -27,6 +25,7 @@ class Failure:
 class ValidationReport:
     subject: str
     failures: tuple[Failure, ...] = field(default_factory=tuple)
+    value: Any = None
 
     @property
     def ok(self) -> bool:
@@ -34,12 +33,6 @@ class ValidationReport:
 
     def first(self) -> Failure | None:
         return self.failures[0] if self.failures else None
-
-    def describe(self) -> str:
-        if self.ok:
-            return f"{self.subject}: PASS"
-        lines = [f"{self.subject}: FAIL"] + [f"  {f}" for f in self.failures]
-        return "\n".join(lines)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -47,6 +47,13 @@ def random_algebra_element(g: FiniteGroupoid, ring: Ring, rng: random.Random):
     return algebra_element(g, ring, coeffs)
 
 
+def bumped_matrix(m: Matrix, i: int, j: int) -> Matrix:
+    """m with one added to the entry at (i, j)."""
+    rows = [list(r) for r in m.entries]
+    rows[i][j] += 1
+    return Matrix.from_rows(m.ring, rows, m.cols)
+
+
 def identity_hom(m: GModule) -> GModuleHom:
     return GModuleHom(m, m, Matrix.identity(m.ring, m.rank))
 

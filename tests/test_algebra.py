@@ -5,6 +5,7 @@ from itertools import chain, combinations
 
 import pytest
 
+from ample import algebra
 from ample.algebra import (
     algebra_element,
     char_fn,
@@ -18,6 +19,7 @@ from ample.algebra import (
 )
 from ample.builders import pair_groupoid
 from ample.groupoid import Bisection, SizeGuardError, bisection_product, enumerate_bisections
+from ample.validation import Failure
 
 from conftest import ALL_RINGS, F2, F5, Q, Z, random_algebra_element
 
@@ -167,15 +169,17 @@ def test_local_unit_requires_nonempty_list(p2):
 
 
 def test_corner_at_everything_is_identity(p2):
-    corner = corner_algebra(p2, p2.objects, Q)
-    assert corner.report.ok
+    report = corner_algebra(p2, p2.objects, Q)
+    assert report.ok
+    corner = report.value
     assert corner.subgroupoid == p2
     assert len(corner.subgroupoid.arrows) == 4
 
 
 def test_corner_at_one_object_is_scalar(p2):
-    corner = corner_algebra(p2, ["1"], Q)
-    assert corner.report.ok
+    report = corner_algebra(p2, ["1"], Q)
+    assert report.ok
+    corner = report.value
     assert corner.subgroupoid.arrows == ("(1,1)",)
     # compression of each arrow singleton: only (1,1) survives
     for a in p2.arrows:
@@ -187,7 +191,7 @@ def test_corner_at_one_object_is_scalar(p2):
 
 
 def test_corner_embedding_round_trip(p2):
-    corner = corner_algebra(p2, ["1"], Q)
+    corner = corner_algebra(p2, ["1"], Q).value
     inner = identity_element(corner.subgroupoid, Q)
     assert corner.compress(corner.embed(inner)) == inner
 
@@ -197,8 +201,37 @@ def test_corners_for_every_object_subset(small_groupoids):
         if len(g.objects) > 3:
             continue
         for subset in all_subsets(g.objects):
-            corner = corner_algebra(g, subset, Q)
-            assert corner.report.ok
+            assert corner_algebra(g, subset, Q).ok
+
+
+def test_corner_support_fails_when_the_subgroupoid_drops_arrows(p2, monkeypatch):
+    # restricting to one object fewer than asked loses the arrows at "2"
+    real = algebra.restrict_groupoid
+    monkeypatch.setattr(algebra, "restrict_groupoid", lambda g, objs: real(g, objs[:-1]))
+    report = corner_algebra(p2, p2.objects, Q)
+    assert not report.ok
+    assert report.first() == Failure("corner support", "chi_U*chi_[(1,2)]*chi_U leaks outside G_U")
+    assert report.value.subgroupoid.arrows == ("(1,1)",)
+
+
+def test_corner_compression_fails_when_the_cut_is_scaled(p2, monkeypatch):
+    # a corner unit of 2 chi_U cuts every arrow singleton to four times itself
+    real = algebra.char_of_objects
+    monkeypatch.setattr(algebra, "char_of_objects", lambda g, points, ring: real(g, points, ring).scaled(2))
+    report = corner_algebra(p2, p2.objects, Q)
+    assert [str(f) for f in report.failures] == [
+        f"corner compression: chi_U*chi_[{a}]*chi_U is not as cut" for a in p2.arrows
+    ]
+
+
+def test_corner_table_fails_when_subgroupoid_products_disagree(p2, monkeypatch):
+    # convolution on the subgroupoid alone doubles every coefficient
+    real = algebra.convolve
+    monkeypatch.setattr(
+        algebra, "convolve", lambda f1, f2: real(f1, f2).scaled(2 if f1.groupoid != p2 else 1)
+    )
+    report = corner_algebra(p2, ["1"], Q)
+    assert report.failures == (Failure("corner table", "products of [(1,1)],[(1,1)] disagree"),)
 
 
 # -- structure tables ---------------------------------------------------------------

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import ample
-from ample import equivalence
+from ample import equivalence, morita
 from ample.builders import pair_groupoid
 from ample.cli import _build_parser, run_command
 from ample.documents import (
@@ -22,7 +22,7 @@ from ample.documents import (
 from ample.groupoid import validate_groupoid
 from ample.rings import Matrix
 
-from conftest import Q
+from conftest import Q, bumped_matrix
 
 
 @pytest.fixture(scope="module")
@@ -676,6 +676,26 @@ def test_morita_report_and_rank_table(corpus):
     assert code == 0
     assert "rank table:" in text
     assert text.splitlines()[-1] == "RESULT: PASS"
+
+
+def test_morita_reports_a_failed_round_trip(corpus, monkeypatch):
+    # one entry more in the unit matrix breaks the intertwiner of the p2
+    # module; over the point every invertible matrix intertwines, so the
+    # way back still passes
+    real = morita.eta_matrix
+    monkeypatch.setattr(morita, "eta_matrix", lambda sh: bumped_matrix(real(sh), 0, 0))
+    argv = ["morita", "--span", str(corpus / "span-p2-point.json"), "--ring", "Fp:5", "--samples", "1"]
+    code, text = run_command(argv)
+    assert code == 1
+    lines = text.splitlines()
+    assert lines[-4:-2] == ["0\tleft->right\t4\t2\tFAIL", "0\tright->left\t2\t4\tPASS"]
+    assert lines[-1] == "RESULT: FAIL"
+    code, text = run_command(argv + ["--out", "json"])
+    assert code == 1
+    payload = json.loads(text)
+    assert [row["round_trip"] for row in payload["rank_table"]] == ["fail", "pass"]
+    assert [row["transported"] for row in payload["rank_table"]] == [2, 4]
+    assert payload["result"] == "fail"
 
 
 def test_morita_rejects_broken_span(corpus):

@@ -13,6 +13,7 @@ from ample.gmodule import (
     direct_sum,
     hom_space_basis,
     hom_space_dim,
+    is_isomorphism,
     random_hom,
     regular_module,
     validate_hom,
@@ -144,6 +145,13 @@ def test_identity_and_zero_homs_pass(p2):
     m = regular_module(p2, Q)
     assert validate_hom(identity_hom(m)).ok
     assert validate_hom(zero_hom(m, m)).ok
+
+
+def test_isomorphism_needs_an_invertible_matrix(p2):
+    m = regular_module(p2, Q)
+    assert is_isomorphism(identity_hom(m)).ok
+    report = is_isomorphism(zero_hom(m, m))
+    assert [str(f) for f in report.failures] == ["invertibility: singular matrix"]
 
 
 def test_character_mismatch_fails(z2):

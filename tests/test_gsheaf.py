@@ -12,6 +12,7 @@ from ample.gsheaf import (
     compose_sheaf_mors,
     constant_sheaf,
     direct_sum_sheaf,
+    is_sheaf_isomorphism,
     random_sheaf_hom,
     sheaf_hom_basis,
     validate_sheaf,
@@ -96,6 +97,13 @@ def test_identity_and_zero_morphisms_pass(p2):
     f = random_sheaf(p2, F5, 2, seed=6)
     assert validate_sheaf_morphism(identity_sheaf_mor(e)).ok
     assert validate_sheaf_morphism(zero_sheaf_mor(e, f)).ok
+
+
+def test_sheaf_isomorphism_needs_invertible_components(p2):
+    e = constant_sheaf(p2, Q, 1)
+    assert is_sheaf_isomorphism(identity_sheaf_mor(e)).ok
+    report = is_sheaf_isomorphism(zero_sheaf_mor(e, e))
+    assert [str(f) for f in report.failures] == ["invertibility: component at '1'"]
 
 
 def test_equivariance_failure_witnessed(p2):

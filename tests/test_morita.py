@@ -5,7 +5,7 @@ import random
 import pytest
 
 import reference_kernels as ref
-from ample import morita
+from ample import equivalence, morita
 from ample.builders import (
     action_groupoid,
     cyclic_group,
@@ -15,9 +15,17 @@ from ample.builders import (
     random_sheaf,
     trivial_groupoid,
 )
-from ample.equivalence import gamma_c, sheafify
-from ample.gmodule import GModuleHom, direct_sum, regular_module, validate_hom, validate_module
+from ample.equivalence import Sheafification, gamma_c, sheafify
+from ample.gmodule import (
+    GModuleHom,
+    direct_sum,
+    is_isomorphism,
+    regular_module,
+    validate_hom,
+    validate_module,
+)
 from ample.gsheaf import (
+    GSheaf,
     GSheafMor,
     compose_sheaf_mors,
     constant_sheaf,
@@ -44,7 +52,7 @@ from ample.morita import (
 )
 from ample.rings import Matrix, matrix_inverse
 
-from conftest import F5, Q, Z, identity_sheaf_mor
+from conftest import F5, Q, Z, bumped_matrix, identity_sheaf_mor
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +191,7 @@ def test_anchors_are_deterministic(inclusion):
 
 def test_quasi_inverse_along_identity(p2_local):
     e = random_sheaf(p2_local, Q, 2, seed=4)
-    qi = pullback_quasi_inverse(identity_functor(p2_local), e)
+    qi = pullback_quasi_inverse(identity_functor(p2_local), e).value
     assert validate_sheaf(qi.sheaf).ok
     assert validate_sheaf_morphism(qi.unit).ok
     assert qi.unit.inverse is not None
@@ -191,7 +199,7 @@ def test_quasi_inverse_along_identity(p2_local):
 
 def test_quasi_inverse_of_point_sheaf_spreads_over_p2(inclusion, point_groupoid):
     e = constant_sheaf(point_groupoid, Q, 1)
-    qi = pullback_quasi_inverse(inclusion, e)
+    qi = pullback_quasi_inverse(inclusion, e).value
     assert qi.sheaf.groupoid == inclusion.target
     assert [qi.sheaf.stalk_rank[x] for x in inclusion.target.objects] == [1, 1]
     assert validate_sheaf(qi.sheaf).ok
@@ -206,18 +214,20 @@ def test_quasi_inverse_requires_essential_equivalence(broken_span, point_groupoi
 def test_quasi_inverse_round_trips_on_random_sheaves(inclusion, point_groupoid):
     for seed in range(10):
         e = random_sheaf(point_groupoid, Q, 3, seed=seed)
-        qi = pullback_quasi_inverse(inclusion, e)
+        report = pullback_quasi_inverse(inclusion, e)
+        qi = report.value
         # unit: e is isomorphic to the pullback of the pushed sheaf
-        assert validate_sheaf_morphism(qi.unit).ok
+        assert report.ok and validate_sheaf_morphism(qi.unit).ok
         assert qi.unit.inverse is not None
 
 
 def test_counit_on_target_sheaves(inclusion, p2_local):
     for seed in range(5):
         e = random_sheaf(p2_local, Q, 2, seed=seed)
-        pushed = pullback_quasi_inverse(inclusion, pullback_sheaf(inclusion, e)).sheaf
-        iso = counit_iso(inclusion, e, pushed)
-        assert validate_sheaf_morphism(iso).ok
+        pushed = pullback_quasi_inverse(inclusion, pullback_sheaf(inclusion, e)).value.sheaf
+        report = counit_iso(inclusion, e, pushed)
+        iso = report.value
+        assert report.ok and validate_sheaf_morphism(iso).ok
         assert iso.inverse is not None
 
 
@@ -248,11 +258,11 @@ def test_pullback_reflects_isomorphisms(inclusion, p2_local):
     pe, pf = pullback_sheaf(inclusion, e), pullback_sheaf(inclusion, f)
     iso_apex = pullback_mor(inclusion, iso_direct)
     assert iso_apex.inverse is not None
-    qi_e = pullback_quasi_inverse(inclusion, pe)
-    qi_f = pullback_quasi_inverse(inclusion, pf)
+    qi_e = pullback_quasi_inverse(inclusion, pe).value
+    qi_f = pullback_quasi_inverse(inclusion, pf).value
     lifted = qi_mor(inclusion, iso_apex, qi_e.sheaf, qi_f.sheaf)
-    ce = counit_iso(inclusion, e, qi_e.sheaf)
-    cf = counit_iso(inclusion, f, qi_f.sheaf)
+    ce = counit_iso(inclusion, e, qi_e.sheaf).value
+    cf = counit_iso(inclusion, f, qi_f.sheaf).value
     ce_inv = ce.inverse
     transferred = compose_sheaf_mors(compose_sheaf_mors(ce_inv, lifted), cf)
     assert validate_sheaf_morphism(transferred).ok
@@ -267,9 +277,9 @@ def test_identity_span_round_trip(p2_local):
     m = regular_module(p2_local, Q)
     cert = round_trip(span, m)
     assert cert.ok
-    assert validate_hom(cert.iso).ok
-    assert matrix_inverse(cert.iso.matrix) is not None
-    assert cert.transported.rank == m.rank
+    assert validate_hom(cert.value.iso).ok
+    assert matrix_inverse(cert.value.iso.matrix) is not None
+    assert cert.value.transported.rank == m.rank
 
 
 def test_regular_p2_module_transports_to_rank_2(p2_point_span, p2_local):
@@ -297,10 +307,10 @@ def test_round_trips_both_directions(p2_point_span, p2_local, point_groupoid):
     for seed in (1, 2, 3):
         m = random_module(p2_local, Q, 2, seed=seed)
         cert = round_trip(p2_point_span, m)
-        assert cert.ok and cert.returned.rank == m.rank
+        assert cert.ok and cert.value.iso.target.rank == m.rank
         n = random_module(point_groupoid, Q, 2, seed=seed)
         cert_back = round_trip(p2_point_span.reversed(), n)
-        assert cert_back.ok and cert_back.returned.rank == n.rank
+        assert cert_back.ok and cert_back.value.iso.target.rank == n.rank
 
 
 def test_round_trip_over_z_and_f5(p2_point_span, p2_local):
@@ -308,7 +318,78 @@ def test_round_trip_over_z_and_f5(p2_point_span, p2_local):
         m = random_module(p2_local, ring, 2, seed=9)
         cert = round_trip(p2_point_span, m)
         assert cert.ok
-        assert validate_hom(cert.iso).ok
+        assert validate_hom(cert.value.iso).ok
+
+
+# -- failed round trips: one injected fault per certified step -------------------------
+
+
+def double_pushes_along(monkeypatch, leg, a):
+    """Make every push along ``leg`` double its transport along ``a``."""
+    real = morita.push_sheaf
+
+    def push(f, e):
+        pushed = real(f, e)
+        if f is not leg:
+            return pushed
+        doubled = {**pushed.transport, a: pushed.transport[a].scaled(2)}
+        return GSheaf(pushed.groupoid, e.ring, pushed.stalk_rank, doubled)
+
+    monkeypatch.setattr(morita, "push_sheaf", push)
+
+
+def test_round_trip_reports_a_failed_quasi_inverse_unit(monkeypatch, p2_point_span, p2_local):
+    # the right leg is the identity of the point: a push along it that
+    # doubles the unit transport no longer pulls back onto the apex sheaf
+    m = random_module(p2_local, F5, 2, seed=9)
+    transported = module_transport(p2_point_span, m).rank
+    double_pushes_along(monkeypatch, p2_point_span.right, "(1,1)")
+    cert = round_trip(p2_point_span, m)
+    assert not cert.ok
+    assert str(cert.first()) == "quasi-inverse unit: equivariance: square fails at arrow '(1,1)'"
+    assert cert.value.transported.rank == transported
+
+
+def test_round_trip_reports_a_failed_epsilon(monkeypatch, p2_point_span, p2_local):
+    # over Z a doubled germ basis leaves epsilon's component singular, so no
+    # chain is left to build the intertwiner from
+    m = random_module(p2_local, Z, 2, seed=9)
+    transported = module_transport(p2_point_span, m).rank
+    assert transported > 0
+    real = equivalence.sheafify
+
+    def doubled_basis(module):
+        sh = real(module)
+        return Sheafification(sh.module, sh.sheaf, {x: b.scaled(2) for x, b in sh.stalk_basis.items()})
+
+    monkeypatch.setattr(equivalence, "sheafify", doubled_basis)
+    cert = round_trip(p2_point_span, m)
+    assert not cert.ok
+    assert str(cert.first()) == "epsilon: stalkwise-bijective: component at '1'"
+    assert cert.value.iso is None
+    assert cert.value.transported.rank == transported
+
+
+def test_round_trip_reports_a_failed_counit(monkeypatch, p2_point_span, p2_local):
+    # the left pushes no longer match the sheaf the counit maps onto
+    m = random_module(p2_local, F5, 2, seed=9)
+    transported = module_transport(p2_point_span, m).rank
+    double_pushes_along(monkeypatch, p2_point_span.left, "(1,2)")
+    cert = round_trip(p2_point_span, m)
+    assert not cert.ok
+    assert str(cert.first()) == "counit: equivariance: square fails at arrow '(1,2)'"
+    assert cert.value.transported.rank == transported
+
+
+def test_round_trip_reports_a_failed_intertwiner(monkeypatch, p2_point_span, p2_local):
+    m = random_module(p2_local, F5, 2, seed=9)
+    real = morita.eta_matrix
+    monkeypatch.setattr(morita, "eta_matrix", lambda sh: bumped_matrix(real(sh), 0, 0))
+    cert = round_trip(p2_point_span, m)
+    assert not cert.ok
+    assert {f.law for f in cert.failures} == {"round-trip intertwiner"}
+    assert cert.value.iso is not None and not is_isomorphism(cert.value.iso).ok
+    assert cert.value.transported.rank == module_transport(p2_point_span, m).rank
 
 
 def test_transport_rejects_broken_span(broken_span):
@@ -450,14 +531,17 @@ def test_quasi_inverse_matches_the_scanning_reference(standing_legs, ring):
         assert is_essential_equivalence(f).ok
         for _ in range(2):
             e1, e2 = (random_sheaf(f.source, ring, 2, seed=rng.randrange(2**32)) for _ in range(2))
-            qi1, qi2 = pullback_quasi_inverse(f, e1), pullback_quasi_inverse(f, e2)
+            r1, r2 = pullback_quasi_inverse(f, e1), pullback_quasi_inverse(f, e2)
+            assert r1.ok and r2.ok
+            qi1, qi2 = r1.value, r2.value
             assert qi1 == ref.pullback_quasi_inverse(f, e1)
             assert qi2 == ref.pullback_quasi_inverse(f, e2)
             phi = random_sheaf_hom(e1, e2, rng)
             assert qi_mor(f, phi, qi1.sheaf, qi2.sheaf) == ref.qi_mor(f, phi, qi1.sheaf, qi2.sheaf)
             e = random_sheaf(f.target, ring, 2, seed=rng.randrange(2**32))
-            pushed = pullback_quasi_inverse(f, pullback_sheaf(f, e)).sheaf
-            assert counit_iso(f, e, pushed) == ref.counit_iso(f, e, pushed)
+            pushed = pullback_quasi_inverse(f, pullback_sheaf(f, e)).value.sheaf
+            counit = counit_iso(f, e, pushed)
+            assert counit.ok and counit.value == ref.counit_iso(f, e, pushed)
 
 
 def test_quasi_inverse_and_reference_reject_the_same_leg(broken_span, point_groupoid):
@@ -500,6 +584,6 @@ def test_round_trip_pushes_without_building_a_discarded_unit(monkeypatch, p2_poi
         monkeypatch.setattr(morita, name, counted)
     m = random_module(p2_local, F5, 2, seed=9)
     cert = round_trip(p2_point_span, m)
-    assert cert.ok and validate_hom(cert.iso).ok
+    assert cert.ok and validate_hom(cert.value.iso).ok
     assert calls == {"pullback_quasi_inverse": 1, "push_sheaf": 3}
 
