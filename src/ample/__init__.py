@@ -95,7 +95,6 @@ from .rings import (
     modular,
     rank,
     ring_from_name,
-    solve_row_system,
 )
 
 __version__ = "0.1.0"

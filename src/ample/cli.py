@@ -6,11 +6,13 @@ Each command returns a ``Report``: its status, its text lines and its JSON
 payload.  ``run_command`` alone renders it: plain text by default, the
 machine-readable certificate document under ``--out json`` (``examples``
 has no JSON form and prints its text either way).  Every command takes
-``--ring`` and ``--out``; ``equivalence`` and ``morita`` also take
-``--seed`` and ``--samples``, and ``equivalence`` ``--max-rank``.  A flag
-the command does not read is a usage error.  Both forms are
-byte-reproducible for fixed inputs and seeds.  Exit codes: 0 all checks
-passed, 1 a check or input file failed, 2 usage error.
+``--out``, and every command but ``validate`` and ``bisections`` takes
+``--ring`` (a document carries its own ring, and bisections need none);
+``equivalence`` and ``morita`` also take ``--seed`` and ``--samples``, and
+``equivalence`` ``--max-rank``.  A flag the command does not read is a
+usage error.  Both forms are byte-reproducible for fixed inputs and seeds.
+Exit codes: 0 all checks passed, 1 a check or input file failed, 2 usage
+error.
 """
 from __future__ import annotations
 
@@ -71,7 +73,7 @@ def _build_parser() -> _Parser:
 
     p_validate = sub.add_parser("validate", help="parse a document and check its axioms")
     p_validate.add_argument("file")
-    _common_flags(p_validate)
+    _out_flag(p_validate)
 
     p_table = sub.add_parser("table", help="structure constants of the arrow singletons")
     p_table.add_argument("file", help="groupoid or graph document")
@@ -79,7 +81,7 @@ def _build_parser() -> _Parser:
 
     p_bis = sub.add_parser("bisections", help="enumerate all compact open bisections")
     p_bis.add_argument("file", help="groupoid or graph document")
-    _common_flags(p_bis)
+    _out_flag(p_bis)
 
     p_eq = sub.add_parser("equivalence", help="certify eta/epsilon and naturality on samples")
     p_eq.add_argument("--groupoid", required=True, help="groupoid or graph document")
@@ -114,6 +116,10 @@ def _int_at_least(low: int) -> Callable[[str], int]:
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ring", default="Q", help="Q, Z, Fp:<p> or Zmod:<m>")
+    _out_flag(parser)
+
+
+def _out_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", choices=("text", "json"), default="text", help="report format")
 
 
@@ -132,7 +138,7 @@ def run_command(argv: list[str]) -> tuple[int, str]:
     except SystemExit as exc:  # argparse prints help/version itself
         return int(exc.code or 0), ""
     try:
-        ring = ring_from_name(args.ring)
+        ring = ring_from_name(args.ring) if "ring" in args else None
     except ValueError as exc:
         return 2, f"usage error: {exc}"
     handler = {
@@ -196,7 +202,7 @@ def _groupoid_report(doc: ParsedDocument) -> tuple[FiniteGroupoid | None, Valida
     return groupoid, validate_groupoid(groupoid)
 
 
-def _cmd_validate(args: argparse.Namespace, ring: Ring) -> Report:
+def _cmd_validate(args: argparse.Namespace, ring: None) -> Report:
     doc = load_document(args.file)
     if doc.kind in ("groupoid", "graph"):
         report = _groupoid_report(doc)[1]
@@ -251,7 +257,7 @@ def _cmd_table(args: argparse.Namespace, ring: Ring) -> Report:
     return Report("pass", lines, {"command": "table", "arrows": list(arrows), "cells": cells})
 
 
-def _cmd_bisections(args: argparse.Namespace, ring: Ring) -> Report:
+def _cmd_bisections(args: argparse.Namespace, ring: None) -> Report:
     groupoid = _groupoid_from_file(args.file)
     found = enumerate_bisections(groupoid)
     lines = [f"bisections: {len(found)}"] + [u.label() for u in found]

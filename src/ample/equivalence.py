@@ -170,9 +170,10 @@ def germ_transport(germ: Germ, a: ArrowId) -> Germ:
 class Sheafification:
     """A module's germ sheaf together with the coordinate data tying the two.
 
-    The stalk at x is the image of the unit idempotent at x, re-based on its
-    echelon basis (rows of ``stalk_basis[x]``); ``coords`` expresses a germ
-    in that basis and ``representative`` goes back.
+    The stalk at x is the image of the unit idempotent at x, re-based on the
+    basis ``image_basis`` returns for it (rows of ``stalk_basis[x]``: reduced
+    over a field, as ``coordinates`` needs); ``coords`` expresses a germ in
+    that basis and ``representative`` goes back.
     """
 
     module: GModule

@@ -26,6 +26,7 @@ from .gsheaf import (
     GSheafMor,
     compose_sheaf_mors,
     is_sheaf_isomorphism,
+    validate_sheaf,
 )
 from .rings import Matrix, Ring, block_diagonal
 from .validation import Failure, ValidationReport
@@ -228,9 +229,12 @@ def push_sheaf(f: GroupoidFunctor, e: GSheaf) -> GSheaf:
 
 
 def pullback_quasi_inverse(f: GroupoidFunctor, e: GSheaf) -> ValidationReport:
-    """``push_sheaf(f, e)`` with its certificate, law "quasi-inverse unit":
-    the unit from e onto the pullback of the pushed sheaf is an
-    isomorphism.  The report's value is the ``QuasiInverse``."""
+    """``push_sheaf(f, e)`` with its certificate: the unit from e onto the
+    pullback of the pushed sheaf is an isomorphism (law "quasi-inverse
+    unit"), and the pushed sheaf passes ``validate_sheaf`` (law
+    "quasi-inverse sheaf"), unit failures first.  The unit reads only the
+    transports of arrows in the image of f; the sheaf check reads the rest.
+    The report's value is the ``QuasiInverse``."""
     pushed = push_sheaf(f, e)
     sigma, alpha, preimage = f.inverse_data
     unit_maps: dict[ObjectId, Matrix] = {}
@@ -239,6 +243,7 @@ def pullback_quasi_inverse(f: GroupoidFunctor, e: GSheaf) -> ValidationReport:
         unit_maps[x] = e.transport[preimage[sigma[y], x, alpha[y]]]
     unit = GSheafMor(e, pullback_sheaf(f, pushed), unit_maps)
     failures = _as_step("quasi-inverse unit", is_sheaf_isomorphism(unit))
+    failures += _as_step("quasi-inverse sheaf", validate_sheaf(pushed))
     return ValidationReport("quasi-inverse", failures, QuasiInverse(f, pushed, unit))
 
 
@@ -301,10 +306,10 @@ def round_trip(span: MoritaSpan, m: GModule) -> ValidationReport:
     invertible intertwiner from the original onto the result.
 
     The steps are certified in turn; a failure's law names its step
-    ("quasi-inverse unit", "epsilon", "counit" or "round-trip
-    intertwiner") and its witness is that step's own failure.  The
-    transported module is the section module ε already built, so the value
-    holds it whichever step failed.
+    ("quasi-inverse unit", "quasi-inverse sheaf", "epsilon", "counit" or
+    "round-trip intertwiner") and its witness is that step's own failure.
+    The transported module is the section module ε already built, so the
+    value holds it whichever step failed.
 
     No isomorphism in the chain is inverted twice: the inverse of ε is the
     one its stalkwise-bijective check computed, and the inverse of the
@@ -411,10 +416,9 @@ def verify_morita(span: MoritaSpan, ring: Ring, samples: int, seed: int) -> Mori
         )
 
     hom_dims: list[tuple[int, int, int, int]] = []
-    if ring.supports_elimination:
-        for i in range(min(len(transported_pairs), 3)):
-            for j in range(min(len(transported_pairs), 3)):
-                (m1, n1), (m2, n2) = transported_pairs[i], transported_pairs[j]
-                hom_dims.append((i, j, hom_space_dim(m1, m2), hom_space_dim(n1, n2)))
+    for i in range(min(len(transported_pairs), 3)):
+        for j in range(min(len(transported_pairs), 3)):
+            (m1, n1), (m2, n2) = transported_pairs[i], transported_pairs[j]
+            hom_dims.append((i, j, hom_space_dim(m1, m2), hom_space_dim(n1, n2)))
 
     return MoritaReport(left_leg, right_leg, tuple(results), tuple(hom_dims))

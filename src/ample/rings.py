@@ -3,7 +3,7 @@
 Three kinds of coefficients are supported: the rationals Q (stdlib
 fractions), the integers Z, and the modular rings Z/m.  A modular ring with
 prime modulus is the field F_p and, like Q, supports the full linear-algebra
-kit (echelon forms, kernels, row-space bases, solving, inversion).  Z is
+kit (echelon forms, kernels, row-space bases, coordinates, inversion).  Z is
 handled fraction-free through Hermite row reduction, so integer inputs never
 leave the integers.  Composite moduli offer arithmetic and equality only.
 
@@ -27,7 +27,7 @@ entries tuple itself, in ``[0, m)`` over Z/m; over Q the gcd of ``d`` and
 every numerator is 1.  Every kernel reads the form and builds its result
 around one, on one path for every ring; the ring is consulted only to
 normalise (a reduction mod m over Z/m, a gcd pass over Q), to derive
-``Fraction`` entries over Q, and in the eliminations and row solvers.  So
+``Fraction`` entries over Q, and in the eliminations and ``coordinates``.  So
 over Q no ``Fraction`` is built until code reads ``entries``, which are
 then derived once and kept, and a matrix constructed from entries derives
 its form once, on first use.  Elimination visits only the nonzero entries
@@ -37,9 +37,12 @@ An identity skips the arithmetic: ``Matrix.is_identity`` compares with one
 shared identity per (ring, size), a product with an identity operand
 returns the other operand once the ring and shape checks pass, and
 ``row_echelon`` returns an identity as its own reduced form and transform.
-``coordinates`` expresses every row of a matrix in an echelon basis at once:
-over a field it reads the coordinates off the pivot columns and checks them
-with one product, falling back to solving row by row.
+Every other elimination runs on ``[a | identity]`` (see ``row_echelon``),
+so no kernel builds a transform of its own.  ``coordinates`` expresses
+every row of a matrix in a basis at once: over a field the basis must be
+reduced, and the coordinates are read off its pivot columns and checked
+with one product; over Z the basis must be in echelon form, and each row
+is found by exact division.
 
 Conventions used throughout the library: vectors are rows, linear maps act
 on the right (``v @ A``), and matrix products compose left to right, so
@@ -263,11 +266,7 @@ def vec_sub(ring: Ring, u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple[Scala
 
 
 def vec_scale(ring: Ring, c: Any, u: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    return _scale(ring, ring.coerce(c), u)
-
-
-def _scale(ring: Ring, c: Scalar, u: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    p = ring.modulus
+    c, p = ring.coerce(c), ring.modulus
     if p is None:
         return tuple(c * a for a in u)
     return tuple(c * a % p for a in u)
@@ -401,13 +400,6 @@ def _normal(ring: Ring, rows: int, cols: int, nums: Iterable[Iterable[int]], d: 
     if p is None:
         return _lowest(ring, rows, cols, tuple(map(tuple, nums)), d)
     return _held(ring, rows, cols, tuple([tuple([x % p for x in row]) for row in nums]))
-
-
-def _over_rows(ring: Ring, cols: int, rows: Sequence[tuple[Sequence[int], int]]) -> "Matrix":
-    """The matrix whose row i is ``nums_i / d_i`` for the pairs in ``rows``."""
-    d = lcm(*[e for _, e in rows])
-    nums = tuple([tuple(r) if e == d else tuple([x * (d // e) for x in r]) for r, e in rows])
-    return _lowest(ring, len(rows), cols, nums, d)
 
 
 def _nums_over(m: "Matrix", d: int) -> tuple[tuple[int, ...], ...]:
@@ -634,7 +626,9 @@ class Echelon:
 
 def row_echelon(a: Matrix) -> Echelon:
     """The echelon record of ``a``; an identity is its own reduced form and
-    transform, with no elimination."""
+    transform, with no elimination.  Otherwise the ring's kernel reduces
+    ``[a | identity]`` (over a's denominator) on a's columns, and the two
+    halves of the result are ``reduced`` and ``transform``."""
     ring = a.ring
     if not ring.supports_elimination:
         raise UnsupportedRingError(
@@ -642,33 +636,43 @@ def row_echelon(a: Matrix) -> Echelon:
         )
     if a.is_identity:
         return Echelon(a, a, tuple(range(a.rows)))
+    n = a.cols
+    start, d = a.q_form
+    zeros = [0] * a.rows
+    rows = [[*r, *zeros] for r in start]
+    for i, row in enumerate(rows):
+        row[n + i] = d
+    dens = [d] * a.rows
     if ring.kind == "Q":
-        return _q_rref(a)
-    if ring.is_field:
-        return _rref(a)
-    return _hermite(a)
+        pivots = _q_rref(rows, dens, n)
+    elif ring.is_field:
+        pivots = _rref(rows, n, ring.modulus)
+    else:
+        pivots = _hermite(rows, n)
+    # row i is rows[i] / dens[i]: both halves over the lcm of the dens,
+    # which is 1 off Q
+    e = lcm(*dens)
+    if e != 1:
+        rows = [r if f == e else [x * (e // f) for x in r] for r, f in zip(rows, dens)]
+    reduced = _lowest(ring, a.rows, n, tuple([tuple(r[:n]) for r in rows]), e)
+    transform = _lowest(ring, a.rows, a.rows, tuple([tuple(r[n:]) for r in rows]), e)
+    return Echelon(reduced, transform, tuple(pivots))
 
 
-def _rref(a: Matrix) -> Echelon:
-    # Gauss-Jordan over F_p on [a | identity], so the transform rides along
-    # in each row.  The pivot row of column c is zero left of c, so a row
-    # operation only touches the pivot row's nonzero entries at or right of c.
-    ring = a.ring
-    p = ring.modulus
-    n, width = a.cols, a.cols + a.rows
-    zeros = [ring.zero] * a.rows
-    m = [[*r, *zeros] for r in a.q_form[0]]
-    for i, row in enumerate(m):
-        row[n + i] = ring.one
+def _rref(m: list[list[int]], limit: int, p: int) -> list[int]:
+    # Gauss-Jordan over F_p on the first ``limit`` columns of the rows of m,
+    # in place; returns the pivot columns.  The pivot row of column c is
+    # zero left of c, so a row operation only touches the pivot row's
+    # nonzero entries at or right of c.
     pivots: list[int] = []
     pr = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(pr, a.rows) if m[i][c]), None)
+    for c in range(limit):
+        pivot_row = next((i for i in range(pr, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[pr], m[pivot_row] = m[pivot_row], m[pr]
         row = m[pr]
-        support = [j for j in range(c, width) if row[j]]
+        support = [j for j in range(c, len(row)) if row[j]]
         scale = pow(row[c], -1, p)
         for j in support:
             row[j] = scale * row[j] % p
@@ -680,40 +684,27 @@ def _rref(a: Matrix) -> Echelon:
                 other[j] = (other[j] - factor * row[j]) % p
         pivots.append(c)
         pr += 1
-        if pr == a.rows:
+        if pr == len(m):
             break
-    reduced = _held(ring, a.rows, a.cols, tuple([tuple(r[:n]) for r in m]))
-    transform = _held(ring, a.rows, a.rows, tuple([tuple(r[n:]) for r in m]))
-    return Echelon(reduced, transform, tuple(pivots))
+    return pivots
 
 
-def _q_rref(a: Matrix) -> Echelon:
-    # The Gauss-Jordan loop of ``_rref`` over Q, with row i of
-    # [a | identity] held as integer numerators nums[i] over one positive
-    # denominator dens[i], both divided by their gcd after every update; the
-    # rows start as a's numerators over its denominator.  Pivot choice and
+def _q_rref(nums: list[list[int]], dens: list[int], limit: int) -> list[int]:
+    # The Gauss-Jordan loop of ``_rref`` over Q, in place, with row i held
+    # as integer numerators nums[i] over one positive denominator dens[i],
+    # both divided by their gcd after every update.  Pivot choice and
     # operation order are those of a ``Fraction`` loop, so every
     # intermediate row has the same rational values.
-    ring = a.ring
-    n, width = a.cols, a.cols + a.rows
-    start, d = a.q_form
-    nums: list[list[int]] = []
-    zeros = [0] * a.rows
-    for i, r in enumerate(start):
-        row = [*r, *zeros]
-        row[n + i] = d
-        nums.append(row)
-    dens = [d] * a.rows
     pivots: list[int] = []
     pr = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(pr, a.rows) if nums[i][c]), None)
+    for c in range(limit):
+        pivot_row = next((i for i in range(pr, len(nums)) if nums[i][c]), None)
         if pivot_row is None:
             continue
         nums[pr], nums[pivot_row] = nums[pivot_row], nums[pr]
         dens[pr], dens[pivot_row] = dens[pivot_row], dens[pr]
         row = nums[pr]
-        support = [j for j in range(c, width) if row[j]]
+        support = [j for j in range(c, len(row)) if row[j]]
         # row / row[c] is row over the denominator row[c]: divide out the
         # gcd, signed so that the denominator is positive.
         g = gcd(*[row[j] for j in support])
@@ -741,56 +732,46 @@ def _q_rref(a: Matrix) -> Echelon:
                     dens[i] = e // g
         pivots.append(c)
         pr += 1
-        if pr == a.rows:
+        if pr == len(nums):
             break
-    reduced = _over_rows(ring, a.cols, [(r[:n], e) for r, e in zip(nums, dens)])
-    transform = _over_rows(ring, a.rows, [(r[n:], e) for r, e in zip(nums, dens)])
-    return Echelon(reduced, transform, tuple(pivots))
+    return pivots
 
 
-def _hermite(a: Matrix) -> Echelon:
-    # Fraction-free row Hermite form: pivots positive, entries above a pivot
-    # reduced into [0, pivot).  Row operations are unimodular and mirrored
-    # into the transform.
-    ring = a.ring
-    m = [list(r) for r in a.q_form[0]]
-    t = [list(unit_vec(ring, a.rows, i)) for i in range(a.rows)]
+def _hermite(m: list[list[int]], limit: int) -> list[int]:
+    # Fraction-free row Hermite form on the first ``limit`` columns of the
+    # rows of m, in place: pivots positive, entries above a pivot reduced
+    # into [0, pivot), every row operation unimodular.  Returns the pivot
+    # columns.
     pivots: list[int] = []
     pr = 0
-    for c in range(a.cols):
-        if pr == a.rows:
+    for c in range(limit):
+        if pr == len(m):
             break
-        if all(m[i][c] == 0 for i in range(pr, a.rows)):
+        if all(m[i][c] == 0 for i in range(pr, len(m))):
             continue
         # gcd cascade on column c among rows >= pr
         while True:
-            nonzero = [i for i in range(pr, a.rows) if m[i][c] != 0]
+            nonzero = [i for i in range(pr, len(m)) if m[i][c] != 0]
             i0 = min(nonzero, key=lambda i: (abs(m[i][c]), i))
             m[pr], m[i0] = m[i0], m[pr]
-            t[pr], t[i0] = t[i0], t[pr]
             done = True
-            for i in range(pr + 1, a.rows):
+            for i in range(pr + 1, len(m)):
                 if m[i][c] != 0:
                     q = m[i][c] // m[pr][c]
                     m[i] = [x - q * y for x, y in zip(m[i], m[pr])]
-                    t[i] = [x - q * y for x, y in zip(t[i], t[pr])]
                     if m[i][c] != 0:
                         done = False
             if done:
                 break
         if m[pr][c] < 0:
             m[pr] = [-x for x in m[pr]]
-            t[pr] = [-x for x in t[pr]]
         for i in range(pr):
             q = m[i][c] // m[pr][c]
             if q != 0:
                 m[i] = [x - q * y for x, y in zip(m[i], m[pr])]
-                t[i] = [x - q * y for x, y in zip(t[i], t[pr])]
         pivots.append(c)
         pr += 1
-    reduced = _held(ring, a.rows, a.cols, tuple(map(tuple, m)))
-    transform = _held(ring, a.rows, a.rows, tuple(map(tuple, t)))
-    return Echelon(reduced, transform, tuple(pivots))
+    return pivots
 
 
 def rank(a: Matrix) -> int:
@@ -812,125 +793,62 @@ def kernel_basis(a: Matrix) -> Matrix:
     return image_basis(raw)  # re-echelonize for a canonical result
 
 
-def express_in_basis(basis: Matrix, target: Sequence[Scalar]) -> tuple[Scalar, ...] | None:
-    """Coefficients c with c @ basis = target, or None: the one row of
-    ``coordinates`` for ``target``.
-
-    ``basis`` must be in echelon form (each row's leading entry strictly to
-    the right of the previous row's).  Over Z the expression must be exact,
-    so divisibility failures mean "not in the lattice".
-    """
-    found = coordinates(basis, Matrix.from_rows(basis.ring, [target], basis.cols))
-    return None if found is None else found.entries[0]
-
-
-def _express(basis: Matrix, target: tuple[int, ...]) -> tuple[int, ...] | None:
-    """One row of ``coordinates`` over Z or Z/p: ``target`` reduced against
-    the basis rows in turn, or None when a residue remains."""
-    ring = basis.ring
-    field, p = ring.is_field, ring.modulus
-    residue, coeffs = target, []
-    for row in basis.q_form[0]:
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None or not residue[lead]:
-            coeffs.append(0)
-            continue
-        if field:
-            c = residue[lead] * ring.inv(row[lead]) % p
-        else:
-            if residue[lead] % row[lead] != 0:
-                return None
-            c = residue[lead] // row[lead]
-        coeffs.append(c)
-        residue = vec_sub(ring, residue, _scale(ring, c, row))
-    return None if any(residue) else tuple(coeffs)
-
-
 def coordinates(basis: Matrix, m: Matrix) -> Matrix | None:
     """The matrix C with C @ basis = m, or None when a row of ``m`` is
-    outside the row space (the lattice, over Z) of ``basis``, which must be
-    in echelon form.  Over a field a reduced basis has a 1 at each row's
-    leading column and zeros above and below it, so C is ``m`` read at
-    those columns, and one product checks it; the nonzero rows of an
-    echelon basis are independent, so a C that passes is the only one.
-    When the check fails (the basis is not reduced, or ``m`` leaves the row
-    space), and over Z, C is built row by row by elimination.
+    outside the row space (the lattice, over Z) of ``basis``.
+
+    Over a field ``basis`` must be a reduced echelon basis, as
+    ``image_basis`` returns, possibly with zero rows: a 1 at each nonzero
+    row's leading column and zeros above and below it.  C is then ``m``
+    read at those columns, and one product checks it; a row outside the
+    row space fails the check, and the nonzero rows are independent, so a
+    C that passes is the only one.  Over Z ``basis`` must be in echelon
+    form (each row's leading entry strictly right of the previous row's),
+    and each row of C is found by exact division.
     """
     ring = basis.ring
     if m.ring is not ring and m.ring != ring:
         raise ValueError(f"ring mismatch: {m.ring.name} vs {ring.name}")
     if m.cols != basis.cols:
         raise ValueError(f"dimension mismatch: rows of length {m.cols} vs {basis.cols} cols")
+    brows, e = basis.q_form
+    mrows, f = m.q_form
     if ring.is_field:
         # with basis as B/e and m as M/f (e = f = 1 off Q), C is M read at
         # the leads over f, and C @ basis = m exactly when that read @ B = M·e
-        brows, e = basis.q_form
-        mrows, f = m.q_form
         leads = [next((j for j, x in enumerate(row) if x), None) for row in brows]
         read = tuple([tuple([0 if j is None else row[j] for j in leads]) for row in mrows])
         want = mrows if e == 1 else tuple([tuple([x * e for x in row]) for row in mrows])
-        if _products(read, brows, basis.cols, ring.modulus) == want:
-            return _lowest(ring, m.rows, basis.rows, read, f)
-    if ring.kind == "Q":
-        return _q_express(basis, m)
+        if _products(read, brows, basis.cols, ring.modulus) != want:
+            return None
+        return _lowest(ring, m.rows, basis.rows, read, f)
+    if ring.kind != "Z":
+        raise UnsupportedRingError(f"coordinates need a field or Z, not {ring.name} (composite modulus)")
     rows = []
-    for row in m.q_form[0]:
-        found = _express(basis, row)
+    for row in mrows:
+        found = _express(brows, row)
         if found is None:
             return None
         rows.append(found)
     return _held(ring, m.rows, basis.rows, tuple(rows))
 
 
-def _q_express(basis: Matrix, m: Matrix) -> Matrix | None:
-    """``coordinates`` over Q, row by row: each row of m is reduced against
-    the basis rows in turn, its residue held as integer numerators over one
-    positive denominator, divided by their gcd after each step.  With the
-    basis as B/b, a residue r/e at the lead column of basis row nums/b,
-    where nums holds s, takes the coefficient r·b/(e·s)."""
-    ring = basis.ring
-    bnums, b = basis.q_form
-    leads = [next((j for j, x in enumerate(nums) if x), None) for nums in bnums]
-    mnums, f = m.q_form
-    rows: list[tuple[list[int], int]] = []
-    for target in mnums:
-        residue, e = list(target), f
-        coeffs: list[tuple[int, int]] = []  # (numerator, positive denominator)
-        for nums, lead in zip(bnums, leads):
-            if lead is None or not residue[lead]:
-                coeffs.append((0, 1))
-                continue
-            r, s = residue[lead], nums[lead]
-            # residue - (r/e)/(s/b) * nums/b, over the denominator e*|s|
-            if s < 0:
-                r, s = -r, -s
-            coeffs.append((r * b, e * s))
-            if s != 1:
-                residue = [x * s for x in residue]
-                e *= s
-            for j in range(lead, len(nums)):
-                if nums[j]:
-                    residue[j] -= r * nums[j]
-            if e != 1:
-                g = gcd(e, *residue)
-                if g != 1:
-                    residue = [x // g for x in residue]
-                    e //= g
-        if any(residue):
+def _express(basis: tuple[tuple[int, ...], ...], target: tuple[int, ...]) -> tuple[int, ...] | None:
+    """One row of ``coordinates`` over Z: ``target`` reduced against the
+    echelon rows of ``basis`` in turn by exact division, or None when a
+    division leaves a remainder or a residue remains."""
+    residue, coeffs = target, []
+    for row in basis:
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None or not residue[lead]:
+            coeffs.append(0)
+            continue
+        if residue[lead] % row[lead] != 0:
             return None
-        d = lcm(*[f for _, f in coeffs])
-        rows.append(([x * (d // f) for x, f in coeffs], d))
-    return _over_rows(ring, basis.rows, rows)
-
-
-def solve_row_system(a: Matrix, b: Sequence[Scalar]) -> tuple[Scalar, ...] | None:
-    """Some v with v @ a = b, or None when b is outside the row space."""
-    ech = row_echelon(a)
-    coeffs = express_in_basis(ech.reduced.row_slice(0, len(ech.pivots)), b)
-    if coeffs is None:
-        return None
-    padded = list(coeffs) + [a.ring.zero] * (a.rows - len(coeffs))
-    return vec_mat(padded, ech.transform)
+        c = residue[lead] // row[lead]
+        coeffs.append(c)
+        residue = [x - c * y for x, y in zip(residue, row)]
+    return None if any(residue) else tuple(coeffs)
 
 
 def matrix_inverse(a: Matrix) -> Matrix | None:

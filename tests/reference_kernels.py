@@ -4,8 +4,11 @@ Every scalar operation here goes through ``Ring.add``/``Ring.sub``/
 ``Ring.mul``/``Ring.inv`` and so through ``Ring.coerce``.  This is the
 linear algebra ``ample.rings`` ran before its inner loops became native
 ``int``/``Fraction`` arithmetic; ``tests/test_kernel_oracle.py`` checks the
-fast paths against it.  ``kernel_basis``, ``solve_row_system`` and
-``matrix_inverse`` are the library's compositions rebuilt on these kernels;
+fast paths against it.  ``hermite`` is the row Hermite form over Z as
+it was before ``row_echelon`` appended the identity block itself: it
+mirrors every row operation into a transform of its own.  ``kernel_basis``
+and ``matrix_inverse`` are the library's compositions rebuilt on these
+kernels;
 ``is_identity`` is ``Matrix.is_identity`` as it was before it compared rows
 in place, against a freshly built identity matrix.
 ``hom_constraint`` is the module hom system with one block of equations per
@@ -41,8 +44,8 @@ as it was before it read the rows of the unit actions: each standard basis
 vector is pushed through the unit action at every object.  ``coordinates``,
 ``sheafify``, ``sh_mor`` and ``isotropy_frame`` are the stalk coordinates as
 they were before ``rings.coordinates`` took a whole matrix at once: one
-``express_in_basis`` per row.  ``row_echelon`` over Z is the Hermite form
-itself, so none of these references takes the identity shortcut.
+``express_in_basis`` per row.  None of these references takes the
+identity shortcut of ``row_echelon``.
 """
 from __future__ import annotations
 
@@ -162,11 +165,56 @@ def rref(a: Matrix) -> Echelon:
     return Echelon(reduced, transform, tuple(pivots))
 
 
+def hermite(a: Matrix) -> Echelon:
+    # Fraction-free row Hermite form: pivots positive, entries above a pivot
+    # reduced into [0, pivot).  Row operations are unimodular and mirrored
+    # into the transform.
+    ring = a.ring
+    m = [list(r) for r in a.entries]
+    t = [list(unit_vec(ring, a.rows, i)) for i in range(a.rows)]
+    pivots: list[int] = []
+    pr = 0
+    for c in range(a.cols):
+        if pr == a.rows:
+            break
+        if all(m[i][c] == 0 for i in range(pr, a.rows)):
+            continue
+        # gcd cascade on column c among rows >= pr
+        while True:
+            nonzero = [i for i in range(pr, a.rows) if m[i][c] != 0]
+            i0 = min(nonzero, key=lambda i: (abs(m[i][c]), i))
+            m[pr], m[i0] = m[i0], m[pr]
+            t[pr], t[i0] = t[i0], t[pr]
+            done = True
+            for i in range(pr + 1, a.rows):
+                if m[i][c] != 0:
+                    q = m[i][c] // m[pr][c]
+                    m[i] = [x - q * y for x, y in zip(m[i], m[pr])]
+                    t[i] = [x - q * y for x, y in zip(t[i], t[pr])]
+                    if m[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if m[pr][c] < 0:
+            m[pr] = [-x for x in m[pr]]
+            t[pr] = [-x for x in t[pr]]
+        for i in range(pr):
+            q = m[i][c] // m[pr][c]
+            if q != 0:
+                m[i] = [x - q * y for x, y in zip(m[i], m[pr])]
+                t[i] = [x - q * y for x, y in zip(t[i], t[pr])]
+        pivots.append(c)
+        pr += 1
+    reduced = Matrix(ring, a.rows, a.cols, tuple(map(tuple, m)))
+    transform = Matrix(ring, a.rows, a.rows, tuple(map(tuple, t)))
+    return Echelon(reduced, transform, tuple(pivots))
+
+
 def row_echelon(a: Matrix) -> Echelon:
     if a.ring.is_field:
         return rref(a)
     if a.ring.kind == "Z":
-        return rings._hermite(a)  # the Hermite form has no other oracle; no identity shortcut
+        return hermite(a)
     return rings.row_echelon(a)  # rejects a composite modulus
 
 
@@ -221,16 +269,6 @@ def kernel_basis(a: Matrix) -> Matrix:
     if raw.rows == 0 or raw.cols == 0:
         return raw
     return image_basis(raw)
-
-
-def solve_row_system(a: Matrix, b: Sequence[Scalar]) -> tuple[Scalar, ...] | None:
-    ech = row_echelon(a)
-    lead = Matrix(a.ring, len(ech.pivots), a.cols, ech.reduced.entries[: len(ech.pivots)])
-    coeffs = express_in_basis(lead, b)
-    if coeffs is None:
-        return None
-    padded = list(coeffs) + [a.ring.zero] * (a.rows - len(coeffs))
-    return vec_mat(padded, ech.transform)
 
 
 def is_identity(a: Matrix) -> bool:

@@ -566,7 +566,7 @@ UNREAD_FLAGS = [
     (command, flag)
     for command in ("validate", "table", "bisections", "examples")
     for flag in ("--seed", "--samples", "--max-rank")
-] + [("morita", "--max-rank")]
+] + [("morita", "--max-rank"), ("validate", "--ring"), ("bisections", "--ring")]
 
 
 @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)

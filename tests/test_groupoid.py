@@ -4,7 +4,9 @@ from itertools import chain, combinations
 
 import pytest
 
+from ample import groupoid
 from ample.builders import GraphSpec, acyclic_graph_groupoid, pair_groupoid
+from ample.gmodule import regular_module, validate_module
 from ample.groupoid import (
     Bisection,
     FiniteGroupoid,
@@ -19,7 +21,7 @@ from ample.groupoid import (
     validate_groupoid,
 )
 
-from conftest import source_objects
+from conftest import Q, source_objects
 
 
 def all_subsets(items):
@@ -134,6 +136,17 @@ def test_invalid_groupoid_has_no_isotropy_plan(p2):
         p2.objects, p2.arrows, p2.src, p2.dst, p2.unit, p2.compose, tampered
     )
     assert broken.isotropy_plan is None
+
+
+def test_validation_and_modules_derive_the_isotropy_plan_once(monkeypatch):
+    # validate_groupoid reads the cached plan that module validation reads
+    calls = []
+    real = groupoid._associative_plan
+    monkeypatch.setattr(groupoid, "_associative_plan", lambda g: calls.append(g) or real(g))
+    g = pair_groupoid(3)
+    assert validate_groupoid(g).ok
+    assert validate_module(regular_module(g, Q)).ok and validate_groupoid(g).ok
+    assert calls == [g]
 
 
 # -- bisections --------------------------------------------------------------------

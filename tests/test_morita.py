@@ -50,7 +50,7 @@ from ample.morita import (
     validate_span,
     verify_morita,
 )
-from ample.rings import Matrix, matrix_inverse
+from ample.rings import Matrix, matrix_inverse, modular
 
 from conftest import F5, Q, Z, bumped_matrix, identity_sheaf_mor
 
@@ -350,6 +350,21 @@ def test_round_trip_reports_a_failed_quasi_inverse_unit(monkeypatch, p2_point_sp
     assert cert.value.transported.rank == transported
 
 
+def test_round_trip_reports_a_pushed_sheaf_that_is_not_a_sheaf(monkeypatch, p2_point_span, point_groupoid):
+    # reversed, the span pushes along the inclusion of the point into p2,
+    # whose arrow (1,2) is outside the image: the unit never reads its
+    # transport, so only the sheaf check of the pushed sheaf sees it doubled
+    back = p2_point_span.reversed()
+    n = random_module(point_groupoid, F5, 2, seed=9)
+    assert round_trip(back, n).ok
+    double_pushes_along(monkeypatch, back.right, "(1,2)")
+    cert = round_trip(back, n)
+    assert not cert.ok
+    assert cert.first().law == "quasi-inverse sheaf"
+    assert cert.first().witness.startswith("factorisation: ")
+    assert {f.law for f in cert.failures} == {"quasi-inverse sheaf"}
+
+
 def test_round_trip_reports_a_failed_epsilon(monkeypatch, p2_point_span, p2_local):
     # over Z a doubled germ basis leaves epsilon's component singular, so no
     # chain is left to build the intertwiner from
@@ -549,6 +564,11 @@ def test_quasi_inverse_and_reference_reject_the_same_leg(broken_span, point_grou
     for build in (pullback_quasi_inverse, ref.pullback_quasi_inverse):
         with pytest.raises(ValueError, match="not an essential equivalence: full faithfulness"):
             build(broken_span.left, e)
+
+
+def test_verify_morita_rejects_a_composite_modulus_at_the_first_sample(p2_point_span):
+    with pytest.raises(ValueError, match="need a field or Z"):
+        verify_morita(p2_point_span, modular(6), samples=1, seed=0)
 
 
 def test_verify_morita_checks_and_anchors_each_leg_once(monkeypatch):
