@@ -28,25 +28,19 @@ from .builders import (
     trivial_groupoid,
 )
 from .equivalence import (
-    Germ,
     NaturalIsoCertificate,
-    Section,
     Sheafification,
     check_naturality,
     epsilon,
     eta,
     gamma_c,
     gamma_c_mor,
-    germ_at,
-    germ_transport,
-    section_action,
     sh_mor,
     sheafify,
 )
 from .gmodule import (
     GModule,
     GModuleHom,
-    act,
     direct_sum,
     hom_space_basis,
     regular_module,
@@ -67,7 +61,6 @@ from .groupoid import (
 from .gsheaf import (
     GSheaf,
     GSheafMor,
-    apply_transport,
     constant_sheaf,
     direct_sum_sheaf,
     validate_sheaf,

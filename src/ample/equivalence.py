@@ -13,19 +13,21 @@ Both composites are certified isomorphisms: eta sends a module element to
 its family of germ coordinates, epsilon evaluates the germ of a section at
 its base point.  Each certificate, like each naturality check, is a
 ``ValidationReport``; a failed one names the failed check, with a witness.
+Everything here works on whole matrices; the pointwise definitions (the
+germ of one vector, a section and its stalkwise action, transport along a
+singleton bisection) are kept in ``tests/reference_kernels.py`` as the
+oracle these matrix paths are checked against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .algebra import AlgebraElement, char_fn
-from .gmodule import GModule, GModuleHom, _unintertwined, act
-from .groupoid import ArrowId, Bisection, ObjectId
+from .gmodule import GModule, GModuleHom, _unintertwined
+from .groupoid import ArrowId, ObjectId
 from .gsheaf import GSheaf, GSheafMor, validate_sheaf_morphism
 from .rings import (
     Matrix,
-    Scalar,
     assemble,
     block_diagonal,
     coordinates,
@@ -33,34 +35,11 @@ from .rings import (
     kernel_basis,
     matrix_inverse,
     stack_rows,
-    vec,
-    vec_add,
-    vec_is_zero,
-    vec_mat,
-    vec_scale,
-    zero_vec,
 )
 from .validation import Failure, ValidationReport
 
 
-# -- sections of a sheaf and the section module -----------------------------
-
-
-@dataclass(frozen=True)
-class Section:
-    """A global section: one stalk vector per object (all of them, since the
-    whole unit space is compact)."""
-
-    sheaf: GSheaf
-    values: Mapping[ObjectId, tuple[Scalar, ...]]
-
-    def __post_init__(self) -> None:
-        e = self.sheaf
-        if set(self.values) != set(e.groupoid.objects):
-            raise ValueError("section must assign a value to every object")
-        for x, v in self.values.items():
-            if len(v) != e.stalk_rank[x]:
-                raise ValueError(f"value at {x!r} has length {len(v)}, stalk rank {e.stalk_rank[x]}")
+# -- the section module -------------------------------------------------------
 
 
 def block_offsets(e: GSheaf) -> dict[ObjectId, int]:
@@ -70,25 +49,6 @@ def block_offsets(e: GSheaf) -> dict[ObjectId, int]:
         offsets[x] = total
         total += e.stalk_rank[x]
     return offsets
-
-
-def section_action(s: Section, f: AlgebraElement) -> Section:
-    """The action of an algebra element on a section, computed stalkwise:
-    the new value at x sums f(a) times the transported value s(dst a) a over
-    the arrows a with source x."""
-    e = s.sheaf
-    if f.groupoid != e.groupoid or f.ring != e.ring:
-        raise ValueError("algebra element and section are not compatible")
-    g, ring = e.groupoid, e.ring
-    values: dict[ObjectId, tuple[Scalar, ...]] = {}
-    for x in g.objects:
-        acc = zero_vec(ring, e.stalk_rank[x])
-        for a, c in f.coeffs.items():
-            if g.src[a] == x:
-                moved = vec_mat(s.values[g.dst[a]], e.transport[a])
-                acc = vec_add(ring, acc, vec_scale(ring, c, moved))
-        values[x] = acc
-    return Section(e, values)
 
 
 def gamma_c(e: GSheaf) -> GModule:
@@ -110,59 +70,6 @@ def gamma_c_mor(phi: GSheafMor) -> GModuleHom:
     return GModuleHom(gamma_c(e), gamma_c(f), matrix)
 
 
-# -- germs -------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class Germ:
-    """The germ of a module element at an object.
-
-    Two germs at the same object are equal exactly when the unit idempotent
-    of that object maps their representatives to the same vector; with a
-    finite discrete unit space the singleton of the base point is its least
-    compact open neighborhood, so this one product decides germ equality.
-    """
-
-    module: GModule
-    base: ObjectId
-    representative: tuple[Scalar, ...]
-    normal_form: tuple[Scalar, ...]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Germ):
-            return NotImplemented
-        return (
-            self.module == other.module
-            and self.base == other.base
-            and self.normal_form == other.normal_form
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        return vec_is_zero(self.module.ring, self.normal_form)
-
-
-def germ_at(m: GModule, vector: Sequence[Scalar], x: ObjectId) -> Germ:
-    if x not in m.groupoid.object_index:
-        raise ValueError(f"unknown object id {x!r}")
-    rep = vec(m.ring, vector)
-    if len(rep) != m.rank:
-        raise ValueError(f"vector length {len(rep)} does not match module rank {m.rank}")
-    return Germ(m, x, rep, vec_mat(rep, m.unit_action(x)))
-
-
-def germ_transport(germ: Germ, a: ArrowId) -> Germ:
-    """Transport a germ along an arrow via its singleton bisection."""
-    m = germ.module
-    g = m.groupoid
-    if a not in g.arrow_index:
-        raise ValueError(f"unknown arrow id {a!r}")
-    if germ.base != g.dst[a]:
-        raise ValueError(f"germ based at {germ.base!r} cannot move along {a!r} (dst {g.dst[a]!r})")
-    moved = act(m, germ.representative, char_fn(g, Bisection.of(g, [a]), m.ring))
-    return germ_at(m, moved, g.src[a])
-
-
 # -- sheafification -----------------------------------------------------------
 
 
@@ -172,17 +79,13 @@ class Sheafification:
 
     The stalk at x is the image of the unit idempotent at x, re-based on the
     basis ``image_basis`` returns for it (rows of ``stalk_basis[x]``: reduced
-    over a field, as ``coordinates`` needs); ``coords`` expresses a germ in
-    that basis and ``representative`` goes back.
+    over a field, as ``coordinates`` needs); ``germ_coords`` expresses germ
+    normal forms in that basis.
     """
 
     module: GModule
     sheaf: GSheaf
     stalk_basis: Mapping[ObjectId, Matrix]
-
-    def coords(self, vector: Sequence[Scalar], x: ObjectId) -> tuple[Scalar, ...]:
-        germ = germ_at(self.module, vector, x).normal_form
-        return self.germ_coords(Matrix(self.module.ring, 1, len(germ), (germ,)), x).entries[0]
 
     def germ_coords(self, germs: Matrix, x: ObjectId) -> Matrix:
         """The coordinates at x, in the stalk basis, of the germ normal forms
@@ -192,12 +95,13 @@ class Sheafification:
             raise ValueError(f"germ at {x!r} is outside the stalk lattice")
         return found
 
-    def representative(self, coords: Sequence[Scalar], x: ObjectId) -> tuple[Scalar, ...]:
-        return vec_mat(vec(self.module.ring, coords), self.stalk_basis[x])
-
 
 def sheafify(m: GModule) -> Sheafification:
     """Build the germ sheaf of a module (needs a field or Z for bases)."""
+    # The germ of v at x is its normal form v·E_x, E_x the unit action at x:
+    # with a finite discrete unit space the singleton of x is its least
+    # compact open neighbourhood, so this one product decides germ equality,
+    # and the stalk at x is the row space of E_x.
     g = m.groupoid
     basis: dict[ObjectId, Matrix] = {}
     for x in g.objects:

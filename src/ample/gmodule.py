@@ -23,12 +23,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
-from .algebra import AlgebraElement
 from .groupoid import ArrowId, FiniteGroupoid, ObjectId, validate_groupoid
 from .rings import (
     Matrix,
     Ring,
-    Scalar,
     coordinates,
     flatten_rows,
     image_basis,
@@ -36,8 +34,6 @@ from .rings import (
     kernel_basis,
     matrix_inverse,
     unflatten_rows,
-    vec,
-    vec_mat,
 )
 from .validation import Failure, ValidationReport
 
@@ -79,30 +75,15 @@ class GModuleHom:
             raise ValueError("homomorphism endpoints live over different groupoids")
         if self.source.ring != self.target.ring:
             raise ValueError("homomorphism endpoints live over different rings")
+        if self.matrix.ring is not self.source.ring and self.matrix.ring != self.source.ring:
+            raise ValueError(
+                f"ring mismatch in hom matrix: {self.matrix.ring.name} vs {self.source.ring.name}"
+            )
         if (self.matrix.rows, self.matrix.cols) != (self.source.rank, self.target.rank):
             raise ValueError(
                 f"hom matrix must be {self.source.rank}x{self.target.rank},"
                 f" got {self.matrix.rows}x{self.matrix.cols}"
             )
-
-
-def action_of(m: GModule, f: AlgebraElement) -> Matrix:
-    """The matrix of a general algebra element, by linear extension."""
-    if f.groupoid != m.groupoid:
-        raise ValueError("algebra element lives over a different groupoid")
-    if f.ring != m.ring:
-        raise ValueError(f"ring mismatch: {f.ring.name} vs {m.ring.name}")
-    total = Matrix.zeros(m.ring, m.rank, m.rank)
-    for a, c in f.coeffs.items():
-        total = total + m.action[a].scaled(c)
-    return total
-
-
-def act(m: GModule, v: Sequence[Scalar], f: AlgebraElement) -> tuple[Scalar, ...]:
-    """Right action v * f on a row vector."""
-    if len(v) != m.rank:
-        raise ValueError(f"vector length {len(v)} does not match module rank {m.rank}")
-    return vec_mat(vec(m.ring, v), action_of(m, f))
 
 
 def validate_module(m: GModule) -> ValidationReport:

@@ -135,19 +135,12 @@ class FiniteGroupoid:
             index.setdefault(self.dst[g], []).append(g)
         return {x: tuple(found) for x, found in index.items()}
 
-    @cached_property
-    def _unit_arrow_set(self) -> frozenset[ArrowId]:
-        return frozenset(self.unit.values())
-
     def hom_set(self, x: ObjectId, y: ObjectId) -> tuple[ArrowId, ...]:
         """Arrows from x to y."""
         return self._hom_index.get((x, y), ())
 
     def arrows_with_src(self, x: ObjectId) -> tuple[ArrowId, ...]:
         return self._src_index.get(x, ())
-
-    def is_unit_arrow(self, g: ArrowId) -> bool:
-        return g in self._unit_arrow_set
 
     def connected_components(self) -> tuple[tuple[ObjectId, ...], ...]:
         """Object classes joined by arrows (in declaration order)."""

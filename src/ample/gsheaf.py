@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .gmodule import (
     IsotropyFrame,
@@ -33,14 +33,11 @@ from .groupoid import ArrowId, FiniteGroupoid, ObjectId
 from .rings import (
     Matrix,
     Ring,
-    Scalar,
     block_diagonal,
     flatten_rows,
     image_basis,
     matrix_inverse,
     unflatten_rows,
-    vec,
-    vec_mat,
 )
 from .validation import Failure, ValidationReport
 
@@ -97,7 +94,10 @@ class GSheafMor:
         g = self.source.groupoid
         if set(self.maps) != set(g.objects):
             raise ValueError("morphism must assign a matrix to exactly the object set")
+        ring = self.source.ring
         for x, m in self.maps.items():
+            if m.ring is not ring and m.ring != ring:
+                raise ValueError(f"ring mismatch in component at {x!r}: {m.ring.name} vs {ring.name}")
             want = (self.source.stalk_rank[x], self.target.stalk_rank[x])
             if (m.rows, m.cols) != want:
                 raise ValueError(f"component at {x!r} must be {want[0]}x{want[1]}")
@@ -113,19 +113,6 @@ class GSheafMor:
                 return None
             inverted[x] = inv
         return GSheafMor(self.target, self.source, inverted)
-
-
-def apply_transport(e: GSheaf, vector: Sequence[Scalar], a: ArrowId) -> tuple[Scalar, ...]:
-    """Push a stalk vector at dst(a) along a to the stalk at src(a)."""
-    g = e.groupoid
-    if a not in g.arrow_index:
-        raise ValueError(f"unknown arrow id {a!r}")
-    if len(vector) != e.stalk_rank[g.dst[a]]:
-        raise ValueError(
-            f"stalk mismatch: vector of length {len(vector)} at {g.dst[a]!r}"
-            f" (rank {e.stalk_rank[g.dst[a]]})"
-        )
-    return vec_mat(vec(e.ring, vector), e.transport[a])
 
 
 def validate_sheaf(e: GSheaf) -> ValidationReport:

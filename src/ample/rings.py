@@ -7,11 +7,11 @@ kit (echelon forms, kernels, row-space bases, coordinates, inversion).  Z is
 handled fraction-free through Hermite row reduction, so integer inputs never
 leave the integers.  Composite moduli offer arithmetic and equality only.
 
-``Ring.coerce`` is the input boundary: ``vec``, ``Matrix.from_rows``,
-``Ring.scalar_from_json`` and the scalar of ``vec_scale``/``Matrix.scaled``
-turn outside values into canonical elements (``Fraction`` over Q, ``int``
-over Z, ``int`` in ``[0, m)`` over Z/m), and every ``Matrix`` holds only
-canonical elements.  Shapes are checked at the same boundary and nowhere
+``Ring.coerce`` is the input boundary: ``Matrix.from_rows``,
+``Ring.scalar_from_json`` and the scalar of ``Matrix.scaled`` turn outside
+values into canonical elements (``Fraction`` over Q, ``int`` over Z,
+``int`` in ``[0, m)`` over Z/m), and every ``Matrix`` holds only canonical
+elements.  Shapes are checked at the same boundary and nowhere
 else: ``Matrix.from_rows`` rejects ragged rows and rows that do not match
 ``cols``, and the document parser checks each declared matrix shape; the
 plain ``Matrix(...)`` constructor is unchecked.  Past that boundary the
@@ -232,48 +232,7 @@ def _parse_modulus(full: str, tail: str) -> int:
     return int(tail)
 
 
-# -- vectors (plain tuples of scalars) ------------------------------------
-
-
-def vec(ring: Ring, values: Iterable[Any]) -> tuple[Scalar, ...]:
-    return tuple(ring.coerce(v) for v in values)
-
-
-def zero_vec(ring: Ring, n: int) -> tuple[Scalar, ...]:
-    return (ring.zero,) * n
-
-
-def unit_vec(ring: Ring, n: int, i: int) -> tuple[Scalar, ...]:
-    return tuple(ring.one if j == i else ring.zero for j in range(n))
-
-
-def vec_add(ring: Ring, u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} + {len(v)}")
-    p = ring.modulus
-    if p is None:
-        return tuple(a + b for a, b in zip(u, v))
-    return tuple((a + b) % p for a, b in zip(u, v))
-
-
-def vec_sub(ring: Ring, u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} - {len(v)}")
-    p = ring.modulus
-    if p is None:
-        return tuple(a - b for a, b in zip(u, v))
-    return tuple((a - b) % p for a, b in zip(u, v))
-
-
-def vec_scale(ring: Ring, c: Any, u: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    c, p = ring.coerce(c), ring.modulus
-    if p is None:
-        return tuple(c * a for a in u)
-    return tuple(c * a % p for a in u)
-
-
-def vec_is_zero(ring: Ring, u: Sequence[Scalar]) -> bool:
-    return not any(u)
+# -- block systems and integer products -------------------------------------
 
 
 def intertwiner_constraints(
@@ -321,16 +280,6 @@ def unflatten_rows(m: "Matrix", shapes: Sequence[tuple[int, int]]) -> list[list[
         out.append([_lowest(m.ring, r, c, tuple([tuple(islice(it, c)) for _ in range(r)]), d)
                     for r, c in shapes])
     return out
-
-
-def vec_mat(v: Sequence[Scalar], a: "Matrix") -> tuple[Scalar, ...]:
-    """Row vector times matrix: the action of the linear map ``a`` on ``v``."""
-    if len(v) != a.rows:
-        raise ValueError(f"dimension mismatch: vector of length {len(v)} @ {a.rows}x{a.cols}")
-    ring = a.ring
-    (row,), d = _form(ring, (tuple(v),))
-    right, e = a.q_form
-    return _entries(ring, _products((row,), right, a.cols, ring.modulus), d * e)[0]
 
 
 def _products(
@@ -455,7 +404,7 @@ class Matrix:
 
     @staticmethod
     def from_rows(ring: Ring, rows: Sequence[Sequence[Any]], cols: int | None = None) -> "Matrix":
-        data = tuple(vec(ring, row) for row in rows)
+        data = tuple(tuple(map(ring.coerce, row)) for row in rows)
         if cols is None:
             cols = len(data[0]) if data else 0
         if any(len(r) != cols for r in data):

@@ -39,6 +39,14 @@ def random_vector(ring: Ring, n: int, rng: random.Random) -> tuple[Scalar, ...]:
     return tuple(random_scalar(ring, rng) for _ in range(n))
 
 
+def small_vector(ring: Ring, n: int, rng: random.Random) -> tuple[Scalar, ...]:
+    """n scalars drawn as ``gmodule.random_hom`` draws its coefficients:
+    uniform over Z/m, in -3..3 over Q and Z."""
+    if ring.kind == "mod":
+        return tuple(ring.coerce(rng.randrange(ring.modulus)) for _ in range(n))
+    return tuple(ring.coerce(rng.randint(-3, 3)) for _ in range(n))
+
+
 def random_algebra_element(g: FiniteGroupoid, ring: Ring, rng: random.Random):
     support_size = rng.randint(0, min(4, len(g.arrows)))
     coeffs = {}

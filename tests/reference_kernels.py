@@ -20,8 +20,8 @@ a system over any blocks a second way, by evaluating L·X_u - X_v·R on each
 unit unknown cut into its blocks by ``split_blocks``, which is how the hom
 bases cut their flat rows before they reshaped the integer form.  ``sheaf_hom_basis`` and ``random_sheaf_hom`` are the sheaf
 morphism basis, the kernel of that dense grid, and its random draw as they
-were before (the draw with its own inline coefficient source).  ``random_invertible`` and ``section_action`` are the
-builder and the section action as they were before their row operations
+were before (the draw with its own inline coefficient source).
+``random_invertible`` is the builder as it was before its row operations
 became native vector operations.  ``pullback_quasi_inverse``, ``qi_mor`` and
 ``counit_iso`` are the quasi-inverse constructions as they were before they
 read the anchors and the preimage index cached on the functor: each call
@@ -46,16 +46,31 @@ vector is pushed through the unit action at every object.  ``coordinates``,
 they were before ``rings.coordinates`` took a whole matrix at once: one
 ``express_in_basis`` per row.  None of these references takes the
 identity shortcut of ``row_echelon``.
+
+Vectors are tuples of canonical scalars, and ``vec``, ``zero_vec``,
+``unit_vec``, ``vec_mat``, ``vec_add``, ``vec_sub`` and ``vec_scale`` are
+the row operations on them; the library has none and works on ``Matrix``
+rows only.  The last section is the paper's pointwise layer, which the
+library states with whole matrices instead (``gamma_c``, ``sheafify``,
+``eta_matrix``): the action of an algebra element on one vector (``act``,
+by the linear extension ``action_of``), a sheaf's transport of one stalk
+vector (``apply_transport``), the germ of a vector at an object and its
+transport along a singleton bisection (``Germ``, ``germ_at``,
+``germ_transport``), the vector with given stalk coordinates
+(``representative``, which ``germ_coords`` undoes), global sections and
+their stalkwise action (``Section``, ``section_action``), and
+``is_unit_arrow``.  The tests hold the matrix paths to these definitions.
 """
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ample import rings
 from ample.algebra import AlgebraElement, _check_compatible, algebra_element, char_fn
-from ample.equivalence import Section, Sheafification
+from ample.equivalence import Sheafification
 from ample.gmodule import GModule, GModuleHom, IsotropyFrame
 from ample.groupoid import (
     BISECTION_ENUM_GUARD,
@@ -74,18 +89,7 @@ from ample.morita import (
     is_essential_equivalence,
     pullback_sheaf,
 )
-from ample.rings import (
-    Echelon,
-    Matrix,
-    Ring,
-    Scalar,
-    matrix_inverse,
-    unit_vec,
-    vec,
-    vec_add,
-    vec_mat,
-    zero_vec,
-)
+from ample.rings import Echelon, Matrix, Ring, Scalar
 from ample.validation import Failure, ValidationReport
 
 
@@ -107,6 +111,18 @@ def matmul(self: Matrix, other: Matrix) -> Matrix:
             row.append(acc)
         data.append(tuple(row))
     return Matrix(ring, self.rows, other.cols, tuple(data))
+
+
+def vec(ring: Ring, values: Iterable[Any]) -> tuple[Scalar, ...]:
+    return tuple(ring.coerce(v) for v in values)
+
+
+def zero_vec(ring: Ring, n: int) -> tuple[Scalar, ...]:
+    return (ring.zero,) * n
+
+
+def unit_vec(ring: Ring, n: int, i: int) -> tuple[Scalar, ...]:
+    return tuple(ring.one if j == i else ring.zero for j in range(n))
 
 
 def vec_mat(v: Sequence[Scalar], a: Matrix) -> tuple[Scalar, ...]:
@@ -506,25 +522,6 @@ def isotropy_frame(m: GModule) -> IsotropyFrame:
     return IsotropyFrame(dims, loop_reps, lift, drop)
 
 
-def section_action(s: Section, f: AlgebraElement) -> Section:
-    """The action of an algebra element on a section, computed stalkwise:
-    the new value at x sums f(a) times the transported value s(dst a) a over
-    the arrows a with source x."""
-    e = s.sheaf
-    if f.groupoid != e.groupoid or f.ring != e.ring:
-        raise ValueError("algebra element and section are not compatible")
-    g, ring = e.groupoid, e.ring
-    values: dict[ObjectId, tuple[Scalar, ...]] = {}
-    for x in g.objects:
-        acc = zero_vec(ring, e.stalk_rank[x])
-        for a, c in f.coeffs.items():
-            if g.src[a] == x:
-                moved = vec_mat(s.values[g.dst[a]], e.transport[a])
-                acc = vec_add(ring, acc, tuple(ring.mul(c, t) for t in moved))
-        values[x] = acc
-    return Section(e, values)
-
-
 def unique_preimage(f: GroupoidFunctor, x: ObjectId, y: ObjectId, b: ArrowId) -> ArrowId:
     """The unique source arrow in hom(x, y) mapping to b (full faithfulness)."""
     matches = [a for a in f.source.hom_set(x, y) if f.arr_map[a] == b]
@@ -778,3 +775,133 @@ def table_cells(g: FiniteGroupoid, ring: Ring) -> dict[tuple[ArrowId, ArrowId], 
             else:
                 cells[(a, b)] = None
     return cells
+
+
+# -- the pointwise layer: the paper's definitions, one vector at a time ------
+
+
+def is_unit_arrow(g: FiniteGroupoid, a: ArrowId) -> bool:
+    return a in g.unit.values()
+
+
+def action_of(m: GModule, f: AlgebraElement) -> Matrix:
+    """The matrix of a general algebra element, by linear extension."""
+    if f.groupoid != m.groupoid:
+        raise ValueError("algebra element lives over a different groupoid")
+    if f.ring != m.ring:
+        raise ValueError(f"ring mismatch: {f.ring.name} vs {m.ring.name}")
+    total = Matrix.zeros(m.ring, m.rank, m.rank)
+    for a, c in f.coeffs.items():
+        total = total + m.action[a].scaled(c)
+    return total
+
+
+def act(m: GModule, v: Sequence[Scalar], f: AlgebraElement) -> tuple[Scalar, ...]:
+    """Right action v * f on a row vector."""
+    if len(v) != m.rank:
+        raise ValueError(f"vector length {len(v)} does not match module rank {m.rank}")
+    return vec_mat(vec(m.ring, v), action_of(m, f))
+
+
+def apply_transport(e: GSheaf, vector: Sequence[Scalar], a: ArrowId) -> tuple[Scalar, ...]:
+    """Push a stalk vector at dst(a) along a to the stalk at src(a)."""
+    g = e.groupoid
+    if a not in g.arrow_index:
+        raise ValueError(f"unknown arrow id {a!r}")
+    if len(vector) != e.stalk_rank[g.dst[a]]:
+        raise ValueError(
+            f"stalk mismatch: vector of length {len(vector)} at {g.dst[a]!r}"
+            f" (rank {e.stalk_rank[g.dst[a]]})"
+        )
+    return vec_mat(vec(e.ring, vector), e.transport[a])
+
+
+@dataclass(frozen=True, eq=False)
+class Germ:
+    """The germ of a module element at an object.
+
+    Two germs at the same object are equal exactly when the unit idempotent
+    of that object maps their representatives to the same vector; with a
+    finite discrete unit space the singleton of the base point is its least
+    compact open neighborhood, so this one product decides germ equality.
+    """
+
+    module: GModule
+    base: ObjectId
+    representative: tuple[Scalar, ...]
+    normal_form: tuple[Scalar, ...]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Germ):
+            return NotImplemented
+        return (
+            self.module == other.module
+            and self.base == other.base
+            and self.normal_form == other.normal_form
+        )
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.normal_form)
+
+
+def germ_at(m: GModule, vector: Sequence[Scalar], x: ObjectId) -> Germ:
+    if x not in m.groupoid.object_index:
+        raise ValueError(f"unknown object id {x!r}")
+    rep = vec(m.ring, vector)
+    if len(rep) != m.rank:
+        raise ValueError(f"vector length {len(rep)} does not match module rank {m.rank}")
+    return Germ(m, x, rep, vec_mat(rep, m.unit_action(x)))
+
+
+def germ_transport(germ: Germ, a: ArrowId) -> Germ:
+    """Transport a germ along an arrow via its singleton bisection."""
+    m = germ.module
+    g = m.groupoid
+    if a not in g.arrow_index:
+        raise ValueError(f"unknown arrow id {a!r}")
+    if germ.base != g.dst[a]:
+        raise ValueError(f"germ based at {germ.base!r} cannot move along {a!r} (dst {g.dst[a]!r})")
+    moved = act(m, germ.representative, char_fn(g, Bisection.of(g, [a]), m.ring))
+    return germ_at(m, moved, g.src[a])
+
+
+def representative(sh: Sheafification, coords: Sequence[Scalar], x: ObjectId) -> tuple[Scalar, ...]:
+    """The module vector with stalk coordinates ``coords`` at x: ``germ_coords`` undone."""
+    return vec_mat(vec(sh.module.ring, coords), sh.stalk_basis[x])
+
+
+@dataclass(frozen=True)
+class Section:
+    """A global section: one stalk vector per object (all of them, since the
+    whole unit space is compact)."""
+
+    sheaf: GSheaf
+    values: Mapping[ObjectId, tuple[Scalar, ...]]
+
+    def __post_init__(self) -> None:
+        e = self.sheaf
+        if set(self.values) != set(e.groupoid.objects):
+            raise ValueError("section must assign a value to every object")
+        for x, v in self.values.items():
+            if len(v) != e.stalk_rank[x]:
+                raise ValueError(f"value at {x!r} has length {len(v)}, stalk rank {e.stalk_rank[x]}")
+
+
+def section_action(s: Section, f: AlgebraElement) -> Section:
+    """The action of an algebra element on a section, computed stalkwise:
+    the new value at x sums f(a) times the transported value s(dst a) a over
+    the arrows a with source x."""
+    e = s.sheaf
+    if f.groupoid != e.groupoid or f.ring != e.ring:
+        raise ValueError("algebra element and section are not compatible")
+    g, ring = e.groupoid, e.ring
+    values: dict[ObjectId, tuple[Scalar, ...]] = {}
+    for x in g.objects:
+        acc = zero_vec(ring, e.stalk_rank[x])
+        for a, c in f.coeffs.items():
+            if g.src[a] == x:
+                moved = vec_mat(s.values[g.dst[a]], e.transport[a])
+                acc = vec_add(ring, acc, vec_scale(ring, c, moved))
+        values[x] = acc
+    return Section(e, values)

@@ -10,17 +10,13 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from ample.algebra import char_fn, char_of_objects, convolve, corner_algebra, multiplication_table
 from ample.builders import random_module, random_sheaf
 from ample.cli import run_command
-from ample.equivalence import (
-    check_naturality,
-    epsilon,
-    eta,
-    germ_at,
-    germ_transport,
-)
-from ample.gmodule import act, random_hom, regular_module
+from ample.equivalence import check_naturality, epsilon, eta
+from ample.gmodule import random_hom, regular_module
 from ample.groupoid import (
     bisection_inverse,
     bisection_product,
@@ -35,17 +31,12 @@ from ample.morita import (
     round_trip,
     verify_morita,
 )
-from ample.rings import matrix_inverse, vec
+from ample.rings import matrix_inverse
 
-from conftest import F2, F5, Q, Z, random_algebra_element, source_objects
+from conftest import ALL_RINGS, F2, F5, Q, Z, random_algebra_element, small_vector, source_objects
+from reference_kernels import act, germ_at, germ_transport
 
 RINGS = (F2, F5, Q, Z)
-
-
-def _rand_vec(ring, n, rng):
-    if ring.kind == "mod":
-        return vec(ring, [rng.randrange(ring.modulus) for _ in range(n)])
-    return vec(ring, [rng.randint(-3, 3) for _ in range(n)])
 
 
 def test_criterion_1_inverse_semigroup_laws(small_groupoids):
@@ -149,42 +140,44 @@ def test_criterion_4_equivalence_theorem(small_groupoids):
     )
 
 
-def test_criterion_5_transport_well_defined(small_groupoids):
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
+def test_criterion_5_transport_well_defined(small_groupoids, ring):
     rng = random.Random(99)
     checked = 0
     for g in small_groupoids:
-        m = random_module(g, F5, 2, seed=123)
+        m = random_module(g, ring, 2, seed=123)
         bis = enumerate_bisections(g)
         for a in g.arrows:
             for u in bis:
                 if a not in u:
                     continue
-                chi = char_fn(g, u, F5)
+                chi = char_fn(g, u, ring)
                 for _ in range(10):
-                    v = _rand_vec(F5, m.rank, rng)
+                    v = small_vector(ring, m.rank, rng)
                     canonical = germ_transport(germ_at(m, v, g.dst[a]), a)
                     alternative = germ_at(m, act(m, v, chi), g.src[a])
                     assert canonical == alternative
                     checked += 1
-    print(f"\ncriterion 5 (transport well-definedness): PASS ({checked} comparisons)")
+    print(f"\ncriterion 5 (transport well-definedness, {ring.name}): PASS ({checked} comparisons)")
 
 
-def test_criterion_6_vanishing_outside_sources(small_groupoids):
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
+def test_criterion_6_vanishing_outside_sources(small_groupoids, ring):
     rng = random.Random(100)
     checked = 0
     for g in small_groupoids:
-        m = random_module(g, F5, 2, seed=321)
+        m = random_module(g, ring, 2, seed=321)
         for u in enumerate_bisections(g):
-            chi = char_fn(g, u, F5)
+            chi = char_fn(g, u, ring)
             covered = set(source_objects(g, u))
             outside = [x for x in g.objects if x not in covered]
             for _ in range(10):
-                v = _rand_vec(F5, m.rank, rng)
+                v = small_vector(ring, m.rank, rng)
                 moved = act(m, v, chi)
                 for x in outside:
                     assert germ_at(m, moved, x).is_zero
                     checked += 1
-    print(f"\ncriterion 6 (germ vanishing outside U^-1 U): PASS ({checked} germs)")
+    print(f"\ncriterion 6 (germ vanishing outside U^-1 U, {ring.name}): PASS ({checked} germs)")
 
 
 def test_criterion_7_matrix_algebra_sanity(p2, edge_groupoid):

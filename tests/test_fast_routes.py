@@ -31,8 +31,6 @@ from ample.rings import (
     matrix_inverse,
     modular,
     row_echelon,
-    vec_add,
-    vec_scale,
 )
 from test_hom_reduction import (
     GROUPOIDS as HOM_GROUPOIDS,
@@ -150,11 +148,11 @@ def _echelon_bases(ring, a, data):
     if not ring.is_field:
         nonzero = scalars(ring).filter(bool)
         out.append(Matrix(ring, basis.rows, basis.cols, tuple(
-            vec_scale(ring, data.draw(nonzero), row) for row in basis.entries
+            ref.vec_scale(ring, data.draw(nonzero), row) for row in basis.entries
         )))
         rows = list(basis.entries)
         for i in range(len(rows) - 1):
-            rows[i] = vec_add(ring, rows[i], vec_scale(ring, data.draw(scalars(ring)), rows[i + 1]))
+            rows[i] = ref.vec_add(ring, rows[i], ref.vec_scale(ring, data.draw(scalars(ring)), rows[i + 1]))
         out.append(Matrix(ring, basis.rows, basis.cols, tuple(rows)))
     return out
 

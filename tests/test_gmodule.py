@@ -9,7 +9,6 @@ from ample.builders import random_module
 from ample.gmodule import (
     GModule,
     GModuleHom,
-    act,
     direct_sum,
     hom_space_basis,
     hom_space_dim,
@@ -20,9 +19,10 @@ from ample.gmodule import (
     validate_module,
 )
 from ample.groupoid import Bisection
-from ample.rings import Matrix, unit_vec, vec, vec_scale
+from ample.rings import Matrix
 
 from conftest import ALL_RINGS, F2, F5, Q, Z, identity_hom, random_algebra_element, zero_hom
+from reference_kernels import act, unit_vec, vec, vec_scale
 
 
 # -- the action --------------------------------------------------------------
@@ -171,6 +171,12 @@ def test_hom_shape_mismatch_raises(p2, z2):
         GModuleHom(m, m, Matrix.zeros(Q, 2, 4))
     with pytest.raises(ValueError):
         GModuleHom(m, regular_module(z2, Q), Matrix.zeros(Q, 4, 2))
+
+
+def test_hom_over_another_ring_raises(p2):
+    m = regular_module(p2, F5)
+    with pytest.raises(ValueError, match=r"^ring mismatch in hom matrix: Q vs Fp:5$"):
+        GModuleHom(m, m, Matrix.identity(Q, m.rank))
 
 
 def test_hom_space_of_regular_module_is_the_algebra(p2, z2):

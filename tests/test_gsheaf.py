@@ -8,7 +8,6 @@ from ample.builders import random_sheaf
 from ample.gsheaf import (
     GSheaf,
     GSheafMor,
-    apply_transport,
     compose_sheaf_mors,
     constant_sheaf,
     direct_sum_sheaf,
@@ -18,9 +17,10 @@ from ample.gsheaf import (
     validate_sheaf,
     validate_sheaf_morphism,
 )
-from ample.rings import Matrix, vec
+from ample.rings import Matrix
 
 from conftest import F5, Q, Z, identity_sheaf_mor, zero_sheaf_mor
+from reference_kernels import apply_transport, vec
 
 
 # -- validation ---------------------------------------------------------------
@@ -121,6 +121,14 @@ def test_morphism_composition_and_inverse(p2):
     assert compose_sheaf_mors(ident, ident) == ident
     assert ident.inverse == ident
     assert zero_sheaf_mor(e, e).inverse is None or e.total_rank == 0
+
+
+def test_morphism_over_another_ring_raises(p2):
+    e = constant_sheaf(p2, F5, 2)
+    maps = {x: Matrix.identity(F5, 2) for x in p2.objects}
+    maps[p2.objects[1]] = Matrix.identity(Q, 2)
+    with pytest.raises(ValueError, match=r"^ring mismatch in component at '2': Q vs Fp:5$"):
+        GSheafMor(e, e, maps)
 
 
 def test_sheaf_hom_space_members_are_equivariant(p2, z2):

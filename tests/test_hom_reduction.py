@@ -224,7 +224,7 @@ def arrow_roles(g):
     roles = {"unit": g.unit[next((y for y in g.objects if y not in bases), bases[0])]}
     if trees:
         roles["tree"], roles["tree inverse"] = trees[0], g.inverse[trees[0]]
-    isotropy = [k for k in loops if not g.is_unit_arrow(k)]
+    isotropy = [k for k in loops if not ref.is_unit_arrow(g, k)]
     if isotropy:
         roles["isotropy"] = isotropy[0]
     fixed = {*trees, *(g.inverse[t] for t in trees), *g.unit.values(), *loops}

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import reference_kernels as ref
 from ample import gmodule, gsheaf, rings
 from ample.builders import random_invertible, random_module, random_sheaf
-from ample.equivalence import Section, block_offsets, epsilon, eta_matrix, section_action, sheafify
+from ample.equivalence import epsilon, eta_matrix, sheafify
 from ample.rings import (
     INTEGERS,
     RATIONALS,
@@ -32,13 +32,8 @@ from ample.rings import (
     modular,
     row_echelon,
     unflatten_rows,
-    vec,
-    vec_add,
-    vec_mat,
-    vec_scale,
-    vec_sub,
 )
-from conftest import random_algebra_element, random_vector
+from conftest import random_vector
 from test_hom_reduction import (
     GROUPOIDS as HOM_GROUPOIDS,
     PAIR5_MODULES,
@@ -52,13 +47,6 @@ ELIMINATION_RINGS = (RATIONALS, INTEGERS, modular(2), modular(5), modular(100000
 ALL_RINGS = ELIMINATION_RINGS + (modular(6),)
 DIMS = st.integers(0, 5)
 SETTINGS = settings(max_examples=150, deadline=None)
-
-
-def vector_to_section(e, v) -> Section:
-    """The section whose stalk values are the blocks of ``v``, in object order."""
-    offsets = block_offsets(e)
-    blocks = {x: v[offsets[x]: offsets[x] + e.stalk_rank[x]] for x in e.groupoid.objects}
-    return Section(e, {x: vec(e.ring, block) for x, block in blocks.items()})
 
 
 def scalars(ring):
@@ -113,22 +101,12 @@ def test_matmul_matches_reference(ring, data):
 @SETTINGS
 @given(ring=st.sampled_from(ALL_RINGS), data=st.data())
 def test_vector_ops_match_reference(ring, data):
+    """Matrix sums, differences, scalings and negation, row by row against
+    the reference row operations."""
     r, c = data.draw(DIMS), data.draw(DIMS)
     a = data.draw(matrices(ring, r, c))
     b = data.draw(matrices(ring, r, c))
-    u = vec(ring, data.draw(st.lists(scalars(ring), min_size=r, max_size=r)))
     scalar = data.draw(scalars(ring))
-    got = vec_mat(u, a)
-    assert got == ref.vec_mat(u, a)
-    assert_canonical(ring, got)
-    for row_a, row_b in zip(a.entries, b.entries):
-        for got, want in (
-            (vec_add(ring, row_a, row_b), ref.vec_add(ring, row_a, row_b)),
-            (vec_sub(ring, row_a, row_b), ref.vec_sub(ring, row_a, row_b)),
-            (vec_scale(ring, scalar, row_a), ref.vec_scale(ring, scalar, row_a)),
-        ):
-            assert got == want
-            assert_canonical(ring, got)
     pairs = tuple(zip(a.entries, b.entries))
     for got, want in (
         (a + b, tuple(ref.vec_add(ring, x, y) for x, y in pairs)),
@@ -211,7 +189,7 @@ def hard_q_matrices(draw, rows, cols):
 
 
 def hard_q_vectors(n):
-    return st.lists(HARD_SCALARS, min_size=n, max_size=n).map(lambda v: vec(RATIONALS, v))
+    return st.lists(HARD_SCALARS, min_size=n, max_size=n).map(lambda v: ref.vec(RATIONALS, v))
 
 
 @SETTINGS
@@ -221,10 +199,6 @@ def test_q_products_match_reference_on_hard_denominators(data):
     a = data.draw(hard_q_matrices(r, k))
     b = data.draw(hard_q_matrices(k, c))
     assert_same_matrix(RATIONALS, a @ b, ref.matmul(a, b))
-    u = data.draw(hard_q_vectors(k))
-    got = vec_mat(u, b)
-    assert got == ref.vec_mat(u, b)
-    assert_canonical(RATIONALS, got)
 
 
 @SETTINGS
@@ -294,16 +268,14 @@ def test_q_warm_matrix_matches_reference_in_every_kernel(data):
             assert_same_matrix(RATIONALS, a @ b, ref.matmul(a, b))
         for b in lefts:
             assert_same_matrix(RATIONALS, b @ a, ref.matmul(b, a))
-        got = vec_mat(u, a)
-        assert got == ref.vec_mat(u, a)
-        assert_canonical(RATIONALS, got)
         ech, want = row_echelon(a), ref.row_echelon(a)
         assert ech.pivots == want.pivots
         assert_same_matrix(RATIONALS, ech.reduced, want.reduced)
         assert_same_matrix(RATIONALS, ech.transform, want.transform)
     basis = image_basis(a)
     targets = [
-        Matrix.from_rows(RATIONALS, [t], c) for t in (vec_mat(u, a), data.draw(hard_q_vectors(c)))
+        Matrix.from_rows(RATIONALS, [u], r) @ a,
+        Matrix.from_rows(RATIONALS, [data.draw(hard_q_vectors(c))], c),
     ]
     for _ in range(2):
         for target in targets:
@@ -526,21 +498,6 @@ def test_sheaf_morphism_inverse_matches_reference(ring, p2, monkeypatch):
             assert len(eliminations) == done
 
 
-@pytest.mark.parametrize("ring", ROW_OP_RINGS, ids=lambda r: r.name)
-@pytest.mark.parametrize("groupoid", ("p2", "z2", "z2_action", "edge_groupoid"))
-def test_section_action_matches_reference(ring, groupoid, request):
-    g = request.getfixturevalue(groupoid)
-    rng = random.Random(17)
-    for seed in range(6):
-        e = random_sheaf(g, ring, 2, seed)
-        s = vector_to_section(e, random_vector(ring, e.total_rank, rng))
-        f = random_algebra_element(g, ring, rng)
-        got = section_action(s, f)
-        assert got == ref.section_action(s, f)
-        for value in got.values.values():
-            assert_canonical(ring, value)
-
-
 # two_component_groupoid draws different stalk ranks on its two components
 SHEAF_GROUPOIDS = ("p2", "z2", "z2_action", "edge_groupoid", "two_component_groupoid")
 
@@ -604,7 +561,7 @@ def test_intertwiner_constraints_match_evaluation(ring, data):
 
     blocks = data.draw(st.lists(st.tuples(small, small), min_size=1, max_size=3))
     total = sum(r * c for r, c in blocks)
-    flat = vec(ring, data.draw(st.lists(scalars(ring), min_size=total, max_size=total)))
+    flat = ref.vec(ring, data.draw(st.lists(scalars(ring), min_size=total, max_size=total)))
     parts = ref.split_blocks(ring, blocks, flat)
     assert [(x.rows, x.cols) for x in parts] == blocks
     assert tuple(v for x in parts for row in x.entries for v in row) == flat

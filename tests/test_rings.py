@@ -22,11 +22,10 @@ from ample.rings import (
     rank,
     ring_from_name,
     row_echelon,
-    vec_is_zero,
-    vec_mat,
 )
 
 from conftest import ALL_RINGS, FIELDS, F2, F5, Q, Z
+from reference_kernels import vec_mat
 
 
 def random_matrix(ring, rows, cols, rng):
@@ -210,7 +209,7 @@ def test_kernel_of_rank_one_matrix_matches_exhaustive_scan_over_f5():
     assert k.rows == 2
     # oracle: scan all 125 vectors of F5^3 for null vectors
     null_vectors = {
-        v for v in product(range(5), repeat=3) if vec_is_zero(F5, vec_mat(v, a))
+        v for v in product(range(5), repeat=3) if not any(vec_mat(v, a))
     }
     assert len(null_vectors) == 5 ** 2
     for basis_row in k.entries:
@@ -231,7 +230,7 @@ def test_kernel_rows_annihilate_for_every_ring():
             a = random_matrix(ring, rng.randint(1, 4), rng.randint(1, 4), rng)
             k = kernel_basis(a)
             for row in k.entries:
-                assert vec_is_zero(ring, vec_mat(row, a))
+                assert not any(vec_mat(row, a))
 
 
 def test_rank_nullity_over_each_field():
