@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import reference_kernels as ref
 from ample import gmodule, gsheaf, rings
 from ample.builders import random_invertible, random_module, random_sheaf
-from ample.equivalence import epsilon, eta_matrix, sheafify
+from ample.equivalence import block_offsets, epsilon, eta_matrix, gamma_c, sheafify
 from ample.rings import (
     INTEGERS,
     RATIONALS,
@@ -33,7 +33,7 @@ from ample.rings import (
     row_echelon,
     unflatten_rows,
 )
-from conftest import random_vector
+from conftest import random_algebra_element, random_vector
 from test_hom_reduction import (
     GROUPOIDS as HOM_GROUPOIDS,
     PAIR5_MODULES,
@@ -496,6 +496,30 @@ def test_sheaf_morphism_inverse_matches_reference(ring, p2, monkeypatch):
             assert 1 <= done <= len(p2.objects)
             assert phi.inverse is got
             assert len(eliminations) == done
+
+
+@pytest.mark.parametrize("ring", ROW_OP_RINGS, ids=lambda r: r.name)
+@pytest.mark.parametrize("groupoid", ("p2", "z2", "z2_action", "edge_groupoid"))
+def test_section_action_matches_reference(ring, groupoid, request):
+    """The stalkwise action on a section, against the library's matrix route:
+    the section's row vector times the sum of the scaled action matrices of
+    Γ_c(E), all in ``Matrix`` products and sums."""
+    g = request.getfixturevalue(groupoid)
+    rng = random.Random(17)
+    for seed in range(6):
+        e = random_sheaf(g, ring, 2, seed)
+        m = gamma_c(e)
+        offsets = block_offsets(e)
+        v = random_vector(ring, e.total_rank, rng)
+        s = ref.Section(e, {x: v[offsets[x]: offsets[x] + e.stalk_rank[x]] for x in g.objects})
+        f = random_algebra_element(g, ring, rng)
+        action = Matrix.zeros(ring, m.rank, m.rank)
+        for a, c in f.coeffs.items():
+            action = action + m.action[a].scaled(c)
+        got = (Matrix.from_rows(ring, [v], m.rank) @ action).entries[0]
+        want = ref.section_action(s, f)
+        assert got == tuple(c for x in g.objects for c in want.values[x])
+        assert_canonical(ring, got)
 
 
 # two_component_groupoid draws different stalk ranks on its two components
