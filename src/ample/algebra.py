@@ -79,12 +79,6 @@ class AlgebraElement:
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return convolve(self, other)
 
-    def describe(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = [f"{self.ring.format_scalar(self.coeffs[a])}*[{a}]" for a in self.support]
-        return " + ".join(parts)
-
 
 def _check_compatible(f1: AlgebraElement, f2: AlgebraElement) -> None:
     # Identity first: elements of one table share their groupoid and ring.
@@ -251,10 +245,10 @@ class StructureTable:
     cells: Mapping[tuple[ArrowId, ArrowId], ArrowId | None]
 
 
-def multiplication_table(g: FiniteGroupoid, ring: Ring, guard: int = TABLE_GUARD) -> StructureTable:
+def multiplication_table(g: FiniteGroupoid, ring: Ring) -> StructureTable:
     """Structure constants chi_[a] * chi_[b] over all arrow singletons."""
-    if len(g.arrows) > guard:
-        raise SizeGuardError(f"structure table is guarded at {guard} arrows, got {len(g.arrows)}")
+    if len(g.arrows) > TABLE_GUARD:
+        raise SizeGuardError(f"structure table is guarded at {TABLE_GUARD} arrows, got {len(g.arrows)}")
     singleton = {a: algebra_element(g, ring, {a: 1}) for a in g.arrows}
     cells: dict[tuple[ArrowId, ArrowId], ArrowId | None] = dict.fromkeys(product(g.arrows, repeat=2))
     for a, b in g.composable_pairs():

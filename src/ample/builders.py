@@ -1,10 +1,11 @@
 """Deterministic constructors for the groupoid families used everywhere.
 
 Pair groupoids, one-object group groupoids, transformation (action)
-groupoids, and the groupoids of finite acyclic graphs (boundary paths with
-a pair groupoid per sink, the shape whose algebra is a direct sum of matrix
-algebras).  Also the seeded random generators for sheaves and modules; all
-randomness flows through explicit seeds, never global state.
+groupoids, and the groupoids of finite acyclic graphs (the disjoint union
+over the sinks of the pair groupoids on the boundary paths ending there, so
+the algebra is a direct sum of matrix algebras).  Also the seeded random
+generators for sheaves and modules; all randomness flows through explicit
+seeds, never global state.
 
 All ids are strings so the same objects round-trip through the JSON
 document format unchanged.
@@ -22,23 +23,34 @@ from .gsheaf import GSheaf
 from .rings import Matrix, Ring, matrix_inverse
 
 
+def _pair_union(blocks: Sequence[Sequence[str]]) -> FiniteGroupoid:
+    """The disjoint union of the pair groupoids on each block of labels.
+
+    Within a block there is one arrow (p,q) from q to p for every p and q,
+    and (p,q)(q,r) = (p,r).  Objects, arrows and every table follow the
+    blocks in order, each block in (p, q, r) order; each arrow name is
+    formatted once."""
+    arrows: list[str] = []
+    src, dst, unit, compose, inverse = {}, {}, {}, {}, {}
+    for block in blocks:
+        names = [[f"({p},{q})" for q in block] for p in block]
+        for i, p in enumerate(block):
+            row = names[i]
+            unit[p] = row[i]
+            for j, q in enumerate(block):
+                a = row[j]
+                arrows.append(a)
+                src[a], dst[a], inverse[a] = q, p, names[j][i]
+                compose.update(((a, b), c) for b, c in zip(names[j], row))
+    objects = tuple(p for block in blocks for p in block)
+    return FiniteGroupoid(objects, tuple(arrows), src, dst, unit, compose, inverse)
+
+
 def pair_groupoid(n: int) -> FiniteGroupoid:
     """Objects 1..n, one arrow (i,j) from j to i, (i,j)(j,k) = (i,k)."""
     if n < 1:
         raise ValueError("pair groupoid needs at least one object")
-    objects = tuple(str(i) for i in range(1, n + 1))
-    name = lambda i, j: f"({i},{j})"
-    arrows = tuple(name(i, j) for i in range(1, n + 1) for j in range(1, n + 1))
-    src = {name(i, j): str(j) for i in range(1, n + 1) for j in range(1, n + 1)}
-    dst = {name(i, j): str(i) for i in range(1, n + 1) for j in range(1, n + 1)}
-    unit = {str(i): name(i, i) for i in range(1, n + 1)}
-    compose = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                compose[(name(i, j), name(j, k))] = name(i, k)
-    inverse = {name(i, j): name(j, i) for i in range(1, n + 1) for j in range(1, n + 1)}
-    return FiniteGroupoid(objects, arrows, src, dst, unit, compose, inverse)
+    return _pair_union([tuple(str(i) for i in range(1, n + 1))])
 
 
 def trivial_groupoid() -> FiniteGroupoid:
@@ -127,27 +139,25 @@ def action_groupoid(
     for x in points:
         if action[(identity, x)] != x:
             raise ValueError(f"not an action: identity moves {x}")
-    for g in elements:
-        for h in elements:
-            for x in points:
-                if action[(g, action[(h, x)])] != action[(table[(g, h)], x)]:
-                    raise ValueError(f"not an action: compatibility fails at ({g},{h},{x})")
-
-    name = lambda g, x: f"({g},{x})"
-    arrows = tuple(name(g, x) for g in elements for x in points)
-    src = {name(g, x): x for g in elements for x in points}
-    dst = {name(g, x): action[(g, x)] for g in elements for x in points}
-    unit = {x: name(identity, x) for x in points}
+    name = {(g, x): f"({g},{x})" for g in elements for x in points}
     compose = {}
     for g in elements:
         for h in elements:
+            gh = table[(g, h)]
             for x in points:
-                compose[(name(g, action[(h, x)]), name(h, x))] = name(table[(g, h)], x)
-    inverse = {}
-    for g in elements:
-        for x in points:
-            inverse[name(g, x)] = name(group_inverse[g], action[(g, x)])
-    return FiniteGroupoid(tuple(points), arrows, src, dst, unit, compose, inverse)
+                hx = action[(h, x)]
+                if action[(g, hx)] != action[(gh, x)]:
+                    raise ValueError(f"not an action: compatibility fails at ({g},{h},{x})")
+                compose[(name[g, hx], name[h, x])] = name[gh, x]
+    return FiniteGroupoid(
+        objects=tuple(points),
+        arrows=tuple(name.values()),
+        src={a: x for (g, x), a in name.items()},
+        dst={a: action[gx] for gx, a in name.items()},
+        unit={x: name[identity, x] for x in points},
+        compose=compose,
+        inverse={a: name[group_inverse[g], action[(g, x)]] for (g, x), a in name.items()},
+    )
 
 
 # -- acyclic graph groupoids ---------------------------------------------------
@@ -197,79 +207,38 @@ def _find_cycle(spec: GraphSpec) -> list[str] | None:
     return None
 
 
-def boundary_paths(spec: GraphSpec) -> dict[str, list[tuple[int, ...]]]:
-    """Per sink, all edge-index paths ending there (including the empty path),
-    ordered by (length, edge indices)."""
+def _boundary_paths(spec: GraphSpec) -> list[tuple[str, ...]]:
+    """Per sink, in vertex order, the labels of all edge paths ending there,
+    ordered by (length, edge indices).  The empty path is labelled by the
+    sink; a path u -e_i-> v -e_j-> w by "u-ei-v-ej-w"."""
     incoming: dict[str, list[int]] = {v: [] for v in spec.vertices}
-    outgoing_count = {v: 0 for v in spec.vertices}
-    for i, (a, b) in enumerate(spec.edges):
+    for i, (_, b) in enumerate(spec.edges):
         incoming[b].append(i)
-        outgoing_count[a] += 1
-    sinks = [v for v in spec.vertices if outgoing_count[v] == 0]
+    has_out = {a for a, _ in spec.edges}
 
-    def paths_into(v: str) -> list[tuple[int, ...]]:
-        found: list[tuple[int, ...]] = [()]
+    def paths_into(v: str) -> list[tuple[tuple[int, ...], str]]:
+        found: list[tuple[tuple[int, ...], str]] = [((), v)]
         for i in incoming[v]:
-            start = spec.edges[i][0]
-            for tail in paths_into(start):
-                found.append(tail + (i,))
+            for tail, label in paths_into(spec.edges[i][0]):
+                found.append((tail + (i,), f"{label}-e{i}-{v}"))
         return found
 
-    out: dict[str, list[tuple[int, ...]]] = {}
-    for s in sinks:
-        out[s] = sorted(paths_into(s), key=lambda p: (len(p), p))
-    return out
-
-
-def path_label(spec: GraphSpec, sink: str, path: tuple[int, ...]) -> str:
-    if not path:
-        return sink
-    start = spec.edges[path[0]][0]
-    parts = [start]
-    for i in path:
-        parts.append(f"e{i}")
-        parts.append(spec.edges[i][1])
-    return "-".join(parts)
+    return [
+        tuple(label for _, label in sorted(paths_into(s), key=lambda p: (len(p[0]), p[0])))
+        for s in spec.vertices
+        if s not in has_out
+    ]
 
 
 def acyclic_graph_groupoid(spec: GraphSpec) -> FiniteGroupoid:
-    """Objects are boundary paths; per sink, the pair groupoid on its paths."""
+    """Objects are boundary paths; the disjoint union, over the sinks, of the
+    pair groupoids on the paths ending at each sink."""
     cycle = _find_cycle(spec)
     if cycle is not None:
         raise ValueError(
             "graph has a cycle through " + " -> ".join(cycle) + "; only acyclic graphs have finitely many boundary paths"
         )
-    per_sink = boundary_paths(spec)
-    objects: list[str] = []
-    sink_of: dict[str, str] = {}
-    for s in per_sink:
-        for p in per_sink[s]:
-            label = path_label(spec, s, p)
-            objects.append(label)
-            sink_of[label] = s
-
-    name = lambda p, q: f"({p},{q})"
-    arrows: list[str] = []
-    src: dict[str, str] = {}
-    dst: dict[str, str] = {}
-    for p in objects:
-        for q in objects:
-            if sink_of[p] == sink_of[q]:
-                a = name(p, q)
-                arrows.append(a)
-                src[a] = q
-                dst[a] = p
-    unit = {p: name(p, p) for p in objects}
-    compose = {}
-    for p in objects:
-        for q in objects:
-            if sink_of[p] != sink_of[q]:
-                continue
-            for r in objects:
-                if sink_of[q] == sink_of[r]:
-                    compose[(name(p, q), name(q, r))] = name(p, r)
-    inverse = {name(p, q): name(q, p) for p in objects for q in objects if sink_of[p] == sink_of[q]}
-    return FiniteGroupoid(tuple(objects), tuple(arrows), src, dst, unit, compose, inverse)
+    return _pair_union(_boundary_paths(spec))
 
 
 def single_edge_graph() -> GraphSpec:

@@ -39,10 +39,10 @@ from .documents import (
     sheaf_payload,
 )
 from .equivalence import check_naturality, epsilon, eta
-from .gmodule import random_hom, validate_module
+from .gmodule import random_hom, regular_module, validate_module
 from .groupoid import FiniteGroupoid, SizeGuardError, enumerate_bisections, validate_groupoid
-from .gsheaf import validate_sheaf
-from .morita import validate_functor, validate_span, verify_morita
+from .gsheaf import constant_sheaf, validate_sheaf
+from .morita import GroupoidFunctor, identity_functor, validate_functor, validate_span, verify_morita
 from .rings import Ring, ring_from_name
 from .validation import Failure, ValidationReport
 
@@ -401,10 +401,6 @@ def _cmd_morita(args: argparse.Namespace, ring: Ring) -> Report:
 
 
 def _cmd_examples(args: argparse.Namespace, ring: Ring) -> Report:
-    from .gmodule import regular_module
-    from .gsheaf import constant_sheaf
-    from .morita import GroupoidFunctor, identity_functor
-
     point = builders.trivial_groupoid()
     p2 = builders.pair_groupoid(2)
     p3 = builders.pair_groupoid(3)

@@ -13,6 +13,13 @@ Both composites are certified isomorphisms: eta sends a module element to
 its family of germ coordinates, epsilon evaluates the germ of a section at
 its base point.  Each certificate, like each naturality check, is a
 ``ValidationReport``; a failed one names the failed check, with a witness.
+Where an arrow's action leaves the stalk lattices there is no germ sheaf:
+eta, epsilon and the eta square then fail under the law "germ sheaf", with
+``sheafify``'s message as the witness.  eta and epsilon certify the family
+they are given and do not validate it, so on a non-module their verdict
+can depend on the ring: epsilon passes the one-object sheaf with unit
+transport 2 over Fp:5 and fails it over Z.
+
 Everything here works on whole matrices; the pointwise definitions (the
 germ of one vector, a section and its stalkwise action, transport along a
 singleton bisection) are kept in ``tests/reference_kernels.py`` as the
@@ -96,6 +103,10 @@ class Sheafification:
         return found
 
 
+class _OffLatticeError(ValueError):
+    """``sheafify``'s error: an arrow's action leaves the stalk lattices."""
+
+
 def sheafify(m: GModule) -> Sheafification:
     """Build the germ sheaf of a module (needs a field or Z for bases)."""
     # The germ of v at x is its normal form v·E_x, E_x the unit action at x:
@@ -112,12 +123,21 @@ def sheafify(m: GModule) -> Sheafification:
         x, y = g.dst[a], g.src[a]
         coords = coordinates(basis[y], basis[x] @ m.action[a])
         if coords is None:
-            raise ValueError(
+            raise _OffLatticeError(
                 f"action of {a!r} does not preserve stalk lattices; is the module valid?"
             )
         transport[a] = coords
     sheaf = GSheaf(g, m.ring, stalk_rank, transport)
     return Sheafification(m, sheaf, basis)
+
+
+def _germ_sheaf(m: GModule) -> Sheafification | Failure:
+    """``sheafify(m)``, or its complaint as a "germ sheaf" failure when an
+    arrow's action leaves the stalk lattices (so m is not a module)."""
+    try:
+        return sheafify(m)
+    except _OffLatticeError as exc:
+        return Failure("germ sheaf", str(exc))
 
 
 def sh_mor(
@@ -168,9 +188,12 @@ def eta(m: GModule) -> ValidationReport:
     set; it is injective (trivial kernel); it is surjective, constructively,
     by exhibiting a preimage of every standard basis section through the
     partition of the unit space into its points (the preimages are exactly
-    the stalk basis rows).  The report names the first check that fails.
+    the stalk basis rows).  The report names the first check that fails;
+    before them all, the germ sheaf must exist (law "germ sheaf").
     """
-    sh = sheafify(m)
+    sh = _germ_sheaf(m)
+    if isinstance(sh, Failure):
+        return ValidationReport("eta", (sh,))
     gamma = gamma_c(sh.sheaf)
     h = eta_matrix(sh)
 
@@ -192,8 +215,9 @@ def epsilon(e: GSheaf) -> ValidationReport:
 
     The stalkwise map evaluates the germ of a section at its base point; in
     coordinates it is the block of the stalk basis sitting over that object.
-    Checks, in order: stalk support, stalkwise bijectivity, equivariance;
-    the report names the first that fails.  The bijectivity check is
+    Checks, in order: the germ sheaf of the section module exists (law
+    "germ sheaf"), stalk support, stalkwise bijectivity, equivariance; the
+    report names the first that fails.  The bijectivity check is
     ``iso.inverse``, so the morphism carries the inverse that check
     computed; on failure the witness names the first object, in declaration
     order, whose component is singular.
@@ -204,8 +228,9 @@ def epsilon(e: GSheaf) -> ValidationReport:
     construction.  Their negative tests reach them through a patched
     ``sheafify``; both checks stay, as the certificate's own evidence.
     """
-    gamma = gamma_c(e)
-    sh = sheafify(gamma)
+    sh = _germ_sheaf(gamma_c(e))
+    if isinstance(sh, Failure):
+        return ValidationReport("epsilon", (sh,))
     offsets = block_offsets(e)
     g = e.groupoid
 
@@ -235,7 +260,9 @@ def epsilon(e: GSheaf) -> ValidationReport:
 
 def check_naturality(morphism: GModuleHom | GSheafMor) -> ValidationReport:
     """Check the naturality square of eta (module homs, law "eta square") or
-    epsilon (sheaf morphisms, law "epsilon square") by exact matrix equality."""
+    epsilon (sheaf morphisms, law "epsilon square") by exact matrix equality;
+    an eta square whose source or target has no germ sheaf fails under
+    "germ sheaf"."""
     if isinstance(morphism, GModuleHom):
         return _check_eta_square(morphism)
     if isinstance(morphism, GSheafMor):
@@ -248,8 +275,10 @@ def _naturality(*failures: Failure) -> ValidationReport:
 
 
 def _check_eta_square(f: GModuleHom) -> ValidationReport:
-    sh_src = sheafify(f.source)
-    sh_tgt = sheafify(f.target)
+    sh_src, sh_tgt = _germ_sheaf(f.source), _germ_sheaf(f.target)
+    for sh in (sh_src, sh_tgt):
+        if isinstance(sh, Failure):
+            return _naturality(sh)
     phi = sh_mor(f, sh_src, sh_tgt)
     gamma_phi = block_diagonal(f.source.ring, [phi.maps[x] for x in f.source.groupoid.objects])
     if f.matrix @ eta_matrix(sh_tgt) != eta_matrix(sh_src) @ gamma_phi:

@@ -27,6 +27,7 @@ from .groupoid import ArrowId, FiniteGroupoid, ObjectId, validate_groupoid
 from .rings import (
     Matrix,
     Ring,
+    block_diagonal,
     coordinates,
     flatten_rows,
     image_basis,
@@ -189,8 +190,6 @@ def is_isomorphism(h: GModuleHom) -> ValidationReport:
 def direct_sum(m1: GModule, m2: GModule) -> GModule:
     if m1.groupoid != m2.groupoid or m1.ring != m2.ring:
         raise ValueError("direct sum needs a common groupoid and ring")
-    from .rings import block_diagonal
-
     action = {
         a: block_diagonal(m1.ring, [m1.action[a], m2.action[a]]) for a in m1.groupoid.arrows
     }

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .equivalence import epsilon, eta_matrix, gamma_c, sheafify
+from .builders import random_module
+from .equivalence import _germ_sheaf, epsilon, eta_matrix, gamma_c, sheafify
 from .gmodule import GModule, GModuleHom, hom_space_dim, is_isomorphism
 from .groupoid import ArrowId, FiniteGroupoid, ObjectId
 from .gsheaf import (
@@ -308,8 +309,10 @@ def round_trip(span: MoritaSpan, m: GModule) -> ValidationReport:
     The steps are certified in turn; a failure's law names its step
     ("quasi-inverse unit", "quasi-inverse sheaf", "epsilon", "counit" or
     "round-trip intertwiner") and its witness is that step's own failure.
-    The transported module is the section module ε already built, so the
-    value holds it whichever step failed.
+    The transported module is the section module ε already built (built
+    again when ε finds it has no germ sheaf), so the value holds it
+    whichever step failed.  A module with no germ sheaf fails under the
+    law "germ sheaf" before any step, and the report has no value.
 
     No isomorphism in the chain is inverted twice: the inverse of ε is the
     one its stalkwise-bijective check computed, and the inverse of the
@@ -320,17 +323,23 @@ def round_trip(span: MoritaSpan, m: GModule) -> ValidationReport:
     check covers them.
     """
     left, right = span.left, span.right
-    sh_m = sheafify(m)
+    sh_m = _germ_sheaf(m)
+    if isinstance(sh_m, Failure):
+        return ValidationReport("round trip", (sh_m,))
     e = sh_m.sheaf                                    # over the left target
     e_apex = pullback_sheaf(left, e)                  # over the apex
     push_right = pullback_quasi_inverse(right, e_apex)
 
     eps = epsilon(push_right.value.sheaf)
-    n = eps.value.sheafification.module               # transported module
-    sh_n_sheaf = eps.value.sheafification.sheaf       # germ sheaf of n
     qi_e_apex = push_sheaf(left, e_apex)
     counit = counit_iso(left, e, qi_e_apex)
     failures = push_right.failures + _as_step("epsilon", eps) + counit.failures
+    if eps.value is None:  # ε found no germ sheaf of the transported module
+        return ValidationReport(
+            "round trip", failures, RoundTripCertificate(gamma_c(push_right.value.sheaf), None)
+        )
+    n = eps.value.sheafification.module               # transported module
+    sh_n_sheaf = eps.value.sheafification.sheaf       # germ sheaf of n
     eps_inv, counit_inv = eps.value.iso.inverse, counit.value.inverse
     if eps_inv is None or counit_inv is None:
         return ValidationReport("round trip", failures, RoundTripCertificate(n, None))
@@ -388,8 +397,6 @@ def verify_morita(span: MoritaSpan, ring: Ring, samples: int, seed: int) -> Mori
     """Sample modules on both legs, transport them, and certify round trips
     and hom-space dimensions.  A span with a defective leg is rejected
     before any transport is attempted."""
-    from .builders import random_module  # deferred: builders depends on this module's siblings
-
     left_leg = span.left.equivalence_report
     right_leg = span.right.equivalence_report
     if not (left_leg.ok and right_leg.ok):

@@ -174,9 +174,6 @@ class Ring:
 
     # -- text and JSON forms ----------------------------------------------
 
-    def format_scalar(self, a: Scalar) -> str:
-        return str(a)
-
     def scalar_to_json(self, a: Scalar) -> int | str:
         if self.kind == "Q":
             frac = Fraction(a)

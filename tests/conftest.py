@@ -62,6 +62,15 @@ def bumped_matrix(m: Matrix, i: int, j: int) -> Matrix:
     return Matrix.from_rows(m.ring, rows, m.cols)
 
 
+def split_units_module(p2: FiniteGroupoid) -> GModule:
+    """Not a module, and without a germ sheaf: rank 2 over Fp:5 on pair(2),
+    unit actions diag(1,0) and diag(0,1), and the identity on (1,2) and
+    (2,1), which moves the first stalk off itself."""
+    one = Matrix.identity(F5, 2)
+    units = {"(1,1)": Matrix.from_rows(F5, [[1, 0], [0, 0]]), "(2,2)": Matrix.from_rows(F5, [[0, 0], [0, 1]])}
+    return GModule(p2, F5, 2, {"(1,2)": one, "(2,1)": one, **units})
+
+
 def identity_hom(m: GModule) -> GModuleHom:
     return GModuleHom(m, m, Matrix.identity(m.ring, m.rank))
 

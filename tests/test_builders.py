@@ -146,7 +146,7 @@ def test_z2_trivial_action_on_two_points_splits():
 def test_invalid_action_rejected():
     elems, table = cyclic_group(2)
     bad = {("e", "x"): "x", ("g", "x"): "x", ("e", "y"): "y", ("g", "y"): "x"}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^not an action: compatibility fails at \(g,g,y\)$"):
         action_groupoid(elems, table, ["x", "y"], bad)
 
 
@@ -224,6 +224,30 @@ def test_matrix_block_sizes_match_boundary_path_counts():
             )
             if not in_same:
                 assert table.cells[(a, b)] is None
+
+
+def test_graph_tables_come_sink_by_sink():
+    # sinks in vertex order; per sink its boundary paths by (length, edges),
+    # and the pair-groupoid tables on them in (p, q, r) order
+    spec = GraphSpec(("u", "v", "w", "s", "x"), (("u", "w"), ("v", "w"), ("u", "s")))
+    g = acyclic_graph_groupoid(spec)
+    assert g.objects == ("w", "u-e0-w", "v-e1-w", "s", "u-e2-s", "x")
+    blocks = (g.objects[:3], g.objects[3:5], g.objects[5:])
+    assert g.arrows == tuple(f"({p},{q})" for b in blocks for p in b for q in b)
+    assert len(g.arrows) == 14 and (g.arrows[0], g.arrows[-1]) == ("(w,w)", "(x,x)")
+    assert list(g.src.items()) == [(f"({p},{q})", q) for b in blocks for p in b for q in b]
+    assert list(g.unit.items()) == [(p, f"({p},{p})") for p in g.objects]
+    assert list(g.compose.items()) == [
+        ((f"({p},{q})", f"({q},{r})"), f"({p},{r})") for b in blocks for p in b for q in b for r in b
+    ]
+    assert list(g.inverse.items()) == [(f"({p},{q})", f"({q},{p})") for b in blocks for p in b for q in b]
+    assert validate_groupoid(g).ok
+
+
+def test_empty_graph_gives_the_empty_groupoid():
+    g = acyclic_graph_groupoid(GraphSpec((), ()))
+    assert (g.objects, g.arrows, dict(g.compose)) == ((), (), {})
+    assert validate_groupoid(g).ok
 
 
 def test_cycle_is_rejected_with_diagnostic():

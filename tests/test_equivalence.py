@@ -39,7 +39,8 @@ from ample.gsheaf import (
     validate_sheaf,
     validate_sheaf_morphism,
 )
-from ample.rings import Matrix, matrix_inverse
+from ample.rings import Matrix, UnsupportedRingError, matrix_inverse, modular
+from ample.validation import Failure
 
 from conftest import (
     ALL_RINGS,
@@ -52,6 +53,7 @@ from conftest import (
     random_algebra_element,
     small_vector,
     source_objects,
+    split_units_module,
     zero_hom,
     zero_sheaf_mor,
 )
@@ -555,6 +557,39 @@ def test_epsilon_fails_only_stalkwise_bijective(point):
     assert not result.ok
     assert result.first().law == "stalkwise-bijective"
     assert result.first().witness == "component at '1'"
+
+
+# A family that sheafify rejects has no germ sheaf: the certificates report
+# it under "germ sheaf" with sheafify's message instead of raising.
+OFF_LATTICE = "action of {!r} does not preserve stalk lattices; is the module valid?"
+
+
+def test_eta_reports_a_module_without_germ_sheaf(p2):
+    result = eta(split_units_module(p2))
+    assert not result.ok and result.value is None
+    assert result.failures == (Failure("germ sheaf", OFF_LATTICE.format("(1,2)")),)
+
+
+def test_eta_still_raises_on_a_composite_modulus(p2):
+    ring = modular(4)
+    m = GModule(p2, ring, 1, {a: Matrix.identity(ring, 1) for a in p2.arrows})
+    with pytest.raises(UnsupportedRingError):
+        eta(m)
+
+
+def test_eta_square_reports_a_module_without_germ_sheaf(p2):
+    result = check_naturality(identity_hom(split_units_module(p2)))
+    assert result.failures == (Failure("germ sheaf", OFF_LATTICE.format("(1,2)")),)
+
+
+def test_epsilon_reports_a_section_module_without_germ_sheaf(p2):
+    # transport 0 at (1,1) empties the first stalk of the section module,
+    # and the action of (2,1) takes the second stalk into that block
+    one = lambda v: Matrix.from_rows(F5, [[v]])
+    e = GSheaf(p2, F5, {"1": 1, "2": 1}, {"(1,1)": one(0), "(1,2)": one(1), "(2,1)": one(1), "(2,2)": one(1)})
+    result = epsilon(e)
+    assert not result.ok and result.value is None
+    assert result.failures == (Failure("germ sheaf", OFF_LATTICE.format("(2,1)")),)
 
 
 def test_epsilon_fails_only_equivariant(p2, monkeypatch):

@@ -17,6 +17,7 @@ from ample.builders import (
 )
 from ample.equivalence import Sheafification, gamma_c, sheafify
 from ample.gmodule import (
+    GModule,
     GModuleHom,
     direct_sum,
     is_isomorphism,
@@ -52,7 +53,7 @@ from ample.morita import (
 )
 from ample.rings import Matrix, matrix_inverse, modular
 
-from conftest import F5, Q, Z, bumped_matrix, identity_sheaf_mor
+from conftest import F5, Q, Z, bumped_matrix, identity_sheaf_mor, split_units_module
 
 
 @pytest.fixture(scope="module")
@@ -405,6 +406,31 @@ def test_round_trip_reports_a_failed_intertwiner(monkeypatch, p2_point_span, p2_
     assert {f.law for f in cert.failures} == {"round-trip intertwiner"}
     assert cert.value.iso is not None and not is_isomorphism(cert.value.iso).ok
     assert cert.value.transported.rank == module_transport(p2_point_span, m).rank
+
+
+def test_round_trip_reports_a_module_without_germ_sheaf(p2_point_span, p2_local):
+    cert = round_trip(p2_point_span, split_units_module(p2_local))
+    assert not cert.ok and cert.value is None
+    assert [str(f) for f in cert.failures] == [
+        "germ sheaf: action of '(1,2)' does not preserve stalk lattices; is the module valid?"
+    ]
+
+
+def test_round_trip_reports_an_epsilon_without_germ_sheaf():
+    # sheafify accepts this Z/2-module: its germ sheaf has unit transport the
+    # nilpotent [[0,1],[0,0]] and g the swap, which ε's section module fails
+    elems, table = cyclic_group(2)
+    z2 = group_groupoid(elems, table)
+    m = GModule(z2, Q, 3, {
+        "e": Matrix.from_rows(Q, [[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+        "g": Matrix.from_rows(Q, [[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
+    })
+    cert = round_trip(MoritaSpan(z2, identity_functor(z2), identity_functor(z2)), m)
+    assert not cert.ok
+    assert "epsilon: germ sheaf: action of 'g' does not preserve stalk lattices; is the module valid?" in [
+        str(f) for f in cert.failures
+    ]
+    assert cert.value.iso is None and cert.value.transported.rank == 2
 
 
 def test_transport_rejects_broken_span(broken_span):
