@@ -262,7 +262,9 @@ def check_naturality(morphism: GModuleHom | GSheafMor) -> ValidationReport:
     """Check the naturality square of eta (module homs, law "eta square") or
     epsilon (sheaf morphisms, law "epsilon square") by exact matrix equality;
     an eta square whose source or target has no germ sheaf fails under
-    "germ sheaf"."""
+    "germ sheaf".  An epsilon square whose source or target counit fails
+    names that end, source first, and the counit's first failure as its
+    witness: ``epsilon square: source epsilon: <law>: <witness>``."""
     if isinstance(morphism, GModuleHom):
         return _check_eta_square(morphism)
     if isinstance(morphism, GSheafMor):
@@ -288,9 +290,10 @@ def _check_eta_square(f: GModuleHom) -> ValidationReport:
 
 def _check_epsilon_square(phi: GSheafMor) -> ValidationReport:
     eps_src = epsilon(phi.source)
-    eps_tgt = epsilon(phi.target)
-    if not (eps_src.ok and eps_tgt.ok):
-        return _naturality(Failure("epsilon square", "epsilon certificate unavailable"))
+    eps_tgt = eps_src if phi.target is phi.source else epsilon(phi.target)
+    for end, eps in (("source", eps_src), ("target", eps_tgt)):
+        if not eps.ok:
+            return _naturality(Failure("epsilon square", f"{end} epsilon: {eps.first()}"))
     eps_src, eps_tgt = eps_src.value, eps_tgt.value
     matrix = block_diagonal(phi.source.ring, [phi.maps[x] for x in phi.source.groupoid.objects])
     gamma_phi = GModuleHom(eps_src.sheafification.module, eps_tgt.sheafification.module, matrix)

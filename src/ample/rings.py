@@ -15,10 +15,14 @@ elements.  Shapes are checked at the same boundary and nowhere
 else: ``Matrix.from_rows`` rejects ragged rows and rows that do not match
 ``cols``, and the document parser checks each declared matrix shape; the
 plain ``Matrix(...)`` constructor is unchecked.  Past that boundary the
-kernels (products, sums, echelon forms, ``coordinates``) run native
-arithmetic picked once per call from the ring's modulus: ``int``
-operations with one ``% m`` per result entry over Z/m and plain ``int``
-elsewhere.
+kernels (products, sums, echelon forms, ``coordinates``) run native ``int``
+arithmetic picked once per call from the ring's modulus.  Over Z/m a
+product reads its right operand as packed rows, each one integer of byte
+slots wide enough that no slot carries (see ``_pack_rows``), built once per
+matrix: a result row is one integer dot product, decoded by one
+``to_bytes`` and reduced through a 256-byte table for 1-byte slots and slot
+by slot otherwise.  Over Q and Z, and for a modulus whose slots would need
+more than 8 bytes, each result entry is its own dot product.
 
 Every matrix is one integer matrix over one denominator: ``Matrix.q_form``
 is ``(numerators, d)`` with ``d`` positive and normalised, so equal
@@ -51,6 +55,8 @@ operation is deterministic: identical inputs give bit-identical outputs.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -290,6 +296,50 @@ def _products(
     return tuple([tuple([sum(map(mul, r, c)) % p for c in columns]) for r in left])
 
 
+# unsigned array type codes by item size: 2, 4 and 8 bytes on every platform
+_CODES = {array(code).itemsize: code for code in "HILQ"}
+
+
+def _pack_rows(rows: tuple[tuple[int, ...], ...], m: int) -> tuple[int, tuple[int, ...]] | None:
+    """The rows of a right operand over Z/m, each one integer of w-byte
+    slots in native order, with w the smallest of 1, 2, 4 and 8 bytes that
+    holds n·(m−1)², n the number of rows; None when 8 bytes do not.
+
+    Each of the n terms of a product entry is at most (m−1)², so a left row
+    times these integers sums no slot past w bytes: no slot carries."""
+    bound, order = len(rows) * (m - 1) ** 2, sys.byteorder
+    if bound < 256:
+        return 1, tuple([int.from_bytes(bytes(row), order) for row in rows])
+    for w in (2, 4, 8):
+        if not bound >> 8 * w:
+            code = _CODES[w]
+            return w, tuple([int.from_bytes(array(code, row).tobytes(), order) for row in rows])
+    return None
+
+
+@lru_cache(maxsize=256)
+def _residues(m: int) -> bytes:
+    """The 256-byte table of ``x % m``, for ``bytes.translate``."""
+    return bytes([x % m for x in range(256)])
+
+
+def _mod_products(left: Sequence[Sequence[int]], right: "Matrix") -> tuple[tuple[int, ...], ...]:
+    """The rows of ``left @ right`` over Z/m for rows ``left`` in [0, m).
+    Where ``right`` packs, a result row is one dot product with its packed
+    rows, decoded by one ``to_bytes`` and reduced through the byte table
+    for 1-byte slots, slot by slot otherwise."""
+    p, cols, packed = right.ring.modulus, right.cols, right._packs
+    if packed is None:
+        return _products(left, right.q_form[0], cols, p)
+    (w, packs), order = packed, sys.byteorder
+    if w == 1:
+        table = _residues(p)
+        return tuple([tuple(sum(map(mul, r, packs)).to_bytes(cols, order).translate(table)) for r in left])
+    code, size = _CODES[w], cols * w
+    return tuple([tuple([x % p for x in memoryview(sum(map(mul, r, packs)).to_bytes(size, order)).cast(code)])
+                  for r in left])
+
+
 # -- the integer form -------------------------------------------------------------
 
 
@@ -455,8 +505,14 @@ class Matrix:
         if other.is_identity:
             return self
         (left, d), (right, e) = self.q_form, other.q_form
-        products = _products(left, right, other.cols, ring.modulus)
+        products = _products(left, right, other.cols) if ring.modulus is None else _mod_products(left, other)
         return _lowest(ring, self.rows, other.cols, products, d * e)
+
+    @cached_property
+    def _packs(self) -> tuple[int, tuple[int, ...]] | None:
+        """The rows packed as a right operand over Z/m (see ``_pack_rows``),
+        built on first use and kept."""
+        return _pack_rows(self.q_form[0], self.ring.modulus)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(add, other)
@@ -765,7 +821,8 @@ def coordinates(basis: Matrix, m: Matrix) -> Matrix | None:
         leads = [next((j for j, x in enumerate(row) if x), None) for row in brows]
         read = tuple([tuple([0 if j is None else row[j] for j in leads]) for row in mrows])
         want = mrows if e == 1 else tuple([tuple([x * e for x in row]) for row in mrows])
-        if _products(read, brows, basis.cols, ring.modulus) != want:
+        got = _products(read, brows, basis.cols) if ring.modulus is None else _mod_products(read, basis)
+        if got != want:
             return None
         return _lowest(ring, m.rows, basis.rows, read, f)
     if ring.kind != "Z":

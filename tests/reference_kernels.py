@@ -10,7 +10,10 @@ mirrors every row operation into a transform of its own.  ``kernel_basis``
 and ``matrix_inverse`` are the library's compositions rebuilt on these
 kernels;
 ``is_identity`` is ``Matrix.is_identity`` as it was before it compared rows
-in place, against a freshly built identity matrix.
+in place, against a freshly built identity matrix.  ``products`` is the
+integer product as ``Matrix.__matmul__`` computed it before it packed the
+rows of a right operand over Z/m: one dot product per entry, each reduced
+mod m on its own.
 ``hom_constraint`` is the module hom system with one block of equations per
 arrow, and ``sheaf_hom_constraint`` the grid ``gsheaf.sheaf_hom_basis``
 eliminated before it solved on the isotropy frame, with one block of
@@ -66,6 +69,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ample import rings
@@ -91,6 +95,17 @@ from ample.morita import (
 )
 from ample.rings import Echelon, Matrix, Ring, Scalar
 from ample.validation import Failure, ValidationReport
+
+
+def products(
+    left: Sequence[Sequence[int]], right: Sequence[Sequence[int]], cols: int, p: int | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """The rows of ``left @ right`` for integer rows, ``right`` with ``cols``
+    columns: one dot product per entry, reduced mod ``p`` unless it is None."""
+    columns = tuple(zip(*right)) if right else ((),) * cols
+    if p is None:
+        return tuple([tuple([sum(map(mul, r, c)) for c in columns]) for r in left])
+    return tuple([tuple([sum(map(mul, r, c)) % p for c in columns]) for r in left])
 
 
 def matmul(self: Matrix, other: Matrix) -> Matrix:

@@ -639,7 +639,32 @@ def test_naturality_fails_without_an_epsilon_certificate(point):
     e = GSheaf(point, Z, {"1": 1}, {"(1,1)": Matrix.from_rows(Z, [[2]])})
     report = check_naturality(identity_sheaf_mor(e))
     assert not report.ok
-    assert str(report.first()) == "epsilon square: epsilon certificate unavailable"
+    assert str(report.first()) == "epsilon square: source epsilon: stalkwise-bijective: component at '1'"
+
+
+def test_naturality_names_the_failed_end(point):
+    # a zero morphism from a sheaf whose counit fails into one whose counit
+    # holds names the source; the other way round names the target
+    bad = GSheaf(point, Z, {"1": 1}, {"(1,1)": Matrix.from_rows(Z, [[2]])})
+    good = GSheaf(point, Z, {"1": 1}, {"(1,1)": Matrix.identity(Z, 1)})
+    for source, target, end in ((bad, good, "source"), (good, bad, "target")):
+        report = check_naturality(zero_sheaf_mor(source, target))
+        witness = f"{end} epsilon: stalkwise-bijective: component at '1'"
+        assert report.failures == (Failure("epsilon square", witness),)
+
+
+def test_epsilon_square_keeps_the_germ_sheaf_witness(p2, monkeypatch):
+    # the sheaf of test_epsilon_reports_a_section_module_without_germ_sheaf:
+    # its identity square names epsilon's germ sheaf failure, computed once
+    one = lambda v: Matrix.from_rows(F5, [[v]])
+    e = GSheaf(p2, F5, {"1": 1, "2": 1}, {"(1,1)": one(0), "(1,2)": one(1), "(2,1)": one(1), "(2,2)": one(1)})
+    calls = []
+    real = equivalence.epsilon
+    monkeypatch.setattr(equivalence, "epsilon", lambda s: calls.append(s) or real(s))
+    report = check_naturality(identity_sheaf_mor(e))
+    witness = "source epsilon: germ sheaf: " + OFF_LATTICE.format("(2,1)")
+    assert report.failures == (Failure("epsilon square", witness),)
+    assert calls == [e]
 
 
 # -- round trips and basis independence ----------------------------------------------

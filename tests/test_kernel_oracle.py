@@ -343,6 +343,89 @@ def test_q_form_is_built_once_per_matrix(monkeypatch):
     assert len(built) == 4
 
 
+# (m, n, w): with every entry m - 1 and inner dimension n, every entry of
+# the product is the slot bound n·(m-1)², and w bytes are the smallest slot
+# of 1, 2, 4 and 8 that holds it (0: none does, the per-entry path)
+SLOT_BOUNDARIES = [
+    (2, 255, 1),
+    (2, 256, 2),
+    (5, 15, 1),  # 240
+    (5, 16, 2),  # 256
+    (17, 255, 2),  # 65280
+    (17, 256, 4),  # 65536
+    (257, 3, 4),
+    (2147483647, 4, 8),  # 2^64 - 2^35 + 16
+    (2147483647, 5, 0),
+    (4, 28, 1),  # 252
+    (4, 29, 2),
+    (6, 10, 1),  # 250
+    (6, 11, 2),
+]
+
+
+def assert_matches_products(a, b):
+    """``a @ b`` and the reference ``matmul`` both equal the per-entry
+    product oracle."""
+    want = Matrix(a.ring, a.rows, b.cols, ref.products(a.entries, b.entries, b.cols, a.ring.modulus))
+    assert_same_matrix(a.ring, a @ b, want)
+    assert ref.matmul(a, b) == want
+
+
+@pytest.mark.parametrize("m,n,w", SLOT_BOUNDARIES)
+def test_packed_products_at_the_slot_bound(m, n, w):
+    ring = modular(m)
+    top = lambda r, c: Matrix.from_rows(ring, [[m - 1] * c for _ in range(r)], c)
+    packed = rings._pack_rows(top(n, 3).q_form[0], m)
+    assert (packed[0] if packed else 0) == w
+    assert_matches_products(top(2, n), top(n, 3))
+    rng = random.Random(m * 1000 + n)
+    # random entries, m - 1 in the corners, and a zero row on either side
+    a = [[rng.randrange(m) for _ in range(n)] for _ in range(3)] + [[0] * n]
+    b = [[rng.randrange(m) for _ in range(4)] for _ in range(n)]
+    a[0][0] = a[0][-1] = b[0][0] = b[-1][-1] = m - 1
+    b[n // 2] = [0] * 4
+    assert_matches_products(Matrix.from_rows(ring, a, n), Matrix.from_rows(ring, b, 4))
+
+
+@pytest.mark.parametrize("m", [2, 5, 6, 257, 2147483647, 2**61 - 1])
+def test_packed_products_of_empty_and_zero_operands(m):
+    ring = modular(m)
+    full = lambda r, c: Matrix.from_rows(ring, [[(i + j) % m for j in range(c)] for i in range(r)], c)
+    for r, n, c in [(0, 3, 2), (2, 3, 0), (2, 0, 3), (0, 0, 0), (0, 3, 0), (3, 2, 4)]:
+        assert_matches_products(full(r, n), full(n, c))
+        assert_matches_products(Matrix.zeros(ring, r, n), full(n, c))
+        assert_matches_products(full(r, n), Matrix.zeros(ring, n, c))
+
+
+def test_right_operands_are_packed_once(monkeypatch):
+    """A matrix packs its rows on first use as a right operand over Z/m and
+    keeps them for every later product and ``coordinates`` check; Q and Z
+    products and identity operands pack nothing."""
+    packed = []
+    real = rings._pack_rows
+    monkeypatch.setattr(rings, "_pack_rows", lambda rows, m: packed.append(rows) or real(rows, m))
+    f5 = modular(5)
+    basis = image_basis(Matrix.from_rows(f5, [[1, 2, 0, 4], [0, 1, 3, 3], [1, 3, 3, 2]]))
+    a = Matrix.from_rows(f5, [[1, 4], [2, 0], [3, 3]])
+    b = Matrix.from_rows(f5, [[0, 1], [4, 4]])
+    target = a @ basis
+    a @ basis
+    b @ basis
+    assert coordinates(basis, target) == a
+    assert packed == [basis.q_form[0]]
+    identity = Matrix.identity(f5, 2)
+    assert identity @ b is b and b @ identity is b and a @ identity is a
+    assert packed == [basis.q_form[0]]
+    for ring in (RATIONALS, INTEGERS):
+        x = Matrix.from_rows(ring, [[1, 2], [3, -4]])
+        y = Matrix.from_rows(ring, [[1, 0, 2], [1, 1, 0]])
+        x @ y
+        x @ y
+        coordinates(image_basis(y), x @ y)
+        assert "_packs" not in vars(y)
+    assert packed == [basis.q_form[0]]
+
+
 def test_q_kernels_build_no_fraction_until_entries_are_read(monkeypatch):
     """Over Q a kernel result holds integers only: products, sums, equality,
     the identity test, elimination, coordinates and inverses on such
