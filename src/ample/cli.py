@@ -53,7 +53,8 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class Report:
-    """What one command found; ``payload`` is None for a command with no JSON form."""
+    """What one command found; ``payload`` is None for a command with no JSON
+    form.  ``table`` builds only the form ``--out`` asks for."""
 
     status: Literal["pass", "fail", "rejected"]
     lines: list[str]
@@ -249,12 +250,15 @@ def _groupoid_from_file(path: str) -> FiniteGroupoid:
 def _cmd_table(args: argparse.Namespace, ring: Ring) -> Report:
     groupoid = _groupoid_from_file(args.file)
     arrows = groupoid.arrows
-    cells = {f"{a}|{b}": c for (a, b), c in multiplication_table(groupoid, ring).cells.items()}
-    # The text rows read the map in its row-major order, len(arrows) cells a row.
+    cells = multiplication_table(groupoid, ring).cells
+    if args.out == "json":
+        keyed = {f"{a}|{b}": c for (a, b), c in cells.items()}
+        return Report("pass", [], {"command": "table", "arrows": list(arrows), "cells": keyed})
+    # The text rows read the cells in their row-major order, len(arrows) cells a row.
     text = iter(["0" if c is None else str(c) for c in cells.values()])
     lines = ["\t".join(["*", *map(str, arrows)])]
     lines += ["\t".join([str(a), *islice(text, len(arrows))]) for a in arrows]
-    return Report("pass", lines, {"command": "table", "arrows": list(arrows), "cells": cells})
+    return Report("pass", lines, None)
 
 
 def _cmd_bisections(args: argparse.Namespace, ring: None) -> Report:

@@ -47,13 +47,14 @@ class GModule:
     action: Mapping[ArrowId, Matrix]
 
     def __post_init__(self) -> None:
-        if set(self.action) != set(self.groupoid.arrows):
+        ring, n = self.ring, self.rank
+        if self.action.keys() != self.groupoid.arrow_index.keys():
             raise ValueError("action must assign a matrix to exactly the arrow set")
         for a, m in self.action.items():
-            if m.ring != self.ring:
+            if m.ring is not ring and m.ring != ring:
                 raise ValueError(f"ring mismatch in action matrix of {a!r}")
-            if (m.rows, m.cols) != (self.rank, self.rank):
-                raise ValueError(f"action matrix of {a!r} is not {self.rank}x{self.rank}")
+            if m.rows != n or m.cols != n:
+                raise ValueError(f"action matrix of {a!r} is not {n}x{n}")
 
     def unit_action(self, x: Any) -> Matrix:
         return self.action[self.groupoid.unit[x]]
@@ -72,19 +73,16 @@ class GModuleHom:
     matrix: Matrix
 
     def __post_init__(self) -> None:
-        if self.source.groupoid != self.target.groupoid:
+        source, target, m = self.source, self.target, self.matrix
+        g, ring = source.groupoid, source.ring
+        if g is not target.groupoid and g != target.groupoid:
             raise ValueError("homomorphism endpoints live over different groupoids")
-        if self.source.ring != self.target.ring:
+        if ring is not target.ring and ring != target.ring:
             raise ValueError("homomorphism endpoints live over different rings")
-        if self.matrix.ring is not self.source.ring and self.matrix.ring != self.source.ring:
-            raise ValueError(
-                f"ring mismatch in hom matrix: {self.matrix.ring.name} vs {self.source.ring.name}"
-            )
-        if (self.matrix.rows, self.matrix.cols) != (self.source.rank, self.target.rank):
-            raise ValueError(
-                f"hom matrix must be {self.source.rank}x{self.target.rank},"
-                f" got {self.matrix.rows}x{self.matrix.cols}"
-            )
+        if m.ring is not ring and m.ring != ring:
+            raise ValueError(f"ring mismatch in hom matrix: {m.ring.name} vs {ring.name}")
+        if m.rows != source.rank or m.cols != target.rank:
+            raise ValueError(f"hom matrix must be {source.rank}x{target.rank}, got {m.rows}x{m.cols}")
 
 
 def validate_module(m: GModule) -> ValidationReport:
@@ -292,17 +290,18 @@ def _base_commutants(
     """Per component of two modules, or two sheaves: its objects, the two base
     stalk ranks and a basis of the intertwiners of the base isotropy
     actions; empty when either rank is 0, and each nonzero side validated."""
-    if s1.groupoid != s2.groupoid or s1.ring != s2.ring:
+    g, ring = s1.groupoid, s1.ring
+    if g is not s2.groupoid and g != s2.groupoid or ring is not s2.ring and ring != s2.ring:
         raise ValueError("hom space needs a common groupoid and ring")
     f1, f2 = (s.isotropy_frame if rank else None for s, rank in ((s1, rank1), (s2, rank2)))
     if f1 is None or f2 is None:
         return []
     out = []
-    for comp in s1.groupoid.isotropy_plan.components:
+    for comp in g.isotropy_plan.components:
         base = comp[0]
         d1, d2 = f1.dims[base], f2.dims[base]
         pairs = tuple(zip(f1.loops[base], f2.loops[base]))
-        out.append((comp, d1, d2, _commutant(s1.ring, d1, d2, pairs)))
+        out.append((comp, d1, d2, _commutant(ring, d1, d2, pairs)))
     return out
 
 

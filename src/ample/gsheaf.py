@@ -50,19 +50,20 @@ class GSheaf:
     transport: Mapping[ArrowId, Matrix]
 
     def __post_init__(self) -> None:
-        g = self.groupoid
-        if set(self.stalk_rank) != set(g.objects):
+        g, ring, ranks = self.groupoid, self.ring, self.stalk_rank
+        if ranks.keys() != g.object_index.keys():
             raise ValueError("stalk ranks must cover exactly the object set")
-        if any(n < 0 for n in self.stalk_rank.values()):
+        if any(n < 0 for n in ranks.values()):
             raise ValueError("stalk ranks must be non-negative")
-        if set(self.transport) != set(g.arrows):
+        if self.transport.keys() != g.arrow_index.keys():
             raise ValueError("transport must assign a matrix to exactly the arrow set")
+        src, dst = g.src, g.dst
         for a, m in self.transport.items():
-            if m.ring != self.ring:
+            if m.ring is not ring and m.ring != ring:
                 raise ValueError(f"ring mismatch in transport of {a!r}")
-            want = (self.stalk_rank[g.dst[a]], self.stalk_rank[g.src[a]])
-            if (m.rows, m.cols) != want:
-                raise ValueError(f"transport of {a!r} must be {want[0]}x{want[1]}")
+            rows, cols = ranks[dst[a]], ranks[src[a]]
+            if m.rows != rows or m.cols != cols:
+                raise ValueError(f"transport of {a!r} must be {rows}x{cols}")
 
     @property
     def total_rank(self) -> int:
@@ -87,20 +88,21 @@ class GSheafMor:
     maps: Mapping[ObjectId, Matrix]
 
     def __post_init__(self) -> None:
-        if self.source.groupoid != self.target.groupoid:
+        source, target = self.source, self.target
+        g, ring = source.groupoid, source.ring
+        if g is not target.groupoid and g != target.groupoid:
             raise ValueError("sheaf morphism endpoints live over different groupoids")
-        if self.source.ring != self.target.ring:
+        if ring is not target.ring and ring != target.ring:
             raise ValueError("sheaf morphism endpoints live over different rings")
-        g = self.source.groupoid
-        if set(self.maps) != set(g.objects):
+        if self.maps.keys() != g.object_index.keys():
             raise ValueError("morphism must assign a matrix to exactly the object set")
-        ring = self.source.ring
+        rows_at, cols_at = source.stalk_rank, target.stalk_rank
         for x, m in self.maps.items():
             if m.ring is not ring and m.ring != ring:
                 raise ValueError(f"ring mismatch in component at {x!r}: {m.ring.name} vs {ring.name}")
-            want = (self.source.stalk_rank[x], self.target.stalk_rank[x])
-            if (m.rows, m.cols) != want:
-                raise ValueError(f"component at {x!r} must be {want[0]}x{want[1]}")
+            rows, cols = rows_at[x], cols_at[x]
+            if m.rows != rows or m.cols != cols:
+                raise ValueError(f"component at {x!r} must be {rows}x{cols}")
 
     @cached_property
     def inverse(self) -> "GSheafMor | None":
@@ -151,7 +153,7 @@ def validate_sheaf_morphism(phi: GSheafMor) -> ValidationReport:
 
 def compose_sheaf_mors(phi: GSheafMor, psi: GSheafMor) -> GSheafMor:
     """First phi, then psi (stalk rows: v @ phi_x @ psi_x)."""
-    if phi.target != psi.source:
+    if phi.target is not psi.source and phi.target != psi.source:
         raise ValueError("sheaf morphisms do not compose: target != source")
     return GSheafMor(
         phi.source,

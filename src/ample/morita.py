@@ -29,7 +29,7 @@ from .gsheaf import (
     is_sheaf_isomorphism,
     validate_sheaf,
 )
-from .rings import Matrix, Ring, block_diagonal
+from .rings import Ring, block_diagonal
 from .validation import Failure, ValidationReport
 
 
@@ -58,18 +58,27 @@ class GroupoidFunctor:
         return is_essential_equivalence(self)
 
     @cached_property
-    def inverse_data(self) -> tuple[dict[ObjectId, ObjectId], dict[ObjectId, ArrowId], dict[tuple, ArrowId]]:
+    def inverse_data(
+        self,
+    ) -> tuple[dict[ObjectId, ObjectId], dict[ObjectId, ArrowId], dict[ArrowId, ArrowId], dict[ObjectId, ArrowId]]:
         """What a quasi-inverse along this functor reads: the ``anchors``
-        sigma and alpha, and the preimage index (x, y, b) -> the unique source
-        arrow x -> y mapping to b.  Raises ``ValueError`` unless the functor
-        is an essential equivalence, which makes that arrow unique."""
+        sigma and alpha, the lift of each target arrow h: y -> z, the unique
+        source arrow sigma(y) -> sigma(z) mapping to alpha_z⁻¹·h·alpha_y, and
+        the unit lift of each source object x, the unique source arrow
+        sigma(F x) -> x mapping to alpha_{F x}.  Raises ``ValueError``
+        unless the functor is an essential equivalence, which makes these
+        arrows unique."""
         report = self.equivalence_report
         if not report.ok:
             raise ValueError(f"not an essential equivalence: {report.first()}")
         sigma, alpha = anchors(self)
-        s = self.source
+        s, t, image = self.source, self.target, self.obj_map
         preimage = {(s.src[a], s.dst[a], self.arr_map[a]): a for a in s.arrows}
-        return sigma, alpha, preimage
+        lift = {}
+        for h in t.arrows:
+            y, z = t.src[h], t.dst[h]
+            lift[h] = preimage[sigma[y], sigma[z], t.compose[(t.inverse[alpha[z]], t.compose[(h, alpha[y])])]]
+        return sigma, alpha, lift, {x: preimage[sigma[image[x]], x, alpha[image[x]]] for x in s.objects}
 
 
 def identity_functor(g: FiniteGroupoid) -> GroupoidFunctor:
@@ -154,7 +163,7 @@ def validate_span(span: MoritaSpan) -> ValidationReport:
 
 def pullback_sheaf(f: GroupoidFunctor, e: GSheaf) -> GSheaf:
     """Inverse image along a functor: stalks and transports are relabeled."""
-    if e.groupoid != f.target:
+    if e.groupoid is not f.target and e.groupoid != f.target:
         raise ValueError("sheaf must live over the functor's target")
     return GSheaf(
         f.source,
@@ -213,20 +222,14 @@ def push_sheaf(f: GroupoidFunctor, e: GSheaf) -> GSheaf:
 
     The stalk at a target object y is the stalk at the anchor sigma(y); the
     transport along h conjugates h by the anchor arrows and lifts the result
-    through full faithfulness.
+    through full faithfulness (the lift in ``GroupoidFunctor.inverse_data``).
     """
-    if e.groupoid != f.source:
+    if e.groupoid is not f.source and e.groupoid != f.source:
         raise ValueError("sheaf must live over the functor's source")
-    t = f.target
-    sigma, alpha, preimage = f.inverse_data
-
-    stalk_rank = {y: e.stalk_rank[sigma[y]] for y in t.objects}
-    transport: dict[ArrowId, Matrix] = {}
-    for h in t.arrows:
-        y_from, y_to = t.src[h], t.dst[h]  # h runs y_from -> y_to
-        conj = t.compose[(t.inverse[alpha[y_to]], t.compose[(h, alpha[y_from])])]
-        transport[h] = e.transport[preimage[sigma[y_from], sigma[y_to], conj]]
-    return GSheaf(t, e.ring, stalk_rank, transport)
+    sigma, _, lift, _ = f.inverse_data
+    ranks, transport = e.stalk_rank, e.transport
+    stalk_rank = {y: ranks[x] for y, x in sigma.items()}
+    return GSheaf(f.target, e.ring, stalk_rank, {h: transport[a] for h, a in lift.items()})
 
 
 def pullback_quasi_inverse(f: GroupoidFunctor, e: GSheaf) -> ValidationReport:
@@ -237,11 +240,7 @@ def pullback_quasi_inverse(f: GroupoidFunctor, e: GSheaf) -> ValidationReport:
     transports of arrows in the image of f; the sheaf check reads the rest.
     The report's value is the ``QuasiInverse``."""
     pushed = push_sheaf(f, e)
-    sigma, alpha, preimage = f.inverse_data
-    unit_maps: dict[ObjectId, Matrix] = {}
-    for x in f.source.objects:
-        y = f.obj_map[x]
-        unit_maps[x] = e.transport[preimage[sigma[y], x, alpha[y]]]
+    unit_maps = {x: e.transport[a] for x, a in f.inverse_data[3].items()}
     unit = GSheafMor(e, pullback_sheaf(f, pushed), unit_maps)
     failures = _as_step("quasi-inverse unit", is_sheaf_isomorphism(unit))
     failures += _as_step("quasi-inverse sheaf", validate_sheaf(pushed))
@@ -256,7 +255,7 @@ def _as_step(law: str, report: ValidationReport) -> tuple[Failure, ...]:
 
 def qi_mor(f: GroupoidFunctor, phi: GSheafMor, source: GSheaf, target: GSheaf) -> GSheafMor:
     """The quasi-inverse construction on morphisms: components at anchors."""
-    sigma, _, _ = f.inverse_data
+    sigma = f.inverse_data[0]
     return GSheafMor(source, target, {y: phi.maps[sigma[y]] for y in f.target.objects})
 
 
@@ -269,7 +268,7 @@ def counit_iso(f: GroupoidFunctor, e: GSheaf, pushed_pullback: GSheaf) -> Valida
     report's value is the morphism, whose ``inverse`` is the one the
     isomorphism check found.
     """
-    _, alpha, _ = f.inverse_data
+    alpha = f.inverse_data[1]
     maps = {y: e.transport[e.groupoid.inverse[alpha[y]]] for y in f.target.objects}
     iso = GSheafMor(pushed_pullback, e, maps)
     return ValidationReport("counit", _as_step("counit", is_sheaf_isomorphism(iso)), iso)

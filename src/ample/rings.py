@@ -19,10 +19,11 @@ kernels (products, sums, echelon forms, ``coordinates``) run native ``int``
 arithmetic picked once per call from the ring's modulus.  Over Z/m a
 product reads its right operand as packed rows, each one integer of byte
 slots wide enough that no slot carries (see ``_pack_rows``), built once per
-matrix: a result row is one integer dot product, decoded by one
-``to_bytes`` and reduced through a 256-byte table for 1-byte slots and slot
-by slot otherwise.  Over Q and Z, and for a modulus whose slots would need
-more than 8 bytes, each result entry is its own dot product.
+matrix and held in its instance dict: a result row is one integer dot
+product, decoded by one ``to_bytes`` and reduced through a 256-byte table
+for 1-byte slots and slot by slot otherwise.  Over Q and Z, and for a
+modulus whose slots would need more than 8 bytes, each result entry is its
+own dot product.
 
 Every matrix is one integer matrix over one denominator: ``Matrix.q_form``
 is ``(numerators, d)`` with ``d`` positive and normalised, so equal
@@ -37,8 +38,9 @@ then derived once and kept, and a matrix constructed from entries derives
 its form once, on first use.  Elimination visits only the nonzero entries
 of each pivot row.
 
-An identity skips the arithmetic: ``Matrix.is_identity`` compares with one
-shared identity per (ring, size), a product with an identity operand
+An identity skips the arithmetic: ``Matrix.is_identity`` compares the
+numerators with the 0/1 rows of its size, which are the identity's over
+every ring, so it needs no ring; a product with an identity operand
 returns the other operand once the ring and shape checks pass, and
 ``row_echelon`` returns an identity as its own reduced form and transform.
 Every other elimination runs on ``[a | identity]`` (see ``row_echelon``),
@@ -88,8 +90,10 @@ def _is_prime(m: int) -> bool:
 class Ring:
     """A coefficient ring: kind is one of "Q", "Z", "mod" (with a modulus).
 
-    The hash is computed once, at construction; ``modular`` and
-    ``ring_from_name`` hand out one shared ring per modulus."""
+    The hash is computed once, at construction, and the traits ``is_field``
+    and ``supports_elimination`` (a field, or Z: kernels, images and solving
+    are available) once, on first read; ``modular`` and ``ring_from_name``
+    hand out one shared ring per modulus."""
 
     kind: str
     modulus: int | None = None
@@ -104,28 +108,23 @@ class Ring:
             raise ValueError(f"ring {self.kind} takes no modulus")
         object.__setattr__(self, "_hash", hash((self.kind, self.modulus)))
 
+    def __getattr__(self, name: str) -> Any:
+        # Only the first read of a trait reaches here; both are then kept.
+        # Construction tests no primality: for a large modulus that takes minutes.
+        if name not in ("is_field", "supports_elimination"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        field = self.kind == "Q" or self.kind == "mod" and _is_prime(self.modulus)
+        self.__dict__.update(is_field=field, supports_elimination=field or self.kind == "Z")
+        return self.__dict__[name]
+
     def __hash__(self) -> int:
         return self._hash
 
     @property
     def name(self) -> str:
         if self.kind == "mod":
-            assert self.modulus is not None
-            if _is_prime(self.modulus):
-                return f"Fp:{self.modulus}"
-            return f"Zmod:{self.modulus}"
+            return f"Fp:{self.modulus}" if self.is_field else f"Zmod:{self.modulus}"
         return self.kind
-
-    @property
-    def is_field(self) -> bool:
-        if self.kind == "Q":
-            return True
-        return self.kind == "mod" and _is_prime(self.modulus or 0)
-
-    @property
-    def supports_elimination(self) -> bool:
-        """True when kernels/images/solving are available (a field, or Z)."""
-        return self.is_field or self.kind == "Z"
 
     # -- element arithmetic ------------------------------------------------
 
@@ -328,7 +327,10 @@ def _mod_products(left: Sequence[Sequence[int]], right: "Matrix") -> tuple[tuple
     Where ``right`` packs, a result row is one dot product with its packed
     rows, decoded by one ``to_bytes`` and reduced through the byte table
     for 1-byte slots, slot by slot otherwise."""
-    p, cols, packed = right.ring.modulus, right.cols, right._packs
+    p, cols, held = right.ring.modulus, right.cols, right.__dict__
+    if "_packs" not in held:  # kept in the instance dict, with no lock to take
+        held["_packs"] = _pack_rows(right.q_form[0], p)
+    packed = held["_packs"]
     if packed is None:
         return _products(left, right.q_form[0], cols, p)
     (w, packs), order = packed, sys.byteorder
@@ -466,8 +468,10 @@ class Matrix:
         return _normal(ring, len(rows), cols, rows)
 
     @staticmethod
+    @lru_cache(maxsize=256)
     def identity(ring: Ring, n: int) -> "Matrix":
-        return _identity(ring, n)
+        """The n×n identity over ``ring``, built once and shared."""
+        return _held(ring, n, n, _identity_rows(n))
 
     @staticmethod
     def zeros(ring: Ring, rows: int, cols: int) -> "Matrix":
@@ -489,7 +493,7 @@ class Matrix:
         if not n:
             return True
         nums, d = self.q_form
-        return d == 1 and nums[0][0] == 1 and nums == _identity(self.ring, n).q_form[0]
+        return d == 1 and nums[0][0] == 1 and nums == _identity_rows(n)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """The product; an identity operand returns the other one unchanged."""
@@ -508,12 +512,6 @@ class Matrix:
         products = _products(left, right, other.cols) if ring.modulus is None else _mod_products(left, other)
         return _lowest(ring, self.rows, other.cols, products, d * e)
 
-    @cached_property
-    def _packs(self) -> tuple[int, tuple[int, ...]] | None:
-        """The rows packed as a right operand over Z/m (see ``_pack_rows``),
-        built on first use and kept."""
-        return _pack_rows(self.q_form[0], self.ring.modulus)
-
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(add, other)
 
@@ -521,10 +519,16 @@ class Matrix:
         return self._entrywise(sub, other)
 
     def _entrywise(self, op: Any, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
+        ring = self.ring
+        if ring is not other.ring and ring != other.ring:
+            raise ValueError(f"ring mismatch: {ring.name} vs {other.ring.name}")
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError(
+                f"dimension mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
+            )
         d = lcm(self.q_form[1], other.q_form[1])
         pairs = zip(_nums_over(self, d), _nums_over(other, d))
-        return _normal(self.ring, self.rows, self.cols, [map(op, r, s) for r, s in pairs], d)
+        return _normal(ring, self.rows, self.cols, [map(op, r, s) for r, s in pairs], d)
 
     def __neg__(self) -> "Matrix":
         return self.scaled(-1)
@@ -538,15 +542,6 @@ class Matrix:
         nums, d = self.q_form
         scaled = [[n * x for x in row] for row in nums]
         return _normal(self.ring, self.rows, self.cols, scaled, d * c.denominator)
-
-    def _check_same_shape(self, other: "Matrix") -> None:
-        ring = self.ring
-        if ring is not other.ring and ring != other.ring:
-            raise ValueError(f"ring mismatch: {ring.name} vs {other.ring.name}")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError(
-                f"dimension mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
 
     def row_slice(self, start: int, stop: int) -> "Matrix":
         """Rows ``start`` to ``stop``, for 0 <= start <= stop <= rows."""
@@ -568,9 +563,10 @@ class Matrix:
 
 
 @lru_cache(maxsize=256)
-def _identity(ring: Ring, n: int) -> Matrix:
-    """The n×n identity over ``ring``, built once and shared."""
-    return Matrix.from_ints(ring, [[int(i == j) for j in range(n)] for i in range(n)], n)
+def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The 0/1 rows of the n×n identity: its numerators over Q, Z and
+    every Z/m alike."""
+    return tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
 
 
 def assemble(ring: Ring, rows: int, cols: int, blocks: Iterable[tuple[int, int, Matrix]]) -> Matrix:

@@ -48,7 +48,12 @@ vector is pushed through the unit action at every object.  ``coordinates``,
 ``sheafify``, ``sh_mor`` and ``isotropy_frame`` are the stalk coordinates as
 they were before ``rings.coordinates`` took a whole matrix at once: one
 ``express_in_basis`` per row.  None of these references takes the
-identity shortcut of ``row_echelon``.
+identity shortcut of ``row_echelon``.  ``is_field`` and
+``supports_elimination`` are the ring traits as ``Ring`` computed them on
+every read, with a primality test of their own.  ``push_sheaf`` is the push
+forward as it was before it read the arrow lift cached on the functor: each
+call builds the preimage index and conjugates every target arrow by the
+anchor arrows.
 
 Vectors are tuples of canonical scalars, and ``vec``, ``zero_vec``,
 ``unit_vec``, ``vec_mat``, ``vec_add``, ``vec_sub`` and ``vec_scale`` are
@@ -68,6 +73,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import isqrt
 from itertools import combinations
 from operator import mul
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -95,6 +101,17 @@ from ample.morita import (
 )
 from ample.rings import Echelon, Matrix, Ring, Scalar
 from ample.validation import Failure, ValidationReport
+
+
+def is_field(ring: Ring) -> bool:
+    if ring.kind == "Q":
+        return True
+    m = ring.modulus or 0
+    return ring.kind == "mod" and m >= 2 and all(m % d for d in range(2, isqrt(m) + 1))
+
+
+def supports_elimination(ring: Ring) -> bool:
+    return is_field(ring) or ring.kind == "Z"
 
 
 def products(
@@ -543,6 +560,21 @@ def unique_preimage(f: GroupoidFunctor, x: ObjectId, y: ObjectId, b: ArrowId) ->
     if len(matches) != 1:
         raise ValueError(f"functor is not fully faithful over arrow {b!r}")
     return matches[0]
+
+
+def push_sheaf(f: GroupoidFunctor, e: GSheaf) -> GSheaf:
+    if e.groupoid != f.source:
+        raise ValueError("sheaf must live over the functor's source")
+    s, t = f.source, f.target
+    sigma, alpha = anchors(f)
+    preimage = {(s.src[a], s.dst[a], f.arr_map[a]): a for a in s.arrows}
+    stalk_rank = {y: e.stalk_rank[sigma[y]] for y in t.objects}
+    transport: dict[ArrowId, Matrix] = {}
+    for h in t.arrows:
+        y_from, y_to = t.src[h], t.dst[h]  # h runs y_from -> y_to
+        conj = t.compose[(t.inverse[alpha[y_to]], t.compose[(h, alpha[y_from])])]
+        transport[h] = e.transport[preimage[sigma[y_from], sigma[y_to], conj]]
+    return GSheaf(t, e.ring, stalk_rank, transport)
 
 
 def pullback_quasi_inverse(f: GroupoidFunctor, e: GSheaf) -> QuasiInverse:

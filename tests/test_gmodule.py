@@ -179,6 +179,73 @@ def test_hom_over_another_ring_raises(p2):
         GModuleHom(m, m, Matrix.identity(Q, m.rank))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(
+            lambda m, p2: GModule(p2, F5, 4, {a: x for a, x in m.action.items() if a != "(2,2)"}),
+            "action must assign a matrix to exactly the arrow set",
+            id="action-keys-missing",
+        ),
+        pytest.param(
+            lambda m, p2: GModule(p2, F5, 4, {**m.action, "(3,3)": Matrix.identity(F5, 4)}),
+            "action must assign a matrix to exactly the arrow set",
+            id="action-keys-extra",
+        ),
+        pytest.param(
+            lambda m, p2: GModule(p2, F5, 4, {**m.action, "(1,2)": Matrix.identity(Q, 4)}),
+            "ring mismatch in action matrix of '(1,2)'",
+            id="action-ring",
+        ),
+        pytest.param(
+            lambda m, p2: GModule(p2, F5, 3, m.action),
+            "action matrix of '(1,1)' is not 3x3",
+            id="action-shape",
+        ),
+        pytest.param(
+            lambda m, p2: GModule(p2, F5, 4, {**m.action, "(2,1)": Matrix.zeros(F5, 4, 3)}),
+            "action matrix of '(2,1)' is not 4x4",
+            id="action-columns",
+        ),
+    ],
+)
+def test_module_rejections_name_the_fault(p2, build, message):
+    with pytest.raises(ValueError) as info:
+        build(regular_module(p2, F5), p2)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(
+            lambda m, p2, z2: GModuleHom(m, regular_module(z2, F5), Matrix.zeros(F5, 4, 2)),
+            "homomorphism endpoints live over different groupoids",
+            id="hom-groupoids",
+        ),
+        pytest.param(
+            lambda m, p2, z2: GModuleHom(m, regular_module(p2, Q), Matrix.zeros(F5, 4, 4)),
+            "homomorphism endpoints live over different rings",
+            id="hom-rings",
+        ),
+        pytest.param(
+            lambda m, p2, z2: GModuleHom(m, m, Matrix.zeros(F5, 2, 4)),
+            "hom matrix must be 4x4, got 2x4",
+            id="hom-rows",
+        ),
+        pytest.param(
+            lambda m, p2, z2: GModuleHom(m, m, Matrix.zeros(F5, 4, 2)),
+            "hom matrix must be 4x4, got 4x2",
+            id="hom-columns",
+        ),
+    ],
+)
+def test_hom_rejections_name_the_fault(p2, z2, build, message):
+    with pytest.raises(ValueError) as info:
+        build(regular_module(p2, F5), p2, z2)
+    assert str(info.value) == message
+
+
 def test_hom_space_of_regular_module_is_the_algebra(p2, z2):
     # End of the right regular module is the algebra acting on the left
     assert hom_space_dim(regular_module(p2, Q), regular_module(p2, Q)) == 4

@@ -55,6 +55,60 @@ def test_shape_mismatch_raises(p2):
         GSheaf(p2, Q, {"1": 1, "2": 2}, {a: Matrix.identity(Q, 1) for a in p2.arrows})
 
 
+def _ones(g, ring=F5, **changed):
+    """The rank-1 identity transports on every arrow of g, with ``changed``
+    keys replaced (a value of None drops the key)."""
+    transport = {a: Matrix.identity(ring, 1) for a in g.arrows}
+    transport.update(changed)
+    return {a: m for a, m in transport.items() if m is not None}
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(
+            lambda g: GSheaf(g, F5, {"1": 1}, _ones(g)),
+            "stalk ranks must cover exactly the object set",
+            id="stalk-keys-missing",
+        ),
+        pytest.param(
+            lambda g: GSheaf(g, F5, {"1": 1, "2": 1, "3": 1}, _ones(g)),
+            "stalk ranks must cover exactly the object set",
+            id="stalk-keys-extra",
+        ),
+        pytest.param(
+            lambda g: GSheaf(g, F5, {"1": 1, "2": -1}, _ones(g)),
+            "stalk ranks must be non-negative",
+            id="negative-rank",
+        ),
+        pytest.param(
+            lambda g: GSheaf(g, F5, {"1": 1, "2": 1}, _ones(g, **{"(2,2)": None})),
+            "transport must assign a matrix to exactly the arrow set",
+            id="transport-keys-missing",
+        ),
+        pytest.param(
+            lambda g: GSheaf(g, F5, {"1": 1, "2": 1}, _ones(g, **{"(3,3)": Matrix.identity(F5, 1)})),
+            "transport must assign a matrix to exactly the arrow set",
+            id="transport-keys-extra",
+        ),
+        pytest.param(
+            lambda g: GSheaf(g, F5, {"1": 1, "2": 1}, _ones(g, **{"(1,2)": Matrix.identity(Q, 1)})),
+            "ring mismatch in transport of '(1,2)'",
+            id="transport-ring",
+        ),
+        pytest.param(
+            lambda g: GSheaf(g, F5, {"1": 1, "2": 2}, _ones(g)),
+            "transport of '(1,2)' must be 1x2",
+            id="transport-shape",
+        ),
+    ],
+)
+def test_sheaf_rejections_name_the_fault(p2, build, message):
+    with pytest.raises(ValueError) as info:
+        build(p2)
+    assert str(info.value) == message
+
+
 # -- transports ------------------------------------------------------------------
 
 
@@ -129,6 +183,57 @@ def test_morphism_over_another_ring_raises(p2):
     maps[p2.objects[1]] = Matrix.identity(Q, 2)
     with pytest.raises(ValueError, match=r"^ring mismatch in component at '2': Q vs Fp:5$"):
         GSheafMor(e, e, maps)
+
+
+def _identities(ring, ranks):
+    return {x: Matrix.identity(ring, n) for x, n in ranks.items()}
+
+
+def _constant(g, ring=F5, rank=1):
+    return constant_sheaf(g, ring, rank)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(
+            lambda p2, z2: GSheafMor(_constant(p2), _constant(z2), _identities(F5, {"*": 1})),
+            "sheaf morphism endpoints live over different groupoids",
+            id="groupoids",
+        ),
+        pytest.param(
+            lambda p2, z2: GSheafMor(_constant(p2), _constant(p2, Q), _identities(F5, {"1": 1, "2": 1})),
+            "sheaf morphism endpoints live over different rings",
+            id="rings",
+        ),
+        pytest.param(
+            lambda p2, z2: GSheafMor(_constant(p2), _constant(p2), _identities(F5, {"1": 1})),
+            "morphism must assign a matrix to exactly the object set",
+            id="map-keys-missing",
+        ),
+        pytest.param(
+            lambda p2, z2: GSheafMor(_constant(p2), _constant(p2), _identities(F5, {"1": 1, "2": 1, "3": 1})),
+            "morphism must assign a matrix to exactly the object set",
+            id="map-keys-extra",
+        ),
+        pytest.param(
+            lambda p2, z2: GSheafMor(
+                _constant(p2), _constant(p2), {"1": Matrix.identity(Q, 1), **_identities(F5, {"2": 1})}
+            ),
+            "ring mismatch in component at '1': Q vs Fp:5",
+            id="component-ring",
+        ),
+        pytest.param(
+            lambda p2, z2: GSheafMor(_constant(p2), _constant(p2, rank=2), _identities(F5, {"1": 1, "2": 1})),
+            "component at '1' must be 1x2",
+            id="component-shape",
+        ),
+    ],
+)
+def test_sheaf_morphism_rejections_name_the_fault(p2, z2, build, message):
+    with pytest.raises(ValueError) as info:
+        build(p2, z2)
+    assert str(info.value) == message
 
 
 def test_sheaf_hom_space_members_are_equivariant(p2, z2):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from ample.gmodule import (
     GModule,
     GModuleHom,
     direct_sum,
+    hom_space_dim,
     is_isomorphism,
     regular_module,
     validate_hom,
@@ -45,13 +47,14 @@ from ample.morita import (
     pullback_mor,
     pullback_quasi_inverse,
     pullback_sheaf,
+    push_sheaf,
     qi_mor,
     round_trip,
     validate_functor,
     validate_span,
     verify_morita,
 )
-from ample.rings import Matrix, matrix_inverse, modular
+from ample.rings import Matrix, Ring, matrix_inverse, modular
 
 from conftest import F5, Q, Z, bumped_matrix, identity_sheaf_mor, split_units_module
 
@@ -583,6 +586,72 @@ def test_quasi_inverse_matches_the_scanning_reference(standing_legs, ring):
             pushed = pullback_quasi_inverse(f, pullback_sheaf(f, e)).value.sheaf
             counit = counit_iso(f, e, pushed)
             assert counit.ok and counit.value == ref.counit_iso(f, e, pushed)
+
+
+@pytest.mark.parametrize("ring", [Q, F5], ids=["Q", "Fp:5"])
+def test_push_sheaf_matches_the_per_arrow_conjugation(standing_legs, ring):
+    rng = random.Random(47)
+    for f in standing_legs:
+        for _ in range(2):
+            e = random_sheaf(f.source, ring, 2, seed=rng.randrange(2**32))
+            pushed, want = push_sheaf(f, e), ref.push_sheaf(f, e)
+            assert pushed == want
+            assert list(pushed.stalk_rank) == list(want.stalk_rank)
+            assert list(pushed.transport) == list(want.transport)
+
+
+def test_push_sheaf_lifts_the_arrows_once_per_functor(monkeypatch, point_groupoid):
+    """The arrow lift is built with the anchors, once per functor; later
+    pushes read it and look up no composite."""
+    calls = []
+    real = morita.anchors
+    monkeypatch.setattr(morita, "anchors", lambda f: calls.append(f) or real(f))
+    pair = pair_groupoid(3)
+    looked_up = []
+
+    class CountingTable(dict):
+        def __getitem__(self, key):
+            looked_up.append(key)
+            return super().__getitem__(key)
+
+    counted = dataclasses.replace(pair, compose=CountingTable(pair.compose))
+    (p_obj,), (p_arrow,) = point_groupoid.objects, point_groupoid.arrows
+    legs = [GroupoidFunctor(point_groupoid, counted, {p_obj: x}, {p_arrow: counted.unit[x]}) for x in ("1", "2")]
+    rng = random.Random(5)
+    for f in legs:
+        push_sheaf(f, random_sheaf(point_groupoid, F5, 2, seed=rng.randrange(2**32)))
+        built = len(looked_up)
+        assert built == 2 * len(pair.arrows)  # two composites per target arrow
+        for _ in range(3):
+            e = random_sheaf(point_groupoid, F5, 2, seed=rng.randrange(2**32))
+            assert push_sheaf(f, e) == ref.push_sheaf(f, e)
+        assert len(looked_up) == built + 3 * 2 * len(pair.arrows)  # the reference's own lookups only
+        looked_up.clear()
+    assert calls == legs
+
+
+def test_equal_but_not_identical_rings_and_groupoids_are_accepted(point_groupoid):
+    """Every guard that tests ``is`` first still falls back to ``==``."""
+    ring, same_ring = Ring("mod", 5), modular(5)
+    g, same_g = pair_groupoid(2), pair_groupoid(2)
+    assert ring == same_ring and ring is not same_ring and g == same_g and g is not same_g
+    e = random_sheaf(g, ring, 2, seed=3)
+    f = GSheaf(same_g, same_ring, dict(e.stalk_rank), dict(e.transport))
+    assert f == e and f is not e and f.groupoid is not e.groupoid and f.ring is not e.ring
+    maps = {x: Matrix.identity(same_ring, n) for x, n in e.stalk_rank.items()}
+    phi = GSheafMor(e, f, maps)
+    psi = GSheafMor(GSheaf(same_g, same_ring, dict(f.stalk_rank), dict(f.transport)), e, maps)
+    assert compose_sheaf_mors(phi, psi).maps == maps
+    m1 = regular_module(g, ring)
+    m2 = GModule(same_g, same_ring, m1.rank, {a: Matrix(same_ring, 4, 4, x.entries) for a, x in m1.action.items()})
+    assert validate_hom(GModuleHom(m1, m2, Matrix.identity(same_ring, 4))).ok
+    assert hom_space_dim(m1, m2) == hom_space_dim(m1, m1) == 4
+    (p_obj,), (p_arrow,) = point_groupoid.objects, point_groupoid.arrows
+    collapse = GroupoidFunctor(g, point_groupoid, {y: p_obj for y in g.objects}, {a: p_arrow for a in g.arrows})
+    assert push_sheaf(collapse, f) == ref.push_sheaf(collapse, e)
+    over_point = constant_sheaf(trivial_groupoid(), same_ring, 2)
+    assert over_point.groupoid is not collapse.target
+    assert pullback_sheaf(collapse, over_point) == constant_sheaf(g, ring, 2)
 
 
 def test_quasi_inverse_and_reference_reject_the_same_leg(broken_span, point_groupoid):

@@ -24,6 +24,8 @@ from ample.rings import (
     row_echelon,
 )
 
+import reference_kernels as ref
+from ample import rings
 from conftest import ALL_RINGS, FIELDS, F2, F5, Q, Z
 from reference_kernels import vec_mat
 
@@ -60,6 +62,39 @@ def test_rings_are_shared_per_modulus_and_equal_rings_hash_alike():
     assert Matrix.from_rows(fresh, [[1, 2], [3, 4]]) == m
     assert (Matrix.identity(fresh, 2) @ m).entries == ((1, 2), (3, 4))
     assert (m + Matrix.zeros(fresh, 2, 2)).entries == m.entries
+
+
+TRAIT_RINGS = ["Q", "Z", "Fp:2", "Fp:5", "Fp:2147483647", "Zmod:4", "Zmod:6"]
+
+
+@pytest.mark.parametrize("name", TRAIT_RINGS)
+def test_ring_traits_match_the_formulas_and_leave_repr_and_equality_alone(name):
+    ring = ring_from_name(name)
+    assert ring.is_field == ref.is_field(ring)
+    assert ring.supports_elimination == ref.supports_elimination(ring)
+    assert vars(ring)["is_field"] is ring.is_field  # kept as plain attributes
+    assert vars(ring)["supports_elimination"] is ring.supports_elimination
+    assert ring.name == name
+    assert repr(ring) == f"Ring(kind={ring.kind!r}, modulus={ring.modulus!r})"
+    fresh = Ring(ring.kind, ring.modulus)
+    assert fresh == ring and hash(fresh) == hash(ring) and repr(fresh) == repr(ring)
+    assert fresh.is_field == ring.is_field and fresh.supports_elimination == ring.supports_elimination
+    for other in map(ring_from_name, TRAIT_RINGS):
+        if other is not ring:
+            assert ring != other and ring != Ring(other.kind, other.modulus)
+
+
+def test_ring_traits_are_computed_once_on_first_read(monkeypatch):
+    tested = []
+    real = rings._is_prime
+    monkeypatch.setattr(rings, "_is_prime", lambda m: tested.append(m) or real(m))
+    ring = Ring("mod", 7)  # construction tests no primality
+    assert tested == [] and "is_field" not in vars(ring)
+    assert ring.is_field and ring.supports_elimination and ring.is_field
+    assert tested == [7]
+    assert not Ring("mod", 9).supports_elimination and tested == [7, 9]
+    with pytest.raises(AttributeError, match="has no attribute 'is_prime'"):
+        ring.is_prime
 
 
 def test_ring_name_rejects_bad_input():
