@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate, product
 from typing import Mapping, Sequence
 
-from .equivalence import gamma_c
 from .gmodule import GModule
 from .groupoid import ArrowId, FiniteGroupoid, ObjectId
 from .gsheaf import GSheaf
-from .rings import Matrix, Ring, matrix_inverse
+from .rings import Matrix, Ring
 
 
 def _pair_union(blocks: Sequence[Sequence[str]]) -> FiniteGroupoid:
@@ -79,10 +79,9 @@ def _check_group(
     elems = set(elements)
     if len(elems) != len(elements):
         raise ValueError("not a group table: duplicate element names")
-    for a in elements:
-        for b in elements:
-            if table.get((a, b)) not in elems:
-                raise ValueError(f"not a group table: product ({a},{b}) missing or unknown")
+    for a, b in product(elements, repeat=2):
+        if table.get((a, b)) not in elems:
+            raise ValueError(f"not a group table: product ({a},{b}) missing or unknown")
     identity = next(
         (e for e in elements if all(table[(e, a)] == a and table[(a, e)] == a for a in elements)),
         None,
@@ -95,11 +94,9 @@ def _check_group(
         if b is None:
             raise ValueError(f"not a group table: element {a} has no inverse")
         inverse[a] = b
-    for a in elements:
-        for b in elements:
-            for c in elements:
-                if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
-                    raise ValueError(f"not a group table: associativity fails at ({a},{b},{c})")
+    for a, b, c in product(elements, repeat=3):
+        if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
+            raise ValueError(f"not a group table: associativity fails at ({a},{b},{c})")
     return identity, inverse
 
 
@@ -132,23 +129,19 @@ def action_groupoid(
     point_set = set(points)
     if len(point_set) != len(points):
         raise ValueError("duplicate points")
-    for g in elements:
-        for x in points:
-            if action.get((g, x)) not in point_set:
-                raise ValueError(f"not an action: ({g},{x}) missing or unknown")
+    for g, x in product(elements, points):
+        if action.get((g, x)) not in point_set:
+            raise ValueError(f"not an action: ({g},{x}) missing or unknown")
     for x in points:
         if action[(identity, x)] != x:
             raise ValueError(f"not an action: identity moves {x}")
     name = {(g, x): f"({g},{x})" for g in elements for x in points}
     compose = {}
-    for g in elements:
-        for h in elements:
-            gh = table[(g, h)]
-            for x in points:
-                hx = action[(h, x)]
-                if action[(g, hx)] != action[(gh, x)]:
-                    raise ValueError(f"not an action: compatibility fails at ({g},{h},{x})")
-                compose[(name[g, hx], name[h, x])] = name[gh, x]
+    for g, h, x in product(elements, elements, points):
+        gh, hx = table[(g, h)], action[(h, x)]
+        if action[(g, hx)] != action[(gh, x)]:
+            raise ValueError(f"not an action: compatibility fails at ({g},{h},{x})")
+        compose[(name[g, hx], name[h, x])] = name[gh, x]
     return FiniteGroupoid(
         objects=tuple(points),
         arrows=tuple(name.values()),
@@ -248,42 +241,73 @@ def single_edge_graph() -> GraphSpec:
 # -- seeded random generators ----------------------------------------------------
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)``, or the index ``rng.choice`` takes among n
+    items, on the same bits: ``Random._randbelow``'s loop on ``getrandbits``."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def random_invertible(ring: Ring, n: int, rng: random.Random) -> tuple[Matrix, Matrix]:
     """A random invertible matrix and its inverse.
 
-    The matrix is a product of elementary operations, so it stays
-    invertible over Z (unimodular) as well as over fields.  The inverse is
-    the one ``matrix_inverse`` computes when the matrix is checked."""
-    if n == 0:
-        empty = Matrix(ring, 0, 0, ())
-        return empty, empty
-    # Every entry stays an integer (reduced mod p over Z/p), so the row
-    # operations run on plain ints and the matrix is built from them once.
-    p = ring.modulus
+    The matrix is a product of elementary row operations, so it stays
+    invertible over Z (unimodular) as well as over fields.  Its inverse,
+    the reversed operations, is built alongside and held transposed, where
+    each is a row operation; over Q it is held over a power of two."""
+    p, e = ring.modulus, 0
+    units = (2, -1) if ring.kind == "Q" else None if ring.is_field else (1, -1)
+
+    def shear(u: list[int], v: list[int], c: int) -> list[int]:
+        return [(a + c * b) % p for a, b in zip(u, v)] if p else [a + c * b for a, b in zip(u, v)]
+
+    def scale(u: list[int], c: int) -> list[int]:
+        return [c * a % p for a in u] if p else [c * a for a in u]
+
     m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(2 * n * n + 2):
-        kind = rng.randrange(3)
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if kind == 0 and i != j:  # shear: row_i += c * row_j
-            c = rng.choice([-2, -1, 1, 2])
-            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
-        elif kind == 1 and i != j:  # swap
-            m[i], m[j] = m[j], m[i]
-            continue
-        else:  # scale by a unit
-            if ring.is_field:
-                choices = [2, -1] if ring.kind == "Q" else list(range(1, ring.modulus))
-                c = rng.choice(choices)
+    t = [row[:] for row in m]  # the inverse, transposed, over 2**e
+    for _ in range(2 * n * n + 2 if n else 0):  # the empty matrix takes no draws
+        kind, i, j = _below(rng, 3), _below(rng, n), _below(rng, n)
+        if kind == 0 and i != j:  # row_i += c * row_j, so t_j -= c * t_i
+            c = (-2, -1, 1, 2)[_below(rng, 4)]
+            m[i], t[j] = shear(m[i], m[j], c), shear(t[j], t[i], -c)
+        elif kind == 1 and i != j:
+            m[i], m[j], t[i], t[j] = m[j], m[i], t[j], t[i]
+        else:  # row_i *= c for a unit c, so t_i *= 1/c
+            c = 1 + _below(rng, p - 1) if units is None else units[_below(rng, 2)]
+            m[i] = scale(m[i], c)
+            if c == 2 and not p:  # over Q: halve t_i, that is, double the rest and 2**e
+                t, e = [row if k == i else scale(row, 2) for k, row in enumerate(t)], e + 1
             else:
-                c = rng.choice([1, -1])
-            m[i] = [c * a for a in m[i]]
-        if p is not None:
-            m[i] = [x % p for x in m[i]]
-    out = Matrix.from_ints(ring, m, n)
-    inverse = matrix_inverse(out)
-    assert inverse is not None
-    return out, inverse
+                t[i] = scale(t[i], pow(c, -1, p) if p else c)
+    return Matrix.from_ints(ring, m, n), Matrix.from_ints(ring, list(zip(*t)), n, 1 << e)
+
+
+def _sheaf_parts(g: FiniteGroupoid, ring: Ring, max_rank: int, seed: int) -> tuple[dict, dict, dict]:
+    """The parts of ``random_sheaf(g, ring, max_rank, seed)`` in draw order:
+    per component a constant rank c and r regular copies, a (twist,
+    untwist) pair per object, and per arrow a the order in which the
+    transport of a takes the rows of ``twist[src a]``."""
+    if not ring.supports_elimination:
+        raise ValueError(f"random sheaves need a field or Z, not {ring.name}")
+    rng = random.Random(seed)
+    fiber = {x: g.arrows_with_src(x) for x in g.objects}
+    index = {b: k for arrows in fiber.values() for k, b in enumerate(arrows)}
+    plan: dict[ObjectId, tuple[int, int]] = {}
+    for comp in g.connected_components():
+        f = len(fiber[comp[0]])
+        options = [(c, r) for r in range(0, 3) for c in range(0, max_rank + 1) if c + r * f <= max_rank]
+        plan.update(dict.fromkeys(comp, options[_below(rng, len(options))] if options else (0, 0)))
+    ranks = {x: plan[x][0] + plan[x][1] * len(fiber[x]) for x in g.objects}
+    twists = {x: random_invertible(ring, ranks[x], rng) for x in g.objects}
+    orders: dict[ArrowId, list[int]] = {}
+    for a in g.arrows:  # c fixed rows, then each copy of the fiber at dst a, composed with a
+        (c, r), fx = plan[g.dst[a]], fiber[g.dst[a]]
+        orders[a] = [*range(c), *[c + k * len(fx) + index[g.compose[(b, a)]] for k in range(r) for b in fx]]
+    return ranks, twists, orders
 
 
 def random_sheaf(g: FiniteGroupoid, ring: Ring, max_rank: int, seed: int) -> GSheaf:
@@ -294,62 +318,30 @@ def random_sheaf(g: FiniteGroupoid, ring: Ring, max_rank: int, seed: int) -> GSh
     part with optional copies of the component's regular permutation part
     (arrows acting on source fibers by composition), then every stalk is
     re-based by a random invertible change of basis; the unit space stays
-    fixed while all transports become essentially arbitrary.
+    fixed while all transports become essentially arbitrary: the transport
+    of a is ``untwist[dst a]`` times ``twist[src a]`` with its rows permuted.
     """
-    if not ring.supports_elimination:
-        raise ValueError(f"random sheaves need a field or Z, not {ring.name}")
-    rng = random.Random(seed)
-    component_of: dict[ObjectId, int] = {}
-    components = g.connected_components()
-    for ci, comp in enumerate(components):
-        for x in comp:
-            component_of[x] = ci
-
-    fiber: dict[ObjectId, tuple[ArrowId, ...]] = {x: g.arrows_with_src(x) for x in g.objects}
-    plan: list[tuple[int, int]] = []  # per component: (constant rank, regular copies)
-    for comp in components:
-        f = len(fiber[comp[0]])
-        options = [(c, r) for r in range(0, 3) for c in range(0, max_rank + 1) if c + r * f <= max_rank]
-        plan.append(rng.choice(options) if options else (0, 0))
-
-    stalk_rank: dict[ObjectId, int] = {}
-    for x in g.objects:
-        c, r = plan[component_of[x]]
-        stalk_rank[x] = c + r * len(fiber[x])
-
-    twists: dict[ObjectId, Matrix] = {}
-    untwists: dict[ObjectId, Matrix] = {}
-    for x in g.objects:
-        twists[x], untwists[x] = random_invertible(ring, stalk_rank[x], rng)
-
-    transport: dict[ArrowId, Matrix] = {}
-    for a in g.arrows:
-        x, y = g.dst[a], g.src[a]
-        c, r = plan[component_of[x]]
-        fx, fy = fiber[x], fiber[y]
-        n_from, n_to = stalk_rank[x], stalk_rank[y]
-        rows = [[0] * n_to for _ in range(n_from)]
-        for i in range(c):
-            rows[i][i] = 1
-        # each regular copy permutes fiber basis vectors by right composition
-        index_to = {arrow: k for k, arrow in enumerate(fy)}
-        for copy in range(r):
-            base_from = c + copy * len(fx)
-            base_to = c + copy * len(fy)
-            for k, arrow in enumerate(fx):
-                moved = g.compose[(arrow, a)]
-                rows[base_from + k][base_to + index_to[moved]] = 1
-        raw = Matrix.from_ints(ring, rows, n_to)
-        transport[a] = untwists[x] @ raw @ twists[y]
-    return GSheaf(g, ring, stalk_rank, transport)
+    ranks, twists, orders = _sheaf_parts(g, ring, max_rank, seed)
+    transport = {a: twists[g.dst[a]][1] @ twists[g.src[a]][0].permuted_rows(orders[a]) for a in g.arrows}
+    return GSheaf(g, ring, ranks, transport)
 
 
 def random_module(g: FiniteGroupoid, ring: Ring, max_rank: int, seed: int) -> GModule:
-    """A random unitary module: the section module of a random sheaf, then a
-    random invertible change of the whole carrier's basis so that the block
-    structure is hidden from every downstream computation."""
+    """A random unitary module: the section module Γ_c(E) of a random sheaf
+    E, then a random invertible change q of the whole carrier's basis so
+    that the block structure is hidden from every downstream computation.
+
+    The action of a is q·Γ_c(E)[a]·q⁻¹, with E's transport of a in the rows
+    of Γ_c(E)[a] at ``dst a`` and its columns at ``src a``.  That is L[dst a]
+    times R[src a] with its rows permuted, where L[x] is the columns of q at
+    x times ``untwist[x]`` and R[x] is ``twist[x]`` times the rows of q⁻¹ at x:
+    one product per arrow and two per object."""
     rng = random.Random(seed)
-    base = gamma_c(random_sheaf(g, ring, max_rank, rng.randrange(2**32)))
-    q, q_inv = random_invertible(ring, base.rank, rng)
-    action = {a: q @ base.action[a] @ q_inv for a in g.arrows}
-    return GModule(g, ring, base.rank, action)
+    ranks, twists, orders = _sheaf_parts(g, ring, max_rank, rng.randrange(2**32))
+    q, q_inv = random_invertible(ring, sum(ranks.values()), rng)
+    ends = {}
+    for x, start in zip(g.objects, accumulate(ranks.values(), initial=0)):
+        stop, (twist, untwist) = start + ranks[x], twists[x]
+        ends[x] = q.column_slice(start, stop) @ untwist, twist @ q_inv.row_slice(start, stop)
+    action = {a: ends[g.dst[a]][0] @ ends[g.src[a]][1].permuted_rows(orders[a]) for a in g.arrows}
+    return GModule(g, ring, q.rows, action)

@@ -28,6 +28,7 @@ oracle these matrix paths are checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping
 
 from .gmodule import GModule, GModuleHom, _unintertwined
@@ -50,12 +51,8 @@ from .validation import Failure, ValidationReport
 
 
 def block_offsets(e: GSheaf) -> dict[ObjectId, int]:
-    offsets: dict[ObjectId, int] = {}
-    total = 0
-    for x in e.groupoid.objects:
-        offsets[x] = total
-        total += e.stalk_rank[x]
-    return offsets
+    objects = e.groupoid.objects
+    return dict(zip(objects, accumulate([e.stalk_rank[x] for x in objects], initial=0)))
 
 
 def gamma_c(e: GSheaf) -> GModule:

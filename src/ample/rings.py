@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 from typing import Any, Iterable, Sequence
 
@@ -76,14 +76,17 @@ class UnsupportedRingError(ValueError):
 
 @lru_cache(maxsize=256)
 def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
+    """Deterministic Miller-Rabin on the primes up to 41, exact below
+    3.317·10^24 (Sorenson and Webster, 2017); trial division from there."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if m < 2 or any(m % b == 0 for b in bases):
+        return m in bases
+    if m >= 3317044064679887385961981:
+        return all(m % d for d in range(43, isqrt(m) + 1, 2))
+    s = ((m - 1) & (1 - m)).bit_length() - 1
+    d = (m - 1) >> s  # odd, and m - 1 = d·2^s
+    # m is a strong probable prime to base b: b^d = 1, or b^(d·2^k) = -1 for some k < s
+    return all(pow(b, d, m) == 1 or any(pow(b, d << k, m) == m - 1 for k in range(s)) for b in bases)
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,6 @@ class Ring:
 
     def __getattr__(self, name: str) -> Any:
         # Only the first read of a trait reaches here; both are then kept.
-        # Construction tests no primality: for a large modulus that takes minutes.
         if name not in ("is_field", "supports_elimination"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         field = self.kind == "Q" or self.kind == "mod" and _is_prime(self.modulus)
@@ -119,6 +121,10 @@ class Ring:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # rebuilt by the constructor, so a loading process hashes it anew
+        return Ring, (self.kind, self.modulus)
 
     @property
     def name(self) -> str:
@@ -461,11 +467,11 @@ class Matrix:
         return Matrix(ring, len(data), cols, data)
 
     @staticmethod
-    def from_ints(ring: Ring, rows: Sequence[Sequence[int]], cols: int) -> "Matrix":
-        """The matrix of the integer rows ``rows``, each of length ``cols``,
-        unchecked and normalised: reduced mod m over Z/m, and over Q held in
-        its integer form, so no ``Fraction`` is built."""
-        return _normal(ring, len(rows), cols, rows)
+    def from_ints(ring: Ring, rows: Sequence[Sequence[int]], cols: int, d: int = 1) -> "Matrix":
+        """The matrix of the integer rows ``rows`` of length ``cols`` over ``d``
+        (1 off Q), unchecked and normalised: reduced mod m over Z/m, and over
+        Q held in its integer form, so no ``Fraction`` is built."""
+        return _normal(ring, len(rows), cols, rows, d)
 
     @staticmethod
     @lru_cache(maxsize=256)
@@ -542,6 +548,11 @@ class Matrix:
         nums, d = self.q_form
         scaled = [[n * x for x in row] for row in nums]
         return _normal(self.ring, self.rows, self.cols, scaled, d * c.denominator)
+
+    def permuted_rows(self, order: Sequence[int]) -> "Matrix":
+        """Row i is row ``order[i]``, for a permutation ``order``: no arithmetic."""
+        nums, d = self.q_form
+        return _held(self.ring, self.rows, self.cols, tuple([nums[k] for k in order]), d)
 
     def row_slice(self, start: int, stop: int) -> "Matrix":
         """Rows ``start`` to ``stop``, for 0 <= start <= stop <= rows."""

@@ -25,7 +25,12 @@ bases cut their flat rows before they reshaped the integer form.  ``sheaf_hom_ba
 morphism basis, the kernel of that dense grid, and its random draw as they
 were before (the draw with its own inline coefficient source).
 ``random_invertible`` is the builder as it was before its row operations
-became native vector operations.  ``pullback_quasi_inverse``, ``qi_mor`` and
+became native vector operations.  ``random_sheaf`` and ``random_module``
+are the seeded builders as they were before they drew their parts once
+and took one product per arrow: each transport is the twists around the
+0/1 matrix of the regular copies, each twist's inverse is an elimination
+(``rings.matrix_inverse``), and the module conjugates every action of
+``gamma_c`` by the whole of q.  ``pullback_quasi_inverse``, ``qi_mor`` and
 ``counit_iso`` are the quasi-inverse constructions as they were before they
 read the anchors and the preimage index cached on the functor: each call
 re-validates the leg, recomputes the anchors and scans ``hom_set`` once per
@@ -50,7 +55,8 @@ they were before ``rings.coordinates`` took a whole matrix at once: one
 ``express_in_basis`` per row.  None of these references takes the
 identity shortcut of ``row_echelon``.  ``is_field`` and
 ``supports_elimination`` are the ring traits as ``Ring`` computed them on
-every read, with a primality test of their own.  ``push_sheaf`` is the push
+every read, with a primality test of their own: ``is_prime``, the trial
+division ``rings._is_prime`` ran before it became Miller-Rabin.  ``push_sheaf`` is the push
 forward as it was before it read the arrow lift cached on the functor: each
 call builds the preimage index and conjugates every target arrow by the
 anchor arrows.
@@ -80,7 +86,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ample import rings
 from ample.algebra import AlgebraElement, _check_compatible, algebra_element, char_fn
-from ample.equivalence import Sheafification
+from ample.equivalence import Sheafification, gamma_c
 from ample.gmodule import GModule, GModuleHom, IsotropyFrame
 from ample.groupoid import (
     BISECTION_ENUM_GUARD,
@@ -103,11 +109,12 @@ from ample.rings import Echelon, Matrix, Ring, Scalar
 from ample.validation import Failure, ValidationReport
 
 
+def is_prime(m: int) -> bool:
+    return m >= 2 and all(m % d for d in range(2, isqrt(m) + 1))
+
+
 def is_field(ring: Ring) -> bool:
-    if ring.kind == "Q":
-        return True
-    m = ring.modulus or 0
-    return ring.kind == "mod" and m >= 2 and all(m % d for d in range(2, isqrt(m) + 1))
+    return ring.kind == "Q" or ring.kind == "mod" and is_prime(ring.modulus or 0)
 
 
 def supports_elimination(ring: Ring) -> bool:
@@ -473,6 +480,70 @@ def random_invertible(ring: Ring, n: int, rng: random.Random) -> Matrix:
     out = Matrix(ring, n, n, tuple(tuple(r) for r in m))
     assert matrix_inverse(out) is not None
     return out
+
+
+def random_sheaf(g: FiniteGroupoid, ring: Ring, max_rank: int, seed: int) -> GSheaf:
+    """A random sheaf, deterministic in the seed: per component a
+    twisted-constant part and copies of the regular permutation part, each
+    stalk re-based by a random invertible change of basis."""
+    if not supports_elimination(ring):
+        raise ValueError(f"random sheaves need a field or Z, not {ring.name}")
+    rng = random.Random(seed)
+    component_of: dict[ObjectId, int] = {}
+    components = g.connected_components()
+    for ci, comp in enumerate(components):
+        for x in comp:
+            component_of[x] = ci
+
+    fiber: dict[ObjectId, tuple[ArrowId, ...]] = {x: g.arrows_with_src(x) for x in g.objects}
+    plan: list[tuple[int, int]] = []  # per component: (constant rank, regular copies)
+    for comp in components:
+        f = len(fiber[comp[0]])
+        options = [(c, r) for r in range(0, 3) for c in range(0, max_rank + 1) if c + r * f <= max_rank]
+        plan.append(rng.choice(options) if options else (0, 0))
+
+    stalk_rank: dict[ObjectId, int] = {}
+    for x in g.objects:
+        c, r = plan[component_of[x]]
+        stalk_rank[x] = c + r * len(fiber[x])
+
+    twists: dict[ObjectId, Matrix] = {}
+    untwists: dict[ObjectId, Matrix] = {}
+    for x in g.objects:
+        twists[x] = random_invertible(ring, stalk_rank[x], rng)
+        untwists[x] = rings.matrix_inverse(twists[x])
+
+    transport: dict[ArrowId, Matrix] = {}
+    for a in g.arrows:
+        x, y = g.dst[a], g.src[a]
+        c, r = plan[component_of[x]]
+        fx, fy = fiber[x], fiber[y]
+        n_from, n_to = stalk_rank[x], stalk_rank[y]
+        rows = [[0] * n_to for _ in range(n_from)]
+        for i in range(c):
+            rows[i][i] = 1
+        # each regular copy permutes fiber basis vectors by right composition
+        index_to = {arrow: k for k, arrow in enumerate(fy)}
+        for copy in range(r):
+            base_from = c + copy * len(fx)
+            base_to = c + copy * len(fy)
+            for k, arrow in enumerate(fx):
+                moved = g.compose[(arrow, a)]
+                rows[base_from + k][base_to + index_to[moved]] = 1
+        raw = Matrix.from_rows(ring, rows, n_to)
+        transport[a] = untwists[x] @ raw @ twists[y]
+    return GSheaf(g, ring, stalk_rank, transport)
+
+
+def random_module(g: FiniteGroupoid, ring: Ring, max_rank: int, seed: int) -> GModule:
+    """The section module of a random sheaf, with a random invertible
+    change of the whole carrier's basis."""
+    rng = random.Random(seed)
+    base = gamma_c(random_sheaf(g, ring, max_rank, rng.randrange(2**32)))
+    q = random_invertible(ring, base.rank, rng)
+    q_inv = rings.matrix_inverse(q)
+    action = {a: q @ base.action[a] @ q_inv for a in g.arrows}
+    return GModule(g, ring, base.rank, action)
 
 
 def eta_matrix(sh: Sheafification) -> Matrix:

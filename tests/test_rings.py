@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +100,42 @@ def test_ring_traits_are_computed_once_on_first_read(monkeypatch):
     assert not Ring("mod", 9).supports_elimination and tested == [7, 9]
     with pytest.raises(AttributeError, match="has no attribute 'is_prime'"):
         ring.is_prime
+
+
+# Carmichael numbers (211·421·631 has no factor among the bases), then
+# strong pseudoprimes to every prime base up to 7 and up to 31
+PSEUDOPRIMES = (561, 41041, 825265, 56052361, 3215031751, 3825123056546413051)
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    for m in (*range(20001), *PSEUDOPRIMES):
+        assert rings._is_prime(m) == ref.is_prime(m), m
+    assert not any(map(rings._is_prime, PSEUDOPRIMES))
+
+
+def test_a_61_bit_prime_modulus_is_a_field_in_under_a_second():
+    rings._is_prime.cache_clear()
+    start = time.perf_counter()
+    assert modular(2**61 - 1).is_field and Ring("mod", 2**61 - 1).is_field
+    assert ring_from_name("Fp:2305843009213693951") is modular(2**61 - 1)
+    assert not Ring("mod", 2**61 + 1).is_field  # 3 divides it
+    assert time.perf_counter() - start < 1.0
+
+
+def test_unpickled_rings_hash_in_the_loading_process():
+    """A ring pickled under one hash seed and loaded under another is found
+    by dict lookup, and so is a matrix over it in a set."""
+    head = "import pickle, sys; from ample.rings import RATIONALS, Matrix, modular; "
+    dump = head + "sys.stdout.buffer.write(pickle.dumps((RATIONALS, Matrix.from_rows(RATIONALS, [[1, 2]]), modular(5))))"
+    load = head + (
+        "q, m, f = pickle.loads(sys.stdin.buffer.read()); "
+        "print({RATIONALS: 1}.get(q), {modular(5): 1}.get(f), m in {Matrix.from_rows(RATIONALS, [[1, 2]])})"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(rings.__file__).parents[1])}
+    run = lambda code, seed, data=None: subprocess.run(
+        [sys.executable, "-c", code], input=data, env={**env, "PYTHONHASHSEED": seed}, capture_output=True, check=True
+    ).stdout
+    assert run(load, "2", run(dump, "1")).split() == [b"1", b"1", b"True"]
 
 
 def test_ring_name_rejects_bad_input():
