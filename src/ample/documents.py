@@ -17,6 +17,7 @@ import os
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 from typing import Any, Iterable, Mapping
 
@@ -83,12 +84,14 @@ class ParsedDocument:
 
 
 # The files loaded so far by the outermost ``load_document`` or
-# ``parse_document`` call, by real path, so that a file referenced by several
-# parts of one document (a span's apex, named by the span and by both legs)
-# is read and parsed once.  A file still being parsed maps to the path it was
+# ``parse_document`` call, keyed by the (st_dev, st_ino) pair of one
+# ``os.stat``, which ``os.path.samestat`` compares.  So the same file (device
+# and inode), by whatever path or symlink and by however many parts of one
+# document it is named (a span's apex, by the span and by both legs), is
+# read and parsed once.  A file still being parsed maps to the path it was
 # named by, so a reference back to it is reported as a cycle.  Nothing is
 # kept once that call returns: files can change between commands.
-_LOADED: ContextVar[dict[str, ParsedDocument | str] | None] = ContextVar("_LOADED", default=None)
+_LOADED: ContextVar[dict[tuple[int, int], ParsedDocument | str] | None] = ContextVar("_LOADED", default=None)
 
 
 def parse_document(text: str, base_dir: str | None = None, source: str | None = None) -> ParsedDocument:
@@ -119,18 +122,31 @@ def parse_document(text: str, base_dir: str | None = None, source: str | None = 
 
 def load_document(path: str) -> ParsedDocument:
     """Read and parse a document file.  Files it references are read and
-    parsed once per top-level call, however often they are named."""
+    parsed once per top-level call, however often and by whatever path they
+    are named."""
     loaded, token = _LOADED.get(), None
     if loaded is None:
         loaded = {}
         token = _LOADED.set(loaded)
     try:
-        key = os.path.realpath(path)
+        try:
+            st = os.stat(path)
+        except OSError:  # opening the file reports why
+            key = None
+        else:
+            key = st.st_dev, st.st_ino
         found = loaded.get(key)
         if isinstance(found, ParsedDocument):
             return found
+        if found is not None:  # still being parsed: this reference closes a cycle
+            loading = [(k, named) for k, named in loaded.items() if isinstance(named, str)]
+            keys = [k for k, _ in loading]
+            raise _ReferenceCycle([named for _, named in loading[keys.index(key):]] + [path])
         try:
             with open(path, encoding="utf-8") as handle:
+                if key is None:  # the file appeared after the stat
+                    st = os.fstat(handle.fileno())
+                    key = st.st_dev, st.st_ino
                 text = handle.read()
         except OSError as exc:
             raise ParseError(
@@ -145,15 +161,14 @@ def load_document(path: str) -> ParsedDocument:
             _LOADED.reset(token)
 
 
-def _reference_cycle(path: str) -> list[str]:
-    """The files being parsed from ``path`` on, then ``path`` again, when a
-    reference to ``path`` would close a cycle; otherwise empty."""
-    loading = [(key, named) for key, named in (_LOADED.get() or {}).items() if isinstance(named, str)]
-    keys = [key for key, _ in loading]
-    key = os.path.realpath(path)
-    if key not in keys:
-        return []
-    return [named for _, named in loading[keys.index(key):]] + [path]
+class _ReferenceCycle(Exception):
+    """A reference to a file that is still being parsed.  ``files`` runs
+    from the path that file was first named by, through the files parsed
+    since, to the path of this reference."""
+
+    def __init__(self, files: list[str]) -> None:
+        super().__init__(files)
+        self.files = files
 
 
 def _parse_payload(payload: Any, base_dir: str | None) -> ParsedDocument:
@@ -181,11 +196,11 @@ def _resolve_groupoid(value: Any, base_dir: str | None, path: str) -> FiniteGrou
 def _resolve_reference(value: Any, base_dir: str | None, path: str, expected: str) -> ParsedDocument:
     if isinstance(value, str):
         full = value if os.path.isabs(value) or base_dir is None else os.path.join(base_dir, value)
-        cycle = _reference_cycle(full)
-        if cycle:
+        try:
+            doc = load_document(full)
+        except _ReferenceCycle as cycle:
             hint = "a document cannot reference itself, directly or through other files"
-            raise _fail(f"reference cycle: {' -> '.join(cycle)}", path, hint)
-        doc = load_document(full)
+            raise _fail(f"reference cycle: {' -> '.join(cycle.files)}", path, hint) from None
     elif isinstance(value, dict):
         doc = _parse_payload(value, base_dir)
     else:
@@ -471,4 +486,86 @@ def graph_payload(spec: GraphSpec) -> dict[str, Any]:
 
 
 def dump_payload(payload: Mapping[str, Any]) -> str:
+    """Exactly ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline.
+
+    An ``indent`` sends ``json.dumps`` down its pure-Python encoder.  Here
+    every container that holds only scalars is written by one call to the C
+    encoder, with the indent put into its item separator, and only the
+    nesting above those containers is built in Python.  Anything else (a
+    non-``str`` key, a float, a subclass) goes to ``json.dumps`` itself."""
+    if c_make_encoder is not None:
+        try:
+            (text,) = _members([payload], 0, [])
+            return text + "\n"
+        except (_Unsupported, RecursionError):  # json.dumps raises its own error, if any
+            pass
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class _Unsupported(Exception):
+    """A value the indented encoder leaves to ``json.dumps``."""
+
+
+_SCALARS = frozenset((str, int, bool, type(None)))
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _unsupported(value: Any) -> Any:
+    raise _Unsupported
+
+
+def _members(values: Iterable[Any], depth: int, encoders: list[Any]) -> list[str]:
+    """The text of each value at nesting ``depth``.  A nonempty container of
+    scalars takes one call to the C encoder for that depth, built once per
+    dump into ``encoders``; its indent stays None, and the line break and
+    padding before each item are its item separator."""
+    while len(encoders) <= depth:
+        item_separator = ",\n" + "  " * (len(encoders) + 1)
+        encoders.append(
+            c_make_encoder(None, _unsupported, encode_basestring_ascii, None, ": ", item_separator, True, False, True)
+        )
+    flat = encoders[depth]
+    outer = "  " * depth
+    pad = outer + "  "
+    texts = []
+    for value in values:
+        kind = type(value)
+        if (
+            (kind is list or kind is tuple) and value and set(map(type, value)) <= _SCALARS
+            or kind is dict and value and _all_of(str, value) and set(map(type, value.values())) <= _SCALARS
+        ):
+            text = "".join(flat(value, 0))
+            texts.append(f"{text[0]}\n{pad}{text[1:-1]}\n{outer}{text[-1]}")
+        else:
+            texts.append(_encode(value, depth, encoders))
+    return texts
+
+
+def _encode(value: Any, depth: int, encoders: list[Any]) -> str:
+    """The text of a scalar, or of an empty container or one that holds a
+    container, at nesting ``depth``."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return _LITERALS[value]
+    if kind is dict:
+        if not value:
+            return "{}"
+        if not _all_of(str, value):
+            raise _Unsupported
+        keys = sorted(value)
+        texts = _members([value[k] for k in keys], depth + 1, encoders)
+        items = [f"{encode_basestring_ascii(k)}: {text}" for k, text in zip(keys, texts)]
+        opening, closing = "{", "}"
+    elif kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = _members(value, depth + 1, encoders)
+        opening, closing = "[", "]"
+    else:
+        raise _Unsupported
+    pad = "  " * (depth + 1)
+    return f"{opening}\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[2:]}{closing}"

@@ -1,11 +1,12 @@
 """Convolution and the structure table against the coerce-per-term oracle.
 
 ``convolve`` sums products natively and reduces once per composite, and
-``multiplication_table`` convolves only the composable pairs and reads each
-cell from the product's one key.  ``reference_kernels`` keeps the versions
-they replaced; products must agree in their coefficients, in the order of
-their keys and in the types of their values, and tables cell by cell in
-row-major order.
+``multiplication_table`` reads each composable cell from the composition
+table.  ``reference_kernels`` keeps the versions they replaced (the table
+convolves the singletons of every composable pair); products must agree in
+their coefficients, in the order of their keys and in the types of their
+values, and tables cell by cell in row-major order, up to the table's size
+guard and over Z/2, the smallest ring ``ring_from_name`` accepts.
 """
 from __future__ import annotations
 
@@ -15,13 +16,21 @@ from fractions import Fraction
 import pytest
 
 import reference_kernels as ref
-from ample.algebra import AlgebraElement, algebra_element, convolve, multiplication_table
-from ample.builders import GraphSpec, acyclic_graph_groupoid, action_groupoid, cyclic_group, pair_groupoid
-from ample.groupoid import FiniteGroupoid
-from ample.rings import modular
+from ample.algebra import TABLE_GUARD, AlgebraElement, algebra_element, convolve, multiplication_table
+from ample.builders import (
+    GraphSpec,
+    _pair_union,
+    acyclic_graph_groupoid,
+    action_groupoid,
+    cyclic_group,
+    pair_groupoid,
+)
+from ample.groupoid import FiniteGroupoid, SizeGuardError
+from ample.rings import modular, ring_from_name
 from conftest import ALL_RINGS, F5, Q, Z, random_algebra_element, random_scalar
 
 Z4 = modular(4)
+Z2 = ring_from_name("Zmod:2")
 RINGS = (Q, Z, F5, Z4)
 
 
@@ -121,7 +130,7 @@ TABLE_CASES = _table_cases()
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_CASES))
-@pytest.mark.parametrize("ring", (Q, Z4), ids=lambda r: r.name)
+@pytest.mark.parametrize("ring", (Q, Z4, Z2), ids=lambda r: r.name)
 def test_table_matches_reference_on_families(name, ring):
     g = TABLE_CASES[name]
     cells = multiplication_table(g, ring).cells
@@ -136,3 +145,29 @@ def test_table_matches_reference_on_every_fixture(
         for ring in (*ALL_RINGS, Z4):
             cells = multiplication_table(g, ring).cells
             assert list(cells.items()) == list(ref.table_cells(g, ring).items())
+
+
+@pytest.mark.parametrize("ring", (Q, Z, F5, Z4, Z2), ids=lambda r: r.name)
+def test_table_matches_reference_at_the_size_guard(ring):
+    g = pair_groupoid(8)
+    assert len(g.arrows) == TABLE_GUARD
+    cells = multiplication_table(g, ring).cells
+    assert list(cells.items()) == list(ref.table_cells(g, ring).items())
+    assert list(cells) == [(a, b) for a in g.arrows for b in g.arrows]
+    # pair(8) and a point: one arrow over the guard
+    over = _pair_union([[str(i) for i in range(1, 9)], ["x"]])
+    assert len(over.arrows) == TABLE_GUARD + 1
+    with pytest.raises(SizeGuardError):
+        multiplication_table(over, ring)
+
+
+def test_table_reads_only_composable_pairs():
+    # A compose entry on a pair that does not compose (validate_groupoid's
+    # "composition domain" failure) leaves its cell at 0, as convolution does.
+    g = pair_groupoid(2)
+    stray = FiniteGroupoid(
+        g.objects, g.arrows, g.src, g.dst, g.unit, {**g.compose, ("(1,1)", "(2,2)"): "(1,2)"}, g.inverse
+    )
+    cells = multiplication_table(stray, Q).cells
+    assert cells[("(1,1)", "(2,2)")] is None
+    assert list(cells.items()) == list(ref.table_cells(stray, Q).items())

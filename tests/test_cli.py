@@ -302,10 +302,13 @@ def test_reference_cycles_are_positioned_parse_errors(tmp_path, monkeypatch):
     (tmp_path / "m.json").write_text(module % "m.json")
     (tmp_path / "a.json").write_text(module % "b.json")
     (tmp_path / "b.json").write_text(module % "a.json")
+    (tmp_path / "t.json").write_text(module % "a.json")
     hint = "(hint: a document cannot reference itself, directly or through other files)"
     cases = {
         "m.json": "m.json:#groupoid: reference cycle: m.json -> ./m.json " + hint,
         "a.json": "./b.json:#groupoid: reference cycle: a.json -> ./b.json -> ./a.json " + hint,
+        # the cycle starts below the file loaded: t.json is not in it
+        "t.json": "./b.json:#groupoid: reference cycle: ./a.json -> ./b.json -> ./a.json " + hint,
     }
     for name, text in cases.items():
         with pytest.raises(ParseError) as err:
@@ -318,6 +321,55 @@ def test_missing_file_is_reported():
     with pytest.raises(ParseError) as err:
         load_document("no-such-file.json")
     assert "cannot read" in err.value.message
+
+
+def test_span_naming_its_apex_through_a_symlink_parses_it_once(tmp_path, monkeypatch):
+    # The span names point.json through a link, the legs by its own name:
+    # one file (device and inode), so one parse and one groupoid.
+    from ample import documents
+
+    run_command(["examples", "--dir", str(tmp_path)])
+    (tmp_path / "apex-link.json").symlink_to("point.json")
+    span = tmp_path / "span-linked.json"
+    span.write_text(json.dumps({
+        "kind": "span", "apex": "apex-link.json", "left": "functor-point-to-p2.json",
+        "right": "functor-point-id.json",
+    }))
+    parsed = []
+    real = documents._parse_groupoid
+    monkeypatch.setattr(
+        documents, "_parse_groupoid", lambda payload, base: parsed.append(payload) or real(payload, base)
+    )
+    value = load_document(str(span)).value
+    assert value.apex is value.left.source is value.right.source
+    assert sorted(len(p["objects"]) for p in parsed) == [1, 2]
+
+
+def test_symlink_reference_cycle_is_reported(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    module = '{"kind": "module", "ring": "Q", "rank": 0, "groupoid": "%s", "action": {}}'
+    (tmp_path / "m.json").write_text(module % "link.json")
+    (tmp_path / "link.json").symlink_to("m.json")
+    hint = "(hint: a document cannot reference itself, directly or through other files)"
+    text = "m.json:#groupoid: reference cycle: m.json -> ./link.json " + hint
+    with pytest.raises(ParseError) as err:
+        load_document("m.json")
+    assert err.value.describe() == text
+    assert run_command(["validate", "m.json"]) == (1, text)
+
+
+def test_unreadable_files_keep_their_messages(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "folder.json").mkdir()
+    module = '{"kind": "module", "ring": "Q", "rank": 0, "groupoid": "%s", "action": {}}'
+    reasons = {"missing.json": "No such file or directory", "folder.json": "Is a directory"}
+    for name, reason in reasons.items():
+        (tmp_path / f"refers-{name}").write_text(module % name)
+        for path, source in ((name, name), (f"refers-{name}", f"./{name}")):
+            with pytest.raises(ParseError) as err:
+                load_document(path)
+            assert err.value.message == f"cannot read file: {reason}"
+            assert err.value.source == source
 
 
 def test_module_document_round_trips_fractions(p2):
