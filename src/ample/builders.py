@@ -257,32 +257,48 @@ def random_invertible(ring: Ring, n: int, rng: random.Random) -> tuple[Matrix, M
     The matrix is a product of elementary row operations, so it stays
     invertible over Z (unimodular) as well as over fields.  Its inverse,
     the reversed operations, is built alongside and held transposed, where
-    each is a row operation; over Q it is held over a power of two."""
-    p, e = ring.modulus, 0
+    each is a row operation; over Q it is held over a power of two.  Every
+    draw is ``_below``'s loop, inline, on the same ``getrandbits`` widths."""
+    p, e, bits, k = ring.modulus, 0, rng.getrandbits, n.bit_length()
     units = (2, -1) if ring.kind == "Q" else None if ring.is_field else (1, -1)
-
-    def shear(u: list[int], v: list[int], c: int) -> list[int]:
-        return [(a + c * b) % p for a, b in zip(u, v)] if p else [a + c * b for a, b in zip(u, v)]
-
-    def scale(u: list[int], c: int) -> list[int]:
-        return [c * a % p for a in u] if p else [c * a for a in u]
-
+    count = p - 1 if units is None else 2  # a unit is 1 + _below(rng, p - 1), or units[_below(rng, 2)]
+    k_unit = count.bit_length()
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     t = [row[:] for row in m]  # the inverse, transposed, over 2**e
     for _ in range(2 * n * n + 2 if n else 0):  # the empty matrix takes no draws
-        kind, i, j = _below(rng, 3), _below(rng, n), _below(rng, n)
+        kind = bits(2)
+        while kind == 3:
+            kind = bits(2)
+        i = bits(k)
+        while i >= n:
+            i = bits(k)
+        j = bits(k)
+        while j >= n:
+            j = bits(k)
         if kind == 0 and i != j:  # row_i += c * row_j, so t_j -= c * t_i
-            c = (-2, -1, 1, 2)[_below(rng, 4)]
-            m[i], t[j] = shear(m[i], m[j], c), shear(t[j], t[i], -c)
+            r = bits(3)
+            while r >= 4:
+                r = bits(3)
+            c, u, v, w, z = (-2, -1, 1, 2)[r], m[i], m[j], t[j], t[i]
+            if p:
+                m[i], t[j] = [(a + c * b) % p for a, b in zip(u, v)], [(a - c * b) % p for a, b in zip(w, z)]
+            else:
+                m[i], t[j] = [a + c * b for a, b in zip(u, v)], [a - c * b for a, b in zip(w, z)]
         elif kind == 1 and i != j:
             m[i], m[j], t[i], t[j] = m[j], m[i], t[j], t[i]
         else:  # row_i *= c for a unit c, so t_i *= 1/c
-            c = 1 + _below(rng, p - 1) if units is None else units[_below(rng, 2)]
-            m[i] = scale(m[i], c)
-            if c == 2 and not p:  # over Q: halve t_i, that is, double the rest and 2**e
-                t, e = [row if k == i else scale(row, 2) for k, row in enumerate(t)], e + 1
+            r = bits(k_unit)
+            while r >= count:
+                r = bits(k_unit)
+            c = 1 + r if units is None else units[r]
+            if p:
+                c_inv = pow(c, -1, p)
+                m[i], t[i] = [c * a % p for a in m[i]], [c_inv * a % p for a in t[i]]
+            elif c == 2:  # over Q: halve t_i, that is, double the rest and 2**e
+                m[i], e = [2 * a for a in m[i]], e + 1
+                t = [row if h == i else [2 * a for a in row] for h, row in enumerate(t)]
             else:
-                t[i] = scale(t[i], pow(c, -1, p) if p else c)
+                m[i], t[i] = [c * a for a in m[i]], [c * a for a in t[i]]
     return Matrix.from_ints(ring, m, n), Matrix.from_ints(ring, list(zip(*t)), n, 1 << e)
 
 

@@ -42,6 +42,8 @@ from .rings import (
     image_basis,
     kernel_basis,
     matrix_inverse,
+    projector_rows,
+    read_block,
     stack_rows,
 )
 from .validation import Failure, ValidationReport
@@ -105,20 +107,29 @@ class _OffLatticeError(ValueError):
 
 
 def sheafify(m: GModule) -> Sheafification:
-    """Build the germ sheaf of a module (needs a field or Z for bases)."""
+    """Build the germ sheaf of a module (needs a field or Z for bases).
+
+    When every unit action is a coordinate projector (``projector_rows``),
+    as in a section module with identity unit transports, each stalk basis
+    is the kept unit rows and the transport of a is the block of its action
+    at the rows kept at dst a and the columns kept at src a: no product and
+    no elimination."""
     # The germ of v at x is its normal form v·E_x, E_x the unit action at x:
     # with a finite discrete unit space the singleton of x is its least
     # compact open neighbourhood, so this one product decides germ equality,
     # and the stalk at x is the row space of E_x.
     g = m.groupoid
-    basis: dict[ObjectId, Matrix] = {}
-    for x in g.objects:
-        basis[x] = image_basis(m.unit_action(x))
+    basis = {x: image_basis(m.unit_action(x)) for x in g.objects}
+    kept = {x: projector_rows(m.unit_action(x)) for x in g.objects}
+    blocks = None not in kept.values()
     stalk_rank = {x: basis[x].rows for x in g.objects}
     transport: dict[ArrowId, Matrix] = {}
     for a in g.arrows:
         x, y = g.dst[a], g.src[a]
-        coords = coordinates(basis[y], basis[x] @ m.action[a])
+        if blocks:
+            coords = read_block(m.action[a], kept[x], kept[y])
+        else:
+            coords = coordinates(basis[y], basis[x] @ m.action[a])
         if coords is None:
             raise _OffLatticeError(
                 f"action of {a!r} does not preserve stalk lattices; is the module valid?"

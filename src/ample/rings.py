@@ -44,11 +44,14 @@ every ring, so it needs no ring; a product with an identity operand
 returns the other operand once the ring and shape checks pass, and
 ``row_echelon`` returns an identity as its own reduced form and transform.
 Every other elimination runs on ``[a | identity]`` (see ``row_echelon``),
-so no kernel builds a transform of its own.  ``coordinates`` expresses
-every row of a matrix in a basis at once: over a field the basis must be
-reduced, and the coordinates are read off its pivot columns and checked
-with one product; over Z the basis must be in echelon form, and each row
-is found by exact division.
+so no kernel builds a transform of its own, except for a coordinate
+projector (``projector_rows``: square, over 1, each row i zero or row i
+of the identity), whose nonzero rows ``image_basis`` returns as they are.
+``coordinates`` expresses every row of a matrix in a basis at once: in
+unit rows it reads columns (``read_block``); otherwise over a field the
+basis must be reduced, and the coordinates are read off its pivot columns
+and checked with one product; over Z the basis must be in echelon form,
+and each row is found by exact division.
 
 Conventions used throughout the library: vectors are rows, linear maps act
 on the right (``v @ A``), and matrix products compose left to right, so
@@ -788,9 +791,45 @@ def rank(a: Matrix) -> int:
 
 
 def image_basis(a: Matrix) -> Matrix:
-    """Echelon basis (field) or Hermite lattice basis (Z) of the row space {vA}."""
+    """Echelon basis (field) or Hermite lattice basis (Z) of the row space
+    {vA}: a coordinate projector's nonzero rows, with no elimination."""
+    kept = projector_rows(a) if a.ring.supports_elimination else None
+    if kept is not None:
+        return _held(a.ring, len(kept), a.cols, tuple([a.q_form[0][i] for i in kept]))
     ech = row_echelon(a)
     return ech.reduced.row_slice(0, len(ech.pivots))
+
+
+def projector_rows(a: Matrix) -> tuple[int, ...] | None:
+    """The indices of the nonzero rows of ``a`` when it is a coordinate
+    projector: square, over the denominator 1, every row i either zero or
+    row i of the identity.  None for any other matrix."""
+    n, (rows, d) = a.rows, a.q_form
+    if n != a.cols or d != 1:
+        return None
+    kept = []
+    for i, row in enumerate(rows):
+        zeros = row.count(0)
+        if zeros == n - 1 and row[i] == 1:
+            kept.append(i)
+        elif zeros != n:
+            return None
+    return tuple(kept)
+
+
+def read_block(a: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix | None:
+    """The rows ``rows`` of ``a`` read at the columns ``cols``, normalised,
+    or None when one of those rows has a nonzero entry off ``cols``: the
+    coordinates of those rows in the unit rows at ``cols``."""
+    nums, d = a.q_form
+    read = []
+    for i in rows:
+        row = nums[i]
+        cut = tuple([row[j] for j in cols])
+        if len(row) - row.count(0) != len(cut) - cut.count(0):
+            return None
+        read.append(cut)
+    return _lowest(a.ring, len(read), len(cols), tuple(read), d)
 
 
 def kernel_basis(a: Matrix) -> Matrix:
@@ -806,7 +845,9 @@ def coordinates(basis: Matrix, m: Matrix) -> Matrix | None:
     """The matrix C with C @ basis = m, or None when a row of ``m`` is
     outside the row space (the lattice, over Z) of ``basis``.
 
-    Over a field ``basis`` must be a reduced echelon basis, as
+    In a basis of unit rows, leads increasing, C is ``m`` read at the
+    leads (``read_block``), found by the pass that finds them.  Otherwise
+    over a field ``basis`` must be a reduced echelon basis, as
     ``image_basis`` returns, possibly with zero rows: a 1 at each nonzero
     row's leading column and zeros above and below it.  C is then ``m``
     read at those columns, and one product checks it; a row outside the
@@ -820,36 +861,42 @@ def coordinates(basis: Matrix, m: Matrix) -> Matrix | None:
         raise ValueError(f"ring mismatch: {m.ring.name} vs {ring.name}")
     if m.cols != basis.cols:
         raise ValueError(f"dimension mismatch: rows of length {m.cols} vs {basis.cols} cols")
+    if not ring.supports_elimination:
+        raise UnsupportedRingError(f"coordinates need a field or Z, not {ring.name} (composite modulus)")
     brows, e = basis.q_form
+    leads, units = [], e == 1
+    for row in brows:
+        j = next((j for j, x in enumerate(row) if x), None)
+        if units:
+            units = j is not None and row[j] == 1 and row.count(0) == len(row) - 1 and (not leads or j > leads[-1])
+        leads.append(j)
+    if units:
+        return read_block(m, range(m.rows), leads)
     mrows, f = m.q_form
     if ring.is_field:
         # with basis as B/e and m as M/f (e = f = 1 off Q), C is M read at
         # the leads over f, and C @ basis = m exactly when that read @ B = M·e
-        leads = [next((j for j, x in enumerate(row) if x), None) for row in brows]
         read = tuple([tuple([0 if j is None else row[j] for j in leads]) for row in mrows])
         want = mrows if e == 1 else tuple([tuple([x * e for x in row]) for row in mrows])
         got = _products(read, brows, basis.cols) if ring.modulus is None else _mod_products(read, basis)
         if got != want:
             return None
         return _lowest(ring, m.rows, basis.rows, read, f)
-    if ring.kind != "Z":
-        raise UnsupportedRingError(f"coordinates need a field or Z, not {ring.name} (composite modulus)")
     rows = []
     for row in mrows:
-        found = _express(brows, row)
+        found = _express(brows, leads, row)
         if found is None:
             return None
         rows.append(found)
     return _held(ring, m.rows, basis.rows, tuple(rows))
 
 
-def _express(basis: tuple[tuple[int, ...], ...], target: tuple[int, ...]) -> tuple[int, ...] | None:
+def _express(basis: tuple[tuple[int, ...], ...], leads: list, target: tuple[int, ...]) -> tuple[int, ...] | None:
     """One row of ``coordinates`` over Z: ``target`` reduced against the
-    echelon rows of ``basis`` in turn by exact division, or None when a
-    division leaves a remainder or a residue remains."""
+    echelon rows of ``basis``, leads ``leads``, in turn by exact division,
+    or None when a division leaves a remainder or a residue remains."""
     residue, coeffs = target, []
-    for row in basis:
-        lead = next((j for j, x in enumerate(row) if x), None)
+    for row, lead in zip(basis, leads):
         if lead is None or not residue[lead]:
             coeffs.append(0)
             continue

@@ -25,7 +25,9 @@ bases cut their flat rows before they reshaped the integer form.  ``sheaf_hom_ba
 morphism basis, the kernel of that dense grid, and its random draw as they
 were before (the draw with its own inline coefficient source).
 ``random_invertible`` is the builder as it was before its row operations
-became native vector operations.  ``random_sheaf`` and ``random_module``
+became native vector operations, and ``random_invertible_with_closures``
+as it was before it drew inline: a call to ``builders._below`` per draw and
+to a ``shear`` or ``scale`` closure per row operation.  ``random_sheaf`` and ``random_module``
 are the seeded builders as they were before they drew their parts once
 and took one product per arrow: each transport is the twists around the
 0/1 matrix of the regular copies, each twist's inverse is an elimination
@@ -86,6 +88,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ample import rings
 from ample.algebra import AlgebraElement, _check_compatible, algebra_element, char_fn
+from ample.builders import _below
 from ample.equivalence import Sheafification, gamma_c
 from ample.gmodule import GModule, GModuleHom, IsotropyFrame
 from ample.groupoid import (
@@ -480,6 +483,41 @@ def random_invertible(ring: Ring, n: int, rng: random.Random) -> Matrix:
     out = Matrix(ring, n, n, tuple(tuple(r) for r in m))
     assert matrix_inverse(out) is not None
     return out
+
+
+def random_invertible_with_closures(ring: Ring, n: int, rng: random.Random) -> tuple[Matrix, Matrix]:
+    """A random invertible matrix and its inverse.
+
+    The matrix is a product of elementary row operations, so it stays
+    invertible over Z (unimodular) as well as over fields.  Its inverse,
+    the reversed operations, is built alongside and held transposed, where
+    each is a row operation; over Q it is held over a power of two."""
+    p, e = ring.modulus, 0
+    units = (2, -1) if ring.kind == "Q" else None if ring.is_field else (1, -1)
+
+    def shear(u: list[int], v: list[int], c: int) -> list[int]:
+        return [(a + c * b) % p for a, b in zip(u, v)] if p else [a + c * b for a, b in zip(u, v)]
+
+    def scale(u: list[int], c: int) -> list[int]:
+        return [c * a % p for a in u] if p else [c * a for a in u]
+
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    t = [row[:] for row in m]  # the inverse, transposed, over 2**e
+    for _ in range(2 * n * n + 2 if n else 0):  # the empty matrix takes no draws
+        kind, i, j = _below(rng, 3), _below(rng, n), _below(rng, n)
+        if kind == 0 and i != j:  # row_i += c * row_j, so t_j -= c * t_i
+            c = (-2, -1, 1, 2)[_below(rng, 4)]
+            m[i], t[j] = shear(m[i], m[j], c), shear(t[j], t[i], -c)
+        elif kind == 1 and i != j:
+            m[i], m[j], t[i], t[j] = m[j], m[i], t[j], t[i]
+        else:  # row_i *= c for a unit c, so t_i *= 1/c
+            c = 1 + _below(rng, p - 1) if units is None else units[_below(rng, 2)]
+            m[i] = scale(m[i], c)
+            if c == 2 and not p:  # over Q: halve t_i, that is, double the rest and 2**e
+                t, e = [row if k == i else scale(row, 2) for k, row in enumerate(t)], e + 1
+            else:
+                t[i] = scale(t[i], pow(c, -1, p) if p else c)
+    return Matrix.from_ints(ring, m, n), Matrix.from_ints(ring, list(zip(*t)), n, 1 << e)
 
 
 def random_sheaf(g: FiniteGroupoid, ring: Ring, max_rank: int, seed: int) -> GSheaf:

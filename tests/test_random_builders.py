@@ -125,3 +125,19 @@ def test_builders_take_one_product_per_arrow_and_no_elimination(ring, name, z2_a
             assert set(calls) <= {"product"} and calls["product"] <= len(g.arrows) + 2 * len(g.objects)
             products += calls["product"]
     assert products  # the counter sees the builders' products
+
+
+@pytest.mark.parametrize("ring", [Q, Z, F2, F5, modular(65537), modular(2305843009213693951)], ids=lambda r: r.name)
+def test_inline_draws_match_the_closure_builder(ring):
+    """``random_invertible`` draws inline, on the bits and ``getrandbits``
+    widths of ``_below``: the matrix, its inverse and the generator state
+    after the draw equal those of the builder that called ``_below`` and a
+    row-operation closure per step."""
+    for n in range(8):
+        for seed in range(8):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            got, got_inverse = random_invertible(ring, n, rng)
+            want, want_inverse = ref.random_invertible_with_closures(ring, n, ref_rng)
+            assert_same_matrix(ring, got, want)
+            assert_same_matrix(ring, got_inverse, want_inverse)
+            assert rng.getstate() == ref_rng.getstate()
