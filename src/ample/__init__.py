@@ -25,6 +25,7 @@ from .builders import (
     pair_groupoid,
     random_module,
     random_sheaf,
+    symmetric_group,
     trivial_groupoid,
 )
 from .equivalence import (

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate, permutations, product
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .gmodule import GModule
-from .groupoid import ArrowId, FiniteGroupoid, ObjectId
+from .groupoid import ArrowId, FiniteGroupoid, ObjectId, is_associative
 from .gsheaf import GSheaf
 from .rings import Matrix, Ring
 
@@ -71,6 +72,21 @@ def cyclic_group(n: int) -> tuple[tuple[str, ...], dict[tuple[str, str], str]]:
     return names, table
 
 
+def symmetric_group(n: int) -> tuple[tuple[str, ...], dict[tuple[str, str], str]]:
+    """Element names and multiplication table of S_n, 1 <= n <= 9.
+
+    A permutation p of 1..n is named by its images p(1)…p(n) as digits, so
+    the identity "12…n" comes first and the rest follow in lexicographic
+    order; character i-1 of a name is the image of i.  Permutations compose
+    like arrows: the product (p, q) is p∘q, first q, then p."""
+    if not 1 <= n <= 9:
+        raise ValueError("symmetric group needs 1 <= n <= 9")
+    names = tuple("".join(p) for p in permutations("123456789"[:n]))
+    reads = [itemgetter(*[int(i) - 1 for i in q]) for q in names]  # (p∘q)(i) = p(q(i))
+    table = {(p, q): "".join(read(p)) for p in names for q, read in zip(names, reads)}
+    return names, table
+
+
 def _check_group(
     elements: Sequence[str], table: Mapping[tuple[str, str], str]
 ) -> tuple[str, dict[str, str]]:
@@ -94,9 +110,10 @@ def _check_group(
         if b is None:
             raise ValueError(f"not a group table: element {a} has no inverse")
         inverse[a] = b
-    for a, b, c in product(elements, repeat=3):
-        if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
-            raise ValueError(f"not a group table: associativity fails at ({a},{b},{c})")
+    if not is_associative(elements, table):  # name the first triple that fails
+        for a, b, c in product(elements, repeat=3):
+            if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
+                raise ValueError(f"not a group table: associativity fails at ({a},{b},{c})")
     return identity, inverse
 
 
@@ -344,8 +361,10 @@ def random_sheaf(g: FiniteGroupoid, ring: Ring, max_rank: int, seed: int) -> GSh
 
 def random_module(g: FiniteGroupoid, ring: Ring, max_rank: int, seed: int) -> GModule:
     """A random unitary module: the section module Γ_c(E) of a random sheaf
-    E, then a random invertible change q of the whole carrier's basis so
-    that the block structure is hidden from every downstream computation.
+    E, then a random invertible change q of the whole carrier's basis.  q
+    mostly hides the block structure, but a small q can be monomial (a
+    permutation times units), which leaves every unit action a coordinate
+    projector.
 
     The action of a is q·Γ_c(E)[a]·q⁻¹, with E's transport of a in the rows
     of Γ_c(E)[a] at ``dst a`` and its columns at ``src a``.  That is L[dst a]

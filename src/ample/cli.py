@@ -62,6 +62,8 @@ class Report:
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, "_Parser"]  # the sub-parser of each command, on the top-level parser
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
 
@@ -71,6 +73,7 @@ def _build_parser() -> _Parser:
     """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="ample", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p_validate = sub.add_parser("validate", help="parse a document and check its axioms")
     p_validate.add_argument("file")
@@ -132,8 +135,16 @@ def _sample_flags(parser: argparse.ArgumentParser) -> None:
 def run_command(argv: list[str]) -> tuple[int, str]:
     """Run one command; returns (exit code, report text)."""
     parser = _build_parser()
+    # A command's arguments go straight to its sub-parser, as the top-level
+    # parser would hand them on; anything else (no command, an unknown one,
+    # -h) goes through the top-level parser for its usage message.
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:])
+            args.command = argv[0]
     except UsageError as exc:
         return 2, f"usage error: {exc}"
     except SystemExit as exc:  # argparse prints help/version itself

@@ -42,6 +42,7 @@ from .rings import (
     image_basis,
     kernel_basis,
     matrix_inverse,
+    projector_image,
     projector_rows,
     read_block,
     stack_rows,
@@ -118,9 +119,13 @@ def sheafify(m: GModule) -> Sheafification:
     # with a finite discrete unit space the singleton of x is its least
     # compact open neighbourhood, so this one product decides germ equality,
     # and the stalk at x is the row space of E_x.
-    g = m.groupoid
-    basis = {x: image_basis(m.unit_action(x)) for x in g.objects}
-    kept = {x: projector_rows(m.unit_action(x)) for x in g.objects}
+    g, elim = m.groupoid, m.ring.supports_elimination
+    units = {x: m.unit_action(x) for x in g.objects}
+    kept = {x: projector_rows(e) for x, e in units.items()}
+    basis = {
+        x: image_basis(e) if kept[x] is None or not elim else projector_image(e, kept[x])
+        for x, e in units.items()
+    }
     blocks = None not in kept.values()
     stalk_rank = {x: basis[x].rows for x in g.objects}
     transport: dict[ArrowId, Matrix] = {}

@@ -17,10 +17,12 @@ everywhere, which keeps every derived report byte-reproducible.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
+from operator import itemgetter
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .validation import Failure, ValidationReport
 
@@ -83,9 +85,8 @@ class FiniteGroupoid:
         for g, h in self.inverse.items():
             if h not in arrow_set:
                 raise ValueError(f"inverse[{g!r}] = {h!r} is not an arrow")
-        referenced = set(chain.from_iterable(self.compose))
-        referenced.update(self.compose.values())
-        if not referenced <= arrow_set:  # name the first bad entry
+        if not (arrow_set.issuperset(chain.from_iterable(self.compose))
+                and arrow_set.issuperset(self.compose.values())):  # name the first bad entry
             for (g, h), gh in self.compose.items():
                 for a in (g, h, gh):
                     if a not in arrow_set:
@@ -166,8 +167,8 @@ class FiniteGroupoid:
     def isotropy_plan(self) -> IsotropyPlan | None:
         """Base objects, tree arrows and isotropy factors of every arrow, or
         None when the groupoid fails ``validate_groupoid``.  The tables are
-        the ones that function's associativity check builds."""
-        return None if _law_failures(self) else _associative_plan(self)
+        the ones that function's one-pass check builds."""
+        return _associative_plan(self)
 
 
 def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
@@ -175,16 +176,13 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
 
     A groupoid with an ``isotropy_plan`` passes, and the plan, derived once
     per groupoid and kept, serves every later module and sheaf built on it.
-    Deriving it checks every law but associativity, reading the arrows
-    ending at an object from an index, in time proportional to the arrows
-    and the composition entries; on a table that passes them,
-    associativity is checked on the plan itself (``_associative_plan``) in
-    time proportional to the composable pairs plus the sum of |K_x|³ over
-    the base isotropy groups K_x.  Only when there is no plan are the laws
-    scanned again for their failures and the composable triples (a, b, c)
-    for associativity witnesses.  Failures come out law by law, each law
-    in declaration order of its arrows (the endpoint law in the order of
-    the composition table).
+    Deriving it (``_associative_plan``) checks every law in one pass, in
+    time proportional to the composable pairs plus Σ|K_x|²·|S_x| over the
+    base isotropy groups K_x with their generating sets S_x.  Only when
+    there is no plan are the laws scanned again for their failures and the
+    composable triples (a, b, c) for associativity witnesses.  Failures come
+    out law by law, each law in declaration order of its arrows (the
+    endpoint law in the order of the composition table).
     """
     if g.isotropy_plan is not None:
         return ValidationReport("groupoid", ())
@@ -192,7 +190,7 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
 
 
 def _law_failures(g: FiniteGroupoid) -> list[Failure]:
-    """The failures of every groupoid law but associativity."""
+    """The failures of every groupoid law but associativity, as witnesses."""
     failures: list[Failure] = []
     compose, src, dst, unit = g.compose, g.src, g.dst, g.unit
 
@@ -240,51 +238,117 @@ def _law_failures(g: FiniteGroupoid) -> list[Failure]:
 
 
 def _associative_plan(g: FiniteGroupoid) -> IsotropyPlan | None:
-    """The isotropy plan of a table that passes ``_law_failures``, or None
-    when the table is not associative.
+    """The isotropy plan of a groupoid, or None when its table breaks a law.
 
     The tables: the base of each component is its first object, t_y is the
     first arrow from the base to y, and loop[a] = t_z⁻¹·(a·t_y) for a: y -> z
-    lies in the base's isotropy set K.  The other laws make these lookups
-    total: arrows compose whenever they are composable, with the right
-    endpoints, and inverses reverse them, so the base reaches every object
-    of its component by a single arrow.  Three checks follow:
+    lies in the base's isotropy set K.  One pass checks, in turn:
 
-    1. the table of K is associative (Σ|K|³ lookups);
-    2. a ↦ (dst a, loop a, src a) is injective;
-    3. loop[ab] = loop[a]·loop[b] for every composable pair (a, b).
+    1. each unit is an endo-arrow at its object, units act as identities,
+       and each inverse reverses its arrow with unit products both ways;
+    2. the table has one entry per composable pair (a count), and each
+       entry (a, b) is composable with ab: src b -> dst a and
+       loop[ab] = loop[a]·loop[b];
+    3. a ↦ (dst a, loop a, src a) is injective;
+    4. the table of K is associative (``is_associative``, Light's test).
 
-    Why they suffice: on a component with object set C, the triples C×K×C
+    Checks 1 and 2 are the laws ``_law_failures`` names; with them the
+    lookups that build the tables are total, since the base reaches every
+    object of its component by a single arrow.  Why 2-4 then give
+    associativity: on a component with object set C, the triples C×K×C
     with (z, k, y)·(y, l, w) = (z, kl, w) form a partial magma that is
-    associative by check 1.  The map a ↦ (dst a, loop a, src a) sends
-    composable pairs to composable pairs and, by check 3, products to
-    products, so ((ab)c) and (a(bc)) have the same image, and by check 2
-    they are the same arrow.  Conversely a groupoid passes all three, since
-    there loop[ab] = t_z⁻¹·a·t_y·t_y⁻¹·b·t_w and a = t_z·loop[a]·t_y⁻¹.
+    associative by check 4.  The map a ↦ (dst a, loop a, src a) sends
+    composable pairs to composable pairs and, by check 2, products to
+    products, so ((ab)c) and (a(bc)) have the same image, and by check 3
+    they are the same arrow.  Conversely a groupoid passes every check,
+    since there loop[ab] = t_z⁻¹·a·t_y·t_y⁻¹·b·t_w and a = t_z·loop[a]·t_y⁻¹.
+
+    The cost is one lookup per entry and a few per arrow, plus
+    Σ|K|²·|S| for the generating sets S of check 4.
     """
-    compose, inverse, src, dst = g.compose, g.inverse, g.src, g.dst
+    compose, inverse, src, dst, unit = g.compose, g.inverse, g.src, g.dst, g.unit
+    get = compose.get
+    for x, e in unit.items():
+        if src[e] != x or dst[e] != x:
+            return _no_plan(compose)
+    for a in g.arrows:
+        y, z, b = src[a], dst[a], inverse[a]
+        ey, ez = unit[y], unit[z]
+        if (src[b] != z or dst[b] != y or get((ez, a)) != a or get((a, ey)) != a
+                or get((b, a)) != ey or get((a, b)) != ez):
+            return _no_plan(compose)
+    ends = Counter(dst.values())
+    if len(compose) != sum(n * ends[x] for x, n in Counter(src.values()).items()):
+        return _no_plan(compose)
+
     components = g.connected_components()
     tree: dict[ObjectId, ArrowId] = {}
     for comp in components:
         base = comp[0]
-        tree[base] = g.unit[base]
+        tree[base] = unit[base]
         for y in comp[1:]:
-            tree[y] = g.hom_set(base, y)[0]
-    loop = {a: compose[(inverse[tree[dst[a]]], compose[(a, tree[src[a]])])] for a in g.arrows}
-
-    for comp in components:
-        group = g.hom_set(comp[0], comp[0])
-        table = {(k, l): compose[(k, l)] for k in group for l in group}
-        for (k, l), kl in table.items():
-            for m in group:
-                if table[(kl, m)] != table[(k, table[(l, m)])]:
-                    return None
+            reach = g.hom_set(base, y)
+            if not reach:
+                return _no_plan(compose)
+            tree[y] = reach[0]
+    try:
+        loop = {a: compose[(inverse[tree[dst[a]]], compose[(a, tree[src[a]])])] for a in g.arrows}
+        for (a, b), ab in compose.items():
+            if (src[a] != dst[b] or src[ab] != src[b] or dst[ab] != dst[a]
+                    or loop[ab] != compose[(loop[a], loop[b])]):
+                return _no_plan(compose)
+    except KeyError:  # a law is broken, so a product the tables need is missing
+        return _no_plan(compose)
     if len({(dst[a], loop[a], src[a]) for a in g.arrows}) != len(g.arrows):
         return None
-    for (a, b), ab in compose.items():
-        if loop[ab] != compose[(loop[a], loop[b])]:
+    for comp in components:
+        if not is_associative(g.hom_set(comp[0], comp[0]), compose):
             return None
     return IsotropyPlan(components, tree, loop)
+
+
+def _no_plan(compose: Mapping) -> None:
+    """None, once every key of ``compose`` unpacks into a pair: a key that
+    does not raises here as it does in ``_law_failures``."""
+    for _a, _b in compose:
+        pass
+    return None
+
+
+def is_associative(elements: Sequence[Hashable], table: Mapping[tuple, Hashable]) -> bool:
+    """Whether a finite magma is associative, given its elements and a table
+    that holds every product of two of them and only elements as values.
+
+    Light's test (A. H. Clifford and G. B. Preston, *The Algebraic Theory of
+    Semigroups*, vol. 1, 1961, §1.2): the elements s with (x·s)·y = x·(s·y)
+    for all x, y are closed under the product, so it suffices to check s in
+    a generating set S.  S is found greedily in declaration order: an
+    element joins S when the products of S so far, closed under right
+    multiplication by S, do not reach it.  That is |M|² lookups for the
+    rows of element indices, |M|·|S| steps for S and |M|²·|S| comparisons,
+    a row at a time, for the test."""
+    n = len(elements)
+    if n < 2:  # a one-element magma is a semigroup
+        return True
+    index = {k: i for i, k in enumerate(elements)}
+    rows = [tuple([index[table[(k, l)]] for l in elements]) for k in elements]
+    reached: set[int] = set()
+    gens: list[int] = []
+    for i in range(n):
+        if i in reached:
+            continue
+        gens.append(i)
+        todo = [i, *[rows[c][i] for c in reached]]
+        while todo:
+            x = todo.pop()
+            if x not in reached:
+                reached.add(x)
+                row = rows[x]
+                todo.extend([row[s] for s in gens])
+    for s in gens:  # row x·s of the table against x's row read at the entries s·y
+        if [rows[row[s]] for row in rows] != list(map(itemgetter(*rows[s]), rows)):
+            return False
+    return True
 
 
 def _associativity_failures(g: FiniteGroupoid) -> list[Failure]:

@@ -795,9 +795,15 @@ def image_basis(a: Matrix) -> Matrix:
     {vA}: a coordinate projector's nonzero rows, with no elimination."""
     kept = projector_rows(a) if a.ring.supports_elimination else None
     if kept is not None:
-        return _held(a.ring, len(kept), a.cols, tuple([a.q_form[0][i] for i in kept]))
+        return projector_image(a, kept)
     ech = row_echelon(a)
     return ech.reduced.row_slice(0, len(ech.pivots))
+
+
+def projector_image(a: Matrix, kept: tuple[int, ...]) -> Matrix:
+    """``image_basis`` of a coordinate projector over a field or Z, given
+    its nonzero rows ``kept`` (``projector_rows``): those rows."""
+    return _held(a.ring, len(kept), a.cols, tuple([a.q_form[0][i] for i in kept]))
 
 
 def projector_rows(a: Matrix) -> tuple[int, ...] | None:

@@ -39,7 +39,11 @@ re-validates the leg, recomputes the anchors and scans ``hom_set`` once per
 arrow (``unique_preimage``).  ``composable_pairs``, ``validate_groupoid``
 and ``enumerate_bisections`` are the groupoid scans as they were before they
 read the endpoint indices: an all-pairs scan for composability and the
-axioms, and a test of every arrow subset for bisections.  ``convolve`` is
+axioms, and a test of every arrow subset for bisections.  ``isotropy_plan`` is the
+plan as it was derived before one pass checked every law: the witness scan
+``law_failures`` of every law but associativity, then ``associative_plan``
+with |K|³ lookups per base isotropy group; ``check_group`` is the group
+table check as it was before Light's test, with its triple scan.  ``convolve`` is
 the convolution product as it was before it summed natively: every term
 goes through ``Ring.add``/``Ring.mul`` and the result through
 ``algebra_element``.  ``table_cells`` is the structure table as it was
@@ -82,7 +86,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import isqrt
-from itertools import combinations
+from itertools import combinations, product
 from operator import mul
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -96,6 +100,7 @@ from ample.groupoid import (
     ArrowId,
     Bisection,
     FiniteGroupoid,
+    IsotropyPlan,
     ObjectId,
     SizeGuardError,
     _injective_endpoints,
@@ -787,6 +792,137 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
                 failures.append(Failure("associativity", f"(({a!r}{b!r}){c!r}) != ({a!r}({b!r}{c!r}))"))
 
     return ValidationReport("groupoid", tuple(failures))
+
+
+def isotropy_plan(g: FiniteGroupoid) -> IsotropyPlan | None:
+    """``FiniteGroupoid.isotropy_plan`` as it was: the other laws scanned
+    first, then associativity on the plan with |K|³ lookups per base."""
+    return None if law_failures(g) else associative_plan(g)
+
+
+def law_failures(g: FiniteGroupoid) -> list[Failure]:
+    """The failures of every groupoid law but associativity."""
+    failures: list[Failure] = []
+    compose, src, dst, unit = g.compose, g.src, g.dst, g.unit
+
+    for x in g.objects:
+        e = unit[x]
+        if src[e] != x or dst[e] != x:
+            failures.append(Failure("unit endpoints", f"u({x!r}) = {e!r} is not an endo-arrow at {x!r}"))
+
+    # Composition entries on non-composable pairs, grouped by first arrow.
+    stray: dict[ArrowId, list[ArrowId]] = {}
+    for a, b in compose:
+        if src[a] != dst[b]:
+            stray.setdefault(a, []).append(b)
+    for a in g.arrows:
+        partners = g._dst_index.get(src[a], ())
+        if a not in stray:  # every partner is composable
+            for b in partners:
+                if (a, b) not in compose:
+                    failures.append(Failure("composition totality", f"({a!r},{b!r}) composable but undefined"))
+            continue
+        for b in sorted((*partners, *stray[a]), key=g.arrow_index.__getitem__):
+            defined = (a, b) in compose
+            if src[a] == dst[b]:
+                if not defined:
+                    failures.append(Failure("composition totality", f"({a!r},{b!r}) composable but undefined"))
+            elif defined:
+                failures.append(Failure("composition domain", f"({a!r},{b!r}) defined but not composable"))
+
+    for (a, b), ab in compose.items():
+        if src[a] == dst[b] and (src[ab] != src[b] or dst[ab] != dst[a]):
+            failures.append(Failure("composition endpoints", f"{a!r}*{b!r} = {ab!r} has wrong endpoints"))
+
+    for a in g.arrows:
+        if compose.get((unit[dst[a]], a)) != a or compose.get((a, unit[src[a]])) != a:
+            failures.append(Failure("unit law", f"units do not act as identities on {a!r}"))
+
+    for a in g.arrows:
+        b = g.inverse[a]
+        if src[b] != dst[a] or dst[b] != src[a]:
+            failures.append(Failure("inverse law", f"g={a!r}: inverse has wrong endpoints"))
+        elif compose.get((b, a)) != unit[src[a]] or compose.get((a, b)) != unit[dst[a]]:
+            failures.append(Failure("inverse law", f"g={a!r}: g⁻¹g or gg⁻¹ is not the unit"))
+
+    return failures
+
+
+def associative_plan(g: FiniteGroupoid) -> IsotropyPlan | None:
+    """The isotropy plan of a table that passes ``law_failures``, or None
+    when the table is not associative.
+
+    The tables: the base of each component is its first object, t_y is the
+    first arrow from the base to y, and loop[a] = t_z⁻¹·(a·t_y) for a: y -> z
+    lies in the base's isotropy set K.  The other laws make these lookups
+    total: arrows compose whenever they are composable, with the right
+    endpoints, and inverses reverse them, so the base reaches every object
+    of its component by a single arrow.  Three checks follow:
+
+    1. the table of K is associative (Σ|K|³ lookups);
+    2. a ↦ (dst a, loop a, src a) is injective;
+    3. loop[ab] = loop[a]·loop[b] for every composable pair (a, b).
+
+    Why they suffice: on a component with object set C, the triples C×K×C
+    with (z, k, y)·(y, l, w) = (z, kl, w) form a partial magma that is
+    associative by check 1.  The map a ↦ (dst a, loop a, src a) sends
+    composable pairs to composable pairs and, by check 3, products to
+    products, so ((ab)c) and (a(bc)) have the same image, and by check 2
+    they are the same arrow.  Conversely a groupoid passes all three, since
+    there loop[ab] = t_z⁻¹·a·t_y·t_y⁻¹·b·t_w and a = t_z·loop[a]·t_y⁻¹.
+    """
+    compose, inverse, src, dst = g.compose, g.inverse, g.src, g.dst
+    components = g.connected_components()
+    tree: dict[ObjectId, ArrowId] = {}
+    for comp in components:
+        base = comp[0]
+        tree[base] = g.unit[base]
+        for y in comp[1:]:
+            tree[y] = g.hom_set(base, y)[0]
+    loop = {a: compose[(inverse[tree[dst[a]]], compose[(a, tree[src[a]])])] for a in g.arrows}
+
+    for comp in components:
+        group = g.hom_set(comp[0], comp[0])
+        table = {(k, l): compose[(k, l)] for k in group for l in group}
+        for (k, l), kl in table.items():
+            for m in group:
+                if table[(kl, m)] != table[(k, table[(l, m)])]:
+                    return None
+    if len({(dst[a], loop[a], src[a]) for a in g.arrows}) != len(g.arrows):
+        return None
+    for (a, b), ab in compose.items():
+        if loop[ab] != compose[(loop[a], loop[b])]:
+            return None
+    return IsotropyPlan(components, tree, loop)
+
+
+def check_group(
+    elements: Sequence[str], table: Mapping[tuple[str, str], str]
+) -> tuple[str, dict[str, str]]:
+    """The identity and the inverse of each element of a group table;
+    raises ValueError "not a group table: ..." naming the first law broken."""
+    elems = set(elements)
+    if len(elems) != len(elements):
+        raise ValueError("not a group table: duplicate element names")
+    for a, b in product(elements, repeat=2):
+        if table.get((a, b)) not in elems:
+            raise ValueError(f"not a group table: product ({a},{b}) missing or unknown")
+    identity = next(
+        (e for e in elements if all(table[(e, a)] == a and table[(a, e)] == a for a in elements)),
+        None,
+    )
+    if identity is None:
+        raise ValueError("not a group table: no identity element")
+    inverse = {}
+    for a in elements:
+        b = next((b for b in elements if table[(a, b)] == identity == table[(b, a)]), None)
+        if b is None:
+            raise ValueError(f"not a group table: element {a} has no inverse")
+        inverse[a] = b
+    for a, b, c in product(elements, repeat=3):
+        if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
+            raise ValueError(f"not a group table: associativity fails at ({a},{b},{c})")
+    return identity, inverse
 
 
 def validate_module(m: Any) -> ValidationReport:

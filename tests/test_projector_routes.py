@@ -322,3 +322,23 @@ def test_unit_transport_2_is_no_projector(counted, point):
         counted.clear()
         assert epsilon(e).ok is ok
         assert counted["row_echelon"] > 0
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+def test_projector_modules_test_each_unit_action_once(groupoids, monkeypatch, ring):
+    """``sheafify`` tests each unit action for a projector once and builds
+    the stalk bases from the kept rows, with no second test in
+    ``image_basis``; the tests above hold the bases to the reference."""
+    calls = []
+    real = rings.projector_rows
+    counted = lambda a: calls.append(a) or real(a)  # noqa: E731
+    monkeypatch.setattr(rings, "projector_rows", counted)
+    monkeypatch.setattr(equivalence, "projector_rows", counted)
+    rng = random.Random(3)
+    for name in GROUPOIDS:
+        g = groupoids[name]
+        for e in _sheaves(g, ring):
+            for m in (gamma_c(e), _split_units(e, rng), _padded(e, 2)):
+                calls.clear()
+                equivalence._germ_sheaf(m)  # the bases come first, so a broken module counts too
+                assert len(calls) == len(g.objects), name
