@@ -495,8 +495,7 @@ def dump_payload(payload: Mapping[str, Any]) -> str:
     non-``str`` key, a float, a subclass) goes to ``json.dumps`` itself."""
     if c_make_encoder is not None:
         try:
-            (text,) = _members([payload], 0, [])
-            return text + "\n"
+            return _write(payload, "\n", {}) + "\n"
         except (_Unsupported, RecursionError):  # json.dumps raises its own error, if any
             pass
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -514,36 +513,9 @@ def _unsupported(value: Any) -> Any:
     raise _Unsupported
 
 
-def _members(values: Iterable[Any], depth: int, encoders: list[Any]) -> list[str]:
-    """The text of each value at nesting ``depth``.  A nonempty container of
-    scalars takes one call to the C encoder for that depth, built once per
-    dump into ``encoders``; its indent stays None, and the line break and
-    padding before each item are its item separator."""
-    while len(encoders) <= depth:
-        item_separator = ",\n" + "  " * (len(encoders) + 1)
-        encoders.append(
-            c_make_encoder(None, _unsupported, encode_basestring_ascii, None, ": ", item_separator, True, False, True)
-        )
-    flat = encoders[depth]
-    outer = "  " * depth
-    pad = outer + "  "
-    texts = []
-    for value in values:
-        kind = type(value)
-        if (
-            (kind is list or kind is tuple) and value and set(map(type, value)) <= _SCALARS
-            or kind is dict and value and _all_of(str, value) and set(map(type, value.values())) <= _SCALARS
-        ):
-            text = "".join(flat(value, 0))
-            texts.append(f"{text[0]}\n{pad}{text[1:-1]}\n{outer}{text[-1]}")
-        else:
-            texts.append(_encode(value, depth, encoders))
-    return texts
-
-
-def _encode(value: Any, depth: int, encoders: list[Any]) -> str:
-    """The text of a scalar, or of an empty container or one that holds a
-    container, at nesting ``depth``."""
+def _write(value: Any, newline: str, encoders: dict[str, Any]) -> str:
+    """The text of ``value``, each line after its first begun by ``newline``.
+    A nonempty container of scalars is one call to its indent's C encoder."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -552,20 +524,24 @@ def _encode(value: Any, depth: int, encoders: list[Any]) -> str:
     if kind is bool or value is None:
         return _LITERALS[value]
     if kind is dict:
-        if not value:
-            return "{}"
         if not _all_of(str, value):
             raise _Unsupported
-        keys = sorted(value)
-        texts = _members([value[k] for k in keys], depth + 1, encoders)
-        items = [f"{encode_basestring_ascii(k)}: {text}" for k, text in zip(keys, texts)]
-        opening, closing = "{", "}"
+        opening, members, closing = "{", value.values(), "}"
     elif kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        items = _members(value, depth + 1, encoders)
-        opening, closing = "[", "]"
+        opening, members, closing = "[", value, "]"
     else:
         raise _Unsupported
-    pad = "  " * (depth + 1)
-    return f"{opening}\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[2:]}{closing}"
+    if not value:
+        return opening + closing
+    inner = newline + "  "
+    if set(map(type, members)) <= _SCALARS:
+        flat = encoders.get(inner)
+        if flat is None:
+            flat = encoders[inner] = c_make_encoder(
+                None, _unsupported, encode_basestring_ascii, None, ": ", "," + inner, True, False, True)
+        return opening + inner + "".join(flat(value, 0))[1:-1] + newline + closing
+    if kind is dict:
+        items = [f"{encode_basestring_ascii(k)}: {_write(value[k], inner, encoders)}" for k in sorted(value)]
+    else:
+        items = [_write(member, inner, encoders) for member in value]
+    return opening + inner + ("," + inner).join(items) + newline + closing

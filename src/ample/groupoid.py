@@ -182,11 +182,18 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     there is no plan are the laws scanned again for their failures and the
     composable triples (a, b, c) for associativity witnesses.  Failures come
     out law by law, each law in declaration order of its arrows (the
-    endpoint law in the order of the composition table).
+    endpoint law in the order of the composition table).  When the scans
+    find nothing, a key is no tuple (such as "ee", which unpacks as a pair):
+    the law "composition key" names the first, so a groupoid passes exactly
+    when it has a plan.
     """
     if g.isotropy_plan is not None:
         return ValidationReport("groupoid", ())
-    return ValidationReport("groupoid", tuple(_law_failures(g) + _associativity_failures(g)))
+    failures = _law_failures(g) + _associativity_failures(g)
+    if not failures:
+        key = next(key for key in g.compose if not isinstance(key, tuple))
+        failures.append(Failure("composition key", f"{key!r} is not a pair of arrows"))
+    return ValidationReport("groupoid", tuple(failures))
 
 
 def _law_failures(g: FiniteGroupoid) -> list[Failure]:

@@ -14,14 +14,14 @@ intertwiner, or the step of the round trip that failed, with a witness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping
 
 from .builders import random_module
 from .equivalence import _germ_sheaf, epsilon, eta_matrix, gamma_c, sheafify
 from .gmodule import GModule, GModuleHom, hom_space_dim, is_isomorphism
-from .groupoid import ArrowId, FiniteGroupoid, ObjectId
+from .groupoid import ArrowId, FiniteGroupoid, ObjectId, validate_groupoid
 from .gsheaf import (
     GSheaf,
     GSheafMor,
@@ -372,9 +372,21 @@ class MoritaSample:
     round_trip_ok: bool
 
 
+def _leg_report(f: GroupoidFunctor) -> ValidationReport:
+    """``f.equivalence_report`` after a "groupoid" failure for each end of
+    ``f`` with no isotropy plan, which drawing and transport read; the
+    witness names the end and ``validate_groupoid``'s first failure."""
+    broken = tuple(
+        Failure("groupoid", f"{end}: {validate_groupoid(g).first()}")
+        for end, g in (("source", f.source), ("target", f.target)) if g.isotropy_plan is None
+    )
+    report = f.equivalence_report
+    return replace(report, failures=broken + report.failures)
+
+
 @dataclass(frozen=True)
 class MoritaReport:
-    left_leg: ValidationReport  # is_essential_equivalence of each leg
+    left_leg: ValidationReport  # is_essential_equivalence of each leg, after its groupoid failures
     right_leg: ValidationReport
     samples: tuple[MoritaSample, ...]
     hom_dims: tuple[tuple[int, int, int, int], ...]  # (i, j, dim source, dim transported)
@@ -396,8 +408,8 @@ def verify_morita(span: MoritaSpan, ring: Ring, samples: int, seed: int) -> Mori
     """Sample modules on both legs, transport them, and certify round trips
     and hom-space dimensions.  A span with a defective leg is rejected
     before any transport is attempted."""
-    left_leg = span.left.equivalence_report
-    right_leg = span.right.equivalence_report
+    left_leg = _leg_report(span.left)
+    right_leg = _leg_report(span.right)
     if not (left_leg.ok and right_leg.ok):
         return MoritaReport(left_leg, right_leg, (), ())
 

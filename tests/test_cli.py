@@ -758,6 +758,27 @@ def test_morita_rejects_broken_span(corpus):
     assert "REJECTED" in text
 
 
+@pytest.mark.parametrize("out", ["text", "json"])
+def test_morita_rejects_a_span_over_a_broken_groupoid(out, tmp_path):
+    # p2 without (2,1)*(1,2): the leg into it is rejected before any module
+    # is drawn over p2, where the missing product would be looked up
+    run_command(["examples", "--dir", str(tmp_path)])
+    p2 = json.loads((tmp_path / "p2.json").read_text())
+    p2["compose"].remove(["(2,1)", "(1,2)", "(2,2)"])
+    (tmp_path / "p2.json").write_text(json.dumps(p2))
+    argv = ["morita", "--span", str(tmp_path / "span-p2-point.json"), "--samples", "2", "--out", out]
+    code, text = run_command(argv)
+    assert code == 1
+    left = "groupoid: target: composition totality: ('(2,1)','(1,2)') composable but undefined"
+    if out == "json":
+        payload = json.loads(text)
+        assert payload["result"] == "rejected"
+        assert payload["legs"] == {"left": left, "right": "pass"}
+    else:
+        assert f"legs: left FAIL ({left}), right PASS" in text.splitlines()
+        assert text.splitlines()[-1].startswith("RESULT: REJECTED")
+
+
 # -- determinism -------------------------------------------------------------------------
 
 

@@ -90,6 +90,36 @@ def test_edge_payloads_dump_as_json_dumps(payload):
     assert dump_payload(payload) == _oracle(payload)
 
 
+def test_scalars_six_levels_deep_dump_as_json_dumps():
+    # six levels of dict, list and tuple in turn above a dict that holds a
+    # list of scalars, and a container of scalars beside each level
+    payload: Any = {"leaf": [1, "x", None, True], "k": 0}
+    for level in range(6):
+        wrap = (dict, list, tuple)[level % 3]
+        if wrap is dict:
+            payload = {"deeper": payload, "flat": {"b": 2, "a": "z"}, "n": level}
+        else:
+            payload = wrap([payload, [level, False], level])
+    assert dump_payload(payload) == _oracle(payload)
+    assert "\n" + " " * 16 + '"x",\n' in dump_payload(payload)
+
+
+def test_back_to_back_dumps_build_their_own_encoders(monkeypatch):
+    # the same containers of scalars at other depths, in both orders: each
+    # dump builds the encoder of each indent it needs once, and keeps none
+    built: list[str] = []
+    real = documents.c_make_encoder
+    monkeypatch.setattr(documents, "c_make_encoder", lambda *args: built.append(args[5]) or real(*args))
+    shallow = {"a": [1, 2], "b": {"c": "d"}}
+    deep = [[{"a": [1, 2], "b": {"c": "d"}}], {"x": {"y": [[1, 2]]}}]
+    separators = {id(shallow): [",\n    "], id(deep): [",\n        ", ",\n          "]}
+    for first, second in ((shallow, deep), (deep, shallow), (deep, deep)):
+        for payload in (first, second):
+            built.clear()
+            assert dump_payload(payload) == _oracle(payload)
+            assert built == separators[id(payload)]
+
+
 class _Text(str):
     pass
 

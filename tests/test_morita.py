@@ -27,6 +27,7 @@ from ample.gmodule import (
     validate_hom,
     validate_module,
 )
+from ample.groupoid import validate_groupoid
 from ample.gsheaf import (
     GSheaf,
     GSheafMor,
@@ -55,6 +56,7 @@ from ample.morita import (
     verify_morita,
 )
 from ample.rings import Matrix, Ring, matrix_inverse, modular
+from ample.validation import Failure
 
 from conftest import F5, Q, Z, bumped_matrix, identity_sheaf_mor, split_units_module
 
@@ -534,6 +536,39 @@ def test_verify_rejects_broken_span(broken_span):
     assert report.rejected
     assert not report.ok
     assert report.samples == ()
+
+
+def _without_entry(g, pair):
+    return dataclasses.replace(g, compose={k: v for k, v in g.compose.items() if k != pair})
+
+
+def test_verify_rejects_a_span_over_a_groupoid_without_a_plan(monkeypatch, point_groupoid, p2_local):
+    # the leg itself is a fine functor, but drawing a module over its target
+    # needs the target's isotropy plan: the span is rejected before any draw
+    broken_p2 = _without_entry(p2_local, ("(2,1)", "(1,2)"))
+    assert broken_p2.isotropy_plan is None
+    leg = GroupoidFunctor(point_groupoid, broken_p2, {"1": "1"}, {"(1,1)": "(1,1)"})
+    assert leg.equivalence_report.ok
+    monkeypatch.setattr(morita, "random_module", lambda *args, **kwargs: pytest.fail("a module was drawn"))
+    report = verify_morita(MoritaSpan(point_groupoid, leg, identity_functor(point_groupoid)), F5, samples=2, seed=0)
+    assert report.rejected and report.samples == () and report.hom_dims == ()
+    assert report.left_leg.failures == (
+        Failure("groupoid", "target: composition totality: ('(2,1)','(1,2)') composable but undefined"),
+    )
+    assert report.right_leg.ok
+
+
+def test_verify_names_a_broken_apex_on_both_legs(point_groupoid):
+    # Z/2 without g*g, collapsed onto the point on the left: the groupoid
+    # failure comes before the leg's own full faithfulness failure
+    apex = _without_entry(group_groupoid(*cyclic_group(2)), ("g", "g"))
+    collapse = GroupoidFunctor(apex, point_groupoid, {"*": "1"}, {"e": "(1,1)", "g": "(1,1)"})
+    report = verify_morita(MoritaSpan(apex, collapse, identity_functor(apex)), F5, samples=1, seed=0)
+    assert report.rejected and report.samples == ()
+    source, target = (Failure("groupoid", f"{end}: {validate_groupoid(apex).first()}") for end in ("source", "target"))
+    assert report.left_leg.failures[0] == source
+    assert {f.law for f in report.left_leg.failures[1:]} == {"full faithfulness"}
+    assert report.right_leg.failures == (source, target)
 
 
 def test_verify_span_validation_details(p2_point_span, broken_span):

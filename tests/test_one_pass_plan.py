@@ -23,6 +23,9 @@ import reference_kernels as ref
 from ample import groupoid
 from ample.builders import _check_group, action_groupoid, cyclic_group, group_groupoid, symmetric_group
 from ample.groupoid import FiniteGroupoid, is_associative, validate_groupoid
+from ample.gsheaf import constant_sheaf, validate_sheaf
+from ample.validation import Failure
+from conftest import F5
 from test_groupoid_associativity import ONE_CHECK_FAULTS, _associativity_only_faults, _parity_action
 from test_groupoid_oracle import FAULTS, GROUPOIDS, _fault
 
@@ -157,6 +160,24 @@ def test_a_compose_key_that_is_not_a_pair_raises_as_before(key, break_unit):
         assert got == want
         assert got[0] is ValueError
         assert _outcome(validate_groupoid, replace(broken)) == want
+
+
+def test_a_string_key_that_unpacks_as_a_pair_is_a_failed_composition_key():
+    """The key "ee" unpacks as ("e", "e"), so every scan passes, but the
+    table has one entry too many for a plan: the report names the key."""
+    g = _with_key(group_groupoid(*cyclic_group(3)), "ee", "e")
+    assert ref.validate_groupoid(g).ok
+    assert g.isotropy_plan is None
+    assert validate_groupoid(g).failures == (Failure("composition key", "'ee' is not a pair of arrows"),)
+    sheaf = validate_sheaf(constant_sheaf(g, F5, 1))
+    assert sheaf.failures == (Failure("groupoid", "composition key: 'ee' is not a pair of arrows"),)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_a_groupoid_passes_exactly_when_it_has_a_plan(name):
+    rng = random.Random(f"pass iff plan {name}")
+    for g in (FIXTURES[name], *(_fault(FIXTURES[name], kind, rng) for kind in FAULTS)):
+        assert validate_groupoid(replace(g)).ok == (g.isotropy_plan is not None)
 
 
 def test_plans_are_derived_by_lights_test_on_the_base_isotropy_groups(monkeypatch):
