@@ -382,7 +382,9 @@ def _cmd_morita(args: argparse.Namespace, ring: Ring) -> Report:
     }
     if report.rejected:
         payload["legs"] = {name: "pass" if leg.ok else str(leg.first()) for name, leg in legs.items()}
-        lines.append("RESULT: REJECTED (span legs are not essential equivalences)")
+        broken = any(f.law == "groupoid" for leg in legs.values() for f in leg.failures)
+        reason = "a groupoid of the span fails its axioms" if broken else "span legs are not essential equivalences"
+        lines.append(f"RESULT: REJECTED ({reason})")
     else:
         lines.append("rank table:")
         lines.append("sample\tdirection\trank\ttransported\tround_trip")

@@ -42,13 +42,16 @@ class ParseError(ValueError):
         path: str | None = None,
         source: str | None = None,
     ) -> None:
+        super().__init__(message)
         self.message = message
         self.hint = hint
         self.line = line
         self.column = column
         self.path = path
         self.source = source
-        super().__init__(self.describe())
+
+    def __str__(self) -> str:
+        return self.describe()
 
     def describe(self) -> str:
         where = self.source or "<document>"
@@ -109,11 +112,8 @@ def parse_document(text: str, base_dir: str | None = None, source: str | None = 
     try:
         return _parse_payload(payload, base_dir)
     except ParseError as exc:
-        if exc.source is None and source is not None:
-            raise ParseError(
-                exc.message, hint=exc.hint, line=exc.line, column=exc.column,
-                path=exc.path, source=source,
-            ) from None
+        if exc.source is None:
+            exc.source = source
         raise
     finally:
         if token is not None:
@@ -188,36 +188,40 @@ def _parse_payload(payload: Any, base_dir: str | None) -> ParsedDocument:
     return ParsedDocument(kind, parser(payload, base_dir))
 
 
-def _resolve_groupoid(value: Any, base_dir: str | None, path: str) -> FiniteGroupoid:
-    doc = _resolve_reference(value, base_dir, path, expected="groupoid")
-    return doc.value
-
-
-def _resolve_reference(value: Any, base_dir: str | None, path: str, expected: str) -> ParsedDocument:
+def _reference(payload: Mapping[str, Any], field: str, base_dir: str | None, expected: str = "groupoid") -> Any:
+    """The value of the ``expected`` document that ``payload[field]`` names,
+    by a file path or inline."""
+    value = _require(payload, field, field)
     if isinstance(value, str):
         full = value if os.path.isabs(value) or base_dir is None else os.path.join(base_dir, value)
         try:
             doc = load_document(full)
         except _ReferenceCycle as cycle:
             hint = "a document cannot reference itself, directly or through other files"
-            raise _fail(f"reference cycle: {' -> '.join(cycle.files)}", path, hint) from None
+            raise _fail(f"reference cycle: {' -> '.join(cycle.files)}", field, hint) from None
     elif isinstance(value, dict):
         doc = _parse_payload(value, base_dir)
     else:
-        raise _fail(f"expected a file path or inline document at {path}", path, "use a path or an object")
+        raise _fail(f"expected a file path or inline document at {field}", field, "use a path or an object")
     if doc.kind != expected:
-        raise _fail(f"expected a {expected} document at {path}, got {doc.kind}", path, "check the referenced file")
-    return doc
+        raise _fail(f"expected a {expected} document at {field}, got {doc.kind}", field, "check the referenced file")
+    return doc.value
 
 
-def _parse_ring(payload: Mapping[str, Any], path_prefix: str = "") -> Ring:
-    name = _require(payload, "ring", path_prefix + "ring")
-    if not isinstance(name, str):
-        raise _fail("ring must be a name string", path_prefix + "ring", 'e.g. "Q", "Z", "Fp:5"')
+def _section(payload: Mapping[str, Any], field: str, kind: type, what: str, hint: str) -> Any:
+    """``payload[field]``, which must be present and a ``kind``."""
+    value = _require(payload, field, field)
+    if not isinstance(value, kind):
+        raise _fail(f"{field} must be {what}", field, hint)
+    return value
+
+
+def _parse_ring(payload: Mapping[str, Any]) -> Ring:
+    name = _section(payload, "ring", str, "a name string", 'e.g. "Q", "Z", "Fp:5"')
     try:
         return ring_from_name(name)
     except ValueError as exc:
-        raise _fail(str(exc), path_prefix + "ring", 'use "Q", "Z", "Fp:<p>" or "Zmod:<m>"') from None
+        raise _fail(str(exc), "ring", 'use "Q", "Z", "Fp:<p>" or "Zmod:<m>"') from None
 
 
 _ARROW_FIELDS = itemgetter("id", "src", "dst")
@@ -228,28 +232,26 @@ def _all_of(kind: type, values: Iterable[Any]) -> bool:
     return set(map(type, values)) <= {kind}
 
 
+# Each id section is first checked in bulk.  Only a section that fails that
+# check runs the per-entry loop, which stringifies integer ids and names the
+# first bad entry.
+def _ids(raw: list[Any], section: str) -> tuple[str, ...]:
+    """A list section of ids, such as ``objects`` or ``vertices``."""
+    if _all_of(str, raw):
+        return tuple(raw)
+    return tuple(_as_id(x, f"{section}[{i}]") for i, x in enumerate(raw))
+
+
 def _id_map(raw: Mapping[Any, Any], section: str) -> dict[str, str]:
-    """A map section of ids to ids, such as ``units`` or ``inv``."""
+    """A map section of ids to ids, such as ``units`` or a functor's ``arrows``."""
     if _all_of(str, raw) and _all_of(str, raw.values()):
         return dict(raw)
     return {_as_id(x, f"{section}.{x}"): _as_id(y, f"{section}.{x}") for x, y in raw.items()}
 
 
 def _parse_groupoid(payload: Mapping[str, Any], base_dir: str | None) -> FiniteGroupoid:
-    # Each section is first checked in bulk.  Only a section that fails that
-    # check runs the per-entry loop, which stringifies integer ids and names
-    # the first bad entry.
-    objects_raw = _require(payload, "objects", "objects")
-    if not isinstance(objects_raw, list):
-        raise _fail("objects must be a list", "objects", "list the object ids")
-    if _all_of(str, objects_raw):
-        objects = tuple(objects_raw)
-    else:
-        objects = tuple(_as_id(x, f"objects[{i}]") for i, x in enumerate(objects_raw))
-
-    arrows_raw = _require(payload, "arrows", "arrows")
-    if not isinstance(arrows_raw, list):
-        raise _fail("arrows must be a list", "arrows", "list {id, src, dst} records")
+    objects = _ids(_section(payload, "objects", list, "a list", "list the object ids"), "objects")
+    arrows_raw = _section(payload, "arrows", list, "a list", "list {id, src, dst} records")
     try:
         records = list(map(_ARROW_FIELDS, arrows_raw)) if _all_of(dict, arrows_raw) else None
     except KeyError:
@@ -267,20 +269,9 @@ def _parse_groupoid(payload: Mapping[str, Any], base_dir: str | None) -> FiniteG
             arrows.append(aid)
             src[aid] = _as_id(_require(record, "src", f"arrows[{i}].src"), f"arrows[{i}].src")
             dst[aid] = _as_id(_require(record, "dst", f"arrows[{i}].dst"), f"arrows[{i}].dst")
-
-    units_raw = _require(payload, "units", "units")
-    if not isinstance(units_raw, dict):
-        raise _fail("units must be a map object -> arrow", "units", 'e.g. {"1": "(1,1)"}')
-    unit = _id_map(units_raw, "units")
-
-    inv_raw = _require(payload, "inv", "inv")
-    if not isinstance(inv_raw, dict):
-        raise _fail("inv must be a map arrow -> arrow", "inv", 'e.g. {"(1,2)": "(2,1)"}')
-    inverse = _id_map(inv_raw, "inv")
-
-    compose_raw = _require(payload, "compose", "compose")
-    if not isinstance(compose_raw, list):
-        raise _fail("compose must be a list of [g, h, gh] triples", "compose", "list the table")
+    unit = _id_map(_section(payload, "units", dict, "a map object -> arrow", 'e.g. {"1": "(1,1)"}'), "units")
+    inverse = _id_map(_section(payload, "inv", dict, "a map arrow -> arrow", 'e.g. {"(1,2)": "(2,1)"}'), "inv")
+    compose_raw = _section(payload, "compose", list, "a list of [g, h, gh] triples", "list the table")
     bulk = (
         _all_of(list, compose_raw)
         and set(map(len, compose_raw)) <= {3}
@@ -333,21 +324,31 @@ def _parse_matrix(ring: Ring, value: Any, rows: int, cols: int, path: str) -> Ma
     return Matrix(ring, rows, cols, tuple(data))
 
 
+def _matrices(
+    payload: Mapping[str, Any], section: str, groupoid: FiniteGroupoid, ring: Ring, ranks: Mapping[str, int]
+) -> dict[str, Matrix]:
+    """A map section of arrows to matrices, such as a module's ``action`` or
+    a sheaf's ``transport``: the matrix of a: y -> z is ranks[z] x ranks[y].
+    Its keys are JSON keys, so strings."""
+    matrices = {}
+    for g, mat in _section(payload, section, dict, "a map arrow -> matrix", "one matrix per arrow").items():
+        path = f"{section}.{g}"
+        if g not in groupoid.arrow_index:
+            raise _fail(f"unknown arrow id {g!r}", path, "declare it in the groupoid")
+        rows, cols = ranks.get(groupoid.dst[g]), ranks.get(groupoid.src[g])
+        if rows is None or cols is None:
+            raise _fail("stalk ranks missing for the arrow's endpoints", path, "fill 'stalks'")
+        matrices[g] = _parse_matrix(ring, mat, rows, cols, path)
+    return matrices
+
+
 def _parse_module(payload: Mapping[str, Any], base_dir: str | None) -> GModule:
-    groupoid = _resolve_groupoid(_require(payload, "groupoid", "groupoid"), base_dir, "groupoid")
+    groupoid = _reference(payload, "groupoid", base_dir)
     ring = _parse_ring(payload)
     rank = _require(payload, "rank", "rank")
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
+    if type(rank) is not int or rank < 0:
         raise _fail("rank must be a non-negative integer", "rank", "e.g. 4")
-    action_raw = _require(payload, "action", "action")
-    if not isinstance(action_raw, dict):
-        raise _fail("action must be a map arrow -> matrix", "action", "one matrix per arrow")
-    action = {}
-    for g, mat in action_raw.items():
-        gid = _as_id(g, f"action.{g}")
-        if gid not in groupoid.arrow_index:
-            raise _fail(f"unknown arrow id {gid!r}", f"action.{g}", "declare it in the groupoid")
-        action[gid] = _parse_matrix(ring, mat, rank, rank, f"action.{g}")
+    action = _matrices(payload, "action", groupoid, ring, dict.fromkeys(groupoid.objects, rank))
     try:
         return GModule(groupoid, ring, rank, action)
     except ValueError as exc:
@@ -355,32 +356,15 @@ def _parse_module(payload: Mapping[str, Any], base_dir: str | None) -> GModule:
 
 
 def _parse_sheaf(payload: Mapping[str, Any], base_dir: str | None) -> GSheaf:
-    groupoid = _resolve_groupoid(_require(payload, "groupoid", "groupoid"), base_dir, "groupoid")
+    groupoid = _reference(payload, "groupoid", base_dir)
     ring = _parse_ring(payload)
-    stalks_raw = _require(payload, "stalks", "stalks")
-    if not isinstance(stalks_raw, dict):
-        raise _fail("stalks must be a map object -> rank", "stalks", 'e.g. {"1": 2}')
-    stalk_rank = {}
-    for x, n in stalks_raw.items():
-        xid = _as_id(x, f"stalks.{x}")
-        if xid not in groupoid.object_index:
-            raise _fail(f"unknown object id {xid!r}", f"stalks.{x}", "declare it in the groupoid")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    stalk_rank = _section(payload, "stalks", dict, "a map object -> rank", 'e.g. {"1": 2}')
+    for x, n in stalk_rank.items():
+        if x not in groupoid.object_index:
+            raise _fail(f"unknown object id {x!r}", f"stalks.{x}", "declare it in the groupoid")
+        if type(n) is not int or n < 0:
             raise _fail("stalk rank must be a non-negative integer", f"stalks.{x}", "e.g. 2")
-        stalk_rank[xid] = n
-    transport_raw = _require(payload, "transport", "transport")
-    if not isinstance(transport_raw, dict):
-        raise _fail("transport must be a map arrow -> matrix", "transport", "one matrix per arrow")
-    transport = {}
-    for g, mat in transport_raw.items():
-        gid = _as_id(g, f"transport.{g}")
-        if gid not in groupoid.arrow_index:
-            raise _fail(f"unknown arrow id {gid!r}", f"transport.{g}", "declare it in the groupoid")
-        rows = stalk_rank.get(groupoid.dst[gid])
-        cols = stalk_rank.get(groupoid.src[gid])
-        if rows is None or cols is None:
-            raise _fail("stalk ranks missing for the arrow's endpoints", f"transport.{g}", "fill 'stalks'")
-        transport[gid] = _parse_matrix(ring, mat, rows, cols, f"transport.{g}")
+    transport = _matrices(payload, "transport", groupoid, ring, stalk_rank)
     try:
         return GSheaf(groupoid, ring, stalk_rank, transport)
     except ValueError as exc:
@@ -388,14 +372,13 @@ def _parse_sheaf(payload: Mapping[str, Any], base_dir: str | None) -> GSheaf:
 
 
 def _parse_functor(payload: Mapping[str, Any], base_dir: str | None) -> GroupoidFunctor:
-    source = _resolve_groupoid(_require(payload, "source", "source"), base_dir, "source")
-    target = _resolve_groupoid(_require(payload, "target", "target"), base_dir, "target")
+    source = _reference(payload, "source", base_dir)
+    target = _reference(payload, "target", base_dir)
     objects_raw = _require(payload, "objects", "objects")
     arrows_raw = _require(payload, "arrows", "arrows")
     if not isinstance(objects_raw, dict) or not isinstance(arrows_raw, dict):
         raise _fail("objects and arrows must be maps", "objects", "source id -> target id")
-    obj_map = {_as_id(x, f"objects.{x}"): _as_id(y, f"objects.{x}") for x, y in objects_raw.items()}
-    arr_map = {_as_id(g, f"arrows.{g}"): _as_id(h, f"arrows.{g}") for g, h in arrows_raw.items()}
+    obj_map, arr_map = _id_map(objects_raw, "objects"), _id_map(arrows_raw, "arrows")
     try:
         return GroupoidFunctor(source, target, obj_map, arr_map)
     except ValueError as exc:
@@ -403,9 +386,9 @@ def _parse_functor(payload: Mapping[str, Any], base_dir: str | None) -> Groupoid
 
 
 def _parse_span(payload: Mapping[str, Any], base_dir: str | None) -> MoritaSpan:
-    apex = _resolve_groupoid(_require(payload, "apex", "apex"), base_dir, "apex")
-    left = _resolve_reference(_require(payload, "left", "left"), base_dir, "left", expected="functor").value
-    right = _resolve_reference(_require(payload, "right", "right"), base_dir, "right", expected="functor").value
+    apex = _reference(payload, "apex", base_dir)
+    left = _reference(payload, "left", base_dir, "functor")
+    right = _reference(payload, "right", base_dir, "functor")
     for name, leg in (("left", left), ("right", right)):
         if leg.source != apex:
             raise _fail(
@@ -421,7 +404,7 @@ def _parse_graph(payload: Mapping[str, Any], base_dir: str | None) -> GraphSpec:
     edges_raw = _require(payload, "edges", "edges")
     if not isinstance(vertices_raw, list) or not isinstance(edges_raw, list):
         raise _fail("vertices and edges must be lists", "vertices", "see the graph schema")
-    vertices = tuple(_as_id(v, f"vertices[{i}]") for i, v in enumerate(vertices_raw))
+    vertices = _ids(vertices_raw, "vertices")
     edges = []
     for i, e in enumerate(edges_raw):
         if not isinstance(e, list) or len(e) != 2:

@@ -164,47 +164,31 @@ class FiniteGroupoid:
         return tuple(tuple(grp) for grp in ordered)
 
     @cached_property
+    def _laws(self) -> tuple[IsotropyPlan | None, tuple[Failure, ...]]:
+        """``_associative_plan`` of this groupoid, derived once and kept."""
+        return _associative_plan(self)
+
+    @cached_property
     def isotropy_plan(self) -> IsotropyPlan | None:
         """Base objects, tree arrows and isotropy factors of every arrow, or
-        None when the groupoid fails ``validate_groupoid``.  The tables are
-        the ones that function's one-pass check builds."""
-        return _associative_plan(self)
+        None when the groupoid fails ``validate_groupoid``."""
+        return self._laws[0]
 
 
 def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     """Check the groupoid axioms, reporting violations with witnesses.
 
-    A groupoid with an ``isotropy_plan`` passes, and the plan, derived once
-    per groupoid and kept, serves every later module and sheaf built on it.
-    Deriving it (``_associative_plan``) checks every law in one pass, in
-    time proportional to the composable pairs plus Σ|K_x|²·|S_x| over the
-    base isotropy groups K_x with their generating sets S_x.  Only when
-    there is no plan are the laws scanned again for their failures and the
-    composable triples (a, b, c) for associativity witnesses.  Failures come
-    out law by law, each law in declaration order of its arrows (the
-    endpoint law in the order of the composition table).  When the scans
-    find nothing, a key is no tuple (such as "ee", which unpacks as a pair):
-    the law "composition key" names the first, so a groupoid passes exactly
-    when it has a plan.
+    The witnesses come from the scan that derives the ``isotropy_plan``
+    (``_associative_plan``), run once per groupoid and kept, so a groupoid
+    passes exactly when it has a plan.
     """
-    if g.isotropy_plan is not None:
-        return ValidationReport("groupoid", ())
-    failures = _law_failures(g) + _associativity_failures(g)
-    if not failures:
-        key = next(key for key in g.compose if not isinstance(key, tuple))
-        failures.append(Failure("composition key", f"{key!r} is not a pair of arrows"))
-    return ValidationReport("groupoid", tuple(failures))
+    return ValidationReport("groupoid", g._laws[1])
 
 
-def _law_failures(g: FiniteGroupoid) -> list[Failure]:
-    """The failures of every groupoid law but associativity, as witnesses."""
+def _composition_failures(g: FiniteGroupoid) -> list[Failure]:
+    """The failures of composition totality, domain and endpoints."""
     failures: list[Failure] = []
-    compose, src, dst, unit = g.compose, g.src, g.dst, g.unit
-
-    for x in g.objects:
-        e = unit[x]
-        if src[e] != x or dst[e] != x:
-            failures.append(Failure("unit endpoints", f"u({x!r}) = {e!r} is not an endo-arrow at {x!r}"))
+    compose, src, dst = g.compose, g.src, g.dst
 
     # Composition entries on non-composable pairs, grouped by first arrow.
     stray: dict[ArrowId, list[ArrowId]] = {}
@@ -229,27 +213,16 @@ def _law_failures(g: FiniteGroupoid) -> list[Failure]:
     for (a, b), ab in compose.items():
         if src[a] == dst[b] and (src[ab] != src[b] or dst[ab] != dst[a]):
             failures.append(Failure("composition endpoints", f"{a!r}*{b!r} = {ab!r} has wrong endpoints"))
-
-    for a in g.arrows:
-        if compose.get((unit[dst[a]], a)) != a or compose.get((a, unit[src[a]])) != a:
-            failures.append(Failure("unit law", f"units do not act as identities on {a!r}"))
-
-    for a in g.arrows:
-        b = g.inverse[a]
-        if src[b] != dst[a] or dst[b] != src[a]:
-            failures.append(Failure("inverse law", f"g={a!r}: inverse has wrong endpoints"))
-        elif compose.get((b, a)) != unit[src[a]] or compose.get((a, b)) != unit[dst[a]]:
-            failures.append(Failure("inverse law", f"g={a!r}: g⁻¹g or gg⁻¹ is not the unit"))
-
     return failures
 
 
-def _associative_plan(g: FiniteGroupoid) -> IsotropyPlan | None:
-    """The isotropy plan of a groupoid, or None when its table breaks a law.
+def _associative_plan(g: FiniteGroupoid) -> tuple[IsotropyPlan | None, tuple[Failure, ...]]:
+    """The isotropy plan of a groupoid and no failures, or None and the
+    witnesses of every law its table breaks.
 
     The tables: the base of each component is its first object, t_y is the
     first arrow from the base to y, and loop[a] = t_z⁻¹·(a·t_y) for a: y -> z
-    lies in the base's isotropy set K.  One pass checks, in turn:
+    lies in the base's isotropy set K.  The plan is built when, in turn:
 
     1. each unit is an endo-arrow at its object, units act as identities,
        and each inverse reverses its arrow with unit products both ways;
@@ -259,10 +232,9 @@ def _associative_plan(g: FiniteGroupoid) -> IsotropyPlan | None:
     3. a ↦ (dst a, loop a, src a) is injective;
     4. the table of K is associative (``is_associative``, Light's test).
 
-    Checks 1 and 2 are the laws ``_law_failures`` names; with them the
-    lookups that build the tables are total, since the base reaches every
-    object of its component by a single arrow.  Why 2-4 then give
-    associativity: on a component with object set C, the triples C×K×C
+    With check 1 the lookups that build the tables are total, since the base
+    reaches every object of its component by a single arrow.  Why 2-4 then
+    give associativity: on a component with object set C, the triples C×K×C
     with (z, k, y)·(y, l, w) = (z, kl, w) form a partial magma that is
     associative by check 4.  The map a ↦ (dst a, loop a, src a) sends
     composable pairs to composable pairs and, by check 2, products to
@@ -272,54 +244,74 @@ def _associative_plan(g: FiniteGroupoid) -> IsotropyPlan | None:
 
     The cost is one lookup per entry and a few per arrow, plus
     Σ|K|²·|S| for the generating sets S of check 4.
+
+    Otherwise the failures come law by law, each law in declaration order of
+    its arrows (the endpoint law in the order of the composition table):
+    unit endpoints, the composition laws (``_composition_failures``), unit
+    law, inverse law, and the composable triples (a, b, c) whose two
+    bracketings differ.  When those find nothing, a key is no tuple (such as
+    "ee", which unpacks as a pair), and the law "composition key" names the
+    first.
     """
     compose, inverse, src, dst, unit = g.compose, g.inverse, g.src, g.dst, g.unit
     get = compose.get
-    for x, e in unit.items():
+    ends: list[Failure] = []
+    for x in g.objects:
+        e = unit[x]
         if src[e] != x or dst[e] != x:
-            return _no_plan(compose)
+            ends.append(Failure("unit endpoints", f"u({x!r}) = {e!r} is not an endo-arrow at {x!r}"))
+    units: list[Failure] = []
+    inverses: list[Failure] = []
     for a in g.arrows:
         y, z, b = src[a], dst[a], inverse[a]
         ey, ez = unit[y], unit[z]
-        if (src[b] != z or dst[b] != y or get((ez, a)) != a or get((a, ey)) != a
-                or get((b, a)) != ey or get((a, b)) != ez):
-            return _no_plan(compose)
-    ends = Counter(dst.values())
-    if len(compose) != sum(n * ends[x] for x, n in Counter(src.values()).items()):
-        return _no_plan(compose)
+        if get((ez, a)) != a or get((a, ey)) != a:
+            units.append(Failure("unit law", f"units do not act as identities on {a!r}"))
+        if src[b] != z or dst[b] != y:
+            inverses.append(Failure("inverse law", f"g={a!r}: inverse has wrong endpoints"))
+        elif get((b, a)) != ey or get((a, b)) != ez:
+            inverses.append(Failure("inverse law", f"g={a!r}: g⁻¹g or gg⁻¹ is not the unit"))
+    heads = Counter(dst.values())
+    pairs = sum(n * heads[x] for x, n in Counter(src.values()).items())
+    if not (ends or units or inverses) and len(compose) == pairs:
+        plan = _plan_tables(g)
+        if plan is not None:
+            return plan, ()
+    failures = ends + _composition_failures(g) + units + inverses + _associativity_failures(g)
+    if not failures:
+        key = next(key for key in compose if not isinstance(key, tuple))
+        failures.append(Failure("composition key", f"{key!r} is not a pair of arrows"))
+    return None, tuple(failures)
 
+
+def _plan_tables(g: FiniteGroupoid) -> IsotropyPlan | None:
+    """Checks 2-4 of ``_associative_plan`` on a table that passes check 1
+    and has as many entries as composable pairs: the plan, or None."""
+    compose, inverse, src, dst = g.compose, g.inverse, g.src, g.dst
     components = g.connected_components()
     tree: dict[ObjectId, ArrowId] = {}
     for comp in components:
         base = comp[0]
-        tree[base] = unit[base]
+        tree[base] = g.unit[base]
         for y in comp[1:]:
             reach = g.hom_set(base, y)
             if not reach:
-                return _no_plan(compose)
+                return None
             tree[y] = reach[0]
     try:
         loop = {a: compose[(inverse[tree[dst[a]]], compose[(a, tree[src[a]])])] for a in g.arrows}
         for (a, b), ab in compose.items():
             if (src[a] != dst[b] or src[ab] != src[b] or dst[ab] != dst[a]
                     or loop[ab] != compose[(loop[a], loop[b])]):
-                return _no_plan(compose)
+                return None
     except KeyError:  # a law is broken, so a product the tables need is missing
-        return _no_plan(compose)
+        return None
     if len({(dst[a], loop[a], src[a]) for a in g.arrows}) != len(g.arrows):
         return None
     for comp in components:
         if not is_associative(g.hom_set(comp[0], comp[0]), compose):
             return None
     return IsotropyPlan(components, tree, loop)
-
-
-def _no_plan(compose: Mapping) -> None:
-    """None, once every key of ``compose`` unpacks into a pair: a key that
-    does not raises here as it does in ``_law_failures``."""
-    for _a, _b in compose:
-        pass
-    return None
 
 
 def is_associative(elements: Sequence[Hashable], table: Mapping[tuple, Hashable]) -> bool:

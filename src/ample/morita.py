@@ -25,7 +25,6 @@ from .groupoid import ArrowId, FiniteGroupoid, ObjectId, validate_groupoid
 from .gsheaf import (
     GSheaf,
     GSheafMor,
-    compose_sheaf_mors,
     is_sheaf_isomorphism,
     validate_sheaf,
 )
@@ -318,8 +317,9 @@ def round_trip(span: MoritaSpan, m: GModule) -> ValidationReport:
     counit the one ``counit_iso``'s check computed (``GSheafMor.inverse``).
     Both pushes along the left leg, of the apex sheaf and of the pulled-back
     germ sheaf, are needed only as sheaves, so they come from
-    ``push_sheaf`` without a unit to build and check; the final intertwiner
-    check covers them.
+    ``push_sheaf`` without a unit to build and check, and the closing
+    isomorphism is built object by object, with no sheaf morphism around
+    it; the final intertwiner check covers them all.
     """
     left, right = span.left, span.right
     sh_m = _germ_sheaf(m)
@@ -330,8 +330,7 @@ def round_trip(span: MoritaSpan, m: GModule) -> ValidationReport:
     push_right = pullback_quasi_inverse(right, e_apex)
 
     eps = epsilon(push_right.value.sheaf)
-    qi_e_apex = push_sheaf(left, e_apex)
-    counit = counit_iso(left, e, qi_e_apex)
+    counit = counit_iso(left, e, push_sheaf(left, e_apex))
     failures = push_right.failures + _as_step("epsilon", eps) + counit.failures
     if eps.value is None:  # ε found no germ sheaf of the transported module
         return ValidationReport(
@@ -343,18 +342,17 @@ def round_trip(span: MoritaSpan, m: GModule) -> ValidationReport:
     if eps_inv is None or counit_inv is None:
         return ValidationReport("round trip", failures, RoundTripCertificate(n, None))
 
-    back_apex = pullback_sheaf(right, sh_n_sheaf)     # over the apex again
-    pushed_back = push_sheaf(left, back_apex)
-    returned = gamma_c(pushed_back)
+    returned = gamma_c(push_sheaf(left, pullback_sheaf(right, sh_n_sheaf)))
 
-    # Sheaf-level chain over the apex: pb_L(e) -> pb_R(sh_n_sheaf).
-    chain_apex = compose_sheaf_mors(push_right.value.unit, pullback_mor(right, eps_inv))
-    # Push the chain forward along the left leg and close up with the counit.
-    lifted = qi_mor(left, chain_apex, qi_e_apex, pushed_back)
-    sheaf_iso = compose_sheaf_mors(counit_inv, lifted)  # e -> pushed_back
-
-    # Γ(sheaf_iso) is block-diagonal in its components (``gamma_c_mor``).
-    blocks = block_diagonal(m.ring, [sheaf_iso.maps[x] for x in e.groupoid.objects])
+    # The chain over the apex, pb_L(e) -> pb_R(sh_n_sheaf): the quasi-inverse
+    # unit, then ε⁻¹ pulled back along the right leg.
+    unit, image = push_right.value.unit.maps, right.obj_map
+    chain = {x: unit[x] @ eps_inv.maps[image[x]] for x in left.source.objects}
+    # Pushed along the left leg (its component at the anchor) and closed up
+    # with the counit, e -> the returned sheaf; Γ of it is block-diagonal in
+    # its components (``gamma_c_mor``).
+    sigma = left.inverse_data[0]
+    blocks = block_diagonal(m.ring, [counit_inv.maps[y] @ chain[sigma[y]] for y in e.groupoid.objects])
     iso = GModuleHom(m, returned, eta_matrix(sh_m) @ blocks)
     failures += _as_step("round-trip intertwiner", is_isomorphism(iso))
     return ValidationReport("round trip", failures, RoundTripCertificate(n, iso))
@@ -416,6 +414,7 @@ def verify_morita(span: MoritaSpan, ring: Ring, samples: int, seed: int) -> Mori
     rng = random.Random(seed)
     left_g = span.left.target
     right_g = span.right.target
+    back = span.reversed()
     results: list[MoritaSample] = []
     transported_pairs: list[tuple[GModule, GModule]] = []
 
@@ -428,7 +427,7 @@ def verify_morita(span: MoritaSpan, ring: Ring, samples: int, seed: int) -> Mori
         transported_pairs.append((m, cert.value.transported))
 
         n = random_module(right_g, ring, max_rank=2, seed=rng.randrange(2**32))
-        cert_back = round_trip(span.reversed(), n)
+        cert_back = round_trip(back, n)
         results.append(
             MoritaSample(i, "right->left", n.rank, cert_back.value.transported.rank, cert_back.ok)
         )

@@ -65,7 +65,11 @@ every read, with a primality test of their own: ``is_prime``, the trial
 division ``rings._is_prime`` ran before it became Miller-Rabin.  ``push_sheaf`` is the push
 forward as it was before it read the arrow lift cached on the functor: each
 call builds the preimage index and conjugates every target arrow by the
-anchor arrows.
+anchor arrows.  ``round_trip_iso`` is the matrix of ``morita.round_trip``'s
+intertwiner as it was built before the closing isomorphism was taken object
+by object: a chain of sheaf morphisms over the apex (``pullback_mor`` of the
+inverse of epsilon after the quasi-inverse unit), pushed along the left leg
+by ``qi_mor`` and closed up with the counit's inverse.
 
 Vectors are tuples of canonical scalars, and ``vec``, ``zero_vec``,
 ``unit_vec``, ``vec_mat``, ``vec_add``, ``vec_sub`` and ``vec_scale`` are
@@ -90,7 +94,7 @@ from itertools import combinations, product
 from operator import mul
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from ample import rings
+from ample import equivalence, morita, rings
 from ample.algebra import AlgebraElement, _check_compatible, algebra_element, char_fn
 from ample.builders import _below
 from ample.equivalence import Sheafification, gamma_c
@@ -105,9 +109,10 @@ from ample.groupoid import (
     SizeGuardError,
     _injective_endpoints,
 )
-from ample.gsheaf import GSheaf, GSheafMor, is_sheaf_isomorphism
+from ample.gsheaf import GSheaf, GSheafMor, compose_sheaf_mors, is_sheaf_isomorphism
 from ample.morita import (
     GroupoidFunctor,
+    MoritaSpan,
     QuasiInverse,
     anchors,
     is_essential_equivalence,
@@ -731,6 +736,23 @@ def counit_iso(f: GroupoidFunctor, e: GSheaf, pushed_pullback: GSheaf) -> GSheaf
     if not is_sheaf_isomorphism(iso):
         raise AssertionError("counit failed to be an isomorphism")
     return iso
+
+
+def round_trip_iso(span: MoritaSpan, m: GModule) -> Matrix:
+    left, right = span.left, span.right
+    sh_m = equivalence._germ_sheaf(m)
+    e = sh_m.sheaf
+    e_apex = pullback_sheaf(left, e)
+    push_right = morita.pullback_quasi_inverse(right, e_apex)
+    eps = equivalence.epsilon(push_right.value.sheaf)
+    qi_e_apex = morita.push_sheaf(left, e_apex)
+    counit = morita.counit_iso(left, e, qi_e_apex)
+    pushed_back = morita.push_sheaf(left, pullback_sheaf(right, eps.value.sheafification.sheaf))
+    chain_apex = compose_sheaf_mors(push_right.value.unit, morita.pullback_mor(right, eps.value.iso.inverse))
+    lifted = morita.qi_mor(left, chain_apex, qi_e_apex, pushed_back)
+    sheaf_iso = compose_sheaf_mors(counit.value.inverse, lifted)
+    blocks = rings.block_diagonal(m.ring, [sheaf_iso.maps[x] for x in e.groupoid.objects])
+    return equivalence.eta_matrix(sh_m) @ blocks
 
 
 def composable_pairs(g: FiniteGroupoid) -> Iterator[tuple[ArrowId, ArrowId]]:

@@ -115,6 +115,11 @@ TRIPLE_HINT = "(hint: three arrow ids)"
         ("units", {"x": ["e"]}, f"units.x: expected an id string, got ['e'] {ID_HINT}"),
         ("inv", {"e": 1.5}, f"inv.e: expected an id string, got 1.5 {ID_HINT}"),
         ("inv", {"e": "e", "f": None, "g": []}, f"inv.f: expected an id string, got None {ID_HINT}"),
+        ("objects", "x", "objects: objects must be a list (hint: list the object ids)"),
+        ("arrows", {}, "arrows: arrows must be a list (hint: list {id, src, dst} records)"),
+        ("units", ["x"], 'units: units must be a map object -> arrow (hint: e.g. {"1": "(1,1)"})'),
+        ("inv", [], 'inv: inv must be a map arrow -> arrow (hint: e.g. {"(1,2)": "(2,1)"})'),
+        ("compose", {}, "compose: compose must be a list of [g, h, gh] triples (hint: list the table)"),
     ],
 )
 def test_compose_entry_errors_name_the_entry(section, value, message):
@@ -130,6 +135,107 @@ def test_compose_entry_errors_name_the_entry(section, value, message):
     with pytest.raises(ParseError) as err:
         parse_document(json.dumps(bad))
     assert str(err.value) == f"<document>:#{message}"
+
+
+POINT = {
+    "kind": "groupoid", "objects": ["x"], "arrows": [{"id": "e", "src": "x", "dst": "x"}],
+    "units": {"x": "e"}, "inv": {"e": "e"}, "compose": [["e", "e", "e"]],
+}
+# One valid document of each kind that refers to others, over the point.
+DOCUMENTS = {
+    "module": {"kind": "module", "ring": "Fp:5", "rank": 1, "groupoid": POINT, "action": {"e": [[1]]}},
+    "sheaf": {"kind": "sheaf", "ring": "Fp:5", "groupoid": POINT, "stalks": {"x": 1}, "transport": {"e": [[1]]}},
+    "functor": {"kind": "functor", "source": POINT, "target": POINT, "objects": {"x": "x"}, "arrows": {"e": "e"}},
+    "graph": {"kind": "graph", "vertices": ["a", "b"], "edges": [["a", "b"]]},
+}
+MISSING = object()
+RING_HINT = '(hint: use "Q", "Z", "Fp:<p>" or "Zmod:<m>")'
+
+
+@pytest.mark.parametrize(
+    "kind, fields, message",
+    [
+        ("groupoid", {"units": MISSING}, "units: missing field 'units' (hint: add a 'units' entry)"),
+        ("module", {"ring": MISSING}, "ring: missing field 'ring' (hint: add a 'ring' entry)"),
+        ("module", {"ring": 5}, 'ring: ring must be a name string (hint: e.g. "Q", "Z", "Fp:5")'),
+        ("module", {"ring": "R"}, f"ring: unknown ring name 'R' (expected Q, Z, Fp:<p> or Zmod:<m>) {RING_HINT}"),
+        ("sheaf", {"ring": None}, 'ring: ring must be a name string (hint: e.g. "Q", "Z", "Fp:5")'),
+        ("module", {"rank": -1}, "rank: rank must be a non-negative integer (hint: e.g. 4)"),
+        ("module", {"rank": True}, "rank: rank must be a non-negative integer (hint: e.g. 4)"),
+        ("module", {"rank": "1"}, "rank: rank must be a non-negative integer (hint: e.g. 4)"),
+        ("module", {"action": MISSING}, "action: missing field 'action' (hint: add a 'action' entry)"),
+        ("module", {"action": [[1]]}, "action: action must be a map arrow -> matrix (hint: one matrix per arrow)"),
+        ("module", {"action": {"e": [[1]], "f": [[1]]}},
+         "action.f: unknown arrow id 'f' (hint: declare it in the groupoid)"),
+        ("module", {"action": {"e": [[1, 0]]}}, "action.e: matrix must be 1x1 (hint: check the declared ranks)"),
+        ("module", {"action": {"e": [[1], [0]]}}, "action.e: matrix must be 1x1 (hint: check the declared ranks)"),
+        ("module", {"action": {"e": [1]}}, "action.e: matrix must be a list of rows (hint: use [[...], [...]])"),
+        ("module", {"action": {"e": [[1.5]]}},
+         "action.e[0][0]: inexact or boolean scalar 1.5 (hint: entries are exact scalars)"),
+        ("module", {"rank": 2, "action": {"e": [[1, 0], [0, "x"]]}},
+         "action.e[1][1]: cannot coerce 'x' into Fp:5 (hint: entries are exact scalars)"),
+        ("module", {"action": {}},
+         "action: action must assign a matrix to exactly the arrow set (hint: give every arrow a rank x rank matrix)"),
+        ("sheaf", {"stalks": MISSING}, "stalks: missing field 'stalks' (hint: add a 'stalks' entry)"),
+        ("sheaf", {"stalks": [1]}, 'stalks: stalks must be a map object -> rank (hint: e.g. {"1": 2})'),
+        ("sheaf", {"stalks": {"x": 1, "y": 1}}, "stalks.y: unknown object id 'y' (hint: declare it in the groupoid)"),
+        ("sheaf", {"stalks": {"x": -1}}, "stalks.x: stalk rank must be a non-negative integer (hint: e.g. 2)"),
+        ("sheaf", {"stalks": {"x": False}}, "stalks.x: stalk rank must be a non-negative integer (hint: e.g. 2)"),
+        ("sheaf", {"transport": "e"},
+         "transport: transport must be a map arrow -> matrix (hint: one matrix per arrow)"),
+        ("sheaf", {"transport": {"f": [[1]]}}, "transport.f: unknown arrow id 'f' (hint: declare it in the groupoid)"),
+        ("sheaf", {"stalks": {}},
+         "transport.e: stalk ranks missing for the arrow's endpoints (hint: fill 'stalks')"),
+        ("sheaf", {"transport": {"e": [[1], [1]]}}, "transport.e: matrix must be 1x1 (hint: check the declared ranks)"),
+        ("sheaf", {"stalks": {"x": 2}}, "transport.e: matrix must be 2x2 (hint: check the declared ranks)"),
+        ("sheaf", {"transport": {"e": [[None]]}},
+         "transport.e[0][0]: cannot coerce None into Fp:5 (hint: entries are exact scalars)"),
+        ("functor", {"objects": MISSING}, "objects: missing field 'objects' (hint: add a 'objects' entry)"),
+        ("functor", {"arrows": MISSING}, "arrows: missing field 'arrows' (hint: add a 'arrows' entry)"),
+        ("functor", {"objects": ["x"]}, "objects: objects and arrows must be maps (hint: source id -> target id)"),
+        ("functor", {"arrows": ["e"]}, "objects: objects and arrows must be maps (hint: source id -> target id)"),
+        ("functor", {"objects": {"x": None}}, f"objects.x: expected an id string, got None {ID_HINT}"),
+        ("functor", {"arrows": {"e": 1.5}}, f"arrows.e: expected an id string, got 1.5 {ID_HINT}"),
+        ("functor", {"objects": {"x": 1}},
+         "objects: object map sends 'x' to unknown '1' (hint: cover the whole source with known targets)"),
+        ("graph", {"vertices": MISSING}, "vertices: missing field 'vertices' (hint: add a 'vertices' entry)"),
+        ("graph", {"vertices": "ab"}, "vertices: vertices and edges must be lists (hint: see the graph schema)"),
+        ("graph", {"edges": {}}, "vertices: vertices and edges must be lists (hint: see the graph schema)"),
+        ("graph", {"vertices": ["a", None, 1.5]}, f"vertices[1]: expected an id string, got None {ID_HINT}"),
+        ("graph", {"vertices": ["a", "b", ["c"]]}, f"vertices[2]: expected an id string, got ['c'] {ID_HINT}"),
+        ("graph", {"edges": [["a", "b"], ["a"]]}, "edges[1]: edge must be a [src, dst] pair (hint: two vertex ids)"),
+        ("graph", {"edges": ["ab"]}, "edges[0]: edge must be a [src, dst] pair (hint: two vertex ids)"),
+        ("graph", {"edges": [["a", 1.5]]}, f"edges[0]: expected an id string, got 1.5 {ID_HINT}"),
+    ],
+)
+def test_section_errors_name_the_entry(kind, fields, message):
+    payload = {**(POINT if kind == "groupoid" else DOCUMENTS[kind]), **fields}
+    payload = {k: v for k, v in payload.items() if v is not MISSING}
+    with pytest.raises(ParseError) as err:
+        parse_document(json.dumps(payload))
+    assert str(err.value) == f"<document>:#{message}"
+
+
+def test_documents_over_integer_ids_are_stringified():
+    target = {
+        "kind": "groupoid", "objects": [1], "arrows": [{"id": 7, "src": 1, "dst": 1}],
+        "units": {"1": 7}, "inv": {"7": 7}, "compose": [[7, 7, 7]],
+    }
+    functor = parse_document(json.dumps(
+        {**DOCUMENTS["functor"], "target": target, "objects": {"x": 1}, "arrows": {"e": 7}}
+    )).value
+    assert functor.obj_map == {"x": "1"} and functor.arr_map == {"e": "7"}
+    graph = parse_document(json.dumps({"kind": "graph", "vertices": [1, "b"], "edges": [[1, "b"]]})).value
+    assert graph.vertices == ("1", "b") and graph.edges == (("1", "b"),)
+    for kind, document in DOCUMENTS.items():
+        assert parse_document(json.dumps(document)).kind == kind
+
+
+def test_a_graph_edge_to_an_undeclared_vertex_is_named():
+    with pytest.raises(ParseError) as err:
+        parse_document(json.dumps({**DOCUMENTS["graph"], "edges": [["a", "c"]]}))
+    assert err.value.path == "edges"
+    assert err.value.hint == "edges must reference declared vertices"
 
 
 def test_sections_are_checked_in_order():
@@ -292,7 +398,7 @@ def test_broken_span_reference_error_is_unchanged(tmp_path):
         (tmp_path / name).write_text(text)
         with pytest.raises(ParseError) as err:
             load_document(span)
-        assert err.value.describe() == str(tmp_path / name) + tail
+        assert err.value.describe() == str(err.value) == str(tmp_path / name) + tail
         (tmp_path / name).write_text(good)
 
 
@@ -756,6 +862,7 @@ def test_morita_rejects_broken_span(corpus):
     )
     assert code == 1
     assert "REJECTED" in text
+    assert text.splitlines()[-1] == "RESULT: REJECTED (span legs are not essential equivalences)"
 
 
 @pytest.mark.parametrize("out", ["text", "json"])
@@ -776,7 +883,7 @@ def test_morita_rejects_a_span_over_a_broken_groupoid(out, tmp_path):
         assert payload["legs"] == {"left": left, "right": "pass"}
     else:
         assert f"legs: left FAIL ({left}), right PASS" in text.splitlines()
-        assert text.splitlines()[-1].startswith("RESULT: REJECTED")
+        assert text.splitlines()[-1] == "RESULT: REJECTED (a groupoid of the span fails its axioms)"
 
 
 # -- determinism -------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import chain, combinations
 
 import pytest
@@ -21,6 +22,7 @@ from ample.groupoid import (
     unit_bisection,
     validate_groupoid,
 )
+from ample.validation import Failure
 
 from conftest import Q, source_objects
 
@@ -146,6 +148,19 @@ def test_validation_and_modules_derive_the_isotropy_plan_once(monkeypatch):
     assert validate_groupoid(g).ok
     assert validate_module(regular_module(g, Q)).ok and validate_groupoid(g).ok
     assert calls == [g]
+    # a groupoid that breaks one law: its witnesses come with the missing
+    # plan, so the triple scan runs once however often the laws are asked
+    scans = []
+    real_scan = groupoid._associativity_failures
+    monkeypatch.setattr(groupoid, "_associativity_failures", lambda g: scans.append(g) or real_scan(g))
+    broken = replace(g, inverse={**g.inverse, "(1,2)": "(1,2)"})
+    calls.clear()
+    assert broken.isotropy_plan is None
+    report = validate_groupoid(broken)
+    assert validate_groupoid(broken) == report
+    assert report.failures == (Failure("inverse law", "g='(1,2)': inverse has wrong endpoints"),)
+    assert validate_module(regular_module(broken, Q)).failures == (Failure("groupoid", str(report.first())),)
+    assert calls == [broken] and scans == [broken]
 
 
 # -- bisections --------------------------------------------------------------------

@@ -58,7 +58,7 @@ from ample.morita import (
 from ample.rings import Matrix, Ring, matrix_inverse, modular
 from ample.validation import Failure
 
-from conftest import F5, Q, Z, bumped_matrix, identity_sheaf_mor, split_units_module
+from conftest import F2, F5, Q, Z, bumped_matrix, identity_sheaf_mor, split_units_module
 
 
 @pytest.fixture(scope="module")
@@ -717,6 +717,25 @@ def test_verify_morita_checks_and_anchors_each_leg_once(monkeypatch):
     report = verify_morita(MoritaSpan(point, incl, identity_functor(point)), F5, samples=3, seed=1)
     assert report.ok and len(report.samples) == 6
     assert calls == {"is_essential_equivalence": 2, "anchors": 2}
+
+
+@pytest.mark.parametrize("ring", [Q, Z, F5, F2], ids=lambda ring: ring.name)
+def test_the_round_trip_closes_with_the_chain_of_sheaf_morphisms(ring, p2_point_span, action_point_span):
+    point = trivial_groupoid()
+    (p_obj,), (p_arrow,) = point.objects, point.arrows
+    spans = [p2_point_span, action_point_span]
+    for n in (1, 2, 3, 4):
+        pair = pair_groupoid(n)
+        x = pair.objects[0]
+        spans.append(MoritaSpan(point, GroupoidFunctor(point, pair, {p_obj: x}, {p_arrow: pair.unit[x]}),
+                                identity_functor(point)))
+    for i, span in enumerate(spans):
+        for way in (span, span.reversed()):
+            for seed in range(2):
+                m = random_module(way.left.target, ring, 2, seed=seed + 10 * i)
+                cert = round_trip(way, m)
+                assert cert.ok
+                assert cert.value.iso.matrix == ref.round_trip_iso(way, m)
 
 
 def test_round_trip_pushes_without_building_a_discarded_unit(monkeypatch, p2_point_span, p2_local):
