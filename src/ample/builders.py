@@ -16,12 +16,12 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate, permutations, product
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .gmodule import GModule
 from .groupoid import ArrowId, FiniteGroupoid, ObjectId, is_associative
 from .gsheaf import GSheaf
-from .rings import Matrix, Ring
+from .rings import Matrix, Ring, _held
 
 
 def _pair_union(blocks: Sequence[Sequence[str]]) -> FiniteGroupoid:
@@ -274,14 +274,20 @@ def random_invertible(ring: Ring, n: int, rng: random.Random) -> tuple[Matrix, M
     The matrix is a product of elementary row operations, so it stays
     invertible over Z (unimodular) as well as over fields.  Its inverse,
     the reversed operations, is built alongside and held transposed, where
-    each is a row operation; over Q it is held over a power of two.  Every
-    draw is ``_below``'s loop, inline, on the same ``getrandbits`` widths."""
-    p, e, bits, k = ring.modulus, 0, rng.getrandbits, n.bit_length()
+    each is a row operation.  Over Z/m every row is kept in [0, m), so both
+    are held as they are.  Over Q each row t_h of the transposed inverse is
+    held over its own power of two 2**s[h]: halving a row adds one to its
+    exponent, a row operation first aligns its two rows by a shift, and
+    the rows are brought over their largest exponent once, at the end.
+    Every draw is ``_below``'s loop, inline, on the same ``getrandbits``
+    widths."""
+    p, bits, k = ring.modulus, rng.getrandbits, n.bit_length()
     units = (2, -1) if ring.kind == "Q" else None if ring.is_field else (1, -1)
     count = p - 1 if units is None else 2  # a unit is 1 + _below(rng, p - 1), or units[_below(rng, 2)]
     k_unit = count.bit_length()
     m = [[int(i == j) for j in range(n)] for i in range(n)]
-    t = [row[:] for row in m]  # the inverse, transposed, over 2**e
+    t = [row[:] for row in m]  # the inverse, transposed; off Z/m row h over 2**s[h]
+    s = [0] * n
     for _ in range(2 * n * n + 2 if n else 0):  # the empty matrix takes no draws
         kind = bits(2)
         while kind == 3:
@@ -299,10 +305,16 @@ def random_invertible(ring: Ring, n: int, rng: random.Random) -> tuple[Matrix, M
             c, u, v, w, z = (-2, -1, 1, 2)[r], m[i], m[j], t[j], t[i]
             if p:
                 m[i], t[j] = [(a + c * b) % p for a, b in zip(u, v)], [(a - c * b) % p for a, b in zip(w, z)]
-            else:
-                m[i], t[j] = [a + c * b for a, b in zip(u, v)], [a - c * b for a, b in zip(w, z)]
+                continue
+            m[i], shift = [a + c * b for a, b in zip(u, v)], s[j] - s[i]
+            if shift >= 0:  # t_i over 2**s[j]: c * 2**shift times its numerators
+                c <<= shift
+                t[j] = [a - c * b for a, b in zip(w, z)]
+            else:  # t_j over 2**s[i]
+                f, s[j] = 1 << -shift, s[i]
+                t[j] = [f * a - c * b for a, b in zip(w, z)]
         elif kind == 1 and i != j:
-            m[i], m[j], t[i], t[j] = m[j], m[i], t[j], t[i]
+            m[i], m[j], t[i], t[j], s[i], s[j] = m[j], m[i], t[j], t[i], s[j], s[i]
         else:  # row_i *= c for a unit c, so t_i *= 1/c
             r = bits(k_unit)
             while r >= count:
@@ -311,36 +323,91 @@ def random_invertible(ring: Ring, n: int, rng: random.Random) -> tuple[Matrix, M
             if p:
                 c_inv = pow(c, -1, p)
                 m[i], t[i] = [c * a % p for a in m[i]], [c_inv * a % p for a in t[i]]
-            elif c == 2:  # over Q: halve t_i, that is, double the rest and 2**e
-                m[i], e = [2 * a for a in m[i]], e + 1
-                t = [row if h == i else [2 * a for a in row] for h, row in enumerate(t)]
+            elif c == 2:  # over Q: halve t_i
+                m[i], s[i] = [2 * a for a in m[i]], s[i] + 1
             else:
                 m[i], t[i] = [c * a for a in m[i]], [c * a for a in t[i]]
+    if p:
+        return _held(ring, n, n, tuple(map(tuple, m))), _held(ring, n, n, tuple(zip(*t)))
+    e = max(s, default=0)
+    t = [row if h == e else [a << e - h for a in row] for row, h in zip(t, s)]
     return Matrix.from_ints(ring, m, n), Matrix.from_ints(ring, list(zip(*t)), n, 1 << e)
+
+
+class _Shape(NamedTuple):
+    """What every draw of ``_sheaf_parts`` on one groupoid reads."""
+
+    sizes: tuple[int, ...]  # per connected component, the fibre size at its first object
+    slots: tuple[tuple[ObjectId, int, int], ...]  # per object: it, its component, its fibre size
+    into: tuple[tuple[ArrowId, ...], ...]  # per component, the arrows into it
+    fiber: dict[ObjectId, tuple[ArrowId, ...]]  # the arrows out of each object
+    index: dict[ArrowId, int]  # each arrow's place in its fibre
+    orders: dict[tuple[int, int, int], dict[ArrowId, tuple[int, ...] | None]]  # see _row_orders
+
+
+def _sampling_shape(g: FiniteGroupoid) -> _Shape:
+    """The ``_Shape`` of ``g``, derived once and kept in its instance dict;
+    its row orders are filled as draws ask for them."""
+    held = g.__dict__
+    if "_sampling_shape" not in held:
+        fiber = {x: g.arrows_with_src(x) for x in g.objects}
+        comps = g.connected_components()
+        where = {x: ci for ci, comp in enumerate(comps) for x in comp}
+        into: list[list[ArrowId]] = [[] for _ in comps]
+        for a in g.arrows:
+            into[where[g.dst[a]]].append(a)
+        held["_sampling_shape"] = _Shape(
+            sizes=tuple([len(fiber[comp[0]]) for comp in comps]),
+            slots=tuple([(x, where[x], len(fiber[x])) for x in g.objects]),
+            into=tuple(map(tuple, into)),
+            fiber=fiber,
+            index={b: k for arrows in fiber.values() for k, b in enumerate(arrows)},
+            orders={},
+        )
+    return held["_sampling_shape"]
+
+
+def _row_orders(g: FiniteGroupoid, shape: _Shape, ci: int, c: int, r: int) -> dict[ArrowId, tuple[int, ...] | None]:
+    """Per arrow a into component ``ci``, the order in which its transport
+    takes the rows of ``twist[src a]``: c fixed rows, then each of r copies
+    of the fibre at ``dst a``, composed with a.  An order that is the
+    identity, as every order with no regular copy is, is None."""
+    found = dict.fromkeys(shape.into[ci])
+    for a in shape.into[ci] if r else ():
+        fx = shape.fiber[g.dst[a]]
+        order = (*range(c), *[c + k * len(fx) + shape.index[g.compose[(b, a)]] for k in range(r) for b in fx])
+        if order != tuple(range(len(order))):
+            found[a] = order
+    return found
 
 
 def _sheaf_parts(g: FiniteGroupoid, ring: Ring, max_rank: int, seed: int) -> tuple[dict, dict, dict]:
     """The parts of ``random_sheaf(g, ring, max_rank, seed)`` in draw order:
     per component a constant rank c and r regular copies, a (twist,
     untwist) pair per object, and per arrow a the order in which the
-    transport of a takes the rows of ``twist[src a]``."""
+    transport of a takes the rows of ``twist[src a]``, None for the
+    identity (see ``_row_orders``).  Everything but the draws comes from
+    the groupoid's ``_sampling_shape``."""
     if not ring.supports_elimination:
         raise ValueError(f"random sheaves need a field or Z, not {ring.name}")
     rng = random.Random(seed)
-    fiber = {x: g.arrows_with_src(x) for x in g.objects}
-    index = {b: k for arrows in fiber.values() for k, b in enumerate(arrows)}
-    plan: dict[ObjectId, tuple[int, int]] = {}
-    for comp in g.connected_components():
-        f = len(fiber[comp[0]])
+    shape = _sampling_shape(g)
+    plan, orders = [], {}
+    for ci, f in enumerate(shape.sizes):
         options = [(c, r) for r in range(0, 3) for c in range(0, max_rank + 1) if c + r * f <= max_rank]
-        plan.update(dict.fromkeys(comp, options[_below(rng, len(options))] if options else (0, 0)))
-    ranks = {x: plan[x][0] + plan[x][1] * len(fiber[x]) for x in g.objects}
+        c, r = options[_below(rng, len(options))] if options else (0, 0)
+        plan.append((c, r))
+        if (ci, c, r) not in shape.orders:
+            shape.orders[ci, c, r] = _row_orders(g, shape, ci, c, r)
+        orders.update(shape.orders[ci, c, r])
+    ranks = {x: plan[ci][0] + plan[ci][1] * f for x, ci, f in shape.slots}
     twists = {x: random_invertible(ring, ranks[x], rng) for x in g.objects}
-    orders: dict[ArrowId, list[int]] = {}
-    for a in g.arrows:  # c fixed rows, then each copy of the fiber at dst a, composed with a
-        (c, r), fx = plan[g.dst[a]], fiber[g.dst[a]]
-        orders[a] = [*range(c), *[c + k * len(fx) + index[g.compose[(b, a)]] for k in range(r) for b in fx]]
     return ranks, twists, orders
+
+
+def _in_order(m: Matrix, order: tuple[int, ...] | None) -> Matrix:
+    """``m`` with its rows in ``order``, or ``m`` itself for None."""
+    return m if order is None else m.permuted_rows(order)
 
 
 def random_sheaf(g: FiniteGroupoid, ring: Ring, max_rank: int, seed: int) -> GSheaf:
@@ -355,7 +422,7 @@ def random_sheaf(g: FiniteGroupoid, ring: Ring, max_rank: int, seed: int) -> GSh
     of a is ``untwist[dst a]`` times ``twist[src a]`` with its rows permuted.
     """
     ranks, twists, orders = _sheaf_parts(g, ring, max_rank, seed)
-    transport = {a: twists[g.dst[a]][1] @ twists[g.src[a]][0].permuted_rows(orders[a]) for a in g.arrows}
+    transport = {a: twists[g.dst[a]][1] @ _in_order(twists[g.src[a]][0], orders[a]) for a in g.arrows}
     return GSheaf(g, ring, ranks, transport)
 
 
@@ -378,5 +445,5 @@ def random_module(g: FiniteGroupoid, ring: Ring, max_rank: int, seed: int) -> GM
     for x, start in zip(g.objects, accumulate(ranks.values(), initial=0)):
         stop, (twist, untwist) = start + ranks[x], twists[x]
         ends[x] = q.column_slice(start, stop) @ untwist, twist @ q_inv.row_slice(start, stop)
-    action = {a: ends[g.dst[a]][0] @ ends[g.src[a]][1].permuted_rows(orders[a]) for a in g.arrows}
+    action = {a: ends[g.dst[a]][0] @ _in_order(ends[g.src[a]][1], orders[a]) for a in g.arrows}
     return GModule(g, ring, q.rows, action)

@@ -208,11 +208,13 @@ def _reference(payload: Mapping[str, Any], field: str, base_dir: str | None, exp
     return doc.value
 
 
-def _section(payload: Mapping[str, Any], field: str, kind: type, what: str, hint: str) -> Any:
-    """``payload[field]``, which must be present and a ``kind``."""
+def _section(payload: Mapping[str, Any], field: str, kind: type, what: str, hint: str, subject: str = "") -> Any:
+    """``payload[field]``, which must be present and a ``kind``: else the
+    error, at ``field``, is "{subject} must be {what}", the subject being
+    the field unless one is named for a pair of sections read alike."""
     value = _require(payload, field, field)
     if not isinstance(value, kind):
-        raise _fail(f"{field} must be {what}", field, hint)
+        raise _fail(f"{subject or field} must be {what}", field, hint)
     return value
 
 
@@ -374,15 +376,15 @@ def _parse_sheaf(payload: Mapping[str, Any], base_dir: str | None) -> GSheaf:
 def _parse_functor(payload: Mapping[str, Any], base_dir: str | None) -> GroupoidFunctor:
     source = _reference(payload, "source", base_dir)
     target = _reference(payload, "target", base_dir)
-    objects_raw = _require(payload, "objects", "objects")
-    arrows_raw = _require(payload, "arrows", "arrows")
-    if not isinstance(objects_raw, dict) or not isinstance(arrows_raw, dict):
-        raise _fail("objects and arrows must be maps", "objects", "source id -> target id")
-    obj_map, arr_map = _id_map(objects_raw, "objects"), _id_map(arrows_raw, "arrows")
+    obj_map, arr_map = (
+        _id_map(_section(payload, field, dict, "maps", "source id -> target id", "objects and arrows"), field)
+        for field in ("objects", "arrows")
+    )
     try:
         return GroupoidFunctor(source, target, obj_map, arr_map)
     except ValueError as exc:
-        raise _fail(str(exc), "objects", "cover the whole source with known targets") from None
+        field = "arrows" if str(exc).startswith("arrow map") else "objects"
+        raise _fail(str(exc), field, "cover the whole source with known targets") from None
 
 
 def _parse_span(payload: Mapping[str, Any], base_dir: str | None) -> MoritaSpan:
@@ -400,10 +402,10 @@ def _parse_span(payload: Mapping[str, Any], base_dir: str | None) -> MoritaSpan:
 
 
 def _parse_graph(payload: Mapping[str, Any], base_dir: str | None) -> GraphSpec:
-    vertices_raw = _require(payload, "vertices", "vertices")
-    edges_raw = _require(payload, "edges", "edges")
-    if not isinstance(vertices_raw, list) or not isinstance(edges_raw, list):
-        raise _fail("vertices and edges must be lists", "vertices", "see the graph schema")
+    vertices_raw, edges_raw = (
+        _section(payload, field, list, "lists", "see the graph schema", "vertices and edges")
+        for field in ("vertices", "edges")
+    )
     vertices = _ids(vertices_raw, "vertices")
     edges = []
     for i, e in enumerate(edges_raw):

@@ -266,7 +266,10 @@ def _isotropy_frame(
         p = image_basis(unit)
         # each row of E_x lies in the row space (lattice) that p spans
         q = coordinates(p, unit)
-        assert q is not None
+        if q is None:
+            raise RuntimeError(
+                f"invariant broken: the rows of the unit action at {base!r} are not in the span of its image basis"
+            )
         dims[base] = p.rows
         loop_reps[base] = tuple(
             p @ family[k] @ q for k in g.hom_set(base, base) if k != g.unit[base]

@@ -505,7 +505,9 @@ class Matrix:
         return d == 1 and nums[0][0] == 1 and nums == _identity_rows(n)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """The product; an identity operand returns the other one unchanged."""
+        """The product; an identity operand returns the other one unchanged.
+        Each operand is tested as ``is_identity`` tests it, on the form the
+        product reads."""
         ring = self.ring
         if ring is not other.ring and ring != other.ring:
             raise ValueError(f"ring mismatch: {ring.name} vs {other.ring.name}")
@@ -513,13 +515,15 @@ class Matrix:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        if self.is_identity:
+        (left, d), n, k = self.q_form, self.rows, other.cols
+        if n == self.cols and (not n or d == 1 and left[0][0] == 1 and left == _identity_rows(n)):
             return other
-        if other.is_identity:
+        right, e = other.q_form
+        if k == other.rows and (not k or e == 1 and right[0][0] == 1 and right == _identity_rows(k)):
             return self
-        (left, d), (right, e) = self.q_form, other.q_form
-        products = _products(left, right, other.cols) if ring.modulus is None else _mod_products(left, other)
-        return _lowest(ring, self.rows, other.cols, products, d * e)
+        if ring.modulus is None:
+            return _lowest(ring, n, k, _products(left, right, k), d * e)
+        return _held(ring, n, k, _mod_products(left, other))  # reduced, over 1
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(add, other)

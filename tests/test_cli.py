@@ -193,14 +193,20 @@ RING_HINT = '(hint: use "Q", "Z", "Fp:<p>" or "Zmod:<m>")'
         ("functor", {"objects": MISSING}, "objects: missing field 'objects' (hint: add a 'objects' entry)"),
         ("functor", {"arrows": MISSING}, "arrows: missing field 'arrows' (hint: add a 'arrows' entry)"),
         ("functor", {"objects": ["x"]}, "objects: objects and arrows must be maps (hint: source id -> target id)"),
-        ("functor", {"arrows": ["e"]}, "objects: objects and arrows must be maps (hint: source id -> target id)"),
+        ("functor", {"arrows": ["e"]}, "arrows: objects and arrows must be maps (hint: source id -> target id)"),
         ("functor", {"objects": {"x": None}}, f"objects.x: expected an id string, got None {ID_HINT}"),
         ("functor", {"arrows": {"e": 1.5}}, f"arrows.e: expected an id string, got 1.5 {ID_HINT}"),
         ("functor", {"objects": {"x": 1}},
          "objects: object map sends 'x' to unknown '1' (hint: cover the whole source with known targets)"),
+        ("functor", {"objects": {}}, "objects: object map must cover exactly the source objects "
+         "(hint: cover the whole source with known targets)"),
+        ("functor", {"arrows": {"e": "f"}},
+         "arrows: arrow map sends 'e' to unknown 'f' (hint: cover the whole source with known targets)"),
+        ("functor", {"arrows": {}}, "arrows: arrow map must cover exactly the source arrows "
+         "(hint: cover the whole source with known targets)"),
         ("graph", {"vertices": MISSING}, "vertices: missing field 'vertices' (hint: add a 'vertices' entry)"),
         ("graph", {"vertices": "ab"}, "vertices: vertices and edges must be lists (hint: see the graph schema)"),
-        ("graph", {"edges": {}}, "vertices: vertices and edges must be lists (hint: see the graph schema)"),
+        ("graph", {"edges": {}}, "edges: vertices and edges must be lists (hint: see the graph schema)"),
         ("graph", {"vertices": ["a", None, 1.5]}, f"vertices[1]: expected an id string, got None {ID_HINT}"),
         ("graph", {"vertices": ["a", "b", ["c"]]}, f"vertices[2]: expected an id string, got ['c'] {ID_HINT}"),
         ("graph", {"edges": [["a", "b"], ["a"]]}, "edges[1]: edge must be a [src, dst] pair (hint: two vertex ids)"),

@@ -13,6 +13,7 @@ and must agree with their per-row references entry for entry.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -272,3 +273,55 @@ def test_sheafify_rejects_an_action_that_leaves_the_stalks_like_the_reference(p2
         ref.sheafify(broken)
     assert str(got.value) == str(want.value)
     assert "does not preserve stalk lattices" in str(got.value)
+
+
+# -- products held as they come ---------------------------------------------------------
+
+
+def _assert_reference_product(a, b):
+    """``a @ b`` is a fresh matrix holding the form and entries of
+    ``Matrix.from_ints`` of the reference integer product."""
+    (left, d), (right, e) = a.q_form, b.q_form
+    want = Matrix.from_ints(a.ring, ref.products(left, right, b.cols, a.ring.modulus), b.cols, d * e)
+    got = a @ b
+    assert got is not a and got is not b
+    assert got.q_form == want.q_form and got.entries == want.entries
+    assert_same_matrix(a.ring, got, ref.matmul(a, b))
+
+
+@pytest.mark.parametrize("ring", [modular(2), modular(5), modular(6), modular(65537)], ids=lambda r: r.name)
+def test_modular_products_are_held_as_the_reference_computes_them(ring):
+    """Over Z/m a product's entries are reduced and over 1, so it is held as
+    it comes; each packing width and a composite modulus are covered."""
+    rng = random.Random(ring.modulus)
+    for n, k, m in ((1, 1, 1), (2, 3, 4), (4, 4, 4), (5, 2, 3), (3, 0, 2), (0, 3, 2)):
+        for _ in range(5):
+            a = Matrix.from_ints(ring, [[rng.randrange(-9, 99) for _ in range(k)] for _ in range(n)], k)
+            b = Matrix.from_ints(ring, [[rng.randrange(-9, 99) for _ in range(m)] for _ in range(k)], m)
+            if not (ref.is_identity(a) or ref.is_identity(b)):  # those return the other operand
+                _assert_reference_product(a, b)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+def test_near_identity_operands_take_the_arithmetic_route(ring):
+    """A non-square matrix whose top rows are the identity's, an inner
+    dimension of 0, and over Q the identity's numerators over 2 are no
+    identities: their products are computed and equal the reference.  The
+    0×0 matrix is the identity of size 0, so it returns the other operand."""
+    rng = random.Random(7)
+    wide = Matrix.identity(ring, 3).row_slice(0, 2)  # 2×3, the identity's top rows
+    top = Matrix.from_ints(ring, [[1, 0], [0, 1], [rng.randrange(5), 3]], 2)  # 3×2, identity on top
+    b3 = Matrix.from_ints(ring, [[rng.randrange(-5, 5) for _ in range(3)] for _ in range(3)], 3)
+    b2 = Matrix.from_ints(ring, [[rng.randrange(-5, 5) for _ in range(3)] for _ in range(2)], 3)
+    for a, b in ((wide, b3), (top, b2), (b3.row_slice(0, 2), Matrix.zeros(ring, 3, 0)),
+                 (Matrix.zeros(ring, 2, 0), Matrix.zeros(ring, 0, 3))):
+        _assert_reference_product(a, b)
+    if ring.kind == "Q":
+        half = Matrix.identity(ring, 3).scaled(Fraction(1, 2))
+        assert half.q_form == (Matrix.identity(ring, 3).q_form[0], 2)
+        _assert_reference_product(half, b3)
+        _assert_reference_product(b3, half)
+    empty = Matrix.zeros(ring, 0, 0)
+    for other in (Matrix.zeros(ring, 0, 3), Matrix.zeros(ring, 0, 0)):
+        assert empty @ other is other and other == Matrix.from_ints(ring, ref.products((), (), other.cols), other.cols)
+    assert Matrix.zeros(ring, 2, 0) @ empty == ref.matmul(Matrix.zeros(ring, 2, 0), empty)

@@ -318,3 +318,14 @@ def test_direct_sum_is_valid(p2):
     total = direct_sum(m1, m2)
     assert total.rank == m1.rank + m2.rank
     assert validate_module(total).ok
+
+
+def test_an_isotropy_frame_names_its_broken_invariant(p2, monkeypatch):
+    """The rows of a unit action lie in the span of its image basis; were
+    ``coordinates`` to find them outside it, the frame raises an error that
+    names the invariant instead of carrying on."""
+    from ample import gmodule
+
+    monkeypatch.setattr(gmodule, "coordinates", lambda basis, m: None)
+    with pytest.raises(RuntimeError, match="invariant broken: the rows of the unit action at '1'"):
+        regular_module(p2, F5).isotropy_frame

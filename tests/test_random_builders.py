@@ -20,6 +20,8 @@ from ample.builders import (
     GraphSpec,
     _below,
     acyclic_graph_groupoid,
+    action_groupoid,
+    cyclic_group,
     pair_groupoid,
     random_invertible,
     random_module,
@@ -141,3 +143,48 @@ def test_inline_draws_match_the_closure_builder(ring):
             assert_same_matrix(ring, got, want)
             assert_same_matrix(ring, got_inverse, want_inverse)
             assert rng.getstate() == ref_rng.getstate()
+
+
+def test_random_invertible_over_q_matches_the_reference():
+    """Over Q each row of the transposed inverse is held over its own power
+    of two; the matrix, its inverse and the generator state after the draw
+    are those of the reference builder and its elimination."""
+    for n in range(1, 9):
+        for seed in range(30):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            got, got_inverse = random_invertible(Q, n, rng)
+            want = ref.random_invertible(Q, n, ref_rng)
+            assert_same_matrix(Q, got, want)
+            assert_same_matrix(Q, got_inverse, ref.matrix_inverse(want))
+            assert rng.getstate() == ref_rng.getstate()
+
+
+def _two_orbits():
+    """Z/2 acting on a, b, c by swapping a and b: the components {a, b},
+    with trivial isotropy, and {c}, with isotropy Z/2, whose regular copies
+    take their rows in an order that is not the identity."""
+    elements, table = cyclic_group(2)
+    action = {("e", x): x for x in "abc"} | {("g", "a"): "b", ("g", "b"): "a", ("g", "c"): "c"}
+    return action_groupoid(elements, table, tuple("abc"), action)
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=lambda r: r.name)
+def test_draws_on_a_kept_and_a_fresh_groupoid_match_the_reference(ring):
+    """The sampling shape is derived once per groupoid and its row orders
+    once per component and (c, r): draws at several ranks on one groupoid
+    object, which keeps them, and on a fresh equal one, which derives them
+    anew, equal the reference builders'."""
+    kept, fresh = _two_orbits(), _two_orbits()
+    assert fresh == kept and fresh is not kept and len(kept.connected_components()) == 2
+    for g in (kept, fresh, kept):
+        for max_rank in (0, 1, 2, 3, 5):
+            for seed in range(6):
+                got, want = random_sheaf(g, ring, max_rank, seed), ref.random_sheaf(g, ring, max_rank, seed)
+                assert list(got.stalk_rank.items()) == list(want.stalk_rank.items())
+                for a in g.arrows:
+                    assert_same_matrix(ring, got.transport[a], want.transport[a])
+                got, want = random_module(g, ring, max_rank, seed), ref.random_module(g, ring, max_rank, seed)
+                assert got.rank == want.rank
+                for a in g.arrows:
+                    assert_same_matrix(ring, got.action[a], want.action[a])
+    assert "_sampling_shape" in fresh.__dict__
