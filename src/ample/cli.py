@@ -41,7 +41,7 @@ from .documents import (
 from .equivalence import check_naturality, epsilon, eta
 from .gmodule import random_hom, regular_module, validate_module
 from .groupoid import FiniteGroupoid, SizeGuardError, enumerate_bisections, validate_groupoid
-from .gsheaf import constant_sheaf, validate_sheaf
+from .gsheaf import GSheaf, constant_sheaf, validate_sheaf
 from .morita import GroupoidFunctor, identity_functor, validate_functor, validate_span, verify_morita
 from .rings import Ring, ring_from_name
 from .validation import Failure, ValidationReport
@@ -151,6 +151,8 @@ def run_command(argv: list[str]) -> tuple[int, str]:
         return int(exc.code or 0), ""
     try:
         ring = ring_from_name(args.ring) if "ring" in args else None
+        if args.command in ("equivalence", "morita") and not ring.supports_elimination:
+            raise ValueError(f"ring {ring.name} has a composite modulus; use Q, Z or Fp:<p>")
     except ValueError as exc:
         return 2, f"usage error: {exc}"
     handler = {
@@ -191,8 +193,7 @@ def _summary(kind: str, value: Any) -> str:
     if kind == "module":
         return f"rank {value.rank}, {len(value.groupoid.arrows)} arrows"
     if kind == "sheaf":
-        ranks = ",".join(str(value.stalk_rank[x]) for x in value.groupoid.objects)
-        return f"stalk ranks {ranks or '-'}"
+        return f"stalk ranks {_ranks(value) or '-'}"
     if kind == "functor":
         return f"{len(value.source.objects)} objects -> {len(value.target.objects)} objects"
     if kind == "span":
@@ -200,6 +201,11 @@ def _summary(kind: str, value: Any) -> str:
     if kind == "graph":
         return f"{len(value.vertices)} vertices, {len(value.edges)} edges"
     return ""
+
+
+def _ranks(sheaf: GSheaf) -> str:
+    """The stalk ranks of ``sheaf`` in object order, comma-separated."""
+    return ",".join(str(sheaf.stalk_rank[x]) for x in sheaf.groupoid.objects)
 
 
 def _groupoid_report(doc: ParsedDocument) -> tuple[FiniteGroupoid | None, ValidationReport]:
@@ -288,8 +294,6 @@ def _cmd_bisections(args: argparse.Namespace, ring: None) -> Report:
 
 
 def _cmd_equivalence(args: argparse.Namespace, ring: Ring) -> Report:
-    if not ring.supports_elimination:
-        raise UsageError(f"ring {ring.name} has a composite modulus; use Q, Z or Fp:<p>")
     groupoid = _groupoid_from_file(args.groupoid)
     rng = random.Random(args.seed)
     lines = [
@@ -297,51 +301,40 @@ def _cmd_equivalence(args: argparse.Namespace, ring: Ring) -> Report:
         f"groupoid: {args.groupoid} ({_summary('groupoid', groupoid)})",
         f"ring: {ring.name}  seed: {args.seed}  samples: {args.samples}  max-rank: {args.max_rank}",
     ]
-    records: dict[str, Any] = {"eta": [], "epsilon": [], "naturality": []}
-    ok = True
+    records: dict[str, list[dict[str, Any]]] = {"eta": [], "epsilon": [], "naturality": []}
+
+    def record(section: str, failure: object, **fields: Any) -> str:
+        """Keep the next record of ``section``, failed unless ``failure`` is
+        None; returns its text verdict."""
+        result = "pass" if failure is None else "fail"
+        records[section].append({"index": len(records[section]), **fields, "result": result})
+        return "PASS" if failure is None else f"FAIL ({failure})"
 
     for i in range(args.samples):
         seed = rng.randrange(2**32)
         module = builders.random_module(groupoid, ring, args.max_rank, seed)
         result = eta(module)
-        ok = ok and result.ok
-        records["eta"].append(
-            {"index": i, "seed": seed, "rank": module.rank, "result": "pass" if result.ok else "fail"}
-        )
-        if result.ok:
-            stalk_rank = result.value.sheafification.sheaf.stalk_rank
-            stalks = ",".join(str(stalk_rank[x]) for x in groupoid.objects)
-            lines.append(f"eta[{i:02d}] seed={seed} rank={module.rank} stalks={stalks} : PASS")
-        else:
-            lines.append(f"eta[{i:02d}] seed={seed} rank={module.rank} : FAIL ({result.first()})")
+        verdict = record("eta", result.first(), seed=seed, rank=module.rank)
+        stalks = f" stalks={_ranks(result.value.sheafification.sheaf)}" if result.ok else ""
+        lines.append(f"eta[{i:02d}] seed={seed} rank={module.rank}{stalks} : {verdict}")
 
     for i in range(args.samples):
         seed = rng.randrange(2**32)
         sheaf = builders.random_sheaf(groupoid, ring, args.max_rank, seed)
-        result = epsilon(sheaf)
-        stalks = ",".join(str(sheaf.stalk_rank[x]) for x in groupoid.objects)
-        ok = ok and result.ok
-        verdict = "PASS" if result.ok else f"FAIL ({result.first()})"
-        lines.append(f"epsilon[{i:02d}] seed={seed} stalks={stalks} : {verdict}")
-        records["epsilon"].append({"index": i, "seed": seed, "result": "pass" if result.ok else "fail"})
+        verdict = record("epsilon", epsilon(sheaf).first(), seed=seed)
+        lines.append(f"epsilon[{i:02d}] seed={seed} stalks={_ranks(sheaf)} : {verdict}")
 
     for i in range(args.samples):
-        seed_a = rng.randrange(2**32)
-        seed_b = rng.randrange(2**32)
+        seed_a, seed_b = rng.randrange(2**32), rng.randrange(2**32)
         m1 = builders.random_module(groupoid, ring, max(1, args.max_rank - 1), seed_a)
         m2 = builders.random_module(groupoid, ring, max(1, args.max_rank - 1), seed_b)
-        hom = random_hom(m1, m2, rng)
-        report = check_naturality(hom)
-        verdict = "PASS" if report.ok else f"FAIL ({report.first().witness})"
-        ok = ok and report.ok
+        failure = check_naturality(random_hom(m1, m2, rng)).first()
+        verdict = record("naturality", failure and failure.witness, ranks=[m1.rank, m2.rank])
         lines.append(f"naturality[{i:02d}] ranks {m1.rank}->{m2.rank} : {verdict}")
-        records["naturality"].append(
-            {"index": i, "ranks": [m1.rank, m2.rank], "result": "pass" if report.ok else "fail"}
-        )
 
+    status = "pass" if all(r["result"] == "pass" for section in records.values() for r in section) else "fail"
     n = args.samples
-    lines.append(f"RESULT: {'PASS' if ok else 'FAIL'} ({n} eta + {n} epsilon + {n} naturality)")
-    status = "pass" if ok else "fail"
+    lines.append(f"RESULT: {status.upper()} ({n} eta + {n} epsilon + {n} naturality)")
     payload = {
         "command": "equivalence",
         "groupoid": args.groupoid,
@@ -359,8 +352,6 @@ def _cmd_equivalence(args: argparse.Namespace, ring: Ring) -> Report:
 
 
 def _cmd_morita(args: argparse.Namespace, ring: Ring) -> Report:
-    if not ring.supports_elimination:
-        raise UsageError(f"ring {ring.name} has a composite modulus; use Q, Z or Fp:<p>")
     doc = load_document(args.span)
     if doc.kind != "span":
         raise UsageError(f"{args.span} is a {doc.kind} document; expected span")
@@ -386,30 +377,18 @@ def _cmd_morita(args: argparse.Namespace, ring: Ring) -> Report:
         reason = "a groupoid of the span fails its axioms" if broken else "span legs are not essential equivalences"
         lines.append(f"RESULT: REJECTED ({reason})")
     else:
-        lines.append("rank table:")
-        lines.append("sample\tdirection\trank\ttransported\tround_trip")
-        for s in report.samples:
-            lines.append(
-                f"{s.index}\t{s.direction}\t{s.source_rank}\t{s.transported_rank}\t"
-                + ("PASS" if s.round_trip_ok else "FAIL")
-            )
-        if report.hom_dims:
-            all_equal = all(a == b for (_, _, a, b) in report.hom_dims)
-            lines.append(
-                f"hom-dims: {len(report.hom_dims)} pairs compared, "
-                + ("all equal" if all_equal else "MISMATCH")
-            )
-        lines.append(f"RESULT: {status.upper()}")
-        payload["rank_table"] = [
-            {
-                "sample": s.index,
-                "direction": s.direction,
-                "rank": s.source_rank,
-                "transported": s.transported_rank,
-                "round_trip": "pass" if s.round_trip_ok else "fail",
-            }
+        columns = ("sample", "direction", "rank", "transported", "round_trip")
+        rows = [
+            (s.index, s.direction, s.source_rank, s.transported_rank, "pass" if s.round_trip_ok else "fail")
             for s in report.samples
         ]
+        lines += ["rank table:", "\t".join(columns)]
+        lines += ["\t".join([*map(str, row[:-1]), row[-1].upper()]) for row in rows]
+        if report.hom_dims:
+            equal = "all equal" if all(a == b for (_, _, a, b) in report.hom_dims) else "MISMATCH"
+            lines.append(f"hom-dims: {len(report.hom_dims)} pairs compared, {equal}")
+        lines.append(f"RESULT: {status.upper()}")
+        payload["rank_table"] = [dict(zip(columns, row)) for row in rows]
         payload["hom_dims"] = [list(t) for t in report.hom_dims]
     return Report(status, lines, payload)
 

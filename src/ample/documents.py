@@ -370,6 +370,8 @@ def _parse_sheaf(payload: Mapping[str, Any], base_dir: str | None) -> GSheaf:
     try:
         return GSheaf(groupoid, ring, stalk_rank, transport)
     except ValueError as exc:
+        if str(exc).startswith("stalk ranks"):
+            raise _fail(str(exc), "stalks", "give every object a rank") from None
         raise _fail(str(exc), "transport", "give every arrow a matrix of the right shape") from None
 
 

@@ -199,13 +199,13 @@ def regular_module(g: FiniteGroupoid, ring: Ring) -> GModule:
     n = len(g.arrows)
     action: dict[ArrowId, Matrix] = {}
     for b in g.arrows:
-        rows = []
-        for a in g.arrows:
-            row = [ring.zero] * n
-            if g.composable(a, b):
-                row[g.arrow_index[g.compose[(a, b)]]] = ring.one
-            rows.append(tuple(row))
-        action[b] = Matrix(ring, n, n, tuple(rows))
+        # row a holds a 1 at a·b for the arrows a that start where b ends, and is zero otherwise
+        rows = dict.fromkeys(g.arrows, (0,) * n)
+        for a in g.arrows_with_src(g.dst[b]):
+            row = [0] * n
+            row[g.arrow_index[g.compose[(a, b)]]] = 1
+            rows[a] = tuple(row)
+        action[b] = Matrix.from_ints(ring, list(rows.values()), n)
     return GModule(g, ring, n, action)
 
 

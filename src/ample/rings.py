@@ -64,9 +64,9 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import islice
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Any, Iterable, Sequence
 
@@ -80,12 +80,14 @@ class UnsupportedRingError(ValueError):
 @lru_cache(maxsize=256)
 def _is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin on the primes up to 41, exact below
-    3.317·10^24 (Sorenson and Webster, 2017); trial division from there."""
+    3.317·10^24 (Sorenson and Webster, 2017).  From that bound on only a
+    prime factor up to 41 decides: any other modulus raises ValueError."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if m < 2 or any(m % b == 0 for b in bases):
         return m in bases
     if m >= 3317044064679887385961981:
-        return all(m % d for d in range(43, isqrt(m) + 1, 2))
+        reason = "from 3.3e24 on, a modulus needs a prime factor up to 41"
+        raise ValueError(f"modulus {m} is too large for the exact primality test: {reason}")
     s = ((m - 1) & (1 - m)).bit_length() - 1
     d = (m - 1) >> s  # odd, and m - 1 = d·2^s
     # m is a strong probable prime to base b: b^d = 1, or b^(d·2^k) = -1 for some k < s
@@ -96,10 +98,12 @@ def _is_prime(m: int) -> bool:
 class Ring:
     """A coefficient ring: kind is one of "Q", "Z", "mod" (with a modulus).
 
-    The hash is computed once, at construction, and the traits ``is_field``
-    and ``supports_elimination`` (a field, or Z: kernels, images and solving
-    are available) once, on first read; ``modular`` and ``ring_from_name``
-    hand out one shared ring per modulus."""
+    Construction decides everything else once, as plain attributes: the
+    hash, ``name``, ``zero``, ``one`` and the traits ``is_field`` and
+    ``supports_elimination`` (a field, or Z: kernels, images and solving
+    are available).  A modulus whose primality ``_is_prime`` cannot decide
+    is refused.  ``modular`` and ``ring_from_name`` hand out one shared ring
+    per modulus."""
 
     kind: str
     modulus: int | None = None
@@ -112,15 +116,15 @@ class Ring:
                 raise ValueError("modulus must be an integer of at least 2")
         elif self.modulus is not None:
             raise ValueError(f"ring {self.kind} takes no modulus")
-        object.__setattr__(self, "_hash", hash((self.kind, self.modulus)))
-
-    def __getattr__(self, name: str) -> Any:
-        # Only the first read of a trait reaches here; both are then kept.
-        if name not in ("is_field", "supports_elimination"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         field = self.kind == "Q" or self.kind == "mod" and _is_prime(self.modulus)
-        self.__dict__.update(is_field=field, supports_elimination=field or self.kind == "Z")
-        return self.__dict__[name]
+        self.__dict__.update(
+            _hash=hash((self.kind, self.modulus)),
+            is_field=field,
+            supports_elimination=field or self.kind == "Z",
+            name=self.kind if self.modulus is None else f"{'Fp' if field else 'Zmod'}:{self.modulus}",
+            zero=self.coerce(0),
+            one=self.coerce(1),
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -128,12 +132,6 @@ class Ring:
     def __reduce__(self) -> tuple[Any, ...]:
         # rebuilt by the constructor, so a loading process hashes it anew
         return Ring, (self.kind, self.modulus)
-
-    @property
-    def name(self) -> str:
-        if self.kind == "mod":
-            return f"Fp:{self.modulus}" if self.is_field else f"Zmod:{self.modulus}"
-        return self.kind
 
     # -- element arithmetic ------------------------------------------------
 
@@ -151,14 +149,6 @@ class Ring:
         if self.kind == "mod":
             return value % self.modulus  # type: ignore[operator]
         return value
-
-    @cached_property
-    def zero(self) -> Scalar:
-        return self.coerce(0)
-
-    @cached_property
-    def one(self) -> Scalar:
-        return self.coerce(1)
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return self.coerce(a + b)
@@ -222,19 +212,17 @@ def ring_from_name(name: str) -> Ring:
     if text == "Z":
         return INTEGERS
     head, _, tail = text.partition(":")
-    if head == "Fp" and tail:
-        value = _parse_modulus(text, tail)
-        if not _is_prime(value):
-            raise ValueError(f"Fp modulus must be prime, got {value}")
-        return modular(value)
     if head == "Zmod" and tail:
         return modular(_parse_modulus(text, tail))
-    if text.startswith("F") and text[1:].isdigit():
-        value = int(text[1:])
-        if not _is_prime(value):
-            raise ValueError(f"F<p> shorthand needs a prime, got {value}")
-        return modular(value)
-    raise ValueError(f"unknown ring name {name!r} (expected Q, Z, Fp:<p> or Zmod:<m>)")
+    if head == "Fp" and tail:
+        value, wanted = _parse_modulus(text, tail), "Fp modulus must be prime"
+    elif text.startswith("F") and text[1:].isdigit():
+        value, wanted = int(text[1:]), "F<p> shorthand needs a prime"
+    else:
+        raise ValueError(f"unknown ring name {name!r} (expected Q, Z, Fp:<p> or Zmod:<m>)")
+    if value < 2 or not modular(value).is_field:
+        raise ValueError(f"{wanted}, got {value}")
+    return modular(value)
 
 
 def _parse_modulus(full: str, tail: str) -> int:
@@ -371,11 +359,10 @@ def _form(ring: Ring, entries: tuple[tuple[Scalar, ...], ...]) -> tuple[tuple[tu
     return entries, 1
 
 
-def _entries(ring: Ring, nums: tuple[tuple[int, ...], ...], d: int) -> tuple[tuple[Scalar, ...], ...]:
-    """The canonical entries of ``nums / d``: off Q, ``nums`` itself."""
-    if ring.kind != "Q":
-        return nums
-    zero = ring.zero
+def _entries(nums: tuple[tuple[int, ...], ...], d: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The ``Fraction`` entries of ``nums / d`` over Q; off Q a matrix
+    always holds its entries."""
+    zero = RATIONALS.zero
     return tuple([tuple([Fraction(x, d) if x else zero for x in row]) for row in nums])
 
 
@@ -443,7 +430,7 @@ class Matrix:
         if name == "q_form" and "entries" in held:
             value = _form(self.ring, held["entries"])
         elif name == "entries" and "q_form" in held:
-            value = _entries(self.ring, *held["q_form"])
+            value = _entries(*held["q_form"])
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         held[name] = value

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -190,6 +191,10 @@ RING_HINT = '(hint: use "Q", "Z", "Fp:<p>" or "Zmod:<m>")'
         ("sheaf", {"stalks": {"x": 2}}, "transport.e: matrix must be 2x2 (hint: check the declared ranks)"),
         ("sheaf", {"transport": {"e": [[None]]}},
          "transport.e[0][0]: cannot coerce None into Fp:5 (hint: entries are exact scalars)"),
+        ("sheaf", {"groupoid": groupoid_payload(pair_groupoid(2)), "stalks": {"1": 1}, "transport": {"(1,1)": [[1]]}},
+         "stalks: stalk ranks must cover exactly the object set (hint: give every object a rank)"),
+        ("module", {"groupoid": 7},
+         "groupoid: expected a file path or inline document at groupoid (hint: use a path or an object)"),
         ("functor", {"objects": MISSING}, "objects: missing field 'objects' (hint: add a 'objects' entry)"),
         ("functor", {"arrows": MISSING}, "arrows: missing field 'arrows' (hint: add a 'arrows' entry)"),
         ("functor", {"objects": ["x"]}, "objects: objects and arrows must be maps (hint: source id -> target id)"),
@@ -762,6 +767,81 @@ def test_composite_modulus_rejected_for_equivalence(corpus):
         ["equivalence", "--groupoid", str(corpus / "p2.json"), "--ring", "Zmod:6"]
     )
     assert code == 2
+
+
+def test_composite_modulus_rejected_for_morita(corpus):
+    code, text = run_command(["morita", "--span", str(corpus / "span-p2-point.json"), "--ring", "Zmod:6"])
+    assert (code, text) == (2, "usage error: ring Zmod:6 has a composite modulus; use Q, Z or Fp:<p>")
+
+
+def test_morita_of_a_groupoid_document_is_usage_error(corpus):
+    path = str(corpus / "p2.json")
+    assert run_command(["morita", "--span", path]) == (2, f"usage error: {path} is a groupoid document; expected span")
+
+
+HUGE_PRIME = 3317044064679887385962123  # above 3.317e24, where Miller-Rabin on the primes up to 41 stops being exact
+
+
+@pytest.mark.parametrize("head", ["Fp", "Zmod"])
+def test_a_ring_beyond_the_exact_primality_test_is_a_usage_error(corpus, head):
+    start = time.perf_counter()
+    code, text = run_command(["table", str(corpus / "p2.json"), "--ring", f"{head}:{HUGE_PRIME}"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert text == (
+        f"usage error: modulus {HUGE_PRIME} is too large for the exact primality test: "
+        "from 3.3e24 on, a modulus needs a prime factor up to 41"
+    )
+    payload = json.loads((corpus / "module-p2-regular.json").read_text())
+    payload["ring"] = f"{head}:{HUGE_PRIME}"
+    with pytest.raises(ParseError) as err:
+        parse_document(json.dumps(payload), base_dir=str(corpus))
+    assert err.value.path == "ring" and str(HUGE_PRIME) in err.value.message
+
+
+def test_a_huge_modulus_with_a_small_factor_still_runs(corpus):
+    code, text = run_command(["table", str(corpus / "p2.json"), "--ring", f"Zmod:{2 * HUGE_PRIME}"])
+    assert code == 0 and text.startswith("*\t(1,1)")
+    code, text = run_command(["table", str(corpus / "p2.json"), "--ring", f"Fp:{2 * HUGE_PRIME}"])
+    assert (code, text) == (2, f"usage error: Fp modulus must be prime, got {2 * HUGE_PRIME}")
+
+
+def test_a_document_that_is_no_json_object_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_document("[1, 2]")
+    assert str(err.value) == '<document>: document must be a JSON object (hint: wrap the content as {"kind": ...})'
+
+
+def test_a_module_whose_groupoid_names_a_sheaf_file_is_a_parse_error(corpus):
+    payload = {**json.loads((corpus / "module-p2-regular.json").read_text()), "groupoid": "sheaf-p2-constant.json"}
+    with pytest.raises(ParseError) as err:
+        parse_document(json.dumps(payload), base_dir=str(corpus))
+    assert str(err.value) == (
+        "<document>:#groupoid: expected a groupoid document at groupoid, got sheaf (hint: check the referenced file)"
+    )
+
+
+def test_a_span_whose_leg_starts_off_the_apex_is_a_parse_error(corpus):
+    payload = json.loads((corpus / "span-p2-point.json").read_text())
+    payload["apex"] = "p2.json"
+    with pytest.raises(ParseError) as err:
+        parse_document(json.dumps(payload), base_dir=str(corpus))
+    assert str(err.value) == (
+        "<document>:#left: left leg's source groupoid differs from the apex "
+        "(hint: both functor files must declare the apex as their source)"
+    )
+
+
+def test_validate_reports_a_leg_that_is_not_full(corpus, tmp_path):
+    # the point into Z/2: one arrow at the point, two at its image
+    functor = {"kind": "functor", "source": str(corpus / "point.json"), "target": str(corpus / "z2.json"),
+               "objects": {"1": "*"}, "arrows": {"(1,1)": "e"}}
+    (tmp_path / "left.json").write_text(json.dumps(functor))
+    span = {"kind": "span", "apex": str(corpus / "point.json"), "left": "left.json",
+            "right": str(corpus / "functor-point-id.json")}
+    (tmp_path / "span.json").write_text(json.dumps(span))
+    code, text = run_command(["validate", str(tmp_path / "span.json")])
+    assert (code, text) == (1, "span: FAIL\n  left leg full faithfulness: hom ('1','1') maps 1 arrows onto 2")
 
 
 # -- reports ------------------------------------------------------------------------------

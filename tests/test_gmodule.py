@@ -1,11 +1,22 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
 from ample.algebra import char_fn, convolve, identity_element, multiplication_table, zero_element
-from ample.builders import random_module
+from ample.builders import (
+    GraphSpec,
+    acyclic_graph_groupoid,
+    action_groupoid,
+    cyclic_group,
+    group_groupoid,
+    pair_groupoid,
+    random_module,
+    symmetric_group,
+)
+from ample.equivalence import eta
 from ample.gmodule import (
     GModule,
     GModuleHom,
@@ -329,3 +340,44 @@ def test_an_isotropy_frame_names_its_broken_invariant(p2, monkeypatch):
     monkeypatch.setattr(gmodule, "coordinates", lambda basis, m: None)
     with pytest.raises(RuntimeError, match="invariant broken: the rows of the unit action at '1'"):
         regular_module(p2, F5).isotropy_frame
+
+
+# -- a Yoneda oracle for hom dimensions -----------------------------------------
+
+
+def _projective(g, ring, x) -> GModule:
+    """P_x: the summand of the regular module spanned by the arrows that end
+    at x, closed under the action since a·b ends where a does."""
+    regular = regular_module(g, ring)
+    keep = [i for i, a in enumerate(g.arrows) if g.dst[a] == x]
+    action = {
+        b: Matrix.from_ints(ring, [[m.q_form[0][i][j] for j in keep] for i in keep], len(keep))
+        for b, m in regular.action.items()
+    }
+    return GModule(g, ring, len(keep), action)
+
+
+def _yoneda_groupoids():
+    z4, z4_table = cyclic_group(4)
+    z2, z2_table = cyclic_group(2)
+    parity = {(g, x): x if k % 2 == 0 else "qp"[x == "q"] for k, g in enumerate(z4) for x in "pq"}
+    two_sinks = GraphSpec(("u", "v", "w", "s", "x"), (("u", "w"), ("v", "w"), ("u", "s")))
+    return {
+        "pair(3)": pair_groupoid(3),
+        "z2 action": action_groupoid(z2, z2_table, list(z2), dict(z2_table)),
+        "S_3": group_groupoid(*symmetric_group(3)),
+        "two-sink graph": acyclic_graph_groupoid(two_sinks),
+        "Z/4 on two points through Z/2": action_groupoid(z4, z4_table, ["p", "q"], parity),
+    }
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
+@pytest.mark.parametrize("name", list(_yoneda_groupoids()))
+def test_hom_dimensions_between_representables_count_arrows(name, ring):
+    # Hom(P_x, P_y) is the free module on the arrows x -> y, the Yoneda lemma
+    g = _yoneda_groupoids()[name]
+    projectives = {x: _projective(g, ring, x) for x in g.objects}
+    for x, p in projectives.items():
+        assert validate_module(p).ok and eta(p).ok
+    for (x, px), (y, py) in product(projectives.items(), repeat=2):
+        assert hom_space_dim(px, py) == len(g.hom_set(x, y)), (x, y)

@@ -89,17 +89,29 @@ def test_ring_traits_match_the_formulas_and_leave_repr_and_equality_alone(name):
             assert ring != other and ring != Ring(other.kind, other.modulus)
 
 
-def test_ring_traits_are_computed_once_on_first_read(monkeypatch):
+def test_ring_traits_are_decided_at_construction(monkeypatch):
     tested = []
     real = rings._is_prime
     monkeypatch.setattr(rings, "_is_prime", lambda m: tested.append(m) or real(m))
-    ring = Ring("mod", 7)  # construction tests no primality
-    assert tested == [] and "is_field" not in vars(ring)
-    assert ring.is_field and ring.supports_elimination and ring.is_field
+    ring = Ring("mod", 7)
     assert tested == [7]
+    assert {"_hash", "is_field", "supports_elimination", "zero", "one", "name"} <= vars(ring).keys()
+    assert ring.is_field and ring.supports_elimination and ring.name == "Fp:7" and (ring.zero, ring.one) == (0, 1)
+    assert tested == [7]  # reading a trait tests no primality
     assert not Ring("mod", 9).supports_elimination and tested == [7, 9]
     with pytest.raises(AttributeError, match="has no attribute 'is_prime'"):
         ring.is_prime
+
+
+def test_a_modulus_beyond_the_exact_primality_test_is_refused():
+    bound = 3317044064679887385961981  # a strong pseudoprime to every base up to 41
+    for m in (bound, bound + 142):  # then a prime
+        with pytest.raises(ValueError, match=f"modulus {m} is too large for the exact primality test"):
+            Ring("mod", m)
+        with pytest.raises(ValueError, match=str(m)):
+            ring_from_name(f"Zmod:{m}")
+    for p in (2, 3, 41):  # a small prime factor decides at any size
+        assert not modular(p * bound).is_field and ring_from_name(f"Zmod:{p * bound}").name == f"Zmod:{p * bound}"
 
 
 # Carmichael numbers (211·421·631 has no factor among the bases), then
