@@ -358,13 +358,13 @@ def _cmd_morita(args: argparse.Namespace, ring: Ring) -> Report:
     span = doc.value
     report = verify_morita(span, ring, args.samples, args.seed)
     legs = {"left": report.left_leg, "right": report.right_leg}
+    # each leg's verdict: None when it passes, else its first failure
+    verdicts = {name: None if leg.ok else str(leg.first()) for name, leg in legs.items()}
     lines = [
         "morita report",
         f"span: {args.span}",
         f"ring: {ring.name}  seed: {args.seed}  samples: {args.samples}",
-        "legs: " + ", ".join(
-            f"{name} " + ("PASS" if leg.ok else f"FAIL ({leg.first()})") for name, leg in legs.items()
-        ),
+        "legs: " + ", ".join(f"{name} " + ("PASS" if v is None else f"FAIL ({v})") for name, v in verdicts.items()),
     ]
     status = "rejected" if report.rejected else "pass" if report.ok else "fail"
     payload: dict[str, Any] = {
@@ -372,7 +372,7 @@ def _cmd_morita(args: argparse.Namespace, ring: Ring) -> Report:
         "seed": args.seed, "samples": args.samples, "result": status,
     }
     if report.rejected:
-        payload["legs"] = {name: "pass" if leg.ok else str(leg.first()) for name, leg in legs.items()}
+        payload["legs"] = {name: "pass" if v is None else v for name, v in verdicts.items()}
         broken = any(f.law == "groupoid" for leg in legs.values() for f in leg.failures)
         reason = "a groupoid of the span fails its axioms" if broken else "span legs are not essential equivalences"
         lines.append(f"RESULT: REJECTED ({reason})")
@@ -385,7 +385,7 @@ def _cmd_morita(args: argparse.Namespace, ring: Ring) -> Report:
         lines += ["rank table:", "\t".join(columns)]
         lines += ["\t".join([*map(str, row[:-1]), row[-1].upper()]) for row in rows]
         if report.hom_dims:
-            equal = "all equal" if all(a == b for (_, _, a, b) in report.hom_dims) else "MISMATCH"
+            equal = "all equal" if report.hom_dims_equal else "MISMATCH"
             lines.append(f"hom-dims: {len(report.hom_dims)} pairs compared, {equal}")
         lines.append(f"RESULT: {status.upper()}")
         payload["rank_table"] = [dict(zip(columns, row)) for row in rows]

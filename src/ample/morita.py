@@ -394,12 +394,13 @@ class MoritaReport:
         return not (self.left_leg.ok and self.right_leg.ok)
 
     @property
+    def hom_dims_equal(self) -> bool:
+        """Every compared pair has equal hom dimensions before and after transport."""
+        return all(a == b for (_, _, a, b) in self.hom_dims)
+
+    @property
     def ok(self) -> bool:
-        return (
-            not self.rejected
-            and all(s.round_trip_ok for s in self.samples)
-            and all(a == b for (_, _, a, b) in self.hom_dims)
-        )
+        return not self.rejected and all(s.round_trip_ok for s in self.samples) and self.hom_dims_equal
 
 
 def verify_morita(span: MoritaSpan, ring: Ring, samples: int, seed: int) -> MoritaReport:

@@ -43,10 +43,14 @@ numerators with the 0/1 rows of its size, which are the identity's over
 every ring, so it needs no ring; a product with an identity operand
 returns the other operand once the ring and shape checks pass, and
 ``row_echelon`` returns an identity as its own reduced form and transform.
-Every other elimination runs on ``[a | identity]`` (see ``row_echelon``),
-so no kernel builds a transform of its own, except for a coordinate
-projector (``projector_rows``: square, over 1, each row i zero or row i
-of the identity), whose nonzero rows ``image_basis`` returns as they are.
+Every elimination goes through one dispatch, ``_eliminate``, to the ring's
+kernel: ``row_echelon`` (so ``kernel_basis`` and ``matrix_inverse``) runs
+it on ``[a | identity]``, so no kernel builds a transform of its own, and
+``image_basis`` (so ``rank``) on a's own rows, with no transform half.  A
+coordinate projector (``projector_rows``: square, over 1, each row i zero
+or row i of the identity) needs none: ``image_basis`` returns its nonzero
+rows as they are.  A matrix keeps its image basis in its instance dict,
+and the coordinates of its own rows in that basis with it.
 ``coordinates`` expresses every row of a matrix in a basis at once: in
 unit rows it reads columns (``read_block``); otherwise over a field the
 basis must be reduced, and the coordinates are read off its pivot columns
@@ -216,17 +220,27 @@ def ring_from_name(name: str) -> Ring:
         return modular(_parse_modulus(text, tail))
     if head == "Fp" and tail:
         value, wanted = _parse_modulus(text, tail), "Fp modulus must be prime"
-    elif text.startswith("F") and text[1:].isdigit():
-        value, wanted = int(text[1:]), "F<p> shorthand needs a prime"
+    elif text.startswith("F") and text[1:].isdecimal():
+        value, wanted = _parse_modulus(text, text[1:]), "F<p> shorthand needs a prime"
     else:
         raise ValueError(f"unknown ring name {name!r} (expected Q, Z, Fp:<p> or Zmod:<m>)")
-    if value < 2 or not modular(value).is_field:
+    if not modular(value).is_field:
         raise ValueError(f"{wanted}, got {value}")
     return modular(value)
 
 
+# the interpreter's default limit on the digits int() reads from a string
+_MODULUS_DIGITS = 4300
+
+
 def _parse_modulus(full: str, tail: str) -> int:
-    if not tail.isdigit() or int(tail) < 2:
+    """The decimal digits ``tail`` of the ring name ``full`` as a modulus of
+    at least 2, of at most ``_MODULUS_DIGITS`` digits."""
+    if len(tail) > _MODULUS_DIGITS and tail.isdecimal():
+        shown = full[: len(full) - len(tail) + 12] + "..."
+        wanted = f"expected at most {_MODULUS_DIGITS} digits, got {len(tail)}"
+        raise ValueError(f"bad modulus in ring name {shown!r}: {wanted}")
+    if not tail.isdecimal() or int(tail) < 2:
         raise ValueError(f"bad modulus in ring name {full!r}: expected an integer of at least 2")
     return int(tail)
 
@@ -629,15 +643,10 @@ class Echelon:
 
 def row_echelon(a: Matrix) -> Echelon:
     """The echelon record of ``a``; an identity is its own reduced form and
-    transform, with no elimination.  Otherwise the ring's kernel reduces
+    transform, with no elimination.  Otherwise ``_eliminate`` reduces
     ``[a | identity]`` (over a's denominator) on a's columns, and the two
     halves of the result are ``reduced`` and ``transform``."""
-    ring = a.ring
-    if not ring.supports_elimination:
-        raise UnsupportedRingError(
-            f"row reduction needs a field or Z, not {ring.name} (composite modulus)"
-        )
-    if a.is_identity:
+    if a.is_identity and a.ring.supports_elimination:
         return Echelon(a, a, tuple(range(a.rows)))
     n = a.cols
     start, d = a.q_form
@@ -645,21 +654,33 @@ def row_echelon(a: Matrix) -> Echelon:
     rows = [[*r, *zeros] for r in start]
     for i, row in enumerate(rows):
         row[n + i] = d
-    dens = [d] * a.rows
-    if ring.kind == "Q":
-        pivots = _q_rref(rows, dens, n)
-    elif ring.is_field:
-        pivots = _rref(rows, n, ring.modulus)
-    else:
-        pivots = _hermite(rows, n)
-    # row i is rows[i] / dens[i]: both halves over the lcm of the dens,
-    # which is 1 off Q
-    e = lcm(*dens)
-    if e != 1:
-        rows = [r if f == e else [x * (e // f) for x in r] for r, f in zip(rows, dens)]
-    reduced = _lowest(ring, a.rows, n, tuple([tuple(r[:n]) for r in rows]), e)
-    transform = _lowest(ring, a.rows, a.rows, tuple([tuple(r[n:]) for r in rows]), e)
+    pivots, e = _eliminate(a, rows)
+    reduced = _lowest(a.ring, a.rows, n, tuple([tuple(r[:n]) for r in rows]), e)
+    transform = _lowest(a.ring, a.rows, a.rows, tuple([tuple(r[n:]) for r in rows]), e)
     return Echelon(reduced, transform, tuple(pivots))
+
+
+def _eliminate(a: Matrix, rows: list[list[int]]) -> tuple[list[int], int]:
+    """Reduce ``rows``, the numerators of ``a`` over its denominator, each
+    possibly extended to the right, in place with the ring's kernel on a's
+    columns; returns the pivot columns and the denominator e (1 off Q) that
+    every row is then over.  Pivot choice and operation order read a's
+    columns alone, so those columns reach the same values however far the
+    rows extend."""
+    ring = a.ring
+    if not ring.supports_elimination:
+        raise UnsupportedRingError(
+            f"row reduction needs a field or Z, not {ring.name} (composite modulus)"
+        )
+    if ring.kind != "Q":
+        return (_rref(rows, a.cols, ring.modulus) if ring.is_field else _hermite(rows, a.cols)), 1
+    dens = [a.q_form[1]] * len(rows)
+    pivots = _q_rref(rows, dens, a.cols)
+    e = lcm(*dens)
+    for i, f in enumerate(dens):
+        if f != e:
+            rows[i] = [x * (e // f) for x in rows[i]]
+    return pivots, e
 
 
 def _rref(m: list[list[int]], limit: int, p: int) -> list[int]:
@@ -778,17 +799,25 @@ def _hermite(m: list[list[int]], limit: int) -> list[int]:
 
 
 def rank(a: Matrix) -> int:
-    return len(row_echelon(a).pivots)
+    return image_basis(a).rows
 
 
 def image_basis(a: Matrix) -> Matrix:
     """Echelon basis (field) or Hermite lattice basis (Z) of the row space
-    {vA}: a coordinate projector's nonzero rows, with no elimination."""
-    kept = projector_rows(a) if a.ring.supports_elimination else None
-    if kept is not None:
-        return projector_image(a, kept)
-    ech = row_echelon(a)
-    return ech.reduced.row_slice(0, len(ech.pivots))
+    {vA}, found once and kept in ``a``'s instance dict: a coordinate
+    projector's nonzero rows, with no elimination, and otherwise the
+    nonzero rows ``_eliminate`` leaves of a's own rows."""
+    held = a.__dict__
+    if "_image" not in held:  # kept as ``_packs`` is, with no lock to take
+        kept = projector_rows(a) if a.ring.supports_elimination else None
+        if kept is not None:
+            held["_image"] = projector_image(a, kept)
+        else:
+            rows = [list(r) for r in a.q_form[0]]
+            pivots, e = _eliminate(a, rows)
+            r = len(pivots)
+            held["_image"] = _lowest(a.ring, r, a.cols, tuple(map(tuple, rows[:r])), e)
+    return held["_image"]
 
 
 def projector_image(a: Matrix, kept: tuple[int, ...]) -> Matrix:
@@ -852,7 +881,20 @@ def coordinates(basis: Matrix, m: Matrix) -> Matrix | None:
     C that passes is the only one.  Over Z ``basis`` must be in echelon
     form (each row's leading entry strictly right of the previous row's),
     and each row of C is found by exact division.
+
+    Given the very basis ``image_basis(m)`` keeps (``is``, not ``==``), C
+    is found once and kept with it in m's instance dict.
     """
+    held = m.__dict__
+    if held.get("_image") is not basis:
+        return _coordinates(basis, m)
+    if "_image_coords" not in held:
+        held["_image_coords"] = _coordinates(basis, m)
+    return held["_image_coords"]
+
+
+def _coordinates(basis: Matrix, m: Matrix) -> Matrix | None:
+    """``coordinates``, always computed."""
     ring = basis.ring
     if m.ring is not ring and m.ring != ring:
         raise ValueError(f"ring mismatch: {m.ring.name} vs {ring.name}")

@@ -806,6 +806,34 @@ def test_a_huge_modulus_with_a_small_factor_still_runs(corpus):
     assert (code, text) == (2, f"usage error: Fp modulus must be prime, got {2 * HUGE_PRIME}")
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("Zmod:²", "bad modulus in ring name 'Zmod:²': expected an integer of at least 2"),
+        ("Fp:1²", "bad modulus in ring name 'Fp:1²': expected an integer of at least 2"),
+        ("F²", "unknown ring name 'F²' (expected Q, Z, Fp:<p> or Zmod:<m>)"),
+    ],
+)
+def test_a_ring_name_with_non_decimal_digits_is_refused_by_name(corpus, name, message):
+    code, text = run_command(["table", str(corpus / "p2.json"), "--ring", name])
+    assert (code, text) == (2, f"usage error: {message}")
+
+
+@pytest.mark.parametrize("head", ["Zmod:", "Fp:", "F"])
+def test_a_modulus_past_the_digit_limit_is_refused_by_name(corpus, head):
+    start = time.perf_counter()
+    code, text = run_command(["table", str(corpus / "p2.json"), "--ring", head + "7" * 5000])
+    assert time.perf_counter() - start < 1.0
+    assert (code, text) == (
+        2, f"usage error: bad modulus in ring name '{head}777777777777...': expected at most 4300 digits, got 5000"
+    )
+    payload = json.loads((corpus / "module-p2-regular.json").read_text())
+    payload["ring"] = head + "7" * 5000
+    with pytest.raises(ParseError) as err:
+        parse_document(json.dumps(payload), base_dir=str(corpus))
+    assert err.value.path == "ring" and "expected at most 4300 digits" in err.value.message
+
+
 def test_a_document_that_is_no_json_object_is_a_parse_error():
     with pytest.raises(ParseError) as err:
         parse_document("[1, 2]")

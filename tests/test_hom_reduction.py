@@ -416,17 +416,18 @@ def test_each_sheaf_law_is_rejected(groupoids):
 
 @pytest.mark.parametrize("ring", (RATIONALS, modular(5)), ids=lambda r: r.name)
 def test_no_elimination_exceeds_the_spanning_matrix(ring, monkeypatch):
-    """On pair(n) every ``row_echelon`` that ``sheaf_hom_basis`` and
-    ``hom_space_basis`` run has at most the cells of the matrix of spanning
-    morphisms; the dense sheaf system had at least n² times as many."""
+    """On pair(n) every elimination that ``sheaf_hom_basis`` and
+    ``hom_space_basis`` run, through ``row_echelon`` or ``image_basis``
+    alike, has at most the cells of the matrix of spanning morphisms; the
+    dense sheaf system had at least n² times as many."""
     shapes = []
-    real = rings.row_echelon
+    real = rings._eliminate
 
-    def recorded(a):
+    def recorded(a, rows):
         shapes.append((a.rows, a.cols))
-        return real(a)
+        return real(a, rows)
 
-    monkeypatch.setattr(rings, "row_echelon", recorded)
+    monkeypatch.setattr(rings, "_eliminate", recorded)
     eliminated = 0
     for n in (2, 3, 5):
         g = pair_groupoid(n)

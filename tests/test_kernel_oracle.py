@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import reference_kernels as ref
 from ample import gmodule, gsheaf, rings
-from ample.builders import random_invertible, random_module, random_sheaf
+from ample.builders import pair_groupoid, random_invertible, random_module, random_sheaf
 from ample.equivalence import block_offsets, epsilon, eta_matrix, gamma_c, sheafify
 from ample.rings import (
     INTEGERS,
@@ -30,6 +30,7 @@ from ample.rings import (
     matrix_inverse,
     flatten_rows,
     modular,
+    rank,
     row_echelon,
     unflatten_rows,
 )
@@ -718,3 +719,104 @@ def test_eta_matrix_matches_reference(groupoids, name, ring):
     for m in mods:
         sh = sheafify(m)
         assert_same_matrix(ring, eta_matrix(sh), ref.eta_matrix(sh))
+
+
+# -- image bases on a matrix's own columns, kept with the matrix -------------------
+
+IMAGE_RINGS = (RATIONALS, INTEGERS, modular(2), modular(5), modular(65537))
+
+
+def _image_cases(ring, rng):
+    """Zero, identity and projector matrices, 0×n and n×0 shapes, and random
+    and rank-deficient ones; over Q entries of 60 to 100 bits."""
+
+    def entry():
+        if ring.kind != "Q":
+            return rng.randint(-9, 9)
+        bits = rng.randrange(60, 101)
+        return Fraction(rng.randrange(-(2**bits), 2**bits), rng.randrange(1, 2**bits))
+
+    def draw(r, c):
+        return Matrix.from_rows(ring, [[entry() for _ in range(c)] for _ in range(r)], cols=c)
+
+    cases = [Matrix.zeros(ring, r, c) for r, c in ((0, 3), (3, 0), (0, 0), (3, 4))]
+    cases += [Matrix.identity(ring, 4), Matrix.from_ints(ring, [[1, 0, 0], [0, 0, 0], [0, 0, 1]], 3)]
+    # an idempotent that is no coordinate projector: S⁻¹·D·S for a 0/1 diagonal D
+    s, s_inv = random_invertible(ring, 4, rng)
+    cases.append(s_inv @ Matrix.from_ints(ring, [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]], 4) @ s)
+    for r, c in ((1, 1), (2, 3), (3, 2), (4, 4), (5, 5), (5, 3), (3, 6)):
+        inner = rng.randrange(min(r, c))
+        cases += [draw(r, c), draw(r, inner) @ draw(inner, c)]
+    return cases
+
+
+def _fresh(a):
+    """An equal matrix that keeps nothing yet."""
+    return Matrix(a.ring, a.rows, a.cols, a.entries)
+
+
+@pytest.mark.parametrize("ring", IMAGE_RINGS, ids=lambda r: r.name)
+def test_image_basis_is_the_nonzero_rows_of_the_echelon_form(ring):
+    """Eliminated on a's own columns, the image basis is the normalised
+    matrix ``row_echelon`` gives on ``[a | identity]``, cut to its pivot rows,
+    and the rank is the number of pivots; both are found once per matrix."""
+    rng = random.Random(ring.modulus or len(ring.kind))
+    for _ in range(3):
+        for a in _image_cases(ring, rng):
+            ech = row_echelon(a)
+            want = ech.reduced.row_slice(0, len(ech.pivots))
+            got = image_basis(_fresh(a))
+            assert got == want, a
+            assert_normalised(got.q_form)
+            assert rank(_fresh(a)) == len(ech.pivots)
+            assert image_basis(a) is image_basis(a)
+            assert_same_matrix(ring, image_basis(a), ref.image_basis(a))
+
+
+@pytest.mark.parametrize("ring", IMAGE_RINGS, ids=lambda r: r.name)
+def test_coordinates_in_the_kept_image_basis_are_found_once(ring, monkeypatch):
+    """``coordinates(image_basis(a), a)`` is computed once and kept; an equal
+    but distinct basis, or a foreign one, is computed afresh."""
+    computed = []
+    real = rings._coordinates
+    monkeypatch.setattr(rings, "_coordinates", lambda basis, m: computed.append(m) or real(basis, m))
+    rng = random.Random(7)
+    for a in _image_cases(ring, rng):
+        basis = image_basis(a)
+        computed.clear()
+        own = coordinates(basis, a)
+        assert own is not None and own @ basis == a
+        assert coordinates(basis, a) is own and len(computed) == 1
+        twin = _fresh(basis)
+        assert twin == basis and twin is not basis
+        again = coordinates(twin, a)
+        assert again == own and again is not own and len(computed) == 2
+        assert coordinates(basis, _fresh(a)) == own and len(computed) == 3
+        # a foreign basis: in the unit rows a's coordinates are a itself
+        assert coordinates(Matrix.identity(ring, a.cols), a) == a and len(computed) == 4
+
+
+@pytest.mark.parametrize("ring", IMAGE_RINGS[:4], ids=lambda r: r.name)
+def test_each_unit_action_is_eliminated_once(ring, monkeypatch):
+    """``sheafify``, ``eta_matrix`` and the isotropy frame share one
+    elimination and one read-back of each unit action."""
+    eliminated, computed = [], []
+    real_eliminate, real_coordinates = rings._eliminate, rings._coordinates
+    monkeypatch.setattr(rings, "_eliminate", lambda a, rows: eliminated.append(a) or real_eliminate(a, rows))
+    monkeypatch.setattr(rings, "_coordinates", lambda b, m: computed.append(m) or real_coordinates(b, m))
+    g = pair_groupoid(3)
+    general = 0
+    for seed in range(4):
+        m = random_module(g, ring, 3, seed)
+        units = [m.unit_action(x) for x in g.objects]
+        eliminated.clear()
+        computed.clear()
+        sh = sheafify(m)
+        assert_same_matrix(ring, eta_matrix(sh), ref.eta_matrix(sh))
+        m.isotropy_frame
+        for u in units:
+            if rings.projector_rows(u) is None:
+                general += 1
+                assert sum(a is u for a in eliminated) == 1
+                assert sum(a is u for a in computed) == 1
+    assert general

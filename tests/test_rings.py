@@ -56,6 +56,14 @@ def test_ring_names_round_trip():
     assert modular(6).name == "Zmod:6"
 
 
+def test_a_modulus_is_read_up_to_the_digit_limit():
+    assert ring_from_name("Zmod:" + "0" * 4299 + "6") is modular(6)
+    assert ring_from_name("F" + "0" * 4299 + "5") is modular(5)
+    for name in ("Zmod:" + "0" * 4300 + "6", "Fp:" + "0" * 4300 + "5", "F" + "0" * 4300 + "5"):
+        with pytest.raises(ValueError, match="expected at most 4300 digits, got 4301"):
+            ring_from_name(name)
+
+
 def test_rings_are_shared_per_modulus_and_equal_rings_hash_alike():
     assert modular(5) is modular(5)
     assert ring_from_name("Fp:5") is modular(5) is ring_from_name("F5")
