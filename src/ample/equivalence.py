@@ -114,7 +114,8 @@ def sheafify(m: GModule) -> Sheafification:
     as in a section module with identity unit transports, each stalk basis
     is the kept unit rows and the transport of a is the block of its action
     at the rows kept at dst a and the columns kept at src a: no product and
-    no elimination."""
+    no elimination.  Of a section module that block is the sheaf's own
+    transport object, which ``gamma_c`` placed and ``read_block`` returns."""
     # The germ of v at x is its normal form v·E_x, E_x the unit action at x:
     # with a finite discrete unit space the singleton of x is its least
     # compact open neighbourhood, so this one product decides germ equality,

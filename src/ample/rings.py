@@ -50,7 +50,11 @@ it on ``[a | identity]``, so no kernel builds a transform of its own, and
 coordinate projector (``projector_rows``: square, over 1, each row i zero
 or row i of the identity) needs none: ``image_basis`` returns its nonzero
 rows as they are.  A matrix keeps its image basis in its instance dict,
-and the coordinates of its own rows in that basis with it.
+and the coordinates of its own rows in that basis with it.  A matrix that
+``assemble`` builds from one block keeps that block: ``read_block`` returns
+it for its own rows and columns, ``projector_rows`` reads an identity block
+on the diagonal with no scan, and a product with it on the right
+multiplies the block's rows alone.
 ``coordinates`` expresses every row of a matrix in a basis at once: in
 unit rows it reads columns (``read_block``); otherwise over a field the
 basis must be reduced, and the coordinates are read off its pivot columns
@@ -383,10 +387,10 @@ def _entries(nums: tuple[tuple[int, ...], ...], d: int) -> tuple[tuple[Fraction,
 def _held(ring: Ring, rows: int, cols: int, nums: tuple[tuple[int, ...], ...], d: int = 1) -> "Matrix":
     """The matrix ``nums / d``, trusted to be normalised; off Q ``nums`` is
     held as the entries too."""
-    m = object.__new__(Matrix)
-    m.__dict__.update(ring=ring, rows=rows, cols=cols, q_form=(nums, d))
-    if ring.kind != "Q":
-        m.__dict__["entries"] = nums
+    m, form = object.__new__(Matrix), (nums, d)
+    object.__setattr__(m, "__dict__", {"ring": ring, "rows": rows, "cols": cols, "q_form": form}
+                       if ring.kind == "Q" else
+                       {"ring": ring, "rows": rows, "cols": cols, "q_form": form, "entries": nums})
     return m
 
 
@@ -454,6 +458,8 @@ class Matrix:
         return self.ring, self.rows, self.cols, self.q_form
 
     def __eq__(self, other: Any) -> bool:
+        if other is self:
+            return True
         if other.__class__ is not Matrix:
             return NotImplemented
         return self._key() == other._key()
@@ -522,6 +528,14 @@ class Matrix:
         right, e = other.q_form
         if k == other.rows and (not k or e == 1 and right[0][0] == 1 and right == _identity_rows(k)):
             return self
+        if "_block" in other.__dict__:  # only the block's rows and columns of other are nonzero
+            r, c, b = other._block
+            part = tuple([row[r:r + b.rows] for row in left])
+            if not b.is_identity:
+                part = _products(part, b.q_form[0], b.cols) if ring.modulus is None else _mod_products(part, b)
+                d *= b.q_form[1]
+            zeros, rest = (0,) * c, (0,) * (k - c - b.cols)
+            return _lowest(ring, n, k, tuple([zeros + row + rest for row in part]), d)
         if ring.modulus is None:
             return _lowest(ring, n, k, _products(left, right, k), d * e)
         return _held(ring, n, k, _mod_products(left, other))  # reduced, over 1
@@ -591,8 +605,18 @@ def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
 def assemble(ring: Ring, rows: int, cols: int, blocks: Iterable[tuple[int, int, Matrix]]) -> Matrix:
     """The rows×cols matrix holding each ``(r, c, block)`` of ``blocks`` with
     its top left entry at (r, c), and zeros elsewhere.  Blocks do not
-    overlap."""
+    overlap.  One block is placed row by row between shared zeros, and the
+    result keeps that ``(r, c, block)`` in its instance dict (``_block``)
+    for ``read_block``, ``projector_rows`` and products to read."""
     blocks = tuple(blocks)
+    if len(blocks) == 1:
+        (r, c, b), = blocks
+        nums, d = b.q_form
+        zero, left, right = (0,) * cols, (0,) * c, (0,) * (cols - c - b.cols)
+        placed = (zero,) * r + tuple([left + row + right for row in nums]) + (zero,) * (rows - r - b.rows)
+        m = _held(ring, rows, cols, placed, d)
+        m.__dict__["_block"] = blocks[0]
+        return m
     # Each block is normalised, so its numerators over the lcm d of the
     # block denominators are too: a prime power dividing d fully divides
     # some block's denominator and, scaled by d over it, that block's
@@ -811,19 +835,22 @@ def image_basis(a: Matrix) -> Matrix:
     if "_image" not in held:  # kept as ``_packs`` is, with no lock to take
         kept = projector_rows(a) if a.ring.supports_elimination else None
         if kept is not None:
-            held["_image"] = projector_image(a, kept)
-        else:
-            rows = [list(r) for r in a.q_form[0]]
-            pivots, e = _eliminate(a, rows)
-            r = len(pivots)
-            held["_image"] = _lowest(a.ring, r, a.cols, tuple(map(tuple, rows[:r])), e)
+            return projector_image(a, kept)
+        rows = [list(r) for r in a.q_form[0]]
+        pivots, e = _eliminate(a, rows)
+        r = len(pivots)
+        held["_image"] = _lowest(a.ring, r, a.cols, tuple(map(tuple, rows[:r])), e)
     return held["_image"]
 
 
 def projector_image(a: Matrix, kept: tuple[int, ...]) -> Matrix:
     """``image_basis`` of a coordinate projector over a field or Z, given
-    its nonzero rows ``kept`` (``projector_rows``): those rows."""
-    return _held(a.ring, len(kept), a.cols, tuple([a.q_form[0][i] for i in kept]))
+    its nonzero rows ``kept`` (``projector_rows``): those rows, kept as
+    ``image_basis`` keeps a basis."""
+    held = a.__dict__
+    if "_image" not in held:
+        held["_image"] = _held(a.ring, len(kept), a.cols, tuple([a.q_form[0][i] for i in kept]))
+    return held["_image"]
 
 
 def projector_rows(a: Matrix) -> tuple[int, ...] | None:
@@ -833,6 +860,10 @@ def projector_rows(a: Matrix) -> tuple[int, ...] | None:
     n, (rows, d) = a.rows, a.q_form
     if n != a.cols or d != 1:
         return None
+    if "_block" in a.__dict__:  # an identity block on the diagonal, zeros elsewhere
+        r, c, b = a._block
+        if r == c and b.is_identity:
+            return tuple(range(r, r + b.rows))
     kept = []
     for i, row in enumerate(rows):
         zeros = row.count(0)
@@ -846,12 +877,20 @@ def projector_rows(a: Matrix) -> tuple[int, ...] | None:
 def read_block(a: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix | None:
     """The rows ``rows`` of ``a`` read at the columns ``cols``, normalised,
     or None when one of those rows has a nonzero entry off ``cols``: the
-    coordinates of those rows in the unit rows at ``cols``."""
+    coordinates of those rows in the unit rows at ``cols``.  A kept block
+    (see ``assemble``) read at exactly its own rows and columns is returned
+    as it is, and consecutive columns are read with one slice per row."""
+    if "_block" in a.__dict__:
+        r, c, b = a._block
+        if tuple(rows) == tuple(range(r, r + b.rows)) and tuple(cols) == tuple(range(c, c + b.cols)):
+            return b
     nums, d = a.q_form
+    lo = cols[0] if cols else 0
+    hi = lo + len(cols) if tuple(cols) == tuple(range(lo, lo + len(cols))) else None
     read = []
     for i in rows:
         row = nums[i]
-        cut = tuple([row[j] for j in cols])
+        cut = row[lo:hi] if hi is not None else tuple([row[j] for j in cols])
         if len(row) - row.count(0) != len(cut) - cut.count(0):
             return None
         read.append(cut)
