@@ -274,18 +274,23 @@ def _parse_groupoid(payload: Mapping[str, Any], base_dir: str | None) -> FiniteG
     unit = _id_map(_section(payload, "units", dict, "a map object -> arrow", 'e.g. {"1": "(1,1)"}'), "units")
     inverse = _id_map(_section(payload, "inv", dict, "a map arrow -> arrow", 'e.g. {"(1,2)": "(2,1)"}'), "inv")
     compose_raw = _section(payload, "compose", list, "a list of [g, h, gh] triples", "list the table")
-    bulk = (
-        _all_of(list, compose_raw)
-        and set(map(len, compose_raw)) <= {3}
-        and _all_of(str, chain.from_iterable(compose_raw))
-    )
-    # FiniteGroupoid checks that the ids of a bulk-read table are arrows.
-    compose = {(g, h): gh for g, h, gh in compose_raw} if bulk else _compose_table(compose_raw, arrows)
+    parts = objects, tuple(arrows), src, dst, unit
+    if _all_of(list, compose_raw):  # so no 3-character string unpacks as a triple
+        # Unpacking refuses an entry that is no triple, and FiniteGroupoid any
+        # id that is no declared arrow, so (arrow ids being strings) any id
+        # that is no string.  A pair given twice would leave its earlier
+        # product unchecked.  Either way the per-entry reader below reads the
+        # table again and names its first bad entry.
+        try:
+            compose = {(g, h): gh for g, h, gh in compose_raw}
+            if len(compose) == len(compose_raw):
+                return FiniteGroupoid(*parts, compose, inverse)
+        except (TypeError, ValueError):
+            pass
+    compose = _compose_table(compose_raw, arrows)
     try:
-        return FiniteGroupoid(objects, tuple(arrows), src, dst, unit, compose, inverse)
+        return FiniteGroupoid(*parts, compose, inverse)
     except ValueError as exc:
-        if bulk:  # an unknown arrow in the table is named before any other error
-            _compose_table(compose_raw, arrows)
         raise _fail(str(exc), "", "cross-check ids between the sections") from None
 
 
@@ -314,6 +319,8 @@ def _parse_matrix(ring: Ring, value: Any, rows: int, cols: int, path: str) -> Ma
         raise _fail("matrix must be a list of rows", path, "use [[...], [...]]")
     if len(value) != rows or any(len(r) != cols for r in value):
         raise _fail(f"matrix must be {rows}x{cols}", path, "check the declared ranks")
+    if _all_of(int, chain.from_iterable(value)):  # a bool, a float or a string takes the loop
+        return Matrix.from_ints(ring, value, cols)
     data = []
     for i, row in enumerate(value):
         out = []

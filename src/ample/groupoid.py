@@ -63,28 +63,26 @@ class FiniteGroupoid:
 
     def __post_init__(self) -> None:
         # Referential integrity only; the axioms live in validate_groupoid.
-        if len(set(self.objects)) != len(self.objects):
+        # Each map is checked by set comparisons, and a loop runs only to
+        # name the first bad entry.
+        sets = {"object": set(self.objects), "arrow": set(self.arrows)}
+        if len(sets["object"]) != len(self.objects):
             raise ValueError("duplicate object ids")
-        if len(set(self.arrows)) != len(self.arrows):
+        if len(sets["arrow"]) != len(self.arrows):
             raise ValueError("duplicate arrow ids")
-        arrow_set = set(self.arrows)
-        object_set = set(self.objects)
-        for mapping, name in ((self.src, "src"), (self.dst, "dst")):
-            if set(mapping) != arrow_set:
-                raise ValueError(f"{name} map must cover exactly the arrow set")
-            for g, x in mapping.items():
-                if x not in object_set:
-                    raise ValueError(f"{name}[{g!r}] = {x!r} is not an object")
-        if set(self.unit) != object_set:
-            raise ValueError("unit map must cover exactly the object set")
-        for x, g in self.unit.items():
-            if g not in arrow_set:
-                raise ValueError(f"unit[{x!r}] = {g!r} is not an arrow")
-        if set(self.inverse) != arrow_set:
-            raise ValueError("inverse map must cover exactly the arrow set")
-        for g, h in self.inverse.items():
-            if h not in arrow_set:
-                raise ValueError(f"inverse[{g!r}] = {h!r} is not an arrow")
+        for name, mapping, keys, values in (
+            ("src", self.src, "arrow", "object"),
+            ("dst", self.dst, "arrow", "object"),
+            ("unit", self.unit, "object", "arrow"),
+            ("inverse", self.inverse, "arrow", "arrow"),
+        ):
+            if mapping.keys() != sets[keys]:
+                raise ValueError(f"{name} map must cover exactly the {keys} set")
+            allowed = sets[values]
+            if not allowed.issuperset(mapping.values()):
+                g, x = next((g, x) for g, x in mapping.items() if x not in allowed)
+                raise ValueError(f"{name}[{g!r}] = {x!r} is not an {values}")
+        arrow_set = sets["arrow"]
         if not (arrow_set.issuperset(chain.from_iterable(self.compose))
                 and arrow_set.issuperset(self.compose.values())):  # name the first bad entry
             for (g, h), gh in self.compose.items():
@@ -242,8 +240,8 @@ def _associative_plan(g: FiniteGroupoid) -> tuple[IsotropyPlan | None, tuple[Fai
     they are the same arrow.  Conversely a groupoid passes every check,
     since there loop[ab] = t_z⁻¹·a·t_y·t_y⁻¹·b·t_w and a = t_z·loop[a]·t_y⁻¹.
 
-    The cost is one lookup per entry and a few per arrow, plus
-    Σ|K|²·|S| for the generating sets S of check 4.
+    The cost is one lookup per entry and a few per arrow, plus Σ|K|² for
+    the tables of K and Σ|K|²·|S| for the generating sets S of check 4.
 
     Otherwise the failures come law by law, each law in declaration order of
     its arrows (the endpoint law in the order of the composition table):
@@ -286,7 +284,19 @@ def _associative_plan(g: FiniteGroupoid) -> tuple[IsotropyPlan | None, tuple[Fai
 
 def _plan_tables(g: FiniteGroupoid) -> IsotropyPlan | None:
     """Checks 2-4 of ``_associative_plan`` on a table that passes check 1
-    and has as many entries as composable pairs: the plan, or None."""
+    and has as many entries as composable pairs: the plan, or None.
+
+    Each arrow's ends (src a, dst a, loop a) are read into one tuple, and
+    each base isotropy group K into rows[k] = {l: k·l}, so an entry costs
+    three reads of the ends and one of rows[loop a][loop b].  rows gives
+    the product loop[a]·loop[b] wherever the table has it, so the verdict is
+    the one that reading that product off the table gives.  A miss in rows
+    returns None, and the table then fails check 2 too.  If instead every
+    entry passed check 2, every loop would lie in its base's K: the entries
+    (a, t_y) and (t_z⁻¹, a·t_y) would have the right endpoints, and t_z⁻¹
+    runs from z to the base by check 1.  All composable pairs would then be
+    entries, those of K×K and each (loop a, loop b) of a composable pair
+    (a, b) among them, and nothing in rows could miss."""
     compose, inverse, src, dst = g.compose, g.inverse, g.src, g.dst
     components = g.connected_components()
     tree: dict[ObjectId, ArrowId] = {}
@@ -298,18 +308,23 @@ def _plan_tables(g: FiniteGroupoid) -> IsotropyPlan | None:
             if not reach:
                 return None
             tree[y] = reach[0]
+    groups = [g.hom_set(comp[0], comp[0]) for comp in components]
     try:
         loop = {a: compose[(inverse[tree[dst[a]]], compose[(a, tree[src[a]])])] for a in g.arrows}
+        ends = {a: (src[a], dst[a], loop[a]) for a in g.arrows}
+        rows = {k: {l: compose[(k, l)] for l in group} for group in groups for k in group}
         for (a, b), ab in compose.items():
-            if (src[a] != dst[b] or src[ab] != src[b] or dst[ab] != dst[a]
-                    or loop[ab] != compose[(loop[a], loop[b])]):
+            ya, za, ka = ends[a]
+            yb, zb, kb = ends[b]
+            y, z, k = ends[ab]
+            if ya != zb or y != yb or z != za or k != rows[ka][kb]:
                 return None
     except KeyError:  # a law is broken, so a product the tables need is missing
         return None
-    if len({(dst[a], loop[a], src[a]) for a in g.arrows}) != len(g.arrows):
+    if len(set(ends.values())) != len(g.arrows):
         return None
-    for comp in components:
-        if not is_associative(g.hom_set(comp[0], comp[0]), compose):
+    for group in groups:
+        if not is_associative(group, compose):
             return None
     return IsotropyPlan(components, tree, loop)
 

@@ -332,3 +332,89 @@ def test_lights_test_finds_the_skewed_z3_and_the_ci_table():
     assert not is_associative(elements, skewed)
     message = "not a group table: associativity fails at (g,g,g2)"
     assert _outcome(_check_group, elements, skewed) == (ValueError, message) == _outcome(ref.check_group, elements, skewed)
+
+
+# -- faults that one comparison of the scan alone catches ------------------------------
+
+
+def _two_isotropies() -> FiniteGroupoid:
+    """Z/6 acting on a0, a1 through Z/2 and on b0, b1, b2 through Z/3: two
+    components, with isotropy Z/3 at a0 and Z/2 at b0."""
+    elements, table = cyclic_group(6)
+    points = ("a0", "a1", "b0", "b1", "b2")
+    orbit = {"a": 2, "b": 3}
+    action = {(g, x): f"{x[0]}{(i + int(x[1])) % orbit[x[0]]}" for i, g in enumerate(elements) for x in points}
+    return action_groupoid(elements, table, points, action)
+
+
+TWO_ISOTROPIES = _two_isotropies()
+
+
+def test_components_with_different_isotropy_get_the_oracle_plan():
+    g = TWO_ISOTROPIES
+    plan = replace(g).isotropy_plan
+    assert plan is not None
+    assert plan == ref.isotropy_plan(g)
+    assert [(len(comp), len(g.hom_set(comp[0], comp[0]))) for comp in plan.components] == [(2, 3), (3, 2)]
+
+
+def _ends(g: FiniteGroupoid) -> dict:
+    """Each (src a, dst a, loop a) of a sound groupoid, mapped to its arrow a."""
+    loop = g.isotropy_plan.loop
+    return {(g.src[a], g.dst[a], loop[a]): a for a in g.arrows}
+
+
+def _unread_entries(g: FiniteGroupoid, component: int):
+    """The composable pairs (a, b) at a component whose entries the scan
+    alone reads: not the unit and inverse products of check 1, nor the
+    products that define the loops, nor those of the base isotropy group."""
+    plan = g.isotropy_plan
+    comp = plan.components[component]
+    tree = set(plan.tree.values())
+    cotree = {g.inverse[t] for t in tree}
+    units = set(g.unit.values())
+    isotropy = set(g.hom_set(comp[0], comp[0]))
+    for a, b in g.composable_pairs():
+        if (g.src[b] in comp and not {a, b} & units and g.inverse[a] != b
+                and b not in tree and a not in cotree and not {a, b} <= isotropy):
+            yield a, b
+
+
+def _moved_product(g: FiniteGroupoid, component: int, coordinate: int) -> FiniteGroupoid:
+    """g with one product, read by the scan alone, replaced by the arrow that
+    differs from it in one of its (src, dst, loop) coordinates only."""
+    ends, loop = _ends(g), g.isotropy_plan.loop
+    comp = g.isotropy_plan.components[component]
+    choices = (comp, comp, g.hom_set(comp[0], comp[0]))[coordinate]
+    a, b = next(_unread_entries(g, component))
+    ab = g.compose[(a, b)]
+    want = [g.src[ab], g.dst[ab], loop[ab]]
+    want[coordinate] = next(c for c in choices if c != want[coordinate])
+    return replace(g, compose={**g.compose, (a, b): ends[tuple(want)]})
+
+
+def _assert_no_plan(broken: FiniteGroupoid) -> None:
+    assert ref.isotropy_plan(broken) is None
+    assert replace(broken).isotropy_plan is None
+    assert validate_groupoid(replace(broken)).failures == ref.validate_groupoid(broken).failures
+
+
+@pytest.mark.parametrize("component", [0, 1])
+@pytest.mark.parametrize("coordinate", [0, 1, 2], ids=["source", "target", "loop"])
+def test_a_product_wrong_in_one_coordinate_has_no_plan(component, coordinate):
+    _assert_no_plan(_moved_product(TWO_ISOTROPIES, component, coordinate))
+
+
+@pytest.mark.parametrize("component", [0, 1])
+def test_a_stray_entry_right_in_every_coordinate_has_no_plan(component):
+    """A composable product dropped, and an entry (a, c) with src a ≠ dst c
+    added whose value has source src c, target dst a and loop loop[a]·loop[c]."""
+    g = TWO_ISOTROPIES
+    ends, loop = _ends(g), g.isotropy_plan.loop
+    comp = g.isotropy_plan.components[component]
+    a, b = next(_unread_entries(g, component))
+    c = next(c for c in g.arrows if g.dst[c] in comp and g.dst[c] != g.src[a])
+    compose = {k: v for k, v in g.compose.items() if k != (a, b)}
+    compose[(a, c)] = ends[(g.src[c], g.dst[a], g.compose[(loop[a], loop[c])])]
+    assert len(compose) == len(g.compose)
+    _assert_no_plan(replace(g, compose=compose))
