@@ -98,6 +98,7 @@ def _check_group(
     for a, b in product(elements, repeat=2):
         if table.get((a, b)) not in elems:
             raise ValueError(f"not a group table: product ({a},{b}) missing or unknown")
+    rows = {a: {b: table[(a, b)] for b in elements} for a in elements}
     identity = next(
         (e for e in elements if all(table[(e, a)] == a and table[(a, e)] == a for a in elements)),
         None,
@@ -110,7 +111,7 @@ def _check_group(
         if b is None:
             raise ValueError(f"not a group table: element {a} has no inverse")
         inverse[a] = b
-    if not is_associative(elements, table):  # name the first triple that fails
+    if not is_associative(rows):  # name the first triple that fails
         for a, b, c in product(elements, repeat=3):
             if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
                 raise ValueError(f"not a group table: associativity fails at ({a},{b},{c})")

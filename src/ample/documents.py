@@ -278,9 +278,9 @@ def _parse_groupoid(payload: Mapping[str, Any], base_dir: str | None) -> FiniteG
     if _all_of(list, compose_raw):  # so no 3-character string unpacks as a triple
         # Unpacking refuses an entry that is no triple, and FiniteGroupoid any
         # id that is no declared arrow, so (arrow ids being strings) any id
-        # that is no string.  A pair given twice would leave its earlier
-        # product unchecked.  Either way the per-entry reader below reads the
-        # table again and names its first bad entry.
+        # that is no string; a dict shorter than the list has a pair given
+        # twice.  Either way the per-entry reader below reads the table again
+        # and names its first bad entry.
         try:
             compose = {(g, h): gh for g, h, gh in compose_raw}
             if len(compose) == len(compose_raw):
@@ -295,7 +295,8 @@ def _parse_groupoid(payload: Mapping[str, Any], base_dir: str | None) -> FiniteG
 
 
 def _compose_table(compose_raw: list[Any], arrows: list[str]) -> dict[tuple[str, str], str]:
-    """The compose section entry by entry, naming its first bad entry."""
+    """The compose section entry by entry, naming its first bad entry: one
+    that is no triple, holds an unknown arrow id, or repeats a pair."""
     compose: dict[tuple[str, str], str] = {}
     arrow_set = set(arrows)
     for i, triple in enumerate(compose_raw):
@@ -310,6 +311,8 @@ def _compose_table(compose_raw: list[Any], arrows: list[str]) -> dict[tuple[str,
                 raise _fail(
                     f"unknown arrow id {t!r}", f"compose[{i}]", "declare the arrow in 'arrows'"
                 )
+        if (g, h) in compose:
+            raise _fail(f"pair {(g, h)!r} is given twice", f"compose[{i}]", "give each pair one product")
         compose[(g, h)] = gh
     return compose
 

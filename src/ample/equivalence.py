@@ -40,12 +40,11 @@ from .rings import (
     block_diagonal,
     coordinates,
     image_basis,
-    kernel_basis,
     matrix_inverse,
-    projector_image,
-    projector_rows,
+    rank,
     read_block,
     stack_rows,
+    unit_leads,
 )
 from .validation import Failure, ValidationReport
 
@@ -110,32 +109,27 @@ class _OffLatticeError(ValueError):
 def sheafify(m: GModule) -> Sheafification:
     """Build the germ sheaf of a module (needs a field or Z for bases).
 
-    When every unit action is a coordinate projector (``projector_rows``),
-    as in a section module with identity unit transports, each stalk basis
-    is the kept unit rows and the transport of a is the block of its action
-    at the rows kept at dst a and the columns kept at src a: no product and
-    no elimination.  Of a section module that block is the sheaf's own
-    transport object, which ``gamma_c`` placed and ``read_block`` returns."""
+    The transport of a: y -> z is the coordinates, in the stalk basis at
+    y, of the basis at z moved by a.  Where both bases are unit rows
+    (``unit_leads``), the moved basis is a's rows at the leads at z, whose
+    coordinates are those rows read at the leads at y, or None when one has
+    a nonzero entry elsewhere: ``read_block`` gives them with no product,
+    and of a section module returns the sheaf's own transport object."""
     # The germ of v at x is its normal form v·E_x, E_x the unit action at x:
     # with a finite discrete unit space the singleton of x is its least
     # compact open neighbourhood, so this one product decides germ equality,
     # and the stalk at x is the row space of E_x.
-    g, elim = m.groupoid, m.ring.supports_elimination
-    units = {x: m.unit_action(x) for x in g.objects}
-    kept = {x: projector_rows(e) for x, e in units.items()}
-    basis = {
-        x: image_basis(e) if kept[x] is None or not elim else projector_image(e, kept[x])
-        for x, e in units.items()
-    }
-    blocks = None not in kept.values()
-    stalk_rank = {x: basis[x].rows for x in g.objects}
+    g = m.groupoid
+    basis = {x: image_basis(m.unit_action(x)) for x in g.objects}
+    leads = {x: unit_leads(b) for x, b in basis.items()}
+    stalk_rank = {x: b.rows for x, b in basis.items()}
     transport: dict[ArrowId, Matrix] = {}
     for a in g.arrows:
-        x, y = g.dst[a], g.src[a]
-        if blocks:
-            coords = read_block(m.action[a], kept[x], kept[y])
+        z, y = g.dst[a], g.src[a]
+        if leads[z] is not None and leads[y] is not None:
+            coords = read_block(m.action[a], leads[z], leads[y])
         else:
-            coords = coordinates(basis[y], basis[x] @ m.action[a])
+            coords = coordinates(basis[y], basis[z] @ m.action[a])
         if coords is None:
             raise _OffLatticeError(
                 f"action of {a!r} does not preserve stalk lattices; is the module valid?"
@@ -199,7 +193,7 @@ def eta(m: GModule) -> ValidationReport:
     """Certify the unit: module -> sections of its germ sheaf.
 
     Checks, in order: the map intertwines the actions on the arrow spanning
-    set; it is injective (trivial kernel); it is surjective, constructively,
+    set; it is injective (full rank); it is surjective, constructively,
     by exhibiting a preimage of every standard basis section through the
     partition of the unit space into its points (the preimages are exactly
     the stalk basis rows).  The report names the first check that fails;
@@ -215,7 +209,7 @@ def eta(m: GModule) -> ValidationReport:
     preimages = stack_rows(m.ring, [sh.stalk_basis[x] for x in m.groupoid.objects], m.rank)
     if bad:
         failures = (Failure("module-hom", f"intertwining fails at arrow {bad[0]!r}"),)
-    elif kernel_basis(h).rows != 0:
+    elif rank(h) != h.rows:
         failures = (Failure("injective", "nontrivial kernel"),)
     elif (preimages @ h) != Matrix.identity(m.ring, gamma.rank):
         failures = (Failure("surjective", "partition preimages do not hit the basis"),)

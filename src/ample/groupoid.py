@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .validation import Failure, ValidationReport
 
@@ -324,14 +324,15 @@ def _plan_tables(g: FiniteGroupoid) -> IsotropyPlan | None:
     if len(set(ends.values())) != len(g.arrows):
         return None
     for group in groups:
-        if not is_associative(group, compose):
+        if not is_associative({k: rows[k] for k in group}):
             return None
     return IsotropyPlan(components, tree, loop)
 
 
-def is_associative(elements: Sequence[Hashable], table: Mapping[tuple, Hashable]) -> bool:
-    """Whether a finite magma is associative, given its elements and a table
-    that holds every product of two of them and only elements as values.
+def is_associative(products: Mapping[Hashable, Mapping[Hashable, Hashable]]) -> bool:
+    """Whether a finite magma is associative, given its rows of products
+    k ↦ {l: k·l}: every product of two elements present and an element, the
+    elements in the order of ``products``.
 
     Light's test (A. H. Clifford and G. B. Preston, *The Algebraic Theory of
     Semigroups*, vol. 1, 1961, §1.2): the elements s with (x·s)·y = x·(s·y)
@@ -341,11 +342,13 @@ def is_associative(elements: Sequence[Hashable], table: Mapping[tuple, Hashable]
     multiplication by S, do not reach it.  That is |M|² lookups for the
     rows of element indices, |M|·|S| steps for S and |M|²·|S| comparisons,
     a row at a time, for the test."""
+    elements = tuple(products)
     n = len(elements)
     if n < 2:  # a one-element magma is a semigroup
         return True
     index = {k: i for i, k in enumerate(elements)}
-    rows = [tuple([index[table[(k, l)]] for l in elements]) for k in elements]
+    read = itemgetter(*elements)
+    rows = [tuple(map(index.__getitem__, read(row))) for row in products.values()]
     reached: set[int] = set()
     gens: list[int] = []
     for i in range(n):

@@ -56,10 +56,10 @@ it for its own rows and columns, ``projector_rows`` reads an identity block
 on the diagonal with no scan, and a product with it on the right
 multiplies the block's rows alone.
 ``coordinates`` expresses every row of a matrix in a basis at once: in
-unit rows it reads columns (``read_block``); otherwise over a field the
-basis must be reduced, and the coordinates are read off its pivot columns
-and checked with one product; over Z the basis must be in echelon form,
-and each row is found by exact division.
+unit rows (``unit_leads``) it reads columns (``read_block``); otherwise
+over a field the basis must be reduced, and the coordinates are read off
+its pivot columns and checked with one product; over Z the basis must be
+in echelon form, and each row is found by exact division.
 
 Conventions used throughout the library: vectors are rows, linear maps act
 on the right (``v @ A``), and matrix products compose left to right, so
@@ -829,27 +829,17 @@ def rank(a: Matrix) -> int:
 def image_basis(a: Matrix) -> Matrix:
     """Echelon basis (field) or Hermite lattice basis (Z) of the row space
     {vA}, found once and kept in ``a``'s instance dict: a coordinate
-    projector's nonzero rows, with no elimination, and otherwise the
-    nonzero rows ``_eliminate`` leaves of a's own rows."""
+    projector's nonzero rows (``projector_rows``), with no elimination, and
+    otherwise the nonzero rows ``_eliminate`` leaves of a's own rows."""
     held = a.__dict__
     if "_image" not in held:  # kept as ``_packs`` is, with no lock to take
         kept = projector_rows(a) if a.ring.supports_elimination else None
-        if kept is not None:
-            return projector_image(a, kept)
-        rows = [list(r) for r in a.q_form[0]]
-        pivots, e = _eliminate(a, rows)
-        r = len(pivots)
-        held["_image"] = _lowest(a.ring, r, a.cols, tuple(map(tuple, rows[:r])), e)
-    return held["_image"]
-
-
-def projector_image(a: Matrix, kept: tuple[int, ...]) -> Matrix:
-    """``image_basis`` of a coordinate projector over a field or Z, given
-    its nonzero rows ``kept`` (``projector_rows``): those rows, kept as
-    ``image_basis`` keeps a basis."""
-    held = a.__dict__
-    if "_image" not in held:
-        held["_image"] = _held(a.ring, len(kept), a.cols, tuple([a.q_form[0][i] for i in kept]))
+        rows, e = a.q_form
+        if kept is None:
+            rows = [list(r) for r in rows]
+            pivots, e = _eliminate(a, rows)
+            kept = range(len(pivots))
+        held["_image"] = _lowest(a.ring, len(kept), a.cols, tuple([tuple(rows[i]) for i in kept]), e)
     return held["_image"]
 
 
@@ -897,6 +887,18 @@ def read_block(a: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix | 
     return _lowest(a.ring, len(read), len(cols), tuple(read), d)
 
 
+def unit_leads(basis: Matrix) -> tuple[int, ...] | None:
+    """The column of each row's one nonzero entry, 1 over the denominator
+    1, when those columns increase; None for any other ``basis``."""
+    rows, d = basis.q_form
+    leads = [-1]
+    for row in rows:
+        if d != 1 or 1 not in row or row.index(1) <= leads[-1] or row.count(0) != len(row) - 1:
+            return None
+        leads.append(row.index(1))
+    return tuple(leads[1:])
+
+
 def kernel_basis(a: Matrix) -> Matrix:
     """Echelonized basis of the left null space {v : vA = 0}."""
     ech = row_echelon(a)
@@ -910,16 +912,16 @@ def coordinates(basis: Matrix, m: Matrix) -> Matrix | None:
     """The matrix C with C @ basis = m, or None when a row of ``m`` is
     outside the row space (the lattice, over Z) of ``basis``.
 
-    In a basis of unit rows, leads increasing, C is ``m`` read at the
-    leads (``read_block``), found by the pass that finds them.  Otherwise
-    over a field ``basis`` must be a reduced echelon basis, as
-    ``image_basis`` returns, possibly with zero rows: a 1 at each nonzero
-    row's leading column and zeros above and below it.  C is then ``m``
-    read at those columns, and one product checks it; a row outside the
-    row space fails the check, and the nonzero rows are independent, so a
-    C that passes is the only one.  Over Z ``basis`` must be in echelon
-    form (each row's leading entry strictly right of the previous row's),
-    and each row of C is found by exact division.
+    In a basis of unit rows (``unit_leads``), C is ``m`` read at their
+    leads (``read_block``).  Otherwise over a field ``basis`` must be a
+    reduced echelon basis, as ``image_basis`` returns, possibly with zero
+    rows: a 1 at each nonzero row's leading column and zeros above and
+    below it.  C is then ``m`` read at those columns, and one product
+    checks it; a row outside the row space fails the check, and the
+    nonzero rows are independent, so a C that passes is the only one.
+    Over Z ``basis`` must be in echelon form (each row's leading entry
+    strictly right of the previous row's), and each row of C is found by
+    exact division.
 
     Given the very basis ``image_basis(m)`` keeps (``is``, not ``==``), C
     is found once and kept with it in m's instance dict.
@@ -941,15 +943,11 @@ def _coordinates(basis: Matrix, m: Matrix) -> Matrix | None:
         raise ValueError(f"dimension mismatch: rows of length {m.cols} vs {basis.cols} cols")
     if not ring.supports_elimination:
         raise UnsupportedRingError(f"coordinates need a field or Z, not {ring.name} (composite modulus)")
-    brows, e = basis.q_form
-    leads, units = [], e == 1
-    for row in brows:
-        j = next((j for j, x in enumerate(row) if x), None)
-        if units:
-            units = j is not None and row[j] == 1 and row.count(0) == len(row) - 1 and (not leads or j > leads[-1])
-        leads.append(j)
-    if units:
+    leads = unit_leads(basis)
+    if leads is not None:
         return read_block(m, range(m.rows), leads)
+    brows, e = basis.q_form
+    leads = [next((j for j, x in enumerate(row) if x), None) for row in brows]
     mrows, f = m.q_form
     if ring.is_field:
         # with basis as B/e and m as M/f (e = f = 1 off Q), C is M read at

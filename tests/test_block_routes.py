@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 import reference_kernels as ref
-from ample import equivalence, rings
+from ample import rings
 from ample.builders import pair_groupoid, random_sheaf
 from ample.equivalence import eta_matrix, gamma_c, sheafify
 from ample.rings import INTEGERS, RATIONALS, Matrix, assemble, modular, projector_rows, read_block
@@ -191,7 +191,6 @@ def test_each_unit_action_is_tested_and_read_back_once(monkeypatch):
 
     projector = counted("projector_rows")
     monkeypatch.setattr(rings, "projector_rows", projector)
-    monkeypatch.setattr(equivalence, "projector_rows", projector)
     monkeypatch.setattr(rings, "_coordinates", counted("_coordinates"))
     g = pair_groupoid(3)
     for seed in range(4):

@@ -68,7 +68,10 @@ CASES = {
     "a float id": ([["e", "e", 1.0]], f"<document>:#compose[0]: expected an id string, got 1.0 {ID}"),
     "a list id": ([[[1], "e", "e"]], f"<document>:#compose[0]: expected an id string, got [1] {ID}"),
     "a list product": ([["e", "e", [1]]], f"<document>:#compose[0]: expected an id string, got [1] {ID}"),
-    "a pair given twice": ([["e", "e", "a"], ["a", "b", "c"], ["e", "e", "e"]], {("e", "e"): "e", ("a", "b"): "c"}),
+    "a pair given twice": (
+        [["e", "e", "a"], ["a", "b", "c"], ["e", "e", "e"]],
+        "<document>:#compose[2]: pair ('e', 'e') is given twice (hint: give each pair one product)",
+    ),
     "an unknown arrow in a product given again": (
         [["e", "e", "ghost"], ["e", "e", "e"]], f"<document>:#compose[0]: unknown arrow id 'ghost' {UNKNOWN}"
     ),

@@ -3,8 +3,8 @@
 A coordinate projector is a square matrix over the denominator 1 whose row
 i is either zero or row i of the identity.  ``image_basis`` returns its
 nonzero rows with no elimination, ``coordinates`` in a basis of unit rows
-reads columns, and ``sheafify`` of a module whose unit actions are all
-projectors reads each transport off a block of the action.
+reads columns, and ``sheafify`` reads the transport of an arrow between
+two unit-row stalks off a block of its action.
 ``reference_kernels`` eliminates and expresses row by row with none of
 these routes; every result must equal its own, on projectors, on matrices
 that nearly are, and on the modules built from them.
@@ -330,14 +330,14 @@ def test_unit_transport_2_is_no_projector(counted, point):
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
 def test_projector_modules_test_each_unit_action_once(groupoids, monkeypatch, ring):
-    """``sheafify`` tests each unit action for a projector once and builds
-    the stalk bases from the kept rows, with no second test in
-    ``image_basis``; the tests above hold the bases to the reference."""
+    """``sheafify`` tests each unit action for a projector once, in the
+    ``image_basis`` that builds its stalk basis, and reads the leads off
+    that basis with no second test; the tests above hold the bases to the
+    reference."""
     calls = []
     real = rings.projector_rows
     counted = lambda a: calls.append(a) or real(a)  # noqa: E731
     monkeypatch.setattr(rings, "projector_rows", counted)
-    monkeypatch.setattr(equivalence, "projector_rows", counted)
     rng = random.Random(3)
     for name in GROUPOIDS:
         g = groupoids[name]
